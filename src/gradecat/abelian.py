@@ -21,6 +21,14 @@ class AutBoundError(ValueError):
     """Automorphism enumeration refused: group infinite or too large."""
 
 
+# Aut(T) is enumerated only for |T| <= ELEMENT_BOUND and at most
+# CANDIDATE_BOUND endomorphism candidates.  Raising CANDIDATE_BOUND to
+# 200 000 would enumerate 1-d:Z2^3 x Z4 (131 072 candidates) and change the
+# M(4,C) Weyl column.
+ELEMENT_BOUND = 256
+CANDIDATE_BOUND = 100_000
+
+
 def _factor(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     d = 2
@@ -290,12 +298,6 @@ class GroupHomomorphism:
             raise GroupMismatchError("homomorphisms do not compose")
         return GroupHomomorphism(other.source, self.target, tuple(self(i) for i in other.images))
 
-    def is_bijective(self) -> bool:
-        if self.source.order() is None or self.source.order() != self.target.order():
-            return False
-        seen = {self(x).coords for x in self.source.elements()}
-        return len(seen) == self.source.order()
-
     def __eq__(self, other):
         if not isinstance(other, GroupHomomorphism):
             return NotImplemented
@@ -511,17 +513,17 @@ def abstract_type(elements, add=None, zero=None) -> AbelianGroup:
     return AbelianGroup.from_cyclic_orders(cyclic)
 
 
+def coset_rep(x: GroupElement, sub) -> GroupElement:
+    """The element of the coset x + sub with the least coordinates."""
+    return min((x + s for s in sub), key=lambda e: e.coords)
+
+
 def quotient_type(group: AbelianGroup, subgroup_elements) -> AbelianGroup:
     """Isomorphism type of group / <subgroup_elements> for a finite group."""
-    sub = frozenset(subgroup_elements)
-    if not sub:
-        sub = frozenset([group.zero()])
-
-    def rep(x: GroupElement) -> GroupElement:
-        return min((x + s for s in sub), key=lambda e: e.coords)
-
-    reps = {rep(x) for x in group.elements()}
-    return abstract_type(reps, add=lambda a, b: rep(a + b), zero=rep(group.zero()))
+    sub = frozenset(subgroup_elements) or frozenset([group.zero()])
+    reps = {coset_rep(x, sub) for x in group.elements()}
+    return abstract_type(reps, add=lambda a, b: coset_rep(a + b, sub),
+                         zero=coset_rep(group.zero(), sub))
 
 
 def square_elements(group: AbelianGroup) -> frozenset:
@@ -548,19 +550,18 @@ def character_group(group: AbelianGroup, m: int) -> AbelianGroup:
     )
 
 
-def automorphism_group(group: AbelianGroup, *, element_bound: int = 256,
-                       candidate_bound: int = 200_000) -> list[GroupHomomorphism]:
+def automorphism_group(group: AbelianGroup) -> list[GroupHomomorphism]:
     """All automorphisms of a finite abelian group, by pruned brute force.
 
     Raises AutBoundError when the group is infinite, has more than
-    `element_bound` elements, or the endomorphism search space exceeds
-    `candidate_bound` candidates.
+    ELEMENT_BOUND elements, or the endomorphism search space exceeds
+    CANDIDATE_BOUND candidates.
     """
     if not group.is_finite():
         raise AutBoundError("group is infinite")
     n = group.order()
-    if n > element_bound:
-        raise AutBoundError(f"|T| = {n} exceeds the bound {element_bound}")
+    if n > ELEMENT_BOUND:
+        raise AutBoundError(f"|T| = {n} exceeds the bound {ELEMENT_BOUND}")
     if group.is_trivial():
         return [GroupHomomorphism.identity(group)]
     elements = list(group.elements())
@@ -570,9 +571,9 @@ def automorphism_group(group: AbelianGroup, *, element_bound: int = 256,
     for m in orders:
         candidates.append([x for x in elements if (m * x).is_zero()])
     total = math.prod(len(c) for c in candidates)
-    if total > candidate_bound:
+    if total > CANDIDATE_BOUND:
         raise AutBoundError(
-            f"{total} candidate endomorphisms exceed the bound {candidate_bound}"
+            f"{total} candidate endomorphisms exceed the bound {CANDIDATE_BOUND}"
         )
 
     results: list[GroupHomomorphism] = []

@@ -209,16 +209,18 @@ class SemidirectProduct(GroupDescriptor):
         return a * b
 
     def pretty(self):
-        left = self.normal.pretty()
-        right = self.acting.pretty()
-        if isinstance(self.normal, (DirectProduct, SemidirectProduct)):
-            left = f"({left})"
-        if isinstance(self.acting, (DirectProduct, SemidirectProduct)):
-            right = f"({right})"
-        return f"{left} ⋊ {right}"
+        return f"{_operand(self.normal)} ⋊ {_operand(self.acting)}"
 
     def sexpr(self):
         return f"(sd {self.normal.sexpr()} {self.acting.sexpr()})"
+
+
+def _operand(f: GroupDescriptor) -> str:
+    """Pretty form of a semidirect factor, bracketed unless it is one factor."""
+    text = f.pretty()
+    if isinstance(f, (DirectProduct, SemidirectProduct)) or " × " in text:
+        return f"({text})"
+    return text
 
 
 TRIVIAL = FiniteAbelian(AbelianGroup.trivial())
@@ -302,17 +304,17 @@ def identify_group(elements, mul) -> str:
 # automorphism groups of division gradings
 # ---------------------------------------------------------------------------
 
-def weyl_division(d: GradedDivisionAlgebra, *, element_bound: int = 256,
-                  candidate_bound: int = 100_000):
-    """Brute-forced Weyl group of a division grading.
+def weyl_division(d: GradedDivisionAlgebra):
+    """Brute-forced Weyl group of a division grading, memoized on `d`.
 
     Returns (elements, descriptor): the support automorphisms preserving the
     grading invariants, and a descriptor identified from their composition.
     Raises AutBoundError when enumeration of Aut(T) is out of reach.
     """
+    if d._weyl is not None:
+        return d._weyl
     t = d.support
-    auts = automorphism_group(t, element_bound=element_bound,
-                              candidate_bound=candidate_bound)
+    auts = automorphism_group(t)
     elems = list(t.elements())
     kept = []
     if d.type_tag == "2-f" or (d.kind.family == "C" and not d.conj_elements):
@@ -351,7 +353,8 @@ def weyl_division(d: GradedDivisionAlgebra, *, element_bound: int = 256,
                    for u in kset for v in kset):
                 kept.append(f)
     descriptor = _finite_group_descriptor(kept, lambda f, g: f.compose(g))
-    return kept, descriptor
+    d._weyl = (tuple(kept), descriptor)
+    return d._weyl
 
 
 def _finite_group_descriptor(elements, mul) -> GroupDescriptor:
@@ -426,15 +429,13 @@ def stab_descriptor(r: GradedMatrixAlgebra) -> GroupDescriptor:
     return SemidirectProduct(normal, stab0, "componentwise")
 
 
-def weyl_descriptor(r: GradedMatrixAlgebra, *, element_bound: int = 256,
-                    candidate_bound: int = 100_000) -> GroupDescriptor:
+def weyl_descriptor(r: GradedMatrixAlgebra) -> GroupDescriptor:
     """W(Gamma) = T^(k-1) >| (Sym(k) x W(Gamma_0))."""
     d = r.division
     t = d.support
     k = r.k
     try:
-        w0_elems, w0 = weyl_division(d, element_bound=element_bound,
-                                     candidate_bound=candidate_bound)
+        w0_elems, w0 = weyl_division(d)
         w0_size = len(w0_elems)
     except AutBoundError:
         tag = d.type_tag or "?"
@@ -468,12 +469,10 @@ class WeylModel:
     entry e, pi a permutation tuple, and w an index into the W0 list.
     """
 
-    def __init__(self, r: GradedMatrixAlgebra, *, element_bound: int = 256,
-                 candidate_bound: int = 100_000):
+    def __init__(self, r: GradedMatrixAlgebra):
         self.support = r.division.support
         self.k = r.k
-        self.w0, _ = weyl_division(r.division, element_bound=element_bound,
-                                   candidate_bound=candidate_bound)
+        self.w0, _ = weyl_division(r.division)
         self._w0_index = {f: i for i, f in enumerate(self.w0)}
         t_elems = list(self.support.elements())
         perms = list(itertools.permutations(range(self.k)))

@@ -165,19 +165,18 @@ def _describe(row_k: int, division: GradedDivisionAlgebra) -> str:
     return f"M_{row_k}(D), D = {name} of type ({division.type_tag})"
 
 
-def _build_row(k: int, tag: str, support: AbelianGroup, *,
-               aut_candidate_bound: int) -> ClassificationRow:
+def _build_row(k: int, tag: str, support: AbelianGroup) -> ClassificationRow:
     division = canonical(tag, support)
     algebra = matrix_algebra(division, k=k)
     assert is_fine(algebra)
     universal, _ = harvest_universal_group(algebra)
     if universal != expected_universal_group(algebra):
         raise AssertionError("harvested universal group deviates from Z^(k-1) x T")
-    weyl = weyl_descriptor(algebra, candidate_bound=aut_candidate_bound)
+    weyl = weyl_descriptor(algebra)
     order = weyl.finite_part_order()
     identified = None
     if order is not None and order <= 48:
-        model = WeylModel(algebra, candidate_bound=aut_candidate_bound)
+        model = WeylModel(algebra)
         if model.order() != order:
             raise AssertionError("explicit Weyl model disagrees with the descriptor")
         identified = model.identify()
@@ -197,7 +196,7 @@ def _build_row(k: int, tag: str, support: AbelianGroup, *,
     )
 
 
-def classify(name: str, *, aut_candidate_bound: int = 100_000) -> list[ClassificationRow]:
+def classify(name: str) -> list[ClassificationRow]:
     """All fine abelian group gradings on the named real algebra, one row per
     equivalence class, in a deterministic order."""
     family, n = parse_algebra_name(name)
@@ -208,7 +207,7 @@ def classify(name: str, *, aut_candidate_bound: int = 100_000) -> list[Classific
         )
     rows = []
     for k, tag, support in _division_plans(family, n):
-        rows.append(_build_row(k, tag, support, aut_candidate_bound=aut_candidate_bound))
+        rows.append(_build_row(k, tag, support))
     deduped: list[ClassificationRow] = []
     for row in rows:
         if not any(equivalent_gradings(row.algebra, kept.algebra) for kept in deduped):

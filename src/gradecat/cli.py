@@ -30,7 +30,7 @@ from .verify import run_suite
 
 
 def _cmd_classify(args) -> int:
-    rows = classify(args.algebra, aut_candidate_bound=args.aut_bound)
+    rows = classify(args.algebra)
     if args.format == "json":
         print(json.dumps(rows_to_json(rows, args.algebra), indent=2, ensure_ascii=False))
     else:
@@ -81,10 +81,6 @@ def _verify_fixture(args) -> int:
     return 0 if all(ok for _, ok, _ in checks) else 1
 
 
-def _group_from_json(data) -> AbelianGroup:
-    return AbelianGroup(data.get("free_rank", 0), data.get("torsion", ()))
-
-
 def _cmd_universal(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as handle:
         spec = json.load(handle)
@@ -97,7 +93,7 @@ def _cmd_universal(args) -> int:
     if "G" in spec:
         if gamma_spec is None:
             raise GradingError("a spec with an explicit G needs explicit gamma degrees")
-        ambient = _group_from_json(spec["G"])
+        ambient = AbelianGroup.from_json(spec["G"])
         gamma = [ambient.element(c) for c in gamma_spec]
         embed_spec = spec.get("embed")
         if embed_spec is None and division.support.is_trivial():
@@ -155,8 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--algebra", required=True,
                             help="M(n,R) | M(n,C) | M(n,H) | M4C | H ...")
     p_classify.add_argument("--format", choices=("table", "json"), default="table")
-    p_classify.add_argument("--aut-bound", type=int, default=100_000,
-                            help="candidate bound for Aut(T) enumeration")
     p_classify.set_defaults(func=_cmd_classify)
 
     p_verify = sub.add_parser("verify", help="run verification suites")

@@ -176,6 +176,7 @@ class GradedDivisionAlgebra:
             self._validate()
         self._beta = None
         self._quad = None
+        self._weyl = None
 
     # -- construction-time checks ------------------------------------------
 
@@ -227,9 +228,6 @@ class GradedDivisionAlgebra:
     def elements(self):
         return self._elements
 
-    def acts_by_conjugation(self, t: GroupElement) -> bool:
-        return t in self.conj_elements
-
     def alpha(self, t: GroupElement, value):
         """Action of degree t on a coefficient."""
         return self.kind.conjugate(value) if t in self.conj_elements else value
@@ -253,9 +251,6 @@ class GradedDivisionAlgebra:
     def centralizer_elements(self) -> tuple:
         """Support of the centralizer of the identity component (= ker of the action)."""
         return tuple(t for t in self._elements if t not in self.conj_elements)
-
-    def dim_identity_component(self) -> int:
-        return self.kind.dim
 
     def __repr__(self):
         tag = f", type={self.type_tag}" if self.type_tag else ""
@@ -341,12 +336,6 @@ class DivisionElement:
     def __rmul__(self, other):
         return self.algebra.unit(self.algebra.support.zero(), other) * self
 
-    def scaled(self, scalar):
-        """Left scalar multiple scalar * self."""
-        alg = self.algebra
-        c = alg.kind.coerce(scalar)
-        return DivisionElement(alg, {t: c * v for t, v in self.terms.items()})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -357,9 +346,6 @@ class DivisionElement:
         if len(self.terms) != 1:
             raise ValueError("degree of a non-homogeneous element")
         return next(iter(self.terms))
-
-    def homogeneous_parts(self) -> dict:
-        return {t: DivisionElement(self.algebra, {t: c}) for t, c in self.terms.items()}
 
     def coefficient(self, t: GroupElement):
         return self.terms.get(t, self.algebra.kind.zero())
@@ -376,8 +362,9 @@ class DivisionElement:
         cinv = c.inverse() if not isinstance(c, Fraction) else 1 / c
         d = alg.alpha(t, need * cinv)
         result = DivisionElement(alg, {ti: alg.kind.coerce(d)})
-        assert (self * result).terms == alg.one().terms
-        assert (result * self).terms == alg.one().terms
+        one = alg.one().terms
+        if (self * result).terms != one or (result * self).terms != one:
+            raise ArithmeticError(f"X_{t} has no two-sided inverse under this cocycle")
         return result
 
     def __eq__(self, other):

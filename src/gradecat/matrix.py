@@ -18,6 +18,7 @@ from .abelian import (
     AbelianGroup,
     GroupElement,
     GroupHomomorphism,
+    coset_rep,
     universal_abelian_group,
 )
 from .division import GradedDivisionAlgebra, is_fine_division, equivalent
@@ -63,8 +64,8 @@ class GradingParams:
                 raise GradingError("degrees must lie in the ambient group")
         if embed.target != ambient:
             raise GradingError("support embedding must land in the ambient group")
-        image = {embed(t).coords for t in embed.source.elements()}
-        if len(image) != embed.source.order():
+        self._support_image = frozenset(embed(t) for t in embed.source.elements())
+        if len(self._support_image) != embed.source.order():
             raise GradingError("support embedding must be injective")
         # distinct isotypic supports: g_i and g_j must differ mod T for i != j
         classes = [self._coset_key(g) for g in self.gamma]
@@ -72,7 +73,7 @@ class GradingParams:
             raise GradingError("isotypic degrees must be distinct modulo T")
 
     def _coset_key(self, g: GroupElement):
-        return min(((g + self.embed(t)).coords for t in self.embed.source.elements()))
+        return coset_rep(g, self._support_image).coords
 
     @property
     def k(self) -> int:

@@ -401,11 +401,3 @@ class RationalQuaternion:
     @classmethod
     def from_json(cls, data) -> "RationalQuaternion":
         return cls(*(Fraction(c) for c in data))
-
-
-def rational_to_json(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def rational_from_json(text: str) -> Fraction:
-    return Fraction(text)

@@ -4,17 +4,17 @@ This is the brute-force substrate: any crossed product or graded matrix
 algebra in the package exports losslessly to a StructureConstantAlgebra,
 and the checks for graded-simplicity, inner automorphisms stabilizing a
 grading, and the quaternion-pair counterexample all run here with exact
-rational linear algebra.
+rational linear algebra.  `_Rref` is the single elimination kernel:
+`solve_square`, `nullspace` and every span computation reduce through it.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abelian import AbelianGroup, GroupElement, abstract_type
+from .abelian import AbelianGroup, abstract_type, coset_rep
 from .division import GradedDivisionAlgebra
 from .scalars import RationalQuaternion
 
@@ -80,23 +80,15 @@ class _Rref:
 def solve_square(matrix, rhs):
     """Solve matrix * y = rhs exactly; returns None when singular."""
     n = len(matrix)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    col = 0
-    pivots = []
-    for col in range(n):
-        pivot = next((r for r in range(len(pivots), n) if a[r][col]), None)
-        if pivot is None:
-            return None
-        a[len(pivots)], a[pivot] = a[pivot], a[len(pivots)]
-        row = len(pivots)
-        inv = a[row][col]
-        a[row] = [x / inv for x in a[row]]
-        for r in range(n):
-            if r != row and a[r][col]:
-                c = a[r][col]
-                a[r] = [x - c * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-    return [a[i][n] for i in range(n)]
+    rref = _Rref(n + 1)
+    for row, b in zip(matrix, rhs):
+        rref.add(list(row) + [b])
+    if rref.rank < n or n in rref.pivots:
+        return None
+    y = [Fraction(0)] * n
+    for row, p in zip(rref.rows, rref.pivots):
+        y[p] = row[n]
+    return y
 
 
 def nullspace(rows, width):
@@ -446,13 +438,9 @@ def inner_stabilizer_quotient(a: StructureConstantAlgebra, seed: int = 0):
                 central_degrees.add(degree)
                 break
     sub = frozenset(central_degrees)
-
-    def rep(x):
-        return min((x + s for s in sub), key=lambda e: e.coords)
-
-    reps = {rep(x) for x in degs}
-    zero = rep(next(iter(degs)) - next(iter(degs)))
-    quotient = abstract_type(reps, add=lambda p, q: rep(p + q), zero=zero)
+    reps = {coset_rep(x, sub) for x in degs}
+    zero = coset_rep(next(iter(degs)) - next(iter(degs)), sub)
+    quotient = abstract_type(reps, add=lambda p, q: coset_rep(p + q, sub), zero=zero)
     generators = [(d, unit_degrees[d]) for d in sorted(reps, key=lambda e: e.coords) if d != zero]
     return quotient, generators
 
@@ -461,29 +449,11 @@ def inner_stabilizer_quotient(a: StructureConstantAlgebra, seed: int = 0):
 # exports and fixtures
 # ---------------------------------------------------------------------------
 
-def from_division(d: GradedDivisionAlgebra, validate: bool = True) -> StructureConstantAlgebra:
+def from_division(d: GradedDivisionAlgebra) -> StructureConstantAlgebra:
     """Lossless export of a crossed product to rational structure constants."""
-    kind = d.kind
-    coeff_basis = kind.basis()
-    width = len(coeff_basis)
-    elems = d.elements()
-    index = {(t, b): width * n + b for n, t in enumerate(elems) for b in range(width)}
-    labels = [f"X{t.coords}:{b}" for t in elems for b in range(width)]
-    degrees = [t for t in elems for _ in range(width)]
-    table = {}
-    for t in elems:
-        for b1 in range(width):
-            for s in elems:
-                for b2 in range(width):
-                    value = coeff_basis[b1] * d.alpha(t, coeff_basis[b2]) * d.sigma(t, s)
-                    vec = kind.to_vector(value)
-                    entry = {
-                        index[(t + s, b3)]: c for b3, c in enumerate(vec) if c
-                    }
-                    if entry:
-                        table[(index[(t, b1)], index[(s, b2)])] = entry
-    unity = {index[(d.support.zero(), 0)]: Fraction(1)}
-    return StructureConstantAlgebra(labels, degrees, table, unity, validate=validate)
+    from .matrix import matrix_algebra, to_structure_constants
+
+    return to_structure_constants(matrix_algebra(d, k=1))
 
 
 def group_algebra(group: AbelianGroup) -> StructureConstantAlgebra:

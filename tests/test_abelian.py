@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradecat.abelian import (
     AbelianGroup,
@@ -326,9 +327,25 @@ def test_aut_bounds():
     with pytest.raises(AutBoundError):
         automorphism_group(Z(1, ()))
     with pytest.raises(AutBoundError):
-        automorphism_group(Z(0, (257,)), element_bound=256)
+        automorphism_group(Z(0, (257,)))
     with pytest.raises(AutBoundError):
-        automorphism_group(Z(0, (2,) * 5), candidate_bound=1000)
+        automorphism_group(Z(0, (2,) * 5))
+
+
+@st.composite
+def _group_and_generators(draw):
+    orders = draw(st.lists(st.sampled_from([2, 3, 4]), max_size=3))
+    group = Z.from_cyclic_orders(orders)
+    elements = list(group.elements())
+    return group, draw(st.lists(st.sampled_from(elements), max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_group_and_generators())
+def test_quotient_order_is_index(case):
+    group, gens = case
+    sub = subgroup_generated(group, gens)
+    assert quotient_type(group, sub).order() * len(sub) == group.order()
 
 
 def test_abstract_type_census():

@@ -134,7 +134,7 @@ def test_weyl_1c_on_c_is_trivial():
 
 def test_weyl_respects_bound():
     with pytest.raises(AutBoundError):
-        weyl_division(canonical("1-c", "Z2^5"), candidate_bound=1000)
+        weyl_division(canonical("1-c", "Z2^5"))
 
 
 def test_weyl_order_divides_aut_order():
@@ -241,8 +241,15 @@ def test_weyl_descriptor_finite_order_formula():
 
 def test_weyl_descriptor_falls_back_to_opaque():
     r = matrix_algebra(canonical("1-c", "Z2^5"), k=1)
-    w = weyl_descriptor(r, candidate_bound=1000)
+    w = weyl_descriptor(r)
     assert w.finite_part_order() is None
+
+
+def test_semidirect_pretty_brackets_product_factors():
+    w = weyl_descriptor(matrix_algebra(canonical("1-d", "Z2xZ4"), k=2))
+    assert w.pretty() == "(Z2 × Z4) ⋊ (Sym(2) × Z2^2)"
+    w = weyl_descriptor(matrix_algebra(canonical("1-c", "Z2"), k=4))
+    assert w.pretty() == "Z2^3 ⋊ Sym(4)"
 
 
 def test_weyl_model_is_a_group():

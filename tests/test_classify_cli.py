@@ -39,6 +39,23 @@ def test_classify_m1_cases():
     assert rows[0].division.type_tag == "1-c"
 
 
+def test_build_row_enumerates_aut_once(monkeypatch):
+    import gradecat.autgroups as autgroups
+    from gradecat.classify import _build_row
+
+    calls = []
+    enumerate_aut = autgroups.automorphism_group
+
+    def counting(group):
+        calls.append(group)
+        return enumerate_aut(group)
+
+    monkeypatch.setattr(autgroups, "automorphism_group", counting)
+    row = _build_row(2, "1-c", AbelianGroup(0, (2,)))
+    assert row.weyl_identified == "Z2^2"  # the descriptor and the model both ran
+    assert calls == [AbelianGroup(0, (2,))]
+
+
 def test_weyl_order_consistency_invariant():
     import math
 

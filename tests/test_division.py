@@ -10,6 +10,7 @@ from gradecat.division import (
     CatalogError,
     CocycleError,
     CoefficientKind,
+    GradedDivisionAlgebra,
     build_crossed_product,
     canonical,
     centralizer_support,
@@ -458,3 +459,13 @@ def test_json_dump_has_required_fields():
     assert data["arf"] == -1
     assert data["quadratic"]["total"]
     assert len(data["sigma"]) == 16
+
+
+def test_inverse_raises_when_only_one_side_inverts():
+    z3 = AbelianGroup(0, (3,))
+    e = list(z3.elements())
+    cocycle = {(u, v): Fraction(1) for u in e for v in e}
+    cocycle[(e[2], e[1])] = Fraction(-1)  # sigma(1, 2) = 1 but sigma(2, 1) = -1
+    d = GradedDivisionAlgebra(z3, CoefficientKind.real(), (), cocycle, _validated=True)
+    with pytest.raises(ArithmeticError):
+        d.unit(e[1]).inverse()

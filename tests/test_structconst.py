@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from gradecat.abelian import AbelianGroup
 from gradecat.division import canonical, parse_catalog_ref
@@ -19,6 +21,7 @@ from gradecat.structconst import (
     int_in_stabilizer,
     invert,
     is_graded_simple,
+    nullspace,
     quaternion_pair_algebra,
     solve_square,
 )
@@ -27,6 +30,53 @@ from gradecat.structconst import (
 def test_solve_square():
     assert solve_square([[2, 0], [0, 4]], [1, 2]) == [Fraction(1, 2), Fraction(1, 2)]
     assert solve_square([[1, 1], [2, 2]], [1, 1]) is None
+
+
+@st.composite
+def _integer_matrices(draw, square=False):
+    """Small integer matrices; a row is often a combination of two others, so
+    singular and rank-deficient inputs are common."""
+    width = draw(st.integers(1, 5))
+    height = width if square else draw(st.integers(0, 5))
+    rows = [draw(st.lists(st.integers(-3, 3), min_size=width, max_size=width))
+            for _ in range(height)]
+    if height >= 3 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows, width
+
+
+def _rationals(values):
+    return [sympy.Rational(v.numerator, v.denominator) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_matrices(square=True), st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+def test_solve_square_agrees_with_sympy(system, rhs):
+    matrix, n = system
+    rhs = rhs[:n]
+    y = solve_square(matrix, rhs)
+    m = sympy.Matrix(matrix)
+    if m.rank() < n:
+        assert y is None
+    else:
+        assert _rationals(y) == list(m.LUsolve(sympy.Matrix(rhs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_matrices())
+def test_nullspace_agrees_with_sympy(system):
+    rows, width = system
+    basis = nullspace(rows, width)
+    m = sympy.Matrix(rows) if rows else sympy.zeros(0, width)
+    assert len(basis) == width - m.rank() == len(m.nullspace())
+    for vec in basis:
+        assert all(x == 0 for x in m * sympy.Matrix(_rationals(vec)))
+    if basis:
+        ours = sympy.Matrix([_rationals(v) for v in basis])
+        assert ours.rank() == len(basis)
+        theirs = sympy.Matrix.vstack(ours, *(v.T for v in m.nullspace()))
+        assert theirs.rank() == len(basis)
 
 
 def test_group_algebra_is_graded_simple_but_not_simple():
