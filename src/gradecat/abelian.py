@@ -9,8 +9,10 @@ theorem means they are isomorphic.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import types
 
 
 class GroupMismatchError(ValueError):
@@ -256,6 +258,21 @@ class GroupElement:
 
     def __repr__(self):
         return f"<{','.join(map(str, self.coords))}>"
+
+
+@functools.lru_cache(maxsize=64)
+def support_table(group: AbelianGroup):
+    """Index form of a finite group for inner loops: (elements, index, add).
+
+    `elements` lists the group in lexicographic coordinate order (that of
+    `group.elements()`), `index` maps each element to its position, and
+    `add[i][j]` is the position of elements[i] + elements[j].  Cached per
+    group; every part is read-only.
+    """
+    elements = tuple(group.elements())
+    index = {x: i for i, x in enumerate(elements)}
+    add = tuple(tuple(index[x + y] for y in elements) for x in elements)
+    return elements, types.MappingProxyType(index), add
 
 
 class GroupHomomorphism:

@@ -23,11 +23,13 @@ from .abelian import (
     character_group,
     quotient_type,
     square_elements,
+    support_table,
 )
 from .division import (
     CatalogError,
     DivisionElement,
     GradedDivisionAlgebra,
+    UnitInterner,
     commutation_bicharacter,
     quadratic_form,
 )
@@ -315,42 +317,43 @@ def weyl_division(d: GradedDivisionAlgebra):
         return d._weyl
     t = d.support
     auts = automorphism_group(t)
-    elems = list(t.elements())
+    elems, index, _ = support_table(t)
+    n = len(elems)
+    # each automorphism as a permutation of support positions
+    perms = [[index[f(x)] for x in elems] for f in auts]
+    beta = commutation_bicharacter(d)
+    ids, m = beta.ids, len(beta.domain)
+
+    def keeps(table, q):  # table[q[u]][q[v]] == ids[u][v] on the domain positions of beta
+        return all(table[q[u]][q[v]] == ids[u][v] for u in range(m) for v in range(m))
+
+    # in the first two branches the action is trivial, so K = T and the
+    # domain positions of beta are support positions
     kept = []
     if d.type_tag == "2-f" or (d.kind.family == "C" and not d.conj_elements):
-        beta = commutation_bicharacter(d)
-        conj = {pair: d.kind.conjugate(v) for pair, v in beta.values.items()}
-        for f in auts:
-            images = {x: f(x) for x in elems}
-            if all(beta.value(images[u], images[v]) == beta.value(u, v)
-                   for u in elems for v in elems):
-                kept.append(f)
-            elif all(beta.value(images[u], images[v]) == conj[(u, v)]
-                     for u in elems for v in elems):
+        conj = [[beta.units.conj(a) for a in row] for row in ids]
+        for f, p in zip(auts, perms):
+            if keeps(ids, p) or keeps(conj, p):
                 kept.append(f)
     elif d.kind.family in ("R", "H"):
-        beta = commutation_bicharacter(d)
-        two_torsion = [x for x in elems if (2 * x).is_zero()]
-        mu2 = {x: d.sigma(x, x) for x in two_torsion}
-        for f in auts:
-            if all(mu2[f(x)] == mu2[x] for x in two_torsion) and all(
-                beta.value(f(u), f(v)) == beta.value(u, v)
-                for u in elems for v in elems
-            ):
+        units = UnitInterner(d.kind)
+        mu2 = {i: units.intern(d.sigma(x, x)) for i, x in enumerate(elems) if (2 * x).is_zero()}
+        for f, p in zip(auts, perms):
+            if all(mu2[p[i]] == mu2[i] for i in mu2) and keeps(ids, p):
                 kept.append(f)
     else:
         # dimension-2 components with a nontrivial action: preserve K, the
         # partial square signs on T \ K, and the bicharacter on K
-        kset = set(d.centralizer_elements())
-        nu = quadratic_form(d).values
-        beta = commutation_bicharacter(d)
-        for f in auts:
-            if not all((f(x) in kset) == (x in kset) for x in elems):
+        in_k = [x not in d.conj_elements for x in elems]
+        nu = {index[x]: s for x, s in quadratic_form(d).values.items()}
+        k_at = [index[x] for x in beta.domain]
+        k_pos = {ti: i for i, ti in enumerate(k_at)}
+        for f, p in zip(auts, perms):
+            if not all(in_k[p[i]] == in_k[i] for i in range(n)):
                 continue
-            if not all(nu[f(x)] == nu[x] for x in nu):
+            if not all(nu[p[i]] == s for i, s in nu.items()):
                 continue
-            if all(beta.value(f(u), f(v)) == beta.value(u, v)
-                   for u in kset for v in kset):
+            if keeps(ids, [k_pos[p[ti]] for ti in k_at]):
                 kept.append(f)
     descriptor = _finite_group_descriptor(kept, lambda f, g: f.compose(g))
     d._weyl = (tuple(kept), descriptor)

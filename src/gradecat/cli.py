@@ -5,16 +5,19 @@
     gradecat universal --spec spec.json [--format json|table]
     gradecat catalog --entry 2-f:Z3xZ3 [--format json|table]
 
-Exit codes: 0 all passed, 1 verification failure, 2 usage or coverage error.
+Exit codes: 0 all passed, 1 verification failure, 2 user error (bad input,
+an uncovered algebra, an incompatible catalog request).  Any other exception
+is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
-from .abelian import AbelianGroup, GroupHomomorphism
+from .abelian import AbelianGroup, GroupHomomorphism, parse_group_string
 from .classify import CoverageError, classify, rows_to_json, rows_to_table
 from .division import CatalogError, CocycleError, canonical, parse_catalog_ref
 from .matrix import GradingError, harvest_universal_group, component_count, matrix_algebra
@@ -26,7 +29,22 @@ from .structconst import (
     invert,
     is_graded_simple,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
+
+
+class UsageError(ValueError):
+    """Bad input at the command line: an unknown suite, a malformed spec or
+    fixture file, or a bad group string."""
+
+
+def _catalog_entry(ref: str):
+    """The catalog algebra named by `ref`; a bad group string is a usage error."""
+    _, _, spec = ref.partition(":")
+    try:
+        parse_group_string(spec)
+    except ValueError as err:
+        raise UsageError(f"bad group string {spec.strip()!r}: {err}") from err
+    return parse_catalog_ref(ref)
 
 
 def _cmd_classify(args) -> int:
@@ -41,6 +59,9 @@ def _cmd_classify(args) -> int:
 def _cmd_verify(args) -> int:
     if args.fixture:
         return _verify_fixture(args)
+    if args.suite != "all" and args.suite not in SUITES:
+        raise UsageError(f"unknown suite {args.suite!r}; pick from "
+                         + ", ".join(list(SUITES) + ["all"]))
     report = run_suite(args.suite, seed=args.seed)
     if args.format == "json":
         print(json.dumps(report, indent=2, ensure_ascii=False))
@@ -56,7 +77,11 @@ def _cmd_verify(args) -> int:
 def _verify_fixture(args) -> int:
     """Run the inner-automorphism checks against a structure-constant dump."""
     with open(args.fixture, "r", encoding="utf-8") as handle:
-        algebra = StructureConstantAlgebra.from_json(json.load(handle))
+        data = json.load(handle)
+    try:
+        algebra = StructureConstantAlgebra.from_json(data)
+    except (KeyError, TypeError, ValueError) as err:
+        raise UsageError(f"malformed fixture {args.fixture}: {err!r}") from err
     checks = []
     simple = is_graded_simple(algebra)
     checks.append(("graded-simple", simple, ""))
@@ -81,33 +106,53 @@ def _verify_fixture(args) -> int:
     return 0 if all(ok for _, ok, _ in checks) else 1
 
 
+@contextlib.contextmanager
+def _spec_values(path):
+    """Report a malformed value read from the spec file as a usage error."""
+    try:
+        yield
+    except UsageError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise UsageError(f"malformed spec {path}: {err!r}") from err
+
+
+def _matrix_shape(spec, support: AbelianGroup) -> dict:
+    """The matrix_algebra keyword arguments of a grading spec."""
+    gamma_spec = spec.get("gamma")
+    if "G" not in spec:
+        k = spec.get("k", len(gamma_spec) if gamma_spec else 1)
+        if not isinstance(k, int) or k < 1:
+            raise UsageError(f"k must be a positive integer, got {k!r}")
+        return {"k": k}
+    if gamma_spec is None:
+        raise UsageError("a spec with an explicit G needs explicit gamma degrees")
+    ambient = AbelianGroup.from_json(spec["G"])
+    embed_spec = spec.get("embed")
+    if embed_spec is None and support.is_trivial():
+        images = []
+    else:
+        images = [ambient.element(c) for c in embed_spec]
+    kappa = spec.get("kappa")
+    return {
+        "gamma": [ambient.element(c) for c in gamma_spec],
+        "ambient": ambient,
+        "embed": GroupHomomorphism(support, ambient, images),
+        "kappa": None if kappa is None else [int(m) for m in kappa],
+    }
+
+
 def _cmd_universal(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as handle:
         spec = json.load(handle)
-    dref = spec["D"]
-    if isinstance(dref, str):
-        division = parse_catalog_ref(dref)
-    else:
-        division = canonical(dref["type"], AbelianGroup.from_json(dref["support"]))
-    gamma_spec = spec.get("gamma")
-    if "G" in spec:
-        if gamma_spec is None:
-            raise GradingError("a spec with an explicit G needs explicit gamma degrees")
-        ambient = AbelianGroup.from_json(spec["G"])
-        gamma = [ambient.element(c) for c in gamma_spec]
-        embed_spec = spec.get("embed")
-        if embed_spec is None and division.support.is_trivial():
-            embed = GroupHomomorphism(division.support, ambient, [])
-        else:
-            embed = GroupHomomorphism(
-                division.support, ambient,
-                [ambient.element(c) for c in embed_spec],
-            )
-        algebra = matrix_algebra(division, gamma=gamma, ambient=ambient, embed=embed,
-                                 kappa=spec.get("kappa"))
-    else:
-        k = spec.get("k", len(gamma_spec) if gamma_spec else 1)
-        algebra = matrix_algebra(division, k=k)
+    with _spec_values(args.spec):
+        dref = spec["D"]
+        if not isinstance(dref, str):
+            tag, support = dref["type"], AbelianGroup.from_json(dref["support"])
+    division = _catalog_entry(dref) if isinstance(dref, str) else canonical(tag, support)
+    with _spec_values(args.spec):
+        shape = _matrix_shape(spec, division.support)
+    algebra = matrix_algebra(division, **shape)
     group, _ = harvest_universal_group(algebra)
     payload = {
         "schema": 1,
@@ -124,7 +169,7 @@ def _cmd_universal(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    division = parse_catalog_ref(args.entry)
+    division = _catalog_entry(args.entry)
     data = division.to_json()
     if args.format == "json":
         print(json.dumps(data, indent=2, ensure_ascii=False))
@@ -180,10 +225,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CoverageError, CatalogError, CocycleError, GradingError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, KeyError, ValueError) as err:
+    except (CoverageError, CatalogError, CocycleError, GradingError, UsageError,
+            FileNotFoundError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

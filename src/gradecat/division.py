@@ -25,6 +25,7 @@ from .abelian import (
     parse_group_string,
     quotient_type,
     square_elements,
+    support_table,
 )
 from .scalars import Cyclotomic, RationalQuaternion, zeta
 
@@ -154,6 +155,49 @@ class CoefficientKind:
         return f"CoefficientKind({self.family!r})"
 
 
+class UnitInterner:
+    """Exact int ids for the coefficient values of one kind.
+
+    A value is keyed on its coordinates on the Q-basis of the kind
+    (`kind.to_vector`), so two ids are equal exactly when the values are.
+    `values[i]` is the value with id i.  Products and conjugates are
+    memoized by id, so an O(|T|^3) identity check multiplies each pair of
+    distinct values once and otherwise compares ints.
+    """
+
+    __slots__ = ("kind", "values", "_ids", "_products", "_conjugates")
+
+    def __init__(self, kind: CoefficientKind):
+        self.kind = kind
+        self.values = []
+        self._ids = {}
+        self._products = {}
+        self._conjugates = {}
+
+    def intern(self, value) -> int:
+        value = self.kind.coerce(value)
+        key = self.kind.to_vector(value)
+        found = self._ids.get(key)
+        if found is None:
+            found = self._ids[key] = len(self.values)
+            self.values.append(value)
+        return found
+
+    def mul(self, a: int, b: int) -> int:
+        """Id of values[a] * values[b]."""
+        found = self._products.get((a, b))
+        if found is None:
+            found = self._products[(a, b)] = self.intern(self.values[a] * self.values[b])
+        return found
+
+    def conj(self, a: int) -> int:
+        """Id of kind.conjugate(values[a])."""
+        found = self._conjugates.get(a)
+        if found is None:
+            found = self._conjugates[a] = self.intern(self.kind.conjugate(self.values[a]))
+        return found
+
+
 FINE_DIVISION_TAGS = frozenset({"1-a", "1-b", "1-c", "1-d"})
 NON_FINE_DIVISION_TAGS = frozenset({"2-a", "2-b", "2-c", "2-d", "2-e", "3-a", "3-b", "3-c", "3-d"})
 ALL_TAGS = FINE_DIVISION_TAGS | NON_FINE_DIVISION_TAGS | {"2-f"}
@@ -171,9 +215,13 @@ class GradedDivisionAlgebra:
         self.conj_elements = frozenset(conj_elements)
         self.cocycle = dict(cocycle)
         self.type_tag = type_tag
-        self._elements = tuple(support.elements())
-        if not _validated:
-            self._validate()
+        self._elements, self._index, self._add = support_table(support)
+        self._units = UnitInterner(kind)
+        if _validated:
+            self._sigma_ids = [[self._units.intern(self.cocycle[(u, v)]) for v in self._elements]
+                               for u in self._elements]
+        else:
+            self._sigma_ids = self._validate()
         self._beta = None
         self._quad = None
         self._weyl = None
@@ -181,9 +229,10 @@ class GradedDivisionAlgebra:
     # -- construction-time checks ------------------------------------------
 
     def _validate(self):
-        t = self.support
-        elems = self._elements
-        zero = t.zero()
+        """Check the action and the cocycle; returns sigma as ids of `self._units`,
+        indexed by support positions."""
+        elems, add = self._elements, self._add
+        n = len(elems)
         if self.conj_elements and self.kind.family == "R":
             raise ValueError("the rationals admit no conjugation action")
         if self.conj_elements and self.kind.family == "H":
@@ -192,36 +241,50 @@ class GradedDivisionAlgebra:
                 "quaternion coefficients only support the trivial action"
             )
         for g in self.conj_elements:
-            if g.group != t:
+            if g.group != self.support:
                 raise ValueError("action defined outside the support")
         # the action must be a homomorphism T -> {id, conj}
-        conj = self.conj_elements
+        conj = [t in self.conj_elements for t in elems]
+        for u in range(n):
+            for v in range(n):
+                if (conj[u] ^ conj[v]) != conj[add[u][v]]:
+                    raise ValueError(
+                        f"action is not a group homomorphism at {elems[u]}, {elems[v]}")
+        units = self._units
+        allowed = {}
+        sigma = []
         for u in elems:
-            for v in elems:
-                if ((u in conj) ^ (v in conj)) != ((u + v) in conj):
-                    raise ValueError(f"action is not a group homomorphism at {u}, {v}")
-        for u in elems:
+            row = []
             for v in elems:
                 if (u, v) not in self.cocycle:
                     raise CocycleError(f"sigma undefined at ({u}, {v})")
                 value = self.kind.coerce(self.cocycle[(u, v)])
                 self.cocycle[(u, v)] = value
-                if not self.kind.is_allowed_cocycle_unit(value):
+                a = units.intern(value)
+                if a not in allowed:
+                    allowed[a] = self.kind.is_allowed_cocycle_unit(value)
+                if not allowed[a]:
                     raise CocycleError(f"sigma({u}, {v}) = {value!r} is not an allowed unit")
-        one = self.kind.one()
-        for u in elems:
-            if self.cocycle[(zero, u)] != one or self.cocycle[(u, zero)] != one:
-                raise CocycleError(f"sigma is not normalized at {u}")
-        for u in elems:
-            for v in elems:
-                for w in elems:
-                    lhs = self.cocycle[(u, v)] * self.cocycle[(u + v, w)]
-                    rhs = self.alpha(u, self.cocycle[(v, w)]) * self.cocycle[(u, v + w)]
-                    if lhs != rhs:
+                row.append(a)
+            sigma.append(row)
+        one = units.intern(self.kind.one())
+        for u in range(n):  # position 0 is the zero of T
+            if sigma[0][u] != one or sigma[u][0] != one:
+                raise CocycleError(f"sigma is not normalized at {elems[u]}")
+        # sigma(u, v) sigma(u + v, w) = alpha_u(sigma(v, w)) sigma(u, v + w) on ids
+        mul, conjugate = units.mul, units.conj
+        for u in range(n):
+            s_u, add_u, conj_u = sigma[u], add[u], conj[u]
+            for v in range(n):
+                s_uv, s_sum, s_v, add_v = s_u[v], sigma[add_u[v]], sigma[v], add[v]
+                for w in range(n):
+                    s_vw = conjugate(s_v[w]) if conj_u else s_v[w]
+                    if mul(s_uv, s_sum[w]) != mul(s_vw, s_u[add_v[w]]):
                         raise CocycleError(
-                            f"cocycle identity fails at ({u}, {v}, {w})",
-                            witness=(u, v, w),
+                            f"cocycle identity fails at ({elems[u]}, {elems[v]}, {elems[w]})",
+                            witness=(elems[u], elems[v], elems[w]),
                         )
+        return sigma
 
     # -- basic structure -----------------------------------------------------
 
@@ -281,7 +344,10 @@ class GradedDivisionAlgebra:
                 quad.values.items(), key=lambda kv: kv[0].coords)],
         }
         if quad.total and self.support.is_elementary_two() and not self.support.is_trivial():
-            data["arf"] = arf(quad)
+            signs = list(quad.values.values())
+            # tied counts mean the form is nonzero on the radical of beta: no Arf invariant
+            if signs.count(1) != signs.count(-1):
+                data["arf"] = arf(quad)
         return data
 
 
@@ -389,20 +455,35 @@ class DivisionElement:
 # ---------------------------------------------------------------------------
 
 class Bicharacter:
-    """An alternating bimultiplicative pairing on a finite abelian group."""
+    """An alternating bimultiplicative pairing on a finite abelian group.
+
+    `ids[i][j]` is the id in `units` of the value at (domain[i], domain[j]).
+    """
 
     def __init__(self, domain, values, kind: CoefficientKind):
         self.domain = tuple(domain)
         self.values = dict(values)
         self.kind = kind
-        one = kind.one()
-        for u in self.domain:
-            if self.values[(u, u)] != one:
+        self.units = units = UnitInterner(kind)
+        self.ids = ids = [[units.intern(self.values[(u, v)]) for v in self.domain]
+                          for u in self.domain]
+        if not self.domain:
+            return
+        _, index, add = support_table(self.domain[0].group)
+        at = [index[u] for u in self.domain]
+        pos = {t: i for i, t in enumerate(at)}
+        one, mul = units.intern(kind.one()), units.mul
+        n = len(self.domain)
+        for i, u in enumerate(self.domain):
+            if ids[i][i] != one:
                 raise ValueError(f"bicharacter is not alternating at {u}")
-            for v in self.domain:
-                for w in self.domain:
-                    if self.values[(u + v, w)] != self.values[(u, w)] * self.values[(v, w)]:
-                        raise ValueError(f"bicharacter not multiplicative at ({u},{v},{w})")
+            ids_u, sums = ids[i], add[at[i]]
+            for j, v in enumerate(self.domain):
+                ids_v, ids_sum = ids[j], ids[pos[sums[at[j]]]]
+                for k in range(n):
+                    if ids_sum[k] != mul(ids_u[k], ids_v[k]):
+                        raise ValueError(
+                            f"bicharacter not multiplicative at ({u},{v},{self.domain[k]})")
 
     def value(self, u, v):
         return self.values[(u, v)]
@@ -463,13 +544,18 @@ def commutation_bicharacter(d: GradedDivisionAlgebra) -> Bicharacter:
     if d._beta is not None:
         return d._beta
     k = d.centralizer_elements()
+    sigma, units = d._sigma_ids, d._units
+    at = [d._index[u] for u in k]
+    quotients = {}  # one division per pair of distinct sigma values
     values = {}
-    for u in k:
-        for v in k:
-            s_uv = d.sigma(u, v)
-            s_vu = d.sigma(v, u)
-            inv = 1 / s_vu if isinstance(s_vu, Fraction) else s_vu.inverse()
-            values[(u, v)] = s_uv * inv
+    for u, i in zip(k, at):
+        for v, j in zip(k, at):
+            key = (sigma[i][j], sigma[j][i])
+            if key not in quotients:
+                s_uv, s_vu = units.values[key[0]], units.values[key[1]]
+                inv = 1 / s_vu if isinstance(s_vu, Fraction) else s_vu.inverse()
+                quotients[key] = s_uv * inv
+            values[(u, v)] = quotients[key]
     d._beta = Bicharacter(k, values, d.kind)
     return d._beta
 

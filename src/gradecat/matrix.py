@@ -19,6 +19,7 @@ from .abelian import (
     GroupElement,
     GroupHomomorphism,
     coset_rep,
+    support_table,
     universal_abelian_group,
 )
 from .division import GradedDivisionAlgebra, is_fine_division, equivalent
@@ -391,31 +392,35 @@ def squares_profile(r: GradedMatrixAlgebra) -> dict:
 def harvest_universal_group(r: GradedMatrixAlgebra):
     """Present the universal abelian group from deg x + deg y = deg xy over all
     nonzero products of homogeneous basis elements."""
+    elems = r.division.elements()
+    _, _, add = support_table(r.division.support)
+    k, n = r.k, len(elems)
     labels = []
     index = {}
-    for i in range(r.k):
-        for j in range(r.k):
-            for t in r.division.elements():
-                d = r.degree_of(i, j, t).coords
+    # ids[i][j][t]: label id of deg(E_ij (x) X_t), one degree_of per (i, j, t)
+    ids = [[[0] * n for _ in range(k)] for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            for t, x in enumerate(elems):
+                d = r.degree_of(i, j, x).coords
                 if d not in index:
                     index[d] = len(labels)
                     labels.append(d)
+                ids[i][j][t] = index[d]
+    # (E_ij (x) X_t)(E_jl (x) X_s) is never zero over D and relates the
+    # label ids a, b, c of the two factors and the product
+    triples = {
+        (ids[i][j][t], ids[j][l][s], ids[i][l][add[t][s]])
+        for i in range(k) for j in range(k) for l in range(k)
+        for t in range(n) for s in range(n)
+    }
     relations = set()
-    for i in range(r.k):
-        for j in range(r.k):
-            for t in r.division.elements():
-                for l in range(r.k):
-                    for s in r.division.elements():
-                        # (E_ij (x) X_t)(E_jl (x) X_s) is never zero over D
-                        d1 = r.degree_of(i, j, t).coords
-                        d2 = r.degree_of(j, l, s).coords
-                        d3 = r.degree_of(i, l, (t + s)).coords
-                        vec = [0] * len(labels)
-                        vec[index[d1]] += 1
-                        vec[index[d2]] += 1
-                        vec[index[d3]] -= 1
-                        if any(vec):
-                            relations.add(tuple(vec))
+    for a, b, c in triples:
+        vec = [0] * len(labels)
+        vec[a] += 1
+        vec[b] += 1
+        vec[c] -= 1
+        relations.add(tuple(vec))  # never zero: its entries sum to 1
     group, projection = universal_abelian_group(labels, relations)
     return group, {label: projection[label] for label in labels}
 

@@ -150,6 +150,49 @@ def test_weyl_order_divides_aut_order():
 # stabilizers of division gradings, by type
 # ---------------------------------------------------------------------------
 
+def _reference_weyl_kept(d):
+    """The GroupHomomorphism filter of weyl_division over all of Aut(T), as an oracle."""
+    from gradecat.abelian import automorphism_group
+    from gradecat.division import commutation_bicharacter, quadratic_form
+
+    elems = list(d.support.elements())
+    beta = commutation_bicharacter(d)
+    kept = []
+    for f in automorphism_group(d.support):
+        if d.type_tag == "2-f" or (d.kind.family == "C" and not d.conj_elements):
+            pairs = [(beta.value(f(u), f(v)), beta.value(u, v)) for u in elems for v in elems]
+            if all(a == b for a, b in pairs) or \
+                    all(a == d.kind.conjugate(b) for a, b in pairs):
+                kept.append(f)
+        elif d.kind.family in ("R", "H"):
+            two_torsion = [x for x in elems if (2 * x).is_zero()]
+            if all(d.sigma(f(x), f(x)) == d.sigma(x, x) for x in two_torsion) and all(
+                    beta.value(f(u), f(v)) == beta.value(u, v) for u in elems for v in elems):
+                kept.append(f)
+        else:
+            kset = set(d.centralizer_elements())
+            nu = quadratic_form(d).values
+            if all((f(x) in kset) == (x in kset) for x in elems) \
+                    and all(nu[f(x)] == nu[x] for x in nu) \
+                    and all(beta.value(f(u), f(v)) == beta.value(u, v)
+                            for u in kset for v in kset):
+                kept.append(f)
+    return kept
+
+
+@pytest.mark.parametrize("ref", [
+    "1-a:1", "1-a:Z2xZ2", "1-b:Z2xZ2", "1-c:Z2", "1-c:Z2^3", "1-d:Z2xZ4",
+    "2-a:Z2", "2-a:Z2^3", "2-b:Z2", "2-c:Z2xZ2", "2-d:Z2^2xZ4", "2-e:Z4",
+    "2-f:Z2^2", "2-f:Z3^2", "3-b:Z2xZ2", "3-d:Z2xZ4",
+])
+def test_weyl_division_matches_reference_filter(ref):
+    from gradecat.division import parse_catalog_ref
+
+    d = parse_catalog_ref(ref)
+    kept, _ = weyl_division(d)
+    assert list(kept) == _reference_weyl_kept(d)
+
+
 def test_stab_division_table():
     assert stab_division(canonical("1-a", "Z2xZ2")) == FiniteAbelian(Z2xZ2)
     assert stab_division(canonical("1-b", "Z2xZ2")) == FiniteAbelian(Z2xZ2)

@@ -165,3 +165,57 @@ def test_cli_catalog_json(capsys):
 
 def test_cli_missing_spec_file(capsys):
     assert main(["universal", "--spec", "/nonexistent/file.json"]) == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["catalog", "--entry", "1-a:Q2"], "bad group string"),
+    (["catalog", "--entry", "2-f:Z0^2"], "bad group string"),
+    (["catalog", "--entry", "1-a:Z3"], "incompatible"),
+    (["verify", "--suite", "nonsense"], "unknown suite"),
+])
+def test_cli_user_errors_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"k": 2}, "malformed spec"),
+    ({"D": "1-c:Z2", "k": 0}, "positive integer"),
+    ({"D": "1-c:Zx"}, "bad group string"),
+    ({"D": {"type": "1-d", "support": {"torsion": [2, 3]}}}, "malformed spec"),
+    ({"D": "1-a:", "G": {"free_rank": 1}}, "explicit gamma"),
+    ({"D": "1-a:", "G": {"free_rank": 1}, "gamma": [[0, 0]]}, "malformed spec"),
+    ("not an object", "malformed spec"),
+])
+def test_cli_malformed_spec_exit_2(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["universal", "--spec", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_bad_json_exit_2(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text("{not json")
+    assert main(["universal", "--spec", str(path)]) == 2
+
+
+def test_cli_internal_errors_propagate(tmp_path, monkeypatch):
+    import gradecat.cli as cli
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"D": "1-c:Z2", "k": 2}))
+
+    def broken_lookup(algebra):
+        raise KeyError("a table lookup failed")
+
+    monkeypatch.setattr(cli, "harvest_universal_group", broken_lookup)
+    with pytest.raises(KeyError):
+        main(["universal", "--spec", str(path)])
+
+    def broken_check(name, seed=0):
+        raise ValueError("an internal check misfired")
+
+    monkeypatch.setattr(cli, "run_suite", broken_check)
+    with pytest.raises(ValueError):
+        main(["verify", "--suite", "squares"])

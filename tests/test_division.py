@@ -1,8 +1,10 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradecat.abelian import AbelianGroup, abstract_type
 from gradecat.division import (
@@ -92,7 +94,11 @@ def test_invalid_cocycle_reports_witness():
     sigma[(Z2xZ2.element((0, 1)), bad)] = 1
     with pytest.raises(CocycleError) as err:
         build_crossed_product(Z2xZ2, CoefficientKind.real(), set(), sigma)
-    assert err.value.witness is not None or "sigma" in str(err.value)
+    # first failing (u, v, w) in lexicographic order: sigma(b, a) sigma(a + b, b) = 1
+    # but sigma(a, b) sigma(b, a + b) = -1
+    b, a = Z2xZ2.element((0, 1)), Z2xZ2.element((1, 0))
+    assert err.value.witness == (b, a, b)
+    assert str(err.value) == "cocycle identity fails at (<0,1>, <1,0>, <0,1>)"
 
 
 def test_rejected_actions():
@@ -469,3 +475,151 @@ def test_inverse_raises_when_only_one_side_inverts():
     d = GradedDivisionAlgebra(z3, CoefficientKind.real(), (), cocycle, _validated=True)
     with pytest.raises(ArithmeticError):
         d.unit(e[1]).inverse()
+
+
+# ---------------------------------------------------------------------------
+# the index-table checks against the former GroupElement loops
+# ---------------------------------------------------------------------------
+
+# catalog entries with |T| <= 16: R, C with and without a conjugation action, H
+SMALL_REFS = (
+    "1-a:Z2xZ2", "1-a:Z2^4", "1-b:Z2xZ2", "1-b:Z2^4", "1-c:Z2^3", "1-d:Z2xZ4",
+    "2-a:Z2^3", "2-b:Z2", "2-c:Z2xZ2", "2-d:Z2^2xZ4", "2-e:Z4", "2-e:Z2^2xZ4",
+    "2-f:Z3^2", "2-f:Z4^2", "3-b:Z2xZ2", "3-c:Z2^3", "3-d:Z2xZ4",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog(ref):
+    return parse_catalog_ref(ref)
+
+
+def _reference_validate(support, kind, conj, cocycle):
+    """The O(|T|^3) GroupElement validation of a crossed product, as an oracle."""
+    elems = list(support.elements())
+    zero = support.zero()
+    for u in elems:
+        for v in elems:
+            if ((u in conj) ^ (v in conj)) != ((u + v) in conj):
+                raise ValueError(f"action is not a group homomorphism at {u}, {v}")
+    sigma = {}
+    for u in elems:
+        for v in elems:
+            if (u, v) not in cocycle:
+                raise CocycleError(f"sigma undefined at ({u}, {v})")
+            value = sigma[(u, v)] = kind.coerce(cocycle[(u, v)])
+            if not kind.is_allowed_cocycle_unit(value):
+                raise CocycleError(f"sigma({u}, {v}) = {value!r} is not an allowed unit")
+    one = kind.one()
+    for u in elems:
+        if sigma[(zero, u)] != one or sigma[(u, zero)] != one:
+            raise CocycleError(f"sigma is not normalized at {u}")
+
+    def alpha(t, value):
+        return kind.conjugate(value) if t in conj else value
+
+    for u in elems:
+        for v in elems:
+            for w in elems:
+                lhs = sigma[(u, v)] * sigma[(u + v, w)]
+                rhs = alpha(u, sigma[(v, w)]) * sigma[(u, v + w)]
+                if lhs != rhs:
+                    raise CocycleError(f"cocycle identity fails at ({u}, {v}, {w})",
+                                       witness=(u, v, w))
+
+
+def _outcome(check):
+    try:
+        check()
+    except ValueError as err:
+        return type(err).__name__, str(err), getattr(err, "witness", None)
+    return None
+
+
+def _unit_multipliers(kind):
+    """Units other than 1 that keep a cocycle value an allowed unit."""
+    if kind.family == "R":
+        return [Fraction(-1)]
+    if kind.family == "C":
+        n = kind.conductor
+        return [zeta(n, j) for j in range(1, n)] + [kind.coerce(-1)]
+    q = RationalQuaternion
+    return [q(-1)] + [s * u() for s in (1, -1) for u in (q.i, q.j, q.k)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SMALL_REFS), st.data())
+def test_flipped_cocycle_entry_matches_reference_check(ref, data):
+    d = _catalog(ref)
+    elems = d.elements()
+    u = data.draw(st.sampled_from(elems), label="u")
+    v = data.draw(st.sampled_from(elems), label="v")
+    # a unit keeps sigma unit-valued; 2 makes it a non-unit
+    factor = data.draw(st.sampled_from(_unit_multipliers(d.kind) + [d.kind.coerce(2)]))
+    cocycle = dict(d.cocycle)
+    cocycle[(u, v)] = cocycle[(u, v)] * factor
+    expected = _outcome(lambda: _reference_validate(d.support, d.kind, d.conj_elements, cocycle))
+    got = _outcome(lambda: GradedDivisionAlgebra(
+        d.support, d.kind, d.conj_elements, cocycle, d.type_tag))
+    assert got == expected
+    if u != d.support.zero() and v != d.support.zero() and factor != d.kind.coerce(2):
+        assert expected is None or expected[2] is not None  # the triple loop decided
+
+
+def test_catalog_cocycles_pass_the_reference_check():
+    for ref in SMALL_REFS:
+        d = _catalog(ref)
+        _reference_validate(d.support, d.kind, d.conj_elements, d.cocycle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_REFS), st.data())
+def test_coboundary_twist_validates_and_keeps_beta(ref, data):
+    d = _catalog(ref)
+    kind = d.kind
+    if kind.family == "C":
+        units = [zeta(kind.conductor, j) for j in range(kind.conductor)]
+    else:
+        units = [kind.coerce(1), kind.coerce(-1)]
+    elems = d.elements()
+    picks = data.draw(st.lists(st.sampled_from(units), min_size=len(elems) - 1,
+                               max_size=len(elems) - 1))
+    c = dict(zip(elems, [kind.one()] + picks))
+    # sigma'(u, v) = sigma(u, v) c(u) alpha_u(c(v)) / c(u + v); every c(t) is a
+    # root of unity, so its inverse is its conjugate
+    cocycle = {
+        (u, v): d.sigma(u, v) * c[u] * d.alpha(u, c[v]) * kind.conjugate(c[u + v])
+        for u in elems for v in elems
+    }
+    twisted = GradedDivisionAlgebra(d.support, kind, d.conj_elements, cocycle, d.type_tag)
+    beta, twisted_beta = commutation_bicharacter(d), commutation_bicharacter(twisted)
+    assert twisted_beta.domain == beta.domain
+    assert all(twisted_beta.value(u, v) == beta.value(u, v)
+               for u in beta.domain for v in beta.domain)
+
+
+def _first_non_multiplicative(domain, values):
+    for u in domain:
+        for v in domain:
+            for w in domain:
+                if values[(u + v, w)] != values[(u, w)] * values[(v, w)]:
+                    return u, v, w
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([r for r in SMALL_REFS if len(_catalog(r).centralizer_elements()) >= 4]),
+       st.data())
+def test_corrupted_bicharacter_names_first_bad_triple(ref, data):
+    d = _catalog(ref)
+    beta = commutation_bicharacter(d)
+    u = data.draw(st.sampled_from(beta.domain), label="u")
+    v = data.draw(st.sampled_from([x for x in beta.domain if x != u]), label="v")
+    factor = data.draw(st.sampled_from(_unit_multipliers(d.kind)))
+    values = dict(beta.values)
+    values[(u, v)] = values[(u, v)] * factor
+    bad = _first_non_multiplicative(beta.domain, values)
+    assert bad is not None  # |K| >= 4, so some x outside {0, u} exposes the change
+    with pytest.raises(ValueError) as err:
+        Bicharacter(beta.domain, values, d.kind)
+    assert str(err.value) == "bicharacter not multiplicative at ({},{},{})".format(*bad)

@@ -298,3 +298,49 @@ def test_eight_matrix_refinements():
 
     rows = classify("M(2,R)")
     assert len(rows) == 2
+
+
+def _reference_harvest(r):
+    """Labels and relations from the former loop, three degree_of calls per product."""
+    labels, index = [], {}
+    for i in range(r.k):
+        for j in range(r.k):
+            for t in r.division.elements():
+                d = r.degree_of(i, j, t).coords
+                if d not in index:
+                    index[d] = len(labels)
+                    labels.append(d)
+    relations = set()
+    for i, j, l in itertools.product(range(r.k), repeat=3):
+        for t in r.division.elements():
+            for s in r.division.elements():
+                vec = [0] * len(labels)
+                vec[index[r.degree_of(i, j, t).coords]] += 1
+                vec[index[r.degree_of(j, l, s).coords]] += 1
+                vec[index[r.degree_of(i, l, t + s).coords]] -= 1
+                if any(vec):
+                    relations.add(tuple(vec))
+    return labels, relations
+
+
+def test_harvest_matches_reference_on_classify_rows(monkeypatch):
+    import gradecat.matrix as matrix
+    from gradecat.abelian import universal_abelian_group
+    from gradecat.classify import classify
+
+    seen = []
+
+    def recording(labels, relations):
+        seen.append((list(labels), set(relations)))
+        return universal_abelian_group(labels, relations)
+
+    for name in ("M1R", "M2R", "H", "M1C", "M2C", "M3C"):
+        for row in classify(name):
+            monkeypatch.setattr(matrix, "universal_abelian_group", recording)
+            group, projection = harvest_universal_group(row.algebra)
+            monkeypatch.undo()
+            labels, relations = _reference_harvest(row.algebra)
+            assert seen.pop() == (labels, relations)
+            ref_group, ref_projection = universal_abelian_group(labels, relations)
+            assert group == ref_group
+            assert list(projection.items()) == [(x, ref_projection[x]) for x in labels]
