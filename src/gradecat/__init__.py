@@ -56,7 +56,6 @@ from .matrix import (
     harvest_universal_group,
     homogeneous_idempotents,
     is_fine,
-    is_graded_simple,
     matrix_algebra,
     squares_profile,
 )
@@ -66,6 +65,7 @@ from .structconst import (
     hxh_counterexample,
     inner_stabilizer_quotient,
     int_in_stabilizer,
+    is_graded_simple,
     homogeneous_witness,
 )
 from .verify import run_suite
@@ -85,10 +85,11 @@ __all__ = [
     "radical",
     "GradedElement", "GradedMatrixAlgebra", "equivalent_gradings",
     "fine_condition", "harvest_universal_group", "homogeneous_idempotents",
-    "is_fine", "is_graded_simple", "matrix_algebra", "squares_profile",
+    "is_fine", "matrix_algebra", "squares_profile",
     "Cyclotomic", "RationalQuaternion", "zeta",
     "StructureConstantAlgebra", "hxh_counterexample",
-    "inner_stabilizer_quotient", "int_in_stabilizer", "homogeneous_witness",
+    "inner_stabilizer_quotient", "int_in_stabilizer", "is_graded_simple",
+    "homogeneous_witness",
     "run_suite",
 ]
 

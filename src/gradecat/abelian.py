@@ -336,10 +336,11 @@ class GroupHomomorphism:
 # ---------------------------------------------------------------------------
 
 def smith_normal_form(matrix):
-    """Exact Smith normal form with transforms.
+    """Exact Smith normal form with its row transform.
 
-    Returns (d, u, v) with u * matrix * v == d, where u and v are unimodular
-    and d is diagonal with nonnegative entries forming a divisibility chain.
+    Returns (d, u) with u * matrix * v == d for some unimodular v, which is
+    not built: u is unimodular and d is diagonal with nonnegative entries
+    forming a divisibility chain.
     """
     a = [[int(x) for x in row] for row in matrix]
     m = len(a)
@@ -348,7 +349,6 @@ def smith_normal_form(matrix):
         if len(row) != n:
             raise ValueError("ragged matrix")
     u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_op(i, j, q):  # row_i -= q*row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
@@ -357,8 +357,6 @@ def smith_normal_form(matrix):
     def col_op(i, j, q):  # col_i -= q*col_j
         for row in a:
             row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -366,8 +364,6 @@ def smith_normal_form(matrix):
 
     def col_swap(i, j):
         for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
             row[i], row[j] = row[j], row[i]
 
     def row_neg(i):
@@ -427,7 +423,7 @@ def smith_normal_form(matrix):
         t += 1
 
     d = [[a[i][j] if i == j else 0 for j in range(n)] for i in range(m)]
-    return d, u, v
+    return d, u
 
 
 def universal_abelian_group(labels, relations):
@@ -451,7 +447,7 @@ def universal_abelian_group(labels, relations):
         diag = [0] * n
         u = [[int(i == j) for j in range(n)] for i in range(n)]
     else:
-        d, u, _ = smith_normal_form(cols)
+        d, u = smith_normal_form(cols)
         diag = [d[i][i] if i < r else 0 for i in range(n)]
     free_rows = [i for i in range(n) if diag[i] == 0]
     tors_rows = [i for i in range(n) if diag[i] >= 2]

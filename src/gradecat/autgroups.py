@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .abelian import (
     AbelianGroup,
@@ -34,7 +33,7 @@ from .division import (
     quadratic_form,
 )
 from .matrix import GradedElement, GradedMatrixAlgebra
-from .structconst import _Rref
+from .structconst import nullspace
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +531,11 @@ class DivisionAutomorphism:
     """A support-fixing graded automorphism of D: X_t -> phi(t) m(.) X_t,
     where m is a Q-linear ring automorphism of the coefficients."""
 
-    def __init__(self, algebra: GradedDivisionAlgebra, phi, coeff_images, validate=True):
+    def __init__(self, algebra: GradedDivisionAlgebra, phi, coeff_images):
         self.algebra = algebra
         self.phi = {t: algebra.kind.coerce(v) for t, v in phi.items()}
         self.coeff_images = tuple(algebra.kind.coerce(v) for v in coeff_images)
-        if validate:
-            self._validate()
+        self._validate()
 
     @classmethod
     def identity(cls, algebra: GradedDivisionAlgebra) -> "DivisionAutomorphism":
@@ -594,7 +592,7 @@ class DivisionAutomorphism:
             for t in self.algebra.elements()
         }
         images = tuple(self.map_coefficient(img) for img in other.coeff_images)
-        return DivisionAutomorphism(self.algebra, phi, images, validate=False)
+        return DivisionAutomorphism(self.algebra, phi, images)
 
     def _validate(self):
         alg = self.algebra
@@ -611,10 +609,7 @@ class DivisionAutomorphism:
         basis = kind.basis()
         if self.map_coefficient(kind.one()) != kind.one():
             raise AutomorphismError("coefficient map does not fix 1")
-        span = _Rref(len(basis))
-        for img in self.coeff_images:
-            span.add([Fraction(c) for c in kind.to_vector(img)])
-        if span.rank != len(basis):
+        if nullspace([kind.to_vector(img) for img in self.coeff_images], len(basis)):
             raise AutomorphismError("coefficient map is not invertible")
         for b1 in basis:
             for b2 in basis:
@@ -669,8 +664,6 @@ class AutTriple:
             dinv = d.inverse()
             diag = tuple(entry * dinv for entry in diag)
             psi0 = DivisionAutomorphism.inner(algebra.division, d).compose(psi0)
-            psi0 = DivisionAutomorphism(algebra.division, psi0.phi,
-                                        psi0.coeff_images, validate=False)
         self.diag = diag
         self.perm = tuple(perm)
         self.psi0 = psi0

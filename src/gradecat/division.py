@@ -207,7 +207,7 @@ class GradedDivisionAlgebra:
     """A crossed product over a finite abelian support, validated eagerly."""
 
     def __init__(self, support: AbelianGroup, kind: CoefficientKind, conj_elements,
-                 cocycle, type_tag=None, _validated=False):
+                 cocycle, type_tag=None):
         if not support.is_finite():
             raise ValueError("the support of a division grading must be finite")
         self.support = support
@@ -217,11 +217,7 @@ class GradedDivisionAlgebra:
         self.type_tag = type_tag
         self._elements, self._index, self._add = support_table(support)
         self._units = UnitInterner(kind)
-        if _validated:
-            self._sigma_ids = [[self._units.intern(self.cocycle[(u, v)]) for v in self._elements]
-                               for u in self._elements]
-        else:
-            self._sigma_ids = self._validate()
+        self._sigma_ids = self._validate()
         self._beta = None
         self._quad = None
         self._weyl = None
@@ -789,6 +785,7 @@ def canonical(type_tag: str, support) -> GradedDivisionAlgebra:
     if isinstance(support, str):
         support = parse_group_string(support)
     tag = type_tag
+    _require(support.is_finite(), tag, support)
     tors = support.torsion
     twos = sum(1 for m in tors if m == 2)
     fours = sum(1 for m in tors if m == 4)

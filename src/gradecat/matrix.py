@@ -23,7 +23,8 @@ from .abelian import (
     universal_abelian_group,
 )
 from .division import GradedDivisionAlgebra, is_fine_division, equivalent
-from .structconst import StructureConstantAlgebra, is_graded_simple as _sc_graded_simple
+# is_graded_simple is re-exported: perfbench/tracer.py wraps it by this name
+from .structconst import StructureConstantAlgebra, is_graded_simple  # noqa: F401
 
 
 class GradingError(ValueError):
@@ -443,7 +444,7 @@ def expected_component_count(r: GradedMatrixAlgebra) -> int:
 # export
 # ---------------------------------------------------------------------------
 
-def to_structure_constants(r: GradedMatrixAlgebra, validate: bool = True) -> StructureConstantAlgebra:
+def to_structure_constants(r: GradedMatrixAlgebra) -> StructureConstantAlgebra:
     """Lossless rational structure constants for M_k(D)."""
     d = r.division
     kind = d.kind
@@ -485,12 +486,5 @@ def to_structure_constants(r: GradedMatrixAlgebra, validate: bool = True) -> Str
                                 }
                                 if entry:
                                     table[(row, flat(j, l, s, b2))] = entry
-    unity = {flat(i, i, d.support.zero(), 0): Fraction(1) for i in range(k)}
-    return StructureConstantAlgebra(labels, degrees, table, unity, validate=validate)
-
-
-def is_graded_simple(obj) -> bool:
-    """Graded-simplicity via homogeneous ideal closure (accepts R or an export)."""
-    if isinstance(obj, GradedMatrixAlgebra):
-        obj = to_structure_constants(obj, validate=False)
-    return _sc_graded_simple(obj)
+    unity = {flat(i, i, d.support.zero(), 0): 1 for i in range(k)}
+    return StructureConstantAlgebra(labels, degrees, table, unity)

@@ -4,8 +4,10 @@ This is the brute-force substrate: any crossed product or graded matrix
 algebra in the package exports losslessly to a StructureConstantAlgebra,
 and the checks for graded-simplicity, inner automorphisms stabilizing a
 grading, and the quaternion-pair counterexample all run here with exact
-rational linear algebra.  `_Rref` is the single elimination kernel:
-`solve_square`, `nullspace` and every span computation reduce through it.
+rational linear algebra.  Constants and coordinates are ints when integral
+(`_exact`), and every algebra is validated when it is built.  `_Rref` is the
+single elimination kernel: `solve_square`, `nullspace` and every span
+computation reduce through it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,14 @@ class _NoWitness:
 
 
 NO_WITNESS = _NoWitness()
+
+
+def _exact(c):
+    """`c` as an int when it is integral, else as an exact Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +95,7 @@ def solve_square(matrix, rhs):
         rref.add(list(row) + [b])
     if rref.rank < n or n in rref.pivots:
         return None
-    y = [Fraction(0)] * n
+    y = [0] * n
     for row, p in zip(rref.rows, rref.pivots):
         y[p] = row[n]
     return y
@@ -101,8 +111,8 @@ def nullspace(rows, width):
     for free in range(width):
         if free in pivot_cols:
             continue
-        vec = [Fraction(0)] * width
-        vec[free] = Fraction(1)
+        vec = [0] * width
+        vec[free] = 1
         for row, p in zip(rref.rows, rref.pivots):
             vec[p] = -row[free]
         basis.append(vec)
@@ -116,7 +126,7 @@ def nullspace(rows, width):
 class StructureConstantAlgebra:
     """Finite-dimensional graded unital algebra with exact structure constants."""
 
-    def __init__(self, labels, degrees, table, unity, validate=True):
+    def __init__(self, labels, degrees, table, unity):
         self.labels = tuple(labels)
         self.degrees = tuple(degrees)
         n = len(self.labels)
@@ -128,19 +138,18 @@ class StructureConstantAlgebra:
                 raise ValueError("degrees must share one grading group")
         self.group = group
         self.table = {
-            key: {k: Fraction(c) for k, c in entry.items() if c}
+            key: {k: _exact(c) for k, c in entry.items() if c}
             for key, entry in table.items()
         }
-        self.unity = {k: Fraction(c) for k, c in dict(unity).items() if c}
-        if validate:
-            self._validate()
+        self.unity = {k: _exact(c) for k, c in dict(unity).items() if c}
+        self._validate()
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
     def _basis_vec(self, i):
-        return {i: Fraction(1)}
+        return {i: 1}
 
     def mul_vectors(self, x: dict, y: dict) -> dict:
         out: dict = {}
@@ -151,7 +160,7 @@ class StructureConstantAlgebra:
                     continue
                 c = ci * cj
                 for k, ck in entry.items():
-                    val = out.get(k, Fraction(0)) + c * ck
+                    val = out.get(k, 0) + c * ck
                     if val:
                         out[k] = val
                     elif k in out:
@@ -229,7 +238,7 @@ class AlgebraElement:
 
     def __init__(self, algebra: StructureConstantAlgebra, coords: dict):
         self.algebra = algebra
-        self.coords = {i: Fraction(c) for i, c in coords.items() if c}
+        self.coords = {i: _exact(c) for i, c in coords.items() if c}
 
     def _check(self, other):
         if not isinstance(other, AlgebraElement) or other.algebra is not self.algebra:
@@ -239,7 +248,7 @@ class AlgebraElement:
         self._check(other)
         out = dict(self.coords)
         for i, c in other.coords.items():
-            out[i] = out.get(i, Fraction(0)) + c
+            out[i] = out.get(i, 0) + c
         return AlgebraElement(self.algebra, out)
 
     def __neg__(self):
@@ -252,10 +261,10 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             self._check(other)
             return AlgebraElement(self.algebra, self.algebra.mul_vectors(self.coords, other.coords))
-        return AlgebraElement(self.algebra, {i: c * Fraction(other) for i, c in self.coords.items()})
+        s = _exact(other)
+        return AlgebraElement(self.algebra, {i: c * s for i, c in self.coords.items()})
 
-    def __rmul__(self, other):
-        return AlgebraElement(self.algebra, {i: Fraction(other) * c for i, c in self.coords.items()})
+    __rmul__ = __mul__  # only reached for scalars, which commute
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -290,12 +299,12 @@ def invert(x: AlgebraElement):
     """Exact two-sided inverse, or None."""
     a = x.algebra
     n = a.dim
-    matrix = [[Fraction(0)] * n for _ in range(n)]
+    matrix = [[0] * n for _ in range(n)]
     for j in range(n):
         col = a.mul_vectors(x.coords, a._basis_vec(j))
         for i, c in col.items():
             matrix[i][j] = c
-    rhs = [a.unity.get(i, Fraction(0)) for i in range(n)]
+    rhs = [a.unity.get(i, 0) for i in range(n)]
     y = solve_square(matrix, rhs)
     if y is None:
         return None
@@ -314,10 +323,10 @@ def center_basis(a: StructureConstantAlgebra):
         for j in range(n):
             diff = a.mul_vectors(a._basis_vec(j), a._basis_vec(g))
             for k, c in a.mul_vectors(a._basis_vec(g), a._basis_vec(j)).items():
-                diff[k] = diff.get(k, Fraction(0)) - c
+                diff[k] = diff.get(k, 0) - c
             cols.append(diff)
         for k in range(n):
-            row = [cols[j].get(k, Fraction(0)) for j in range(n)]
+            row = [cols[j].get(k, 0) for j in range(n)]
             if any(row):
                 rows.append(row)
     return [a.element({i: c for i, c in enumerate(v) if c}) for v in nullspace(rows, n)]
@@ -335,8 +344,8 @@ def is_graded_simple(a: StructureConstantAlgebra) -> bool:
         return False
     for start in range(n):
         span = _Rref(n)
-        first = [Fraction(0)] * n
-        first[start] = Fraction(1)
+        first = [0] * n
+        first[start] = 1
         span.add(first)
         frontier = [a._basis_vec(start)]
         while frontier and span.rank < n:
@@ -346,7 +355,7 @@ def is_graded_simple(a: StructureConstantAlgebra) -> bool:
                     a.mul_vectors(a._basis_vec(g), v),
                     a.mul_vectors(v, a._basis_vec(g)),
                 ):
-                    dense = [prod.get(i, Fraction(0)) for i in range(n)]
+                    dense = [prod.get(i, 0) for i in range(n)]
                     if span.add(dense):
                         frontier.append(prod)
         if span.rank < n:
@@ -398,11 +407,11 @@ def _component_unit(a: StructureConstantAlgebra, indices, rng) -> AlgebraElement
         candidate = a.basis_element(i)
         if invert(candidate) is not None:
             return candidate
-    ones = a.element({i: Fraction(1) for i in indices})
+    ones = a.element({i: 1 for i in indices})
     if invert(ones) is not None:
         return ones
     for _ in range(8):
-        candidate = a.element({i: Fraction(rng.randint(-3, 3)) for i in indices})
+        candidate = a.element({i: rng.randint(-3, 3) for i in indices})
         if not candidate.is_zero() and invert(candidate) is not None:
             return candidate
     return None
@@ -462,10 +471,10 @@ def group_algebra(group: AbelianGroup) -> StructureConstantAlgebra:
     index = {t: i for i, t in enumerate(elems)}
     labels = [f"g{t.coords}" for t in elems]
     table = {
-        (index[t], index[s]): {index[t + s]: Fraction(1)}
+        (index[t], index[s]): {index[t + s]: 1}
         for t in elems for s in elems
     }
-    return StructureConstantAlgebra(labels, elems, table, {index[group.zero()]: Fraction(1)})
+    return StructureConstantAlgebra(labels, elems, table, {index[group.zero()]: 1})
 
 
 def direct_sum(a: StructureConstantAlgebra, b: StructureConstantAlgebra) -> StructureConstantAlgebra:
@@ -542,10 +551,10 @@ def quaternion_pair_algebra() -> StructureConstantAlgebra:
             prod = units[a] * units[b]
             for c, unit in enumerate(units):
                 if prod == unit:
-                    table[(i, j)] = {index[(side1, c)]: Fraction(1)}
+                    table[(i, j)] = {index[(side1, c)]: 1}
                 elif prod == -unit:
-                    table[(i, j)] = {index[(side1, c)]: Fraction(-1)}
-    unity = {index[(0, 0)]: Fraction(1), index[(1, 0)]: Fraction(1)}
+                    table[(i, j)] = {index[(side1, c)]: -1}
+    unity = {index[(0, 0)]: 1, index[(1, 0)]: 1}
     return StructureConstantAlgebra(labels, degrees, table, unity)
 
 
@@ -554,25 +563,18 @@ def hxh_counterexample() -> HxHReport:
     a = quaternion_pair_algebra()
     simple = is_graded_simple(a)
 
-    x = a.element({1: Fraction(1), 5: Fraction(1)})  # (i, i)
+    x = a.element({1: 1, 5: 1})  # (i, i)
     stabilizes = int_in_stabilizer(a, x)
 
     # invertible homogeneous elements all lie in R(1,0) + R(0,1) = the center
-    centre = center_basis(a)
-    centre_span = _Rref(a.dim)
-    for z in centre:
-        dense = [Fraction(0)] * a.dim
-        for i, c in z.coords.items():
-            dense[i] = c
-        centre_span.add(dense)
     all_central = True
     for degree, indices in a.basis_degrees_by_component().items():
         if degree.is_zero():
             # identity component: invertible (l, m) needs l, m != 0; always central
             for i in indices:
-                dense = [Fraction(0)] * a.dim
-                dense[i] = Fraction(1)
-                if any(centre_span.reduce(dense)):
+                b = a._basis_vec(i)
+                if any(a.mul_vectors(b, a._basis_vec(j)) != a.mul_vectors(a._basis_vec(j), b)
+                       for j in range(a.dim)):
                     all_central = False
             continue
         # one-sided components consist of zero divisors

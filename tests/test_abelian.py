@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.matrices.normalforms import invariant_factors
 
 from gradecat.abelian import (
     AbelianGroup,
@@ -106,12 +109,13 @@ def test_pretty_and_parse_roundtrip():
 # ---------------------------------------------------------------------------
 
 def snf_oracle(m):
-    """Check the defining properties and return the diagonal."""
-    d, u, v = smith_normal_form(m)
+    """Check the contract `universal_abelian_group` relies on and return the
+    diagonal: u is unimodular, the diagonal is a divisibility chain, and
+    u * m = d * v^-1 for a unimodular v, so row i of u * m has gcd d_i (the
+    rows of a unimodular matrix are primitive) and is zero past the rank."""
+    d, u = smith_normal_form(m)
     rows, cols = len(m), len(m[0]) if m else 0
-    assert mat_mul(mat_mul(u, [list(r) for r in m]), v) == d
     assert abs(det(u)) == 1
-    assert abs(det(v)) == 1
     diag = [d[i][i] for i in range(min(rows, cols))]
     for i in range(rows):
         for j in range(cols):
@@ -123,6 +127,9 @@ def snf_oracle(m):
             assert b % a == 0
         else:
             assert b == 0
+    um = mat_mul(u, [list(r) for r in m])
+    for i, row in enumerate(um):
+        assert math.gcd(*row) == (diag[i] if i < len(diag) else 0)
     return diag
 
 
@@ -151,6 +158,27 @@ def test_snf_random_small_matrices():
 def test_snf_zero_and_rectangular():
     assert snf_oracle([[0, 0], [0, 0]]) == [0, 0]
     assert snf_oracle([[4, 6, 10]]) == [2]
+
+
+@st.composite
+def _snf_inputs(draw):
+    """Small integer matrices of any shape; a row is often a combination of
+    two others, so rank-deficient inputs are common."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    m = [draw(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols))
+         for _ in range(rows)]
+    if rows >= 3 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(_snf_inputs())
+def test_snf_agrees_with_sympy_invariant_factors(m):
+    diag = snf_oracle(m)
+    theirs = invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)
+    assert [x for x in diag if x] == [int(x) for x in theirs if x]
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,7 @@ def test_cli_missing_spec_file(capsys):
     (["catalog", "--entry", "2-f:Z0^2"], "bad group string"),
     (["catalog", "--entry", "1-a:Z3"], "incompatible"),
     (["verify", "--suite", "nonsense"], "unknown suite"),
+    (["catalog", "--entry", "2-f:Z"], "incompatible"),
 ])
 def test_cli_user_errors_exit_2(argv, message, capsys):
     assert main(argv) == 2

@@ -407,6 +407,16 @@ def test_catalog_compatibility_errors():
         canonical("9-z", "Z2")
 
 
+@pytest.mark.parametrize("ref", [
+    "2-f:Z", "1-d:ZxZ2xZ4", "2-d:ZxZ2^2xZ4", "2-e:ZxZ4", "3-d:ZxZ2xZ4",
+])
+def test_catalog_rejects_a_free_rank(ref):
+    # the compatibility rules read the torsion only; a Z factor must not be
+    # dropped or reach the finite-support check of the crossed product
+    with pytest.raises(CatalogError, match="incompatible"):
+        parse_catalog_ref(ref)
+
+
 def test_every_catalog_entry_is_associative_and_division():
     rng = random.Random(17)
     refs = [
@@ -471,8 +481,9 @@ def test_inverse_raises_when_only_one_side_inverts():
     z3 = AbelianGroup(0, (3,))
     e = list(z3.elements())
     cocycle = {(u, v): Fraction(1) for u in e for v in e}
-    cocycle[(e[2], e[1])] = Fraction(-1)  # sigma(1, 2) = 1 but sigma(2, 1) = -1
-    d = GradedDivisionAlgebra(z3, CoefficientKind.real(), (), cocycle, _validated=True)
+    d = GradedDivisionAlgebra(z3, CoefficientKind.real(), (), cocycle)
+    # construction validated the trivial cocycle; break it afterwards
+    d.cocycle[(e[2], e[1])] = Fraction(-1)  # sigma(1, 2) = 1 but sigma(2, 1) = -1
     with pytest.raises(ArithmeticError):
         d.unit(e[1]).inverse()
 

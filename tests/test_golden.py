@@ -1,10 +1,10 @@
-"""Byte-for-byte golden outputs of `classify` and `catalog` in JSON form.
+"""Byte-for-byte golden outputs of `classify`, `catalog` and `verify` in JSON form.
 
-The files under tests/golden/ pin the CLI output for the 7 covered algebras
-and for every catalog entry that `classify` and `verify` build, including
-the full sigma and beta tables.  A change that must keep outputs identical
-passes this test unchanged; a change that alters an output on purpose
-regenerates the files and says why.
+The files under tests/golden/ pin the CLI output for the 7 covered algebras,
+for every catalog entry that `classify` and `verify` build, including the
+full sigma and beta tables, and for `verify --suite all` at seed 7.  A change
+that must keep outputs identical passes this test unchanged; a change that
+alters an output on purpose regenerates the files and says why.
 
 Regenerate from the checkout's own sources with
 
@@ -37,6 +37,7 @@ def _cases():
         yield f"classify-{name}", ["classify", "--algebra", name, "--format", "json"]
     for ref in CATALOG:
         yield f"catalog-{ref}", ["catalog", "--entry", ref, "--format", "json"]
+    yield "verify-all-seed7", ["verify", "--suite", "all", "--seed", "7", "--format", "json"]
 
 
 def _path(case_id):

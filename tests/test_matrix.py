@@ -17,11 +17,11 @@ from gradecat.matrix import (
     harvest_universal_group,
     homogeneous_idempotents,
     is_fine,
-    is_graded_simple,
     matrix_algebra,
     squares_profile,
     to_structure_constants,
 )
+from gradecat.structconst import is_graded_simple
 
 TRIVIAL_R = canonical("1-a", AbelianGroup.trivial())
 
@@ -160,8 +160,9 @@ def test_idempotent_counts_complex_coefficients():
 
 
 def test_graded_simple_matrix_and_pauli():
-    assert is_graded_simple(matrix_algebra(canonical("1-a", "Z2xZ2"), k=1))
-    assert is_graded_simple(m2_over_z())
+    pauli = matrix_algebra(canonical("1-a", "Z2xZ2"), k=1)
+    assert is_graded_simple(to_structure_constants(pauli))
+    assert is_graded_simple(to_structure_constants(m2_over_z()))
 
 
 def test_squares_profile():

@@ -1,3 +1,5 @@
+import functools
+import json
 import random
 from fractions import Fraction
 
@@ -25,6 +27,7 @@ from gradecat.structconst import (
     quaternion_pair_algebra,
     solve_square,
 )
+from gradecat.verify import graded_simple_fixtures
 
 
 def test_solve_square():
@@ -264,3 +267,60 @@ def test_json_roundtrip():
     assert b.labels == a.labels
     assert b.table == a.table
     assert is_graded_simple(b)
+
+
+# ---------------------------------------------------------------------------
+# integer constants and the sympy oracle on the verify fixtures
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _verify_fixtures():
+    return tuple(graded_simple_fixtures())
+
+
+def _q(c):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def test_exports_store_integer_constants():
+    for label, a in _verify_fixtures():
+        values = [c for entry in a.table.values() for c in entry.values()]
+        values += a.unity.values()
+        assert all(type(c) is int for c in values), label
+
+
+def test_non_integral_constants_round_trip():
+    # Q[x]/(x^2 - 1/2), graded by Z2 with x odd
+    g = AbelianGroup(0, (2,))
+    table = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: Fraction(1, 2)}}
+    a = StructureConstantAlgebra(["one", "x"], [g.zero(), g.element((1,))], table, {0: 1})
+    text = json.dumps(a.to_json())
+    b = StructureConstantAlgebra.from_json(json.loads(text))
+    assert json.dumps(b.to_json()) == text
+    assert b.table == a.table and b.unity == a.unity
+    assert type(b.table[(0, 1)][1]) is int
+    assert b.table[(1, 1)][0] == Fraction(1, 2)
+    assert invert(b.basis_element(1)) == b.element({1: 2})
+
+
+def test_center_and_inverses_agree_with_sympy():
+    for label, a in _verify_fixtures():
+        n = a.dim
+
+        def matrix_of(columns):
+            return sympy.Matrix(n, n, lambda i, j: _q(columns[j].get(i, 0)))
+
+        # x is central iff (L_g - R_g) x = 0 for every basis element g
+        basis = [a._basis_vec(j) for j in range(n)]
+        left = [matrix_of([a.mul_vectors(g, b) for b in basis]) for g in basis]
+        right = [matrix_of([a.mul_vectors(b, g) for b in basis]) for g in basis]
+        commutators = sympy.Matrix.vstack(*(l - r for l, r in zip(left, right)))
+        assert len(center_basis(a)) == n - commutators.rank(), label
+        unity = sympy.Matrix([_q(a.unity.get(i, 0)) for i in range(n)])
+        for i in range(n):
+            ours = invert(a.basis_element(i))
+            if left[i].rank() < n:
+                assert ours is None, (label, i)
+            else:
+                theirs = left[i].inv() * unity
+                assert [_q(ours.coords.get(k, 0)) for k in range(n)] == list(theirs), (label, i)
