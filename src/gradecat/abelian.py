@@ -296,10 +296,6 @@ class GroupHomomorphism:
         self.target = target
         self.images = images
 
-    @classmethod
-    def identity(cls, group: AbelianGroup) -> "GroupHomomorphism":
-        return cls(group, group, group.generators())
-
     def __call__(self, el: GroupElement) -> GroupElement:
         if el.group != self.source:
             raise GroupMismatchError("element not in the source group")
@@ -308,12 +304,6 @@ class GroupHomomorphism:
             if c:
                 out = out + c * img
         return out
-
-    def compose(self, other: "GroupHomomorphism") -> "GroupHomomorphism":
-        """self o other."""
-        if other.target != self.source:
-            raise GroupMismatchError("homomorphisms do not compose")
-        return GroupHomomorphism(other.source, self.target, tuple(self(i) for i in other.images))
 
     def __eq__(self, other):
         if not isinstance(other, GroupHomomorphism):
@@ -563,53 +553,51 @@ def character_group(group: AbelianGroup, m: int) -> AbelianGroup:
     )
 
 
-def automorphism_group(group: AbelianGroup) -> list[GroupHomomorphism]:
+def automorphism_group(group: AbelianGroup) -> list[tuple[int, ...]]:
     """All automorphisms of a finite abelian group, by pruned brute force.
 
-    Raises AutBoundError when the group is infinite, has more than
-    ELEMENT_BOUND elements, or the endomorphism search space exceeds
-    CANDIDATE_BOUND candidates.
+    Each automorphism f is a tuple p of support positions: p[i] is the
+    position in `support_table(group)` of f(elements[i]).  Raises
+    AutBoundError when the group is infinite, has more than ELEMENT_BOUND
+    elements, or the endomorphism search space exceeds CANDIDATE_BOUND
+    candidates.
     """
     if not group.is_finite():
         raise AutBoundError("group is infinite")
     n = group.order()
     if n > ELEMENT_BOUND:
         raise AutBoundError(f"|T| = {n} exceeds the bound {ELEMENT_BOUND}")
-    if group.is_trivial():
-        return [GroupHomomorphism.identity(group)]
-    elements = list(group.elements())
-    gens = group.generators()
+    elements, _, add = support_table(group)
     orders = group.torsion
-    candidates = []
-    for m in orders:
-        candidates.append([x for x in elements if (m * x).is_zero()])
+    candidates = [[i for i, x in enumerate(elements) if m % x.order() == 0] for m in orders]
     total = math.prod(len(c) for c in candidates)
     if total > CANDIDATE_BOUND:
         raise AutBoundError(
             f"{total} candidate endomorphisms exceed the bound {CANDIDATE_BOUND}"
         )
 
-    results: list[GroupHomomorphism] = []
-    k = len(gens)
+    results: list[tuple[int, ...]] = []
 
-    def extend(span: frozenset, g: GroupElement) -> frozenset:
-        out = set()
-        step = group.zero()
-        for _ in range(g.order()):
-            out.update(x + step for x in span)
-            step = step + g
-        return frozenset(out)
-
-    def search(j: int, images: list, span: frozenset):
-        remaining = math.prod(orders[j:]) if j < k else 1
-        if len(span) * remaining < n:
-            return
-        if j == k:
-            if len(span) == n:
-                results.append(GroupHomomorphism(group, group, tuple(images)))
+    # Generators are placed from the last coordinate to the first, so the
+    # subgroup on coordinates j.. is a prefix of the positions and `images`
+    # lists its image; an image list that is not injective is pruned.
+    def search(j: int, images: list):
+        if j < 0:
+            results.append(tuple(images))
             return
         for x in candidates[j]:
-            search(j + 1, images + [x], extend(span, x))
+            extended = list(images)
+            step = x
+            for _ in range(orders[j] - 1):
+                extended += [add[step][y] for y in images]
+                step = add[step][x]
+            if len(set(extended)) == len(extended):
+                search(j - 1, extended)
 
-    search(0, [], frozenset([group.zero()]))
+    search(len(orders) - 1, [0])
     return results
+
+
+def compose(p: tuple, q: tuple) -> tuple:
+    """p o q for automorphisms given as position tuples."""
+    return tuple(p[i] for i in q)

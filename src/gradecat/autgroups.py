@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from .abelian import (
     AbelianGroup,
     AutBoundError,
-    GroupHomomorphism,
     abstract_type,
     automorphism_group,
     character_group,
+    compose,
     quotient_type,
     square_elements,
     support_table,
@@ -28,7 +28,6 @@ from .division import (
     CatalogError,
     DivisionElement,
     GradedDivisionAlgebra,
-    UnitInterner,
     commutation_bicharacter,
     quadratic_form,
 )
@@ -267,7 +266,7 @@ def _gl23_census():
     global _GL23_CENSUS
     if _GL23_CENSUS is None:
         auts = automorphism_group(AbelianGroup(0, (3, 3)))
-        _GL23_CENSUS = _census(auts, lambda f, g: f.compose(g))[0]
+        _GL23_CENSUS = _census(auts, compose)[0]
     return _GL23_CENSUS
 
 
@@ -309,17 +308,16 @@ def weyl_division(d: GradedDivisionAlgebra):
     """Brute-forced Weyl group of a division grading, memoized on `d`.
 
     Returns (elements, descriptor): the support automorphisms preserving the
-    grading invariants, and a descriptor identified from their composition.
-    Raises AutBoundError when enumeration of Aut(T) is out of reach.
+    grading invariants, as position tuples (see `automorphism_group`), and a
+    descriptor identified from their composition.  Raises AutBoundError when
+    enumeration of Aut(T) is out of reach.
     """
     if d._weyl is not None:
         return d._weyl
     t = d.support
     auts = automorphism_group(t)
-    elems, index, _ = support_table(t)
+    elems, index, add = support_table(t)
     n = len(elems)
-    # each automorphism as a permutation of support positions
-    perms = [[index[f(x)] for x in elems] for f in auts]
     beta = commutation_bicharacter(d)
     ids, m = beta.ids, len(beta.domain)
 
@@ -328,18 +326,13 @@ def weyl_division(d: GradedDivisionAlgebra):
 
     # in the first two branches the action is trivial, so K = T and the
     # domain positions of beta are support positions
-    kept = []
     if d.type_tag == "2-f" or (d.kind.family == "C" and not d.conj_elements):
         conj = [[beta.units.conj(a) for a in row] for row in ids]
-        for f, p in zip(auts, perms):
-            if keeps(ids, p) or keeps(conj, p):
-                kept.append(f)
+        kept = [p for p in auts if keeps(ids, p) or keeps(conj, p)]
     elif d.kind.family in ("R", "H"):
-        units = UnitInterner(d.kind)
-        mu2 = {i: units.intern(d.sigma(x, x)) for i, x in enumerate(elems) if (2 * x).is_zero()}
-        for f, p in zip(auts, perms):
-            if all(mu2[p[i]] == mu2[i] for i in mu2) and keeps(ids, p):
-                kept.append(f)
+        mu2 = {i: d._sigma_ids[i][i] for i in range(n) if add[i][i] == 0}
+        kept = [p for p in auts
+                if all(mu2[p[i]] == mu2[i] for i in mu2) and keeps(ids, p)]
     else:
         # dimension-2 components with a nontrivial action: preserve K, the
         # partial square signs on T \ K, and the bicharacter on K
@@ -347,14 +340,11 @@ def weyl_division(d: GradedDivisionAlgebra):
         nu = {index[x]: s for x, s in quadratic_form(d).values.items()}
         k_at = [index[x] for x in beta.domain]
         k_pos = {ti: i for i, ti in enumerate(k_at)}
-        for f, p in zip(auts, perms):
-            if not all(in_k[p[i]] == in_k[i] for i in range(n)):
-                continue
-            if not all(nu[p[i]] == s for i, s in nu.items()):
-                continue
-            if keeps(ids, [k_pos[p[ti]] for ti in k_at]):
-                kept.append(f)
-    descriptor = _finite_group_descriptor(kept, lambda f, g: f.compose(g))
+        kept = [p for p in auts
+                if all(in_k[p[i]] == in_k[i] for i in range(n))
+                and all(nu[p[i]] == s for i, s in nu.items())
+                and keeps(ids, [k_pos[p[ti]] for ti in k_at])]
+    descriptor = _finite_group_descriptor(kept, compose)
     d._weyl = (tuple(kept), descriptor)
     return d._weyl
 
@@ -467,49 +457,43 @@ def weyl_descriptor(r: GradedMatrixAlgebra) -> GroupDescriptor:
 class WeylModel:
     """Explicit finite model of W(Gamma) = T^(k-1) >| (Sym(k) x W0).
 
-    Elements are (tbar, pi, w) with tbar a T^k/T coset normalized to first
-    entry e, pi a permutation tuple, and w an index into the W0 list.
+    Elements are (tbar, pi, w): tbar a T^k/T coset normalized to first entry
+    e, as the support positions of the other k-1 entries; pi a permutation
+    tuple; w an element of W0 as a position tuple (see `automorphism_group`).
     """
 
     def __init__(self, r: GradedMatrixAlgebra):
         self.support = r.division.support
         self.k = r.k
         self.w0, _ = weyl_division(r.division)
-        self._w0_index = {f: i for i, f in enumerate(self.w0)}
-        t_elems = list(self.support.elements())
+        _, _, self._add = support_table(self.support)
+        self._neg = [row.index(0) for row in self._add]
         perms = list(itertools.permutations(range(self.k)))
         self.elements = [
             (tbar, pi, w)
-            for tbar in itertools.product([e.coords for e in t_elems], repeat=self.k - 1)
+            for tbar in itertools.product(range(len(self._add)), repeat=self.k - 1)
             for pi in perms
-            for w in range(len(self.w0))
+            for w in self.w0
         ]
 
     def order(self) -> int:
         return len(self.elements)
 
     def identity(self):
-        zero = self.support.zero().coords
-        ident_w = self._w0_index[GroupHomomorphism.identity(self.support)]
-        return ((zero,) * (self.k - 1), tuple(range(self.k)), ident_w)
+        return ((0,) * (self.k - 1), tuple(range(self.k)), tuple(range(len(self._add))))
 
     def mul(self, a, b):
         t1, p1, w1 = a
         t2, p2, w2 = b
-        g = self.support
-        full1 = [g.zero()] + [g.element(c) for c in t1]
-        full2 = [g.zero()] + [g.element(c) for c in t2]
+        add = self._add
+        full2 = (0,) + t2
         inv1 = [0] * self.k
         for i, v in enumerate(p1):
             inv1[v] = i
-        w1_hom = self.w0[w1]
-        acted = [w1_hom(full2[inv1[i]]) for i in range(self.k)]
-        total = [x + y for x, y in zip(full1, acted)]
-        base = total[0]
-        tbar = tuple((x - base).coords for x in total[1:])
-        perm = tuple(p1[p2[i]] for i in range(self.k))
-        w = self._w0_index[w1_hom.compose(self.w0[w2])]
-        return (tbar, perm, w)
+        total = [add[x][w1[full2[inv1[i]]]] for i, x in enumerate((0,) + t1)]
+        base = self._neg[total[0]]
+        tbar = tuple(add[x][base] for x in total[1:])
+        return (tbar, compose(p1, p2), compose(w1, w2))
 
     def identify(self) -> str:
         return identify_group(self.elements, self.mul)

@@ -168,7 +168,8 @@ def _describe(row_k: int, division: GradedDivisionAlgebra) -> str:
 def _build_row(k: int, tag: str, support: AbelianGroup) -> ClassificationRow:
     division = canonical(tag, support)
     algebra = matrix_algebra(division, k=k)
-    assert is_fine(algebra)
+    if not is_fine(algebra):
+        raise AssertionError("catalog row is not a fine grading")
     universal, _ = harvest_universal_group(algebra)
     if universal != expected_universal_group(algebra):
         raise AssertionError("harvested universal group deviates from Z^(k-1) x T")

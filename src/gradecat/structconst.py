@@ -365,6 +365,11 @@ def is_graded_simple(a: StructureConstantAlgebra) -> bool:
 
 def int_in_stabilizer(a: StructureConstantAlgebra, x: AlgebraElement) -> bool:
     """Does conjugation by x preserve every homogeneous component?"""
+    return _stabilizing_inverse(a, x) is not None
+
+
+def _stabilizing_inverse(a: StructureConstantAlgebra, x: AlgebraElement):
+    """x^-1, or None when Int(x) moves a homogeneous component."""
     xi = invert(x)
     if xi is None:
         raise NotInvertibleError("conjugating element is not invertible")
@@ -372,8 +377,8 @@ def int_in_stabilizer(a: StructureConstantAlgebra, x: AlgebraElement) -> bool:
         image = x * a.basis_element(i) * xi
         for k in image.coords:
             if a.degrees[k] != a.degrees[i]:
-                return False
-    return True
+                return None
+    return xi
 
 
 def same_inner_automorphism(a, x, xi, y, yi) -> bool:
@@ -387,9 +392,9 @@ def homogeneous_witness(a: StructureConstantAlgebra, x: AlgebraElement):
     """Every nonzero homogeneous component of x, each shown invertible with
     Int(component) == Int(x); returns NO_WITNESS when a component fails to
     invert (possible only off the graded-simple hypothesis)."""
-    if not int_in_stabilizer(a, x):
+    xi = _stabilizing_inverse(a, x)
+    if xi is None:
         raise ValueError("Int(x) does not stabilize the grading")
-    xi = invert(x)
     witnesses = []
     for degree, comp in sorted(x.homogeneous_components().items(), key=lambda kv: kv[0].coords):
         ci = invert(comp)

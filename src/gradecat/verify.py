@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abelian import AbelianGroup, character_group
+from .abelian import AbelianGroup, character_group, compose
 from .autgroups import (
     DirectProduct,
     FiniteAbelian,
@@ -239,7 +239,7 @@ def suite_weyl():
 
     for tag, support, order, name in division_cases:
         elems, _ = weyl_division(canonical(tag, support))
-        got = identify_group(elems, lambda f, g: f.compose(g))
+        got = identify_group(elems, compose)
         checks.append(CheckResult(
             f"weyl/division/{tag}:{support}",
             len(elems) == order and got == name,

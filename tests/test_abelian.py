@@ -10,11 +10,12 @@ from sympy.matrices.normalforms import invariant_factors
 from gradecat.abelian import (
     AbelianGroup,
     AutBoundError,
-    GroupHomomorphism,
+    CANDIDATE_BOUND,
     GroupMismatchError,
     abstract_type,
     automorphism_group,
     character_group,
+    compose,
     parse_group_string,
     quotient_type,
     smith_normal_form,
@@ -337,18 +338,74 @@ def test_aut_z2_z4():
 def test_aut_is_a_group():
     g = Z2xZ4
     auts = automorphism_group(g)
-    keys = {tuple(i.coords for i in f.images) for f in auts}
-    ident = GroupHomomorphism.identity(g)
-    assert tuple(i.coords for i in ident.images) in keys
+    keys = set(auts)
+    ident = tuple(range(g.order()))
+    assert ident in keys
     for f in auts:
         for h in auts:
-            comp = f.compose(h)
-            assert tuple(i.coords for i in comp.images) in keys
+            assert compose(f, h) in keys
     for f in auts:
         # every element has an inverse in the list
         assert any(
-            f.compose(h) == ident and h.compose(f) == ident for h in auts
+            compose(f, h) == ident and compose(h, f) == ident for h in auts
         )
+
+
+def _groups_up_to(order):
+    """Every abelian group of order <= `order`, once, as invariant-factor chains."""
+    def chains(prefix, product):
+        yield prefix
+        step = prefix[-1] if prefix else 1
+        m = max(step, 2)
+        while product * m <= order:
+            yield from chains(prefix + (m,), product * m)
+            m += step
+    return [Z(0, t) for t in chains((), 1)]
+
+
+def hillar_rhea_aut_order(group):
+    """|Aut| of a finite abelian group, Hillar and Rhea, Amer. Math. Monthly 114 (2007)."""
+    by_prime = {}
+    for m in group.torsion:
+        for p, e in sympy.factorint(m).items():
+            by_prime.setdefault(p, []).append(e)
+    total = 1
+    for p, e in by_prime.items():
+        e.sort()
+        n = len(e)
+        for k in range(n):
+            d = max(l for l in range(1, n + 1) if e[l - 1] == e[k])
+            c = min(l for l in range(1, n + 1) if e[l - 1] == e[k])
+            total *= (p ** d - p ** k) * p ** (e[k] * (n - d)) * p ** ((e[k] - 1) * (n - c + 1))
+    return total
+
+
+def test_aut_search_against_hillar_rhea():
+    groups = _groups_up_to(32)
+    # one group per choice of a partition of each prime exponent
+    assert len(groups) == sum(
+        math.prod(int(sympy.partition(e)) for e in sympy.factorint(n).values())
+        for n in range(1, 33))
+    refused = []
+    for g in groups:
+        elements = list(g.elements())
+        candidates = math.prod(
+            sum(1 for x in elements if (m * x).is_zero()) for m in g.torsion)
+        if candidates > CANDIDATE_BOUND:
+            with pytest.raises(AutBoundError):
+                automorphism_group(g)
+            refused.append(g)
+            continue
+        auts = automorphism_group(g)
+        n = len(elements)
+        index = {x: i for i, x in enumerate(elements)}
+        add = [[index[x + y] for y in elements] for x in elements]
+        assert len(set(auts)) == len(auts) == hillar_rhea_aut_order(g), g
+        for p in auts:
+            assert sorted(p) == list(range(n))
+            # p[add[i][j]] == add[p[i]][p[j]] for every i and j
+            assert all([p[k] for k in add[i]] == [add[p[i]][q] for q in p] for i in range(n))
+    assert refused == [Z(0, (2, 2, 2, 2, 2)), Z(0, (2, 2, 2, 4))]
 
 
 def test_aut_bounds():

@@ -86,10 +86,10 @@ def test_identify_small_groups():
 
 
 def test_identify_gl23_from_aut():
-    from gradecat.abelian import automorphism_group
+    from gradecat.abelian import automorphism_group, compose
 
     auts = automorphism_group(AbelianGroup(0, (3, 3)))
-    assert identify_group(auts, lambda f, g: f.compose(g)) == "GL(2,3)"
+    assert identify_group(auts, compose) == "GL(2,3)"
 
 
 # ---------------------------------------------------------------------------
@@ -151,24 +151,31 @@ def test_weyl_order_divides_aut_order():
 # ---------------------------------------------------------------------------
 
 def _reference_weyl_kept(d):
-    """The GroupHomomorphism filter of weyl_division over all of Aut(T), as an oracle."""
+    """The GroupElement filter of weyl_division over all of Aut(T), as an oracle.
+
+    Each position tuple p is read as the map x -> elems[p[index[x]]].
+    """
     from gradecat.abelian import automorphism_group
     from gradecat.division import commutation_bicharacter, quadratic_form
 
     elems = list(d.support.elements())
+    index = {x: i for i, x in enumerate(elems)}
     beta = commutation_bicharacter(d)
     kept = []
-    for f in automorphism_group(d.support):
+    for p in automorphism_group(d.support):
+        def f(x):
+            return elems[p[index[x]]]
+
         if d.type_tag == "2-f" or (d.kind.family == "C" and not d.conj_elements):
             pairs = [(beta.value(f(u), f(v)), beta.value(u, v)) for u in elems for v in elems]
             if all(a == b for a, b in pairs) or \
                     all(a == d.kind.conjugate(b) for a, b in pairs):
-                kept.append(f)
+                kept.append(p)
         elif d.kind.family in ("R", "H"):
             two_torsion = [x for x in elems if (2 * x).is_zero()]
             if all(d.sigma(f(x), f(x)) == d.sigma(x, x) for x in two_torsion) and all(
                     beta.value(f(u), f(v)) == beta.value(u, v) for u in elems for v in elems):
-                kept.append(f)
+                kept.append(p)
         else:
             kset = set(d.centralizer_elements())
             nu = quadratic_form(d).values
@@ -176,7 +183,7 @@ def _reference_weyl_kept(d):
                     and all(nu[f(x)] == nu[x] for x in nu) \
                     and all(beta.value(f(u), f(v)) == beta.value(u, v)
                             for u in kset for v in kset):
-                kept.append(f)
+                kept.append(p)
     return kept
 
 
@@ -295,18 +302,40 @@ def test_semidirect_pretty_brackets_product_factors():
     assert w.pretty() == "Z2^3 ⋊ Sym(4)"
 
 
+def _reference_weyl_mul(model, a, b):
+    """The product of T^(k-1) >| (Sym(k) x W0) by GroupElement arithmetic:
+    (t, pi, w)(t', pi', w') = (t + w(t' o pi^-1), pi pi', w w'), modulo T."""
+    elems = list(model.support.elements())
+    index = {x: i for i, x in enumerate(elems)}
+    (t1, p1, w1), (t2, p2, w2) = a, b
+    full1 = [elems[0]] + [elems[i] for i in t1]
+    full2 = [elems[0]] + [elems[i] for i in t2]
+    acted = [elems[w1[index[full2[p1.index(i)]]]] for i in range(model.k)]
+    total = [x + y for x, y in zip(full1, acted)]
+    tbar = tuple(index[x - total[0]] for x in total[1:])
+    return tbar, tuple(p1[i] for i in p2), tuple(w1[i] for i in w2)
+
+
 def test_weyl_model_is_a_group():
-    r = matrix_algebra(canonical("1-c", "Z2"), k=2)
-    model = WeylModel(r)
-    elems = model.elements
-    ident = model.identity()
-    assert ident in elems
-    rng = random.Random(0)
-    for _ in range(60):
-        a, b, c = (rng.choice(elems) for _ in range(3))
-        assert model.mul(a, ident) == a and model.mul(ident, a) == a
-        assert model.mul(model.mul(a, b), c) == model.mul(a, model.mul(b, c))
-        assert model.mul(a, b) in elems
+    from gradecat.division import parse_catalog_ref
+
+    for ref, k, order, w0_order in (
+        ("1-c:Z2", 2, 4, 1),
+        ("1-d:Z2xZ4", 2, 64, 4),  # order-4 elements in T and a nontrivial W0
+    ):
+        model = WeylModel(matrix_algebra(parse_catalog_ref(ref), k=k))
+        assert model.order() == order and len(model.w0) == w0_order
+        elems = set(model.elements)
+        ident = model.identity()
+        assert ident in elems
+        rng = random.Random(0)
+        for _ in range(60):
+            a, b, c = (rng.choice(model.elements) for _ in range(3))
+            assert model.mul(a, ident) == a and model.mul(ident, a) == a
+            assert model.mul(model.mul(a, b), c) == model.mul(a, model.mul(b, c))
+            assert model.mul(a, b) in elems
+            assert model.mul(a, b) == _reference_weyl_mul(model, a, b)
+            assert any(model.mul(a, x) == ident == model.mul(x, a) for x in model.elements)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,16 @@ def test_build_row_enumerates_aut_once(monkeypatch):
     assert calls == [AbelianGroup(0, (2,))]
 
 
+def test_build_row_refuses_a_non_fine_row(monkeypatch):
+    import importlib
+
+    # the package attribute `gradecat.classify` is the function, not the module
+    classify_module = importlib.import_module("gradecat.classify")
+    monkeypatch.setattr(classify_module, "is_fine", lambda algebra: False)
+    with pytest.raises(AssertionError, match="not a fine grading"):
+        classify_module._build_row(1, "1-a", AbelianGroup.trivial())
+
+
 def test_weyl_order_consistency_invariant():
     import math
 

@@ -211,6 +211,36 @@ def test_witnesses_on_central_products():
     assert len(wits) == 2
 
 
+def test_homogeneous_witness_inverts_the_conjugator_once(monkeypatch):
+    import gradecat.structconst as structconst
+    from gradecat.matrix import matrix_algebra, to_structure_constants
+
+    d = canonical("2-e", "Z4")
+    a = from_division(d)
+    s2_idx = next(i for i, deg in enumerate(a.degrees) if deg.coords == (2,) and i % 2 == 0)
+    u_idx = next(i for i, deg in enumerate(a.degrees) if deg.coords == (1,) and i % 2 == 0)
+    x = (a.one() + a.basis_element(s2_idx)) * a.basis_element(u_idx)
+    calls = []
+
+    def counting(y):
+        calls.append(y)
+        return invert(y)
+
+    monkeypatch.setattr(structconst, "invert", counting)
+    wits = homogeneous_witness(a, x)
+    assert len(wits) == 2
+    assert sum(1 for y in calls if y == x) == 1
+    assert len(calls) == 1 + len(wits)  # x, then each component
+    # the error behaviour is unchanged
+    q = quaternion_pair_algebra()
+    with pytest.raises(NotInvertibleError):
+        homogeneous_witness(q, q.basis_element(1))
+    r = to_structure_constants(matrix_algebra(canonical("1-a", AbelianGroup.trivial()), k=2))
+    e12 = next(r.basis_element(i) for i in range(r.dim) if r.labels[i].startswith("E[0,1]"))
+    with pytest.raises(ValueError, match="does not stabilize"):
+        homogeneous_witness(r, r.one() + e12)
+
+
 def test_non_invertible_conjugator_raises():
     a = quaternion_pair_algebra()
     with pytest.raises(NotInvertibleError):
