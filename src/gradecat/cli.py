@@ -7,7 +7,8 @@
 
 Exit codes: 0 all passed, 1 verification failure, 2 user error (bad input,
 an uncovered algebra, an incompatible catalog request).  Any other exception
-is a bug and propagates with its traceback.
+is a bug, or a question the library leaves undecided (NotImplementedError),
+and propagates with its traceback.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ computation reduce through it.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,24 +50,23 @@ def _exact(c):
 # ---------------------------------------------------------------------------
 
 class _Rref:
-    """Incremental row-reduced span of rational vectors."""
+    """Incremental row-reduced span; entries stay ints until a pivot is not +-1."""
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[list] = []
         self.pivots: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec) -> list[Fraction]:
-        v = [Fraction(x) for x in vec]
+    def reduce(self, vec) -> list:
+        v = list(vec)
         for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                c = v[p]
-                for i in range(self.width):
-                    v[i] -= c * row[i]
+            c = v[p]
+            if c:
+                v = [x - c * y for x, y in zip(v, row)]
         return v
 
     def add(self, vec) -> bool:
@@ -75,13 +75,15 @@ class _Rref:
         pivot = next((i for i, x in enumerate(v) if x), None)
         if pivot is None:
             return False
-        inv = v[pivot]
-        v = [x / inv for x in v]
-        for row in self.rows:
-            if row[pivot]:
-                c = row[pivot]
-                for i in range(self.width):
-                    row[i] -= c * v[i]
+        if v[pivot] == -1:
+            v = [-x for x in v]
+        elif v[pivot] != 1:
+            inv = Fraction(v[pivot])
+            v = [_exact(x / inv) for x in v]
+        for r, row in enumerate(self.rows):
+            c = row[pivot]
+            if c:
+                self.rows[r] = [x - c * y for x, y in zip(row, v)]
         self.rows.append(v)
         self.pivots.append(pivot)
         return True
@@ -143,6 +145,9 @@ class StructureConstantAlgebra:
         }
         self.unity = {k: _exact(c) for k, c in dict(unity).items() if c}
         self._validate()
+        self._by_degree: dict = {}
+        for i, d in enumerate(self.degrees):
+            self._by_degree.setdefault(d, []).append(i)
 
     @property
     def dim(self) -> int:
@@ -204,10 +209,7 @@ class StructureConstantAlgebra:
         return AlgebraElement(self, dict(self.unity))
 
     def basis_degrees_by_component(self) -> dict:
-        out: dict = {}
-        for i, d in enumerate(self.degrees):
-            out.setdefault(d, []).append(i)
-        return out
+        return {d: list(indices) for d, indices in self._by_degree.items()}
 
     def to_json(self) -> dict:
         return {
@@ -296,71 +298,104 @@ class AlgebraElement:
 # ---------------------------------------------------------------------------
 
 def invert(x: AlgebraElement):
-    """Exact two-sided inverse, or None."""
+    """Exact two-sided inverse, or None.  A homogeneous x of degree g can only
+    invert inside A_(-g), so only the block of L_x from A_(-g) to A_e is solved."""
     a = x.algebra
-    n = a.dim
-    matrix = [[0] * n for _ in range(n)]
-    for j in range(n):
-        col = a.mul_vectors(x.coords, a._basis_vec(j))
-        for i, c in col.items():
-            matrix[i][j] = c
-    rhs = [a.unity.get(i, 0) for i in range(n)]
-    y = solve_square(matrix, rhs)
+    degrees = {a.degrees[i] for i in x.coords}
+    if len(degrees) == 1:
+        g = degrees.pop()
+        rows, cols = a._by_degree.get(g - g, []), a._by_degree.get(-g, [])
+        if len(rows) != len(cols):
+            return None
+    else:
+        rows = cols = range(a.dim)
+    position = {i: r for r, i in enumerate(rows)}
+    matrix = [[0] * len(cols) for _ in rows]
+    for c, j in enumerate(cols):
+        for i, v in a.mul_vectors(x.coords, a._basis_vec(j)).items():
+            matrix[position[i]][c] = v
+    y = solve_square(matrix, [a.unity.get(i, 0) for i in rows])
     if y is None:
         return None
-    inv = a.element({i: c for i, c in enumerate(y) if c})
+    inv = a.element(dict(zip(cols, y)))
     if (inv * x) != a.one():
         return None
     return inv
 
 
-def center_basis(a: StructureConstantAlgebra):
-    """Basis of the center, by solving the commutator equations."""
-    n = a.dim
+def _commutant(a: StructureConstantAlgebra, degree) -> list[dict]:
+    """Central elements of one degree: row (g, k) of the commutator equations
+    only touches the unknowns of degree deg k - deg g."""
+    cols = a._by_degree.get(degree, [])
     rows = []
-    for g in range(n):
-        cols = []
-        for j in range(n):
-            diff = a.mul_vectors(a._basis_vec(j), a._basis_vec(g))
-            for k, c in a.mul_vectors(a._basis_vec(g), a._basis_vec(j)).items():
-                diff[k] = diff.get(k, 0) - c
-            cols.append(diff)
-        for k in range(n):
-            row = [cols[j].get(k, 0) for j in range(n)]
-            if any(row):
-                rows.append(row)
-    return [a.element({i: c for i, c in enumerate(v) if c}) for v in nullspace(rows, n)]
+    for g in range(a.dim):
+        block: dict = {}
+        for c, j in enumerate(cols):
+            diff = dict(a.table.get((j, g), {}))
+            for k, v in a.table.get((g, j), {}).items():
+                diff[k] = diff.get(k, 0) - v
+            for k, v in diff.items():
+                if v:
+                    block.setdefault(k, [0] * len(cols))[c] = v
+        rows.extend(block.values())
+    return [{j: c for j, c in zip(cols, v) if c} for v in nullspace(rows, len(cols))]
+
+
+def center_basis(a: StructureConstantAlgebra):
+    """Basis of the center in the order of the free columns: a nullspace vector
+    is nonzero off its free column only at pivot columns to its left."""
+    vectors = [v for degree in a._by_degree for v in _commutant(a, degree)]
+    return [a.element(v) for v in sorted(vectors, key=max)]
+
+
+def _trace_form_rank(a: StructureConstantAlgebra) -> int:
+    """Rank of the trace form (x, y) -> Tr(L_xy); Tr(L_b) vanishes off degree
+    e, so the form pairs A_g with A_(-g) only and the block ranks add up."""
+    e = a.group.zero()
+    trace = {k: sum(a.table.get((k, i), {}).get(i, 0) for i in range(a.dim))
+             for k in a._by_degree.get(e, [])}
+    rank = 0
+    for g, rows in a._by_degree.items():
+        cols = a._by_degree.get(-g, [])
+        span = _Rref(len(cols))
+        for i in rows:
+            span.add([sum(c * trace[k] for k, c in a.table.get((i, j), {}).items())
+                      for j in cols])
+        rank += span.rank
+    return rank
 
 
 def is_graded_simple(a: StructureConstantAlgebra) -> bool:
-    """True iff every nonzero homogeneous basis element generates everything.
+    """True iff J(A) = 0 and Z(A)_e is a field.
 
-    The two-sided ideal is grown as a linear span closed under one-sided
-    multiplications by basis elements; the process is a fixpoint in at most
-    dim steps.
+    J(A) is graded (Cohen-Montgomery) and, in characteristic 0, it is the
+    radical of the trace form (Dickson).  A graded algebra with J(A) = 0 is
+    a product of graded-simple ones whose unities lie in Z(A)_e.  Raises
+    NotImplementedError when Z(A)_e has dimension > 2 and no basis vector
+    of it is a zero divisor: deciding that needs factoring over Q.
     """
-    n = a.dim
-    if n == 0:
+    if a.dim == 0 or _trace_form_rank(a) < a.dim:
         return False
-    for start in range(n):
-        span = _Rref(n)
-        first = [0] * n
-        first[start] = 1
-        span.add(first)
-        frontier = [a._basis_vec(start)]
-        while frontier and span.rank < n:
-            v = frontier.pop()
-            for g in range(n):
-                for prod in (
-                    a.mul_vectors(a._basis_vec(g), v),
-                    a.mul_vectors(v, a._basis_vec(g)),
-                ):
-                    dense = [prod.get(i, 0) for i in range(n)]
-                    if span.add(dense):
-                        frontier.append(prod)
-        if span.rank < n:
-            return False
-    return True
+    centre = [a.element(v) for v in _commutant(a, a.group.zero())]
+    if len(centre) == 1:
+        return True
+    if len(centre) == 2:
+        # Z(A)_e = Q1 + Qz with z_i = 0, and z^2 = p z + q spans a field iff
+        # p^2 + 4q is not a rational square
+        one = a.one()
+        i = min(one.coords)
+        z = next(w for w in (v - one * Fraction(v.coords.get(i, 0), one.coords[i])
+                             for v in centre) if not w.is_zero())
+        zz, j = (z * z).coords, min(z.coords)
+        q = Fraction(zz.get(i, 0), one.coords[i])
+        p = (zz.get(j, 0) - q * one.coords.get(j, 0)) / Fraction(z.coords[j])
+        d = p * p + 4 * q
+        return d < 0 or any(math.isqrt(m) ** 2 != m for m in (d.numerator, d.denominator))
+    if any(invert(z) is None for z in centre):
+        return False  # a central zero divisor of degree e
+    raise NotImplementedError(
+        f"Z(A)_e has dimension {len(centre)} and no basis vector is a zero divisor; "
+        "deciding whether it is a field needs factoring over Q")
 
 
 def int_in_stabilizer(a: StructureConstantAlgebra, x: AlgebraElement) -> bool:

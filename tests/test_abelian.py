@@ -433,6 +433,17 @@ def test_quotient_order_is_index(case):
     assert quotient_type(group, sub).order() * len(sub) == group.order()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 12), max_size=3).filter(lambda ms: math.prod(ms) <= 144))
+def test_abstract_type_agrees_with_sympy_invariant_factors(orders):
+    # the element set of Z_m1 x ... x Z_mr as plain tuples, whatever the orders
+    elements = list(itertools.product(*(range(m) for m in orders)))
+    add = lambda x, y: tuple((a + b) % m for a, b, m in zip(x, y, orders))
+    got = abstract_type(elements, add=add, zero=(0,) * len(orders))
+    theirs = invariant_factors(sympy.diag(*orders), domain=sympy.ZZ) if orders else ()
+    assert got == Z(0, tuple(int(f) for f in theirs if f != 1))
+
+
 def test_abstract_type_census():
     g = Z(0, (2, 4))
     assert abstract_type(g.elements()) == g

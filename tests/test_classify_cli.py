@@ -6,7 +6,7 @@ from gradecat.abelian import AbelianGroup
 from gradecat.classify import CoverageError, classify, parse_algebra_name, rows_to_json
 from gradecat.cli import main
 from gradecat.division import canonical
-from gradecat.structconst import from_division
+from gradecat.structconst import StructureConstantAlgebra, from_division, group_algebra
 
 
 def test_parse_algebra_name():
@@ -163,6 +163,18 @@ def test_cli_verify_fixture_dump(tmp_path, capsys):
     assert main(["verify", "--fixture", str(path)]) == 0
     out = capsys.readouterr().out
     assert "graded-simple" in out
+
+
+def test_cli_verify_fixture_undecidable_centre_propagates(tmp_path):
+    # Q[Z3] trivially graded: whether its 3-dimensional Z(A)_e is a field is
+    # left undecided, which is a gap of the library and no user error
+    q = group_algebra(AbelianGroup(0, (3,)))
+    e = AbelianGroup.trivial().zero()
+    dump = StructureConstantAlgebra(q.labels, [e] * q.dim, q.table, q.unity).to_json()
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(dump))
+    with pytest.raises(NotImplementedError, match="dimension 3"):
+        main(["verify", "--fixture", str(path)])
 
 
 def test_cli_catalog_json(capsys):

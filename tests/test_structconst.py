@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -13,6 +14,8 @@ from gradecat.structconst import (
     NO_WITNESS,
     NotInvertibleError,
     StructureConstantAlgebra,
+    _Rref,
+    _trace_form_rank,
     center_basis,
     direct_sum,
     from_division,
@@ -354,3 +357,140 @@ def test_center_and_inverses_agree_with_sympy():
             else:
                 theirs = left[i].inv() * unity
                 assert [_q(ours.coords.get(k, 0)) for k in range(n)] == list(theirs), (label, i)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_invert_agrees_with_sympy_on_random_elements(data):
+    label, a = data.draw(st.sampled_from(_verify_fixtures()))
+    n = a.dim
+    components = sorted(a.basis_degrees_by_component().items(), key=lambda kv: kv[0].coords)
+    if data.draw(st.booleans()):
+        indices = data.draw(st.sampled_from(components))[1]  # a homogeneous element
+    else:
+        indices = range(n)  # usually a mixed one
+    x = a.element({i: data.draw(st.integers(-2, 2)) for i in indices})
+    left = sympy.Matrix(n, n, lambda i, j: _q(a.mul_vectors(x.coords, {j: 1}).get(i, 0)))
+    ours = invert(x)
+    if left.rank() < n:
+        assert ours is None, label
+    else:
+        theirs = left.inv() * sympy.Matrix([_q(a.unity.get(i, 0)) for i in range(n)])
+        assert [_q(ours.coords.get(k, 0)) for k in range(n)] == list(theirs), label
+
+
+def test_inverses_and_centre_solve_one_component_at_a_time(monkeypatch):
+    widths = []
+    init = _Rref.__init__
+
+    def recording(self, width):
+        widths.append(width)
+        init(self, width)
+
+    monkeypatch.setattr(_Rref, "__init__", recording)
+    for label, a in _verify_fixtures():
+        widths.clear()
+        for i in range(a.dim):
+            invert(a.basis_element(i))
+        center_basis(a)
+        largest = max(len(ix) for ix in a.basis_degrees_by_component().values())
+        assert widths and max(widths) <= largest + 1, label
+
+
+def test_center_basis_keeps_the_full_width_order():
+    # Q[Z2^2] graded by its second coordinate: the components {0, 2} and
+    # {1, 3} interleave, so the per-component kernels must be merged back
+    full = group_algebra(AbelianGroup(0, (2, 2)))
+    z2 = AbelianGroup(0, (2,))
+    regraded = StructureConstantAlgebra(
+        full.labels, [z2.element(d.coords[1:]) for d in full.degrees], full.table, full.unity)
+    for label, a in _verify_fixtures() + (("Q[Z2^2]/Z2", regraded),):
+        n = a.dim
+        rows = []
+        for g in range(n):
+            for k in range(n):
+                rows.append([a.mul_vectors({j: 1}, {g: 1}).get(k, 0)
+                             - a.mul_vectors({g: 1}, {j: 1}).get(k, 0) for j in range(n)])
+        ours = [[z.coords.get(i, 0) for i in range(n)] for z in center_basis(a)]
+        assert ours == nullspace(rows, n), label
+
+
+# ---------------------------------------------------------------------------
+# graded-simplicity: J(A) = 0 through the trace form, and Z(A)_e a field
+# ---------------------------------------------------------------------------
+
+def _trivially_graded(a):
+    e = AbelianGroup.trivial().zero()
+    return StructureConstantAlgebra(a.labels, [e] * a.dim, a.table, a.unity)
+
+
+def _q_times_q():
+    # the unity u = (1, 1) and v = (1, -1), with v^2 = u
+    e = AbelianGroup.trivial().zero()
+    table = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}}
+    return StructureConstantAlgebra(["u", "v"], [e, e], table, {0: 1})
+
+
+def _dual_numbers():
+    # Q[x]/(x^2), graded by Z2 with x odd: J(A) = Qx is graded
+    g = AbelianGroup(0, (2,))
+    table = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
+    return StructureConstantAlgebra(["one", "x"], [g.zero(), g.element((1,))], table, {0: 1})
+
+
+def test_q_times_q_is_not_graded_simple():
+    a = _q_times_q()
+    assert _trace_form_rank(a) == 2  # semisimple, so only Z(A)_e = Q x Q can fail
+    assert not is_graded_simple(a)
+
+
+def test_radical_fails_the_trace_form():
+    a = _dual_numbers()
+    assert _trace_form_rank(a) == 1
+    assert not is_graded_simple(a)
+
+
+def test_verify_fixtures_are_graded_simple():
+    for label, a in _verify_fixtures():
+        assert is_graded_simple(a), label
+
+
+def test_direct_sums_of_fixtures_are_not_graded_simple():
+    built = 0
+    for (l1, a), (l2, b) in itertools.combinations_with_replacement(_verify_fixtures(), 2):
+        try:
+            s = direct_sum(a, b)
+        except ValueError:
+            # the two torsion chains do not concatenate to a divisibility chain
+            continue
+        built += 1
+        assert not is_graded_simple(s), (l1, l2)
+    assert built >= 20
+
+
+def test_trivially_graded_q_cubed_has_a_central_zero_divisor():
+    q = group_algebra(AbelianGroup.trivial())
+    a = direct_sum(direct_sum(q, q), q)
+    assert len(center_basis(a)) == 3
+    assert not is_graded_simple(a)
+
+
+def test_undecidable_identity_centre_raises():
+    # Q[Z3] = Q x Q(w), trivially graded: Z(A)_e is all of it, and 1, g, g^2 are units
+    a = _trivially_graded(group_algebra(AbelianGroup(0, (3,))))
+    centre = center_basis(a)
+    assert len(centre) == 3 and all(invert(z) is not None for z in centre)
+    with pytest.raises(NotImplementedError, match="dimension 3"):
+        is_graded_simple(a)
+
+
+def test_trace_form_rank_agrees_with_sympy():
+    cases = _verify_fixtures() + (
+        ("HxH", quaternion_pair_algebra()), ("QxQ", _q_times_q()), ("Q[x]/x^2", _dual_numbers()))
+    for label, a in cases:
+        n = a.dim
+        # the trace of every L_b, not only of those of degree e
+        trace = [sum(_q(a.table.get((k, i), {}).get(i, 0)) for i in range(n)) for k in range(n)]
+        form = sympy.Matrix(n, n, lambda i, j: sum(
+            (_q(c) * trace[k] for k, c in a.table.get((i, j), {}).items()), sympy.Integer(0)))
+        assert _trace_form_rank(a) == form.rank(), label
