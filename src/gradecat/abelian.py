@@ -421,32 +421,70 @@ def universal_abelian_group(labels, relations):
 
     Returns (group, projection) where projection maps each label to its image
     in the normal-form quotient.  Empty relations yield a free group.
+
+    Labels with a +-1 coefficient are eliminated first, sparsely (Dumas,
+    Saunders and Villard, J. Symbolic Comput. 32, 2001); `smith_normal_form`
+    sees only the residual relations on the surviving labels.
     """
     labels = list(labels)
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate degree labels")
     n = len(labels)
-    rows = sorted({tuple(int(c) for c in rel) for rel in relations if any(rel)})
-    for rel in rows:
+    rows = set()
+    for rel in relations:
+        rel = tuple(rel)
         if len(rel) != n:
             raise ValueError("relation vector length does not match generators")
-    r = len(rows)
-    # columns of `cols` are the relation vectors; quotient Z^n / (column span)
-    cols = [[rows[j][i] for j in range(r)] for i in range(n)]
-    if r == 0:
-        diag = [0] * n
-        u = [[int(i == j) for j in range(n)] for i in range(n)]
-    else:
-        d, u = smith_normal_form(cols)
-        diag = [d[i][i] if i < r else 0 for i in range(n)]
-    free_rows = [i for i in range(n) if diag[i] == 0]
-    tors_rows = [i for i in range(n) if diag[i] >= 2]
+        ints = tuple(map(int, rel))
+        if ints != rel:
+            raise ValueError(f"relation entries must be integers: {rel}")
+        if any(ints):
+            rows.add(ints)
+    # expr[x]: eliminated label x as a combination of the surviving labels,
+    # kept so by substituting each new elimination into the earlier ones
+    expr: dict[int, dict[int, int]] = {}
+    pending = [{i: c for i, c in enumerate(rel) if c} for rel in sorted(rows)]
+    changed = True
+    while changed:
+        changed = False
+        kept = []
+        for rel in pending:
+            reduced: dict[int, int] = {}
+            for i, c in rel.items():
+                for j, e in expr[i].items() if i in expr else ((i, 1),):
+                    reduced[j] = reduced.get(j, 0) + c * e
+            reduced = {i: c for i, c in reduced.items() if c}
+            x = min((i for i, c in reduced.items() if c in (1, -1)), default=None)
+            if x is None:
+                if reduced:
+                    kept.append(reduced)
+                continue
+            eps = reduced.pop(x)
+            new = {i: -eps * c for i, c in reduced.items()}
+            for old in expr.values():
+                c = old.pop(x, 0)
+                if c:
+                    for j, e in new.items():
+                        old[j] = old.get(j, 0) + c * e
+                        if not old[j]:
+                            del old[j]
+            expr[x] = new
+            changed = True
+        pending = kept
+    survivors = [i for i in range(n) if i not in expr]
+    residual = sorted({tuple(rel.get(i, 0) for i in survivors) for rel in pending})
+    s, r = len(survivors), len(residual)
+    # the columns are the residual relations; quotient Z^s / (column span)
+    d, u = smith_normal_form([[rel[p] for rel in residual] for p in range(s)])
+    diag = [d[i][i] if i < r else 0 for i in range(s)]
+    free_rows = [i for i in range(s) if diag[i] == 0]
+    tors_rows = [i for i in range(s) if diag[i] >= 2]
     group = AbelianGroup(len(free_rows), tuple(diag[i] for i in tors_rows))
-    projection = {}
-    for idx, label in enumerate(labels):
-        coords = [u[i][idx] for i in free_rows] + [u[i][idx] for i in tors_rows]
-        projection[label] = group.element(coords)
-    return group, projection
+    coords = {x: [u[i][p] for i in free_rows + tors_rows] for p, x in enumerate(survivors)}
+    for x, combination in expr.items():
+        coords[x] = [sum(c * coords[i][k] for i, c in combination.items())
+                     for k in range(group.rank)]
+    return group, {label: group.element(coords[x]) for x, label in enumerate(labels)}
 
 
 # ---------------------------------------------------------------------------

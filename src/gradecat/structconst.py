@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abelian import AbelianGroup, abstract_type, coset_rep
+from .abelian import AbelianGroup, abstract_type, coset_rep, universal_abelian_group
 from .division import GradedDivisionAlgebra
 from .scalars import RationalQuaternion
 
@@ -518,25 +518,24 @@ def group_algebra(group: AbelianGroup) -> StructureConstantAlgebra:
 
 
 def direct_sum(a: StructureConstantAlgebra, b: StructureConstantAlgebra) -> StructureConstantAlgebra:
-    """Direct sum graded by the direct product of the two grading groups."""
+    """Direct sum graded by the direct product of the two grading groups.
+
+    The product group is brought to normal form as the universal group of
+    its presentation (the coordinates of both groups, each torsion
+    coordinate killed by its order); each degree is mapped through the
+    label projection, which is the change of coordinates.
+    """
     ga, gb = a.group, b.group
-    torsion = ga.torsion + gb.torsion
-    group = AbelianGroup(ga.free_rank + gb.free_rank, torsion)
+    orders = ([0] * ga.free_rank + list(ga.torsion)
+              + [0] * gb.free_rank + list(gb.torsion))
+    relations = [[m * (i == j) for i in range(len(orders))] for j, m in enumerate(orders) if m]
+    group, projection = universal_abelian_group(range(len(orders)), relations)
 
-    def lift_a(d):
-        return group.element(
-            d.coords[:ga.free_rank] + (0,) * gb.free_rank
-            + d.coords[ga.free_rank:] + (0,) * len(gb.torsion)
-        )
-
-    def lift_b(d):
-        return group.element(
-            (0,) * ga.free_rank + d.coords[:gb.free_rank]
-            + (0,) * len(ga.torsion) + d.coords[gb.free_rank:]
-        )
+    def lift(d, offset):
+        return sum((c * projection[offset + i] for i, c in enumerate(d.coords)), group.zero())
 
     labels = [f"L:{l}" for l in a.labels] + [f"R:{l}" for l in b.labels]
-    degrees = [lift_a(d) for d in a.degrees] + [lift_b(d) for d in b.degrees]
+    degrees = [lift(d, 0) for d in a.degrees] + [lift(d, ga.rank) for d in b.degrees]
     table = {}
     for (i, j), entry in a.table.items():
         table[(i, j)] = dict(entry)

@@ -225,6 +225,107 @@ def test_universal_invariant_under_presentation_changes():
     assert g1 == g2 == g3
 
 
+def test_universal_rejects_a_zero_relation_of_the_wrong_length():
+    with pytest.raises(ValueError, match="length"):
+        universal_abelian_group(["a"], [[0, 0]])
+
+
+def test_universal_rejects_non_integral_entries():
+    with pytest.raises(ValueError, match="integers"):
+        universal_abelian_group(["a", "b"], [(1.5, 0)])
+
+
+def dense_universal_group(labels, relations):
+    """Reference: Smith normal form of the whole label x relation matrix,
+    without unit-pivot elimination."""
+    labels = list(labels)
+    n = len(labels)
+    rows = sorted({tuple(int(c) for c in rel) for rel in relations if any(rel)})
+    r = len(rows)
+    cols = [[rows[j][i] for j in range(r)] for i in range(n)]
+    if r == 0:
+        diag = [0] * n
+        u = [[int(i == j) for j in range(n)] for i in range(n)]
+    else:
+        d, u = smith_normal_form(cols)
+        diag = [d[i][i] if i < r else 0 for i in range(n)]
+    free_rows = [i for i in range(n) if diag[i] == 0]
+    tors_rows = [i for i in range(n) if diag[i] >= 2]
+    group = AbelianGroup(len(free_rows), tuple(diag[i] for i in tors_rows))
+    projection = {}
+    for idx, label in enumerate(labels):
+        coords = [u[i][idx] for i in free_rows] + [u[i][idx] for i in tors_rows]
+        projection[label] = group.element(coords)
+    return group, projection
+
+
+@st.composite
+def _ternary_relations(draw):
+    """Harvest-like relations a + b - c; repeated labels give 2a - c, b and a."""
+    n = draw(st.integers(1, 8))
+    rels = []
+    for a, b, c in draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=14)):
+        vec = [0] * n
+        vec[a] += 1
+        vec[b] += 1
+        vec[c] -= 1
+        rels.append(tuple(vec))
+    return n, rels
+
+
+@st.composite
+def _relations_without_unit_entries(draw):
+    """Small relation sets in which no entry is +-1, so nothing is eliminated."""
+    n = draw(st.integers(1, 5))
+    entry = st.sampled_from([0, 0, 2, -2, 3, -3, 4, 6, -6, 9])
+    rels = draw(st.lists(st.tuples(*[entry] * n), max_size=6))
+    return n, rels
+
+
+def _check_presentation(n, rels):
+    """Same group as the dense reference, every relation maps to zero, and the
+    labels generate the group.  A surjection from Z^n / <rels> onto an
+    isomorphic finitely generated abelian group is injective, so the kernel
+    of the projection is exactly the relation span."""
+    labels = [f"x{i}" for i in range(n)]
+    group, proj = universal_abelian_group(labels, rels)
+    assert group == dense_universal_group(labels, rels)[0]
+    for rel in rels:
+        acc = group.zero()
+        for c, lab in zip(rel, labels):
+            acc = acc + c * proj[lab]
+        assert acc.is_zero(), rel
+    if group.rank:
+        # images of the labels plus the torsion relations must span Z^rank
+        rows = [list(proj[lab].coords) for lab in labels]
+        for k, m in enumerate(group.torsion):
+            rows.append([m * (i == group.free_rank + k) for i in range(group.rank)])
+        factors = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+        assert [int(f) for f in factors] == [1] * group.rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ternary_relations())
+def test_universal_ternary_relations_against_dense_reference(case):
+    _check_presentation(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_relations_without_unit_entries())
+def test_universal_non_unit_relations_against_dense_reference(case):
+    _check_presentation(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ternary_relations(), st.randoms(use_true_random=False))
+def test_universal_ignores_relation_order_and_repeats(case, rnd):
+    n, rels = case
+    labels = list(range(n))
+    shuffled = rels + rnd.sample(rels, len(rels) // 2)
+    rnd.shuffle(shuffled)
+    assert universal_abelian_group(labels, shuffled) == universal_abelian_group(labels, rels)
+
+
 # ---------------------------------------------------------------------------
 # subgroups, quotients, characters
 # ---------------------------------------------------------------------------

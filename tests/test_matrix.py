@@ -210,6 +210,19 @@ def test_universal_group_formula():
         assert len({p.coords for p in projection.values()}) == len(projection)
 
 
+@pytest.mark.parametrize("ref, support, k", [
+    ("1-c", "Z2^3", 3),
+    ("1-d", "Z2xZ4", 3),
+    ("2-f", "Z4^2", 2),
+    ("1-c", "Z2^5", 2),
+])
+def test_universal_group_beyond_classify_coverage(ref, support, k):
+    # M(6,C) and M(8,C) sizes: up to 96 labels and 3505 relations
+    r = matrix_algebra(canonical(ref, support), k=k)
+    group, _ = harvest_universal_group(r)
+    assert group == expected_universal_group(r)
+
+
 def test_component_count():
     for d, k in [(TRIVIAL_R, 3), (canonical("1-c", "Z2"), 2), (canonical("1-b", "Z2xZ2"), 2)]:
         r = matrix_algebra(d, k=k)

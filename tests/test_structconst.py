@@ -456,16 +456,14 @@ def test_verify_fixtures_are_graded_simple():
 
 
 def test_direct_sums_of_fixtures_are_not_graded_simple():
-    built = 0
-    for (l1, a), (l2, b) in itertools.combinations_with_replacement(_verify_fixtures(), 2):
-        try:
-            s = direct_sum(a, b)
-        except ValueError:
-            # the two torsion chains do not concatenate to a divisibility chain
-            continue
-        built += 1
+    pairs = list(itertools.combinations_with_replacement(_verify_fixtures(), 2))
+    assert len(pairs) == 36
+    for (l1, a), (l2, b) in pairs:
+        s = direct_sum(a, b)
+        assert s.group == a.group.direct_sum(b.group), (l1, l2)
+        # the two supports embed injectively and meet only in the identity
+        assert len(set(s.degrees)) == len(set(a.degrees)) + len(set(b.degrees)) - 1
         assert not is_graded_simple(s), (l1, l2)
-    assert built >= 20
 
 
 def test_trivially_graded_q_cubed_has_a_central_zero_divisor():
