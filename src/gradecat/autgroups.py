@@ -9,6 +9,7 @@ automorphisms of M_k(D) together with their twisted product law.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -250,6 +251,7 @@ def _census(elements, mul):
     return orders, abelian
 
 
+@functools.cache
 def _sym4_census():
     perms = list(itertools.permutations(range(4)))
 
@@ -259,15 +261,9 @@ def _sym4_census():
     return _census(perms, mul)[0]
 
 
-_GL23_CENSUS = None
-
-
+@functools.cache
 def _gl23_census():
-    global _GL23_CENSUS
-    if _GL23_CENSUS is None:
-        auts = automorphism_group(AbelianGroup(0, (3, 3)))
-        _GL23_CENSUS = _census(auts, compose)[0]
-    return _GL23_CENSUS
+    return _census(automorphism_group(AbelianGroup(0, (3, 3))), compose)[0]
 
 
 def identify_group(elements, mul) -> str:

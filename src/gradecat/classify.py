@@ -26,7 +26,6 @@ from .autgroups import (
 from .division import GradedDivisionAlgebra, canonical, underlying_algebra_name
 from .matrix import (
     GradedMatrixAlgebra,
-    equivalent_gradings,
     expected_universal_group,
     harvest_universal_group,
     is_fine,
@@ -206,14 +205,7 @@ def classify(name: str) -> list[ClassificationRow]:
             f"insufficient catalog: M_{n}({family}) is outside the covered set "
             + ", ".join(sorted(f"M_{m}({f})" for f, m in _COVERED))
         )
-    rows = []
-    for k, tag, support in _division_plans(family, n):
-        rows.append(_build_row(k, tag, support))
-    deduped: list[ClassificationRow] = []
-    for row in rows:
-        if not any(equivalent_gradings(row.algebra, kept.algebra) for kept in deduped):
-            deduped.append(row)
-    return deduped
+    return [_build_row(k, tag, support) for k, tag, support in _division_plans(family, n)]
 
 
 def rows_to_table(rows, algebra_name: str) -> str:

@@ -79,10 +79,8 @@ def _verify_fixture(args) -> int:
     """Run the inner-automorphism checks against a structure-constant dump."""
     with open(args.fixture, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    try:
+    with _spec_values("fixture", args.fixture):
         algebra = StructureConstantAlgebra.from_json(data)
-    except (KeyError, TypeError, ValueError) as err:
-        raise UsageError(f"malformed fixture {args.fixture}: {err!r}") from err
     checks = []
     simple = is_graded_simple(algebra)
     checks.append(("graded-simple", simple, ""))
@@ -108,14 +106,15 @@ def _verify_fixture(args) -> int:
 
 
 @contextlib.contextmanager
-def _spec_values(path):
-    """Report a malformed value read from the spec file as a usage error."""
+def _spec_values(what, path):
+    """Report a malformed value read from an input file as a usage error;
+    `what` names the file's role, "spec" or "fixture"."""
     try:
         yield
     except UsageError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
-        raise UsageError(f"malformed spec {path}: {err!r}") from err
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+        raise UsageError(f"malformed {what} {path}: {err!r}") from err
 
 
 def _matrix_shape(spec, support: AbelianGroup) -> dict:
@@ -146,12 +145,12 @@ def _matrix_shape(spec, support: AbelianGroup) -> dict:
 def _cmd_universal(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as handle:
         spec = json.load(handle)
-    with _spec_values(args.spec):
+    with _spec_values("spec", args.spec):
         dref = spec["D"]
         if not isinstance(dref, str):
             tag, support = dref["type"], AbelianGroup.from_json(dref["support"])
     division = _catalog_entry(dref) if isinstance(dref, str) else canonical(tag, support)
-    with _spec_values(args.spec):
+    with _spec_values("spec", args.spec):
         shape = _matrix_shape(spec, division.support)
     algebra = matrix_algebra(division, **shape)
     group, _ = harvest_universal_group(algebra)

@@ -350,8 +350,6 @@ class GradedDivisionAlgebra:
 def _scalar_json(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, Cyclotomic):
-        return value.to_json()
     return value.to_json()
 
 
@@ -620,9 +618,9 @@ def quad_forms(support: AbelianGroup, beta: Bicharacter) -> list[QuadraticData]:
         raise ValueError("Quad(T, beta) is defined for elementary abelian 2-groups")
 
     def as_sign(value):
-        if value == 1 or value == Fraction(1):
+        if value == 1:
             return 1
-        if value == -1 or value == Fraction(-1):
+        if value == -1:
             return -1
         raise ValueError("beta must be {+-1}-valued")
 

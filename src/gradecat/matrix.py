@@ -11,7 +11,6 @@ universal abelian group of the grading.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .abelian import (
@@ -445,46 +444,47 @@ def expected_component_count(r: GradedMatrixAlgebra) -> int:
 # ---------------------------------------------------------------------------
 
 def to_structure_constants(r: GradedMatrixAlgebra) -> StructureConstantAlgebra:
-    """Lossless rational structure constants for M_k(D)."""
+    """Lossless rational structure constants for M_k(D) = M_k(Q) (x) D.
+
+    D's table is read once from the validated sigma ids: with b, b' on the
+    Q-basis of the coefficients, (b X_t)(b' X_s) = b alpha_t(b') sigma(t, s)
+    X_(t+s), a unit and so never zero.  It is placed in every block
+    (i, j, l) by E_ij E_jl = E_il.  Basis element (i, j, t, b) has index
+    ((i k + j) |T| + t) w + b, with t a support position and w the width
+    of the coefficient basis.
+    """
     d = r.division
-    kind = d.kind
-    coeff_basis = kind.basis()
-    width = len(coeff_basis)
+    kind, units, sigma, add = d.kind, d._units, d._sigma_ids, d._add
     elems = d.elements()
-    t_index = {t: n for n, t in enumerate(elems)}
-    k = r.k
-
-    def flat(i, j, t, b):
-        return ((i * k + j) * len(elems) + t_index[t]) * width + b
-
-    labels = []
-    degrees = []
+    basis = [units.intern(b) for b in kind.basis()]
+    width, k = len(basis), r.k
+    block = len(elems) * width
+    coords = {}  # product id -> its nonzero (b3, c) on the Q-basis
+    rows = []  # rows[t w + b1]: (s w + b2, [((t + s) w + b3, c), ...]) per column
+    for t in range(len(elems)):
+        images = [units.conj(b) for b in basis] if elems[t] in d.conj_elements else basis
+        for b1 in basis:
+            row = []
+            for s in range(len(elems)):
+                at = add[t][s] * width
+                for b2, image in enumerate(images):
+                    p = units.mul(units.mul(b1, image), sigma[t][s])
+                    if p not in coords:
+                        coords[p] = [(b3, c) for b3, c in
+                                     enumerate(kind.to_vector(units.values[p])) if c]
+                    row.append((s * width + b2, [(at + b3, c) for b3, c in coords[p]]))
+            rows.append(row)
+    labels, degrees, table = [], [], {}
     for i in range(k):
         for j in range(k):
-            for t in elems:
-                for b in range(width):
-                    labels.append(f"E[{i},{j}]X{t.coords}:{b}")
-                    degrees.append(r.degree_of(i, j, t))
-    table = {}
-    for i in range(k):
-        for j in range(k):
-            for t in elems:
-                for b1 in range(width):
-                    row = flat(i, j, t, b1)
-                    for l in range(k):
-                        for s in elems:
-                            for b2 in range(width):
-                                value = (
-                                    coeff_basis[b1]
-                                    * d.alpha(t, coeff_basis[b2])
-                                    * d.sigma(t, s)
-                                )
-                                vec = kind.to_vector(value)
-                                entry = {
-                                    flat(i, l, t + s, b3): c
-                                    for b3, c in enumerate(vec) if c
-                                }
-                                if entry:
-                                    table[(row, flat(j, l, s, b2))] = entry
-    unity = {flat(i, i, d.support.zero(), 0): 1 for i in range(k)}
+            for p, row in enumerate(rows):
+                t = elems[p // width]
+                labels.append(f"E[{i},{j}]X{t.coords}:{p % width}")
+                degrees.append(r.degree_of(i, j, t))
+                left = (i * k + j) * block + p
+                for l in range(k):
+                    right, out = (j * k + l) * block, (i * k + l) * block
+                    for q, entry in row:
+                        table[(left, right + q)] = {out + c: v for c, v in entry}
+    unity = {(i * k + i) * block: 1 for i in range(k)}
     return StructureConstantAlgebra(labels, degrees, table, unity)

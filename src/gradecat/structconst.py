@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian import AbelianGroup, abstract_type, coset_rep, universal_abelian_group
-from .division import GradedDivisionAlgebra
-from .scalars import RationalQuaternion
+from .division import GradedDivisionAlgebra, canonical
 
 
 class NotInvertibleError(ValueError):
@@ -139,11 +138,17 @@ class StructureConstantAlgebra:
             if d.group != group:
                 raise ValueError("degrees must share one grading group")
         self.group = group
+        unity = dict(unity)
+        for (i, j), entry in table.items():
+            if not all(x in range(n) for x in (i, j, *entry)):
+                raise ValueError(f"table entry {(i, j)}: {entry} has an index outside range({n})")
+        if not all(x in range(n) for x in unity):
+            raise ValueError(f"unity {unity} has an index outside range({n})")
         self.table = {
             key: {k: _exact(c) for k, c in entry.items() if c}
             for key, entry in table.items()
         }
-        self.unity = {k: _exact(c) for k, c in dict(unity).items() if c}
+        self.unity = {k: _exact(c) for k, c in unity.items() if c}
         self._validate()
         self._by_degree: dict = {}
         for i, d in enumerate(self.degrees):
@@ -563,38 +568,13 @@ class HxHReport:
 
 
 def quaternion_pair_algebra() -> StructureConstantAlgebra:
-    """H x H graded by Z2^4: each factor carries the sign grading of H."""
-    group = AbelianGroup(0, (2, 2, 2, 2))
-    units = [
-        RationalQuaternion.one(), RationalQuaternion.i(),
-        RationalQuaternion.j(), RationalQuaternion.k(),
-    ]
-    qdeg = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    basis = []  # (side, unit index)
-    for side in (0, 1):
-        for idx in range(4):
-            basis.append((side, idx))
-    labels = [f"({'1ijk'[idx]},0)" if side == 0 else f"(0,{'1ijk'[idx]})"
-              for side, idx in basis]
-    degrees = []
-    for side, idx in basis:
-        d = qdeg[idx]
-        coords = d + (0, 0) if side == 0 else (0, 0) + d
-        degrees.append(group.element(coords))
-    index = {pair: i for i, pair in enumerate(basis)}
-    table = {}
-    for i, (side1, a) in enumerate(basis):
-        for j, (side2, b) in enumerate(basis):
-            if side1 != side2:
-                continue
-            prod = units[a] * units[b]
-            for c, unit in enumerate(units):
-                if prod == unit:
-                    table[(i, j)] = {index[(side1, c)]: 1}
-                elif prod == -unit:
-                    table[(i, j)] = {index[(side1, c)]: -1}
-    unity = {index[(0, 0)]: 1, index[(1, 0)]: 1}
-    return StructureConstantAlgebra(labels, degrees, table, unity)
+    """H x H graded by Z2^4: each factor carries the sign grading of H.
+
+    The basis is 1, X_(0,1) = j, X_(1,0) = i, X_(1,1) = k of the left
+    factor, then the same of the right one (`canonical("1-b", "Z2xZ2")`).
+    """
+    h = from_division(canonical("1-b", "Z2xZ2"))
+    return direct_sum(h, h)
 
 
 def hxh_counterexample() -> HxHReport:
@@ -602,7 +582,7 @@ def hxh_counterexample() -> HxHReport:
     a = quaternion_pair_algebra()
     simple = is_graded_simple(a)
 
-    x = a.element({1: 1, 5: 1})  # (i, i)
+    x = a.element({2: 1, 6: 1})  # (i, i)
     stabilizes = int_in_stabilizer(a, x)
 
     # invertible homogeneous elements all lie in R(1,0) + R(0,1) = the center

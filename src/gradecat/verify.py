@@ -104,10 +104,10 @@ def _homogeneous_unit_pool(a):
     return pool
 
 
-def _central_unit_pool(a, rng, tries=30):
+def _central_unit_pool(a, rng):
     centre = center_basis(a)
     pool = [a.one()]
-    for _ in range(tries):
+    for _ in range(30):
         z = a.element({})
         for basis_el in centre:
             z = z + rng.randint(-3, 3) * basis_el
@@ -120,7 +120,7 @@ def _central_unit_pool(a, rng, tries=30):
 # suites
 # ---------------------------------------------------------------------------
 
-def suite_inner_aut(seed: int = 0, per_fixture: int = 14):
+def suite_inner_aut(seed: int = 0):
     checks = []
     rng = random.Random(seed)
     fixtures = graded_simple_fixtures()
@@ -134,7 +134,7 @@ def suite_inner_aut(seed: int = 0, per_fixture: int = 14):
         central = _central_unit_pool(a, rng)
         ok = True
         detail = ""
-        for _ in range(per_fixture):
+        for _ in range(14):  # conjugators per fixture
             x = rng.choice(central) * rng.choice(units)
             scale = Fraction(rng.choice([1, 2, -1, 3]), rng.choice([1, 2]))
             x = scale * x

@@ -3,7 +3,14 @@ import json
 import pytest
 
 from gradecat.abelian import AbelianGroup
-from gradecat.classify import CoverageError, classify, parse_algebra_name, rows_to_json
+from gradecat.classify import (
+    _COVERED,
+    CoverageError,
+    _division_plans,
+    classify,
+    parse_algebra_name,
+    rows_to_json,
+)
 from gradecat.cli import main
 from gradecat.division import canonical
 from gradecat.structconst import StructureConstantAlgebra, from_division, group_algebra
@@ -30,6 +37,15 @@ def test_classify_coverage_error():
         classify("M(5,C)")
     with pytest.raises(CoverageError):
         classify("M(4,R)")
+
+
+def test_division_plans_are_pairwise_distinct():
+    # rows are equivalent only when k, the type and the support all agree,
+    # so distinct plans give one row per equivalence class
+    for family, n in _COVERED:
+        plans = [(k, tag, support.free_rank, support.torsion)
+                 for k, tag, support in _division_plans(family, n)]
+        assert plans and len(set(plans)) == len(plans), (family, n)
 
 
 def test_classify_m1_cases():
@@ -175,6 +191,31 @@ def test_cli_verify_fixture_undecidable_centre_propagates(tmp_path):
     path.write_text(json.dumps(dump))
     with pytest.raises(NotImplementedError, match="dimension 3"):
         main(["verify", "--fixture", str(path)])
+
+
+def _z2_dump(**changes):
+    g = AbelianGroup(0, (2,))
+    table = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}}
+    dump = StructureConstantAlgebra(["one", "x"], [g.zero(), g.element((1,))], table,
+                                    {0: 1}).to_json()
+    dump.update(changes)
+    return dump
+
+
+@pytest.mark.parametrize("dump", [
+    _z2_dump(table=_z2_dump()["table"] + [[-1, -1, {"0": "1/1"}]]),
+    _z2_dump(table=_z2_dump()["table"] + [[0, 3, {"1": "1/1"}]]),
+    _z2_dump(table=[[0, 0, {"5": "1/1"}]] + _z2_dump()["table"][1:]),
+    _z2_dump(unity={"0": "1/1", "2": "1/1"}),
+    _z2_dump(unity={"0": "1/0"}),
+    _z2_dump(group=[2]),
+    "not an object",
+])
+def test_cli_malformed_fixture_exit_2(tmp_path, capsys, dump):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(dump))
+    assert main(["verify", "--fixture", str(path)]) == 2
+    assert "malformed fixture" in capsys.readouterr().err
 
 
 def test_cli_catalog_json(capsys):

@@ -229,6 +229,58 @@ def test_component_count():
         assert component_count(r) == expected_component_count(r)
 
 
+def reference_export(r):
+    """The value-arithmetic exporter: every entry is the coefficient product
+    b1 alpha_t(b2) sigma(t, s) of E_ij X_t b1 times E_jl X_s b2, on the Q-basis."""
+    d = r.division
+    kind = d.kind
+    coeff_basis = kind.basis()
+    width = len(coeff_basis)
+    elems = d.elements()
+    t_index = {t: n for n, t in enumerate(elems)}
+    k = r.k
+
+    def flat(i, j, t, b):
+        return ((i * k + j) * len(elems) + t_index[t]) * width + b
+
+    labels = []
+    degrees = []
+    for i in range(k):
+        for j in range(k):
+            for t in elems:
+                for b in range(width):
+                    labels.append(f"E[{i},{j}]X{t.coords}:{b}")
+                    degrees.append(r.degree_of(i, j, t))
+    table = {}
+    for i, j, t, b1, l, s, b2 in itertools.product(
+            range(k), range(k), elems, range(width), range(k), elems, range(width)):
+        value = coeff_basis[b1] * d.alpha(t, coeff_basis[b2]) * d.sigma(t, s)
+        entry = {flat(i, l, t + s, b3): c for b3, c in enumerate(kind.to_vector(value)) if c}
+        if entry:
+            table[(flat(i, j, t, b1), flat(j, l, s, b2))] = entry
+    unity = {flat(i, i, d.support.zero(), 0): 1 for i in range(k)}
+    return labels, degrees, table, unity
+
+
+@pytest.mark.parametrize("tag,support", [
+    ("1-a", "Z2xZ2"), ("1-b", "Z2xZ2"), ("1-c", "Z2"), ("1-d", "Z2xZ4"),
+    ("2-a", "Z2"), ("2-b", "Z2"), ("2-c", "Z2xZ2"), ("2-d", "Z2^2xZ4"), ("2-e", "Z4"),
+    ("2-f", "Z3^2"), ("3-a", "Z2xZ2"), ("3-b", "Z2xZ2"), ("3-c", "Z2"), ("3-d", "Z2xZ4"),
+])
+def test_export_agrees_with_the_value_arithmetic_reference(tag, support):
+    d = canonical(tag, support)
+    ks = [k for k in (1, 2, 3)
+          if k == 1 or k * k * d.support.order() * len(d.kind.basis()) <= 32]
+    for k in ks:
+        r = matrix_algebra(d, k=k)
+        a = to_structure_constants(r)
+        labels, degrees, table, unity = reference_export(r)
+        assert a.labels == tuple(labels)
+        assert a.degrees == tuple(degrees)
+        assert a.table == table and list(a.table) == list(table)
+        assert a.unity == unity
+
+
 def test_matrix_export_products_agree():
     r = matrix_algebra(canonical("1-c", "Z2"), k=2)
     a = to_structure_constants(r)

@@ -113,6 +113,39 @@ def test_validation_catches_bad_tables():
         StructureConstantAlgebra(labels, degrees, bad_assoc, {0: 1})
 
 
+def _z2_line():
+    g = AbelianGroup(0, (2,))
+    table = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}}
+    return ["one", "x"], [g.zero(), g.element((1,))], table
+
+
+def test_validation_rejects_a_negative_table_key():
+    labels, degrees, table = _z2_line()
+    table[(-1, -1)] = {0: 1}  # degrees[-1] would wrap to x
+    with pytest.raises(ValueError, match=r"table entry \(-1, -1\)"):
+        StructureConstantAlgebra(labels, degrees, table, {0: 1})
+
+
+def test_validation_rejects_a_table_key_past_the_dimension():
+    labels, degrees, table = _z2_line()
+    table[(0, 3)] = {1: 1}
+    with pytest.raises(ValueError, match=r"table entry \(0, 3\)"):
+        StructureConstantAlgebra(labels, degrees, table, {0: 1})
+
+
+def test_validation_rejects_an_entry_index_out_of_range():
+    labels, degrees, table = _z2_line()
+    table[(1, 1)] = {0: 1, 2: 0}  # even with a zero coefficient
+    with pytest.raises(ValueError, match=r"table entry \(1, 1\)"):
+        StructureConstantAlgebra(labels, degrees, table, {0: 1})
+
+
+def test_validation_rejects_a_unity_index_out_of_range():
+    labels, degrees, table = _z2_line()
+    with pytest.raises(ValueError, match="unity"):
+        StructureConstantAlgebra(labels, degrees, table, {0: 1, -2: 1})
+
+
 def test_division_exports_agree_with_crossed_products():
     rng = random.Random(4)
     for ref in ("1-b:Z2xZ2", "1-d:Z2xZ4", "2-f:Z3^2", "2-e:Z4", "3-b:Z2xZ2"):
@@ -244,10 +277,25 @@ def test_homogeneous_witness_inverts_the_conjugator_once(monkeypatch):
         homogeneous_witness(r, r.one() + e12)
 
 
+def test_quaternion_pair_is_two_copies_of_the_catalog_quaternions():
+    h = from_division(canonical("1-b", "Z2xZ2"))
+    q = quaternion_pair_algebra()
+    assert q.group == AbelianGroup(0, (2, 2, 2, 2))
+    assert q.labels == tuple(f"{side}:{l}" for side in "LR" for l in h.labels)
+    for side in (0, 4):
+        assert {(i - side, j - side): {k - side: c for k, c in entry.items()}
+                for (i, j), entry in q.table.items() if min(i, j) >= side
+                and max(i, j) < side + 4} == h.table
+    assert all((i < 4) == (j < 4) for i, j in q.table)
+    # the left i, j, k square to -1 and i j = k
+    assert [q.mul_vectors({b: 1}, {b: 1}) for b in (1, 2, 3)] == [{0: -1}] * 3
+    assert q.mul_vectors({2: 1}, {1: 1}) == {3: 1}
+
+
 def test_non_invertible_conjugator_raises():
     a = quaternion_pair_algebra()
     with pytest.raises(NotInvertibleError):
-        int_in_stabilizer(a, a.basis_element(1))  # (i, 0) is a zero divisor
+        int_in_stabilizer(a, a.basis_element(2))  # (i, 0) is a zero divisor
 
 
 def test_hxh_counterexample_report():
@@ -258,7 +306,7 @@ def test_hxh_counterexample_report():
     assert report.all_pass()
     # the failing witness: components of (i, i) are not invertible
     a = report.algebra
-    x = a.element({1: Fraction(1), 5: Fraction(1)})
+    x = a.element({2: Fraction(1), 6: Fraction(1)})
     assert homogeneous_witness(a, x) is NO_WITNESS
 
 
