@@ -77,8 +77,7 @@ def _cmd_verify(args) -> int:
 
 def _verify_fixture(args) -> int:
     """Run the inner-automorphism checks against a structure-constant dump."""
-    with open(args.fixture, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = _read_json("fixture", args.fixture)
     with _spec_values("fixture", args.fixture):
         algebra = StructureConstantAlgebra.from_json(data)
     checks = []
@@ -103,6 +102,17 @@ def _verify_fixture(args) -> int:
         tail = f"  {detail}" if detail else ""
         print(f"{status}  {name}{tail}")
     return 0 if all(ok for _, ok, _ in checks) else 1
+
+
+def _read_json(what, path):
+    """The JSON value of an input file; a file that cannot be opened, is not
+    UTF-8 or is not JSON is a usage error.  `what` names the file's role,
+    "spec" or "fixture"."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise UsageError(f"unreadable {what} {path}: {err}") from err
 
 
 @contextlib.contextmanager
@@ -143,8 +153,7 @@ def _matrix_shape(spec, support: AbelianGroup) -> dict:
 
 
 def _cmd_universal(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as handle:
-        spec = json.load(handle)
+    spec = _read_json("spec", args.spec)
     with _spec_values("spec", args.spec):
         dref = spec["D"]
         if not isinstance(dref, str):
@@ -225,8 +234,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CoverageError, CatalogError, CocycleError, GradingError, UsageError,
-            FileNotFoundError, json.JSONDecodeError) as err:
+    except (CoverageError, CatalogError, CocycleError, GradingError, UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

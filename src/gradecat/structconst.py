@@ -139,11 +139,16 @@ class StructureConstantAlgebra:
                 raise ValueError("degrees must share one grading group")
         self.group = group
         unity = dict(unity)
+
+        def index(x):  # True and 1.0 pass `in range(n)`, but neither is an index
+            return type(x) is int and 0 <= x < n
+
         for (i, j), entry in table.items():
-            if not all(x in range(n) for x in (i, j, *entry)):
-                raise ValueError(f"table entry {(i, j)}: {entry} has an index outside range({n})")
-        if not all(x in range(n) for x in unity):
-            raise ValueError(f"unity {unity} has an index outside range({n})")
+            if not all(index(x) for x in (i, j, *entry)):
+                raise ValueError(f"table entry {(i, j)}: {entry} has an index "
+                                 f"that is not an int in range({n})")
+        if not all(index(x) for x in unity):
+            raise ValueError(f"unity {unity} has an index that is not an int in range({n})")
         self.table = {
             key: {k: _exact(c) for k, c in entry.items() if c}
             for key, entry in table.items()
@@ -177,7 +182,48 @@ class StructureConstantAlgebra:
                         del out[k]
         return out
 
+    def _generating_set(self) -> list[int]:
+        """Basis indices S that generate A together with the unity, greedily.
+
+        V starts as Q·1.  While V != A, the smallest i with e_i not in V
+        joins S and V is closed under left and right multiplication by every
+        element of S; each step adds at least e_i = e_i·1 to V, so it ends.
+        """
+        n = self.dim
+        span = _Rref(n)
+        spanned: list[dict] = []
+        generators: list[int] = []
+        pending: list = []  # (s, v): v in V still to be multiplied by e_s
+
+        def add(vec):
+            if span.add([vec.get(k, 0) for k in range(n)]):
+                spanned.append(vec)
+                pending.extend((s, vec) for s in generators)
+
+        add(self.unity)
+        while span.rank < n:
+            s = next(i for i in range(n)
+                     if any(span.reduce([int(k == i) for k in range(n)])))
+            generators.append(s)
+            pending.extend((s, v) for v in spanned)
+            while pending:
+                s, v = pending.pop()
+                add(self.mul_vectors({s: 1}, v))
+                add(self.mul_vectors(v, {s: 1}))
+        return generators
+
     def _validate(self):
+        """Grading, unity, then associativity by Light's test.
+
+        Associativity is checked only on the triples (e_i, e_s, e_k) with s
+        in the generating set S of `_generating_set`, and this proves it on
+        all triples.  M = {g : (xg)y = x(gy) for all x, y} is a subspace,
+        closed under products, since for a, b in M
+        (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
+        M contains 1 once the unity check has passed, and the check below
+        puts S in M.  Every element of V = A is a sum of products of 1 and
+        elements of S, so M = A.
+        """
         n = self.dim
         # grading compatibility
         for (i, j), entry in self.table.items():
@@ -192,15 +238,15 @@ class StructureConstantAlgebra:
             b = self._basis_vec(i)
             if self.mul_vectors(self.unity, b) != b or self.mul_vectors(b, self.unity) != b:
                 raise ValueError("unity fails on a basis element")
-        # associativity on all basis triples
-        for i in range(n):
-            for j in range(n):
-                ij = self.table.get((i, j), {})
+        # associativity by Light's test: the middle factor runs over S only
+        for s in self._generating_set():
+            for i in range(n):
+                i_s = self.table.get((i, s), {})
                 for k in range(n):
-                    left = self.mul_vectors(ij, self._basis_vec(k))
-                    right = self.mul_vectors(self._basis_vec(i), self.table.get((j, k), {}))
+                    left = self.mul_vectors(i_s, self._basis_vec(k))
+                    right = self.mul_vectors(self._basis_vec(i), self.table.get((s, k), {}))
                     if left != right:
-                        raise ValueError(f"associativity fails at triple ({i}, {j}, {k})")
+                        raise ValueError(f"associativity fails at triple ({i}, {s}, {k})")
 
     def element(self, coords) -> "AlgebraElement":
         if isinstance(coords, dict):

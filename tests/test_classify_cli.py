@@ -209,6 +209,8 @@ def _z2_dump(**changes):
     _z2_dump(unity={"0": "1/1", "2": "1/1"}),
     _z2_dump(unity={"0": "1/0"}),
     _z2_dump(group=[2]),
+    # a JSON boolean passes `in range(2)` but is no basis index
+    _z2_dump(table=_z2_dump()["table"][:3] + [[True, True, {"0": "1/1"}]]),
     "not an object",
 ])
 def test_cli_malformed_fixture_exit_2(tmp_path, capsys, dump):
@@ -262,6 +264,18 @@ def test_cli_bad_json_exit_2(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text("{not json")
     assert main(["universal", "--spec", str(path)]) == 2
+
+
+@pytest.mark.parametrize("command", [["verify", "--fixture"], ["universal", "--spec"]])
+@pytest.mark.parametrize("unreadable", ["directory", "not-utf-8"])
+def test_cli_unreadable_input_exit_2(tmp_path, capsys, command, unreadable):
+    path = tmp_path / "input.json"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"labels": ["\xe9"]}')  # Latin-1, not UTF-8
+    assert main(command + [str(path)]) == 2
+    assert "unreadable" in capsys.readouterr().err
 
 
 def test_cli_internal_errors_propagate(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -104,13 +105,17 @@ def test_validation_catches_bad_tables():
     bad_grading[(1, 1)] = {1: 1}
     with pytest.raises(ValueError):
         StructureConstantAlgebra(labels, degrees, bad_grading, {0: 1})
-    bad_assoc = dict(good)
-    bad_assoc[(1, 1)] = {0: 2}
-    bad_assoc[(0, 1)] = {1: 1}
-    # x(xx) = 2, (xx)x = 2x ... scale one side to break associativity
-    bad_assoc[(1, 0)] = {1: 3}
-    with pytest.raises(ValueError):
-        StructureConstantAlgebra(labels, degrees, bad_assoc, {0: 1})
+    bad_unity = dict(good)
+    bad_unity[(1, 0)] = {1: 3}  # x * one = 3x
+    with pytest.raises(ValueError, match="unity fails"):
+        StructureConstantAlgebra(labels, degrees, bad_unity, {0: 1})
+    # one, x, y with x, y odd: (xy)x = x but x(yx) = -x
+    bad_assoc = {(0, 0): {0: 1}, (1, 1): {0: 1}, (2, 2): {0: 1},
+                 (1, 2): {0: 1}, (2, 1): {0: -1}}
+    for i in (1, 2):
+        bad_assoc[(0, i)] = bad_assoc[(i, 0)] = {i: 1}
+    with pytest.raises(ValueError, match="associativity fails at triple"):
+        StructureConstantAlgebra(["one", "x", "y"], [e, t, t], bad_assoc, {0: 1})
 
 
 def _z2_line():
@@ -144,6 +149,20 @@ def test_validation_rejects_a_unity_index_out_of_range():
     labels, degrees, table = _z2_line()
     with pytest.raises(ValueError, match="unity"):
         StructureConstantAlgebra(labels, degrees, table, {0: 1, -2: 1})
+
+
+def test_validation_rejects_a_bool_or_float_index():
+    # True == 1 and 1.0 == 1 pass `in range(2)`, and so do False and 0.0
+    labels, degrees, table = _z2_line()
+    for one, zero in ((True, False), (1.0, 0.0)):
+        keyed = {key: entry for key, entry in table.items() if key != (1, 1)}
+        keyed[(one, one)] = {0: 1}
+        with pytest.raises(ValueError, match=r"table entry"):
+            StructureConstantAlgebra(labels, degrees, keyed, {0: 1})
+        with pytest.raises(ValueError, match=r"table entry \(1, 1\)"):
+            StructureConstantAlgebra(labels, degrees, {**table, (1, 1): {zero: 1}}, {0: 1})
+        with pytest.raises(ValueError, match="unity"):
+            StructureConstantAlgebra(labels, degrees, table, {zero: 1})
 
 
 def test_division_exports_agree_with_crossed_products():
@@ -540,3 +559,126 @@ def test_trace_form_rank_agrees_with_sympy():
         form = sympy.Matrix(n, n, lambda i, j: sum(
             (_q(c) * trace[k] for k, c in a.table.get((i, j), {}).items()), sympy.Integer(0)))
         assert _trace_form_rank(a) == form.rank(), label
+
+
+# ---------------------------------------------------------------------------
+# associativity: Light's test over the greedy generating set against the
+# all-triples loop
+# ---------------------------------------------------------------------------
+
+def _triple_fails(a, i, j, k):
+    return (a.mul_vectors(a.table.get((i, j), {}), {k: 1})
+            != a.mul_vectors({i: 1}, a.table.get((j, k), {})))
+
+
+def reference_associative(a):
+    """(e_i e_j) e_k = e_i (e_j e_k) on all n^3 basis triples."""
+    n = a.dim
+    return not any(_triple_fails(a, i, j, k)
+                   for i in range(n) for j in range(n) for k in range(n))
+
+
+class _Unvalidated(StructureConstantAlgebra):
+    def _validate(self):
+        pass
+
+
+@functools.lru_cache(maxsize=None)
+def _light_sources():
+    from gradecat.matrix import matrix_algebra, to_structure_constants
+
+    exports = [(ref, from_division(parse_catalog_ref(ref)))
+               for ref in ("1-b:Z2xZ2", "1-c:Z2^3", "1-d:Z2xZ4", "2-e:Z4", "2-f:Z3^2",
+                           "1-a:Z2^4")]
+    m2h = to_structure_constants(matrix_algebra(canonical("1-b", "Z2xZ2"), k=2))
+    # Q[x]/(x^2 - c) stays associative for every c, so its mutants all pass
+    qz2 = group_algebra(AbelianGroup(0, (2,)))
+    return tuple(exports + [("M2(1-b:Z2xZ2)", m2h), ("Q[Z2]", qz2)])
+
+
+def _mutants(a, key):
+    """Single-entry mutants of the product at `key`: sign flip, scaling,
+    deletion, and moving the coefficient to another index of its degree."""
+    for k, c in sorted(a.table[key].items()):
+        others = [m for m in range(a.dim) if m != k and a.degrees[m] == a.degrees[k]]
+        changes = [{k: -c}, {k: 2 * c}, {k: Fraction(c, 3)}, {k: 0}]
+        changes += [{k: 0, m: a.table[key].get(m, 0) + c} for m in others]
+        for change in changes:
+            yield {**a.table, key: {**a.table[key], **change}}
+
+
+def _light_agrees_with_reference(a, table):
+    """The validating constructor rejects the table iff some basis triple
+    fails, and only ever names a failing triple; returns its verdict."""
+    mutant = _Unvalidated(a.labels, a.degrees, table, a.unity)
+    try:
+        StructureConstantAlgebra(a.labels, a.degrees, table, a.unity)
+    except ValueError as err:
+        found = re.fullmatch(r"associativity fails at triple \((\d+), (\d+), (\d+)\)", str(err))
+        assert found, err
+        assert _triple_fails(mutant, *map(int, found.groups()))
+        return False
+    assert reference_associative(mutant)
+    return True
+
+
+def test_generating_sets_of_the_sources():
+    # the unity E_11 + E_22 of M_2(D) does not span E_11 (index 0), so it
+    # comes first
+    assert {label: a._generating_set() for label, a in _light_sources()} == {
+        "1-b:Z2xZ2": [1, 2], "1-c:Z2^3": [1, 2, 4], "1-d:Z2xZ4": [1, 4],
+        "2-e:Z4": [1, 2], "2-f:Z3^2": [1, 2, 6], "1-a:Z2^4": [1, 2, 4, 8],
+        "M2(1-b:Z2xZ2)": [0, 1, 2, 4, 8], "Q[Z2]": [1]}
+    for label, a in _light_sources():
+        assert reference_associative(a), label
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_light_test_agrees_with_all_triples_on_mutants(data):
+    label, a = data.draw(st.sampled_from(_light_sources()))
+    # products off the unity's support, so the unity check still passes
+    keys = sorted(key for key in a.table if not set(key) & set(a.unity))
+    key = data.draw(st.sampled_from(keys))
+    table = data.draw(st.sampled_from(list(_mutants(a, key))))
+    _light_agrees_with_reference(a, table)
+
+
+@pytest.mark.parametrize("label,mutants,accepted", [("1-d:Z2xZ4", 196, 0), ("Q[Z2]", 4, 4)])
+def test_light_test_agrees_with_all_triples_on_every_mutant(label, mutants, accepted):
+    a = dict(_light_sources())[label]
+    verdicts = [_light_agrees_with_reference(a, table)
+                for key in a.table if not set(key) & set(a.unity)
+                for table in _mutants(a, key)]
+    assert (len(verdicts), sum(verdicts)) == (mutants, accepted)
+
+
+def _square_zero_extension(n):
+    """Q·1 + N with N^2 = 0, trivially graded: products of basis vectors of N
+    vanish, so no generator reaches another one."""
+    e = AbelianGroup.trivial().zero()
+    table = {(0, 0): {0: 1}}
+    for i in range(1, n):
+        table[(0, i)] = table[(i, 0)] = {i: 1}
+    return [f"n{i}" for i in range(n)], [e] * n, table
+
+
+def test_light_test_with_the_whole_basis_as_generating_set():
+    labels, degrees, table = _square_zero_extension(5)
+    a = StructureConstantAlgebra(labels, degrees, table, {0: 1})
+    assert a._generating_set() == [1, 2, 3, 4]
+    assert reference_associative(a)
+
+
+@pytest.mark.parametrize("key,triple", [((1, 4), (1, 4, 4)), ((4, 1), (4, 1, 1))])
+def test_light_test_finds_the_one_failing_triple(key, triple):
+    # n1 n4 = n1 fails only at (n1 n4) n4 = n1 against n1 (n4 n4) = 0, with
+    # the last generator in the middle; n4 n1 = n4 only at (n4, n1, n1)
+    labels, degrees, table = _square_zero_extension(5)
+    table[key] = {key[0]: 1}
+    mutant = _Unvalidated(labels, degrees, table, {0: 1})
+    assert mutant._generating_set() == [1, 2, 3, 4]
+    assert [t for t in itertools.product(range(5), repeat=3) if _triple_fails(mutant, *t)] \
+        == [triple]
+    with pytest.raises(ValueError, match=re.escape(f"associativity fails at triple {triple}")):
+        StructureConstantAlgebra(labels, degrees, table, {0: 1})
