@@ -509,32 +509,28 @@ def subgroup_generated(group: AbelianGroup, gens) -> frozenset:
     return frozenset(current)
 
 
-def abstract_type(elements, add=None, zero=None) -> AbelianGroup:
-    """Isomorphism type of a finite abelian group given by its element set.
-
-    The type is recovered from the census of p-power torsion; `add`/`zero`
-    may be supplied for coset-style items that are not GroupElement values.
-    """
-    items = list(elements)
-    n = len(items)
-    if add is None:
-        add = lambda x, y: x + y
-    if zero is None:
-        zero = next(x for x in items if add(x, x) == x)
-    order_list = []
+def _order_census(items, op, identity) -> dict:
+    """{order: number of elements of that order} of a finite group."""
+    census: dict = {}
     for x in items:
         k = 1
         acc = x
-        while acc != zero:
-            acc = add(acc, x)
+        while acc != identity:
+            acc = op(acc, x)
             k += 1
-        order_list.append(k)
+        census[k] = census.get(k, 0) + 1
+    return census
+
+
+def _type_from_census(census: dict) -> AbelianGroup:
+    """The abelian group with the given element-order census (see `_order_census`)."""
+    n = sum(census.values())
     cyclic: list[int] = []
     for p in _factor(n):
         counts = []  # counts[k] = #elements with order dividing p^k
         k = 0
         while True:
-            c = sum(1 for o in order_list if p ** k % o == 0)
+            c = sum(m for o, m in census.items() if p ** k % o == 0)
             counts.append(c)
             if c == n or (k and counts[k] == counts[k - 1]):
                 break
@@ -552,6 +548,20 @@ def abstract_type(elements, add=None, zero=None) -> AbelianGroup:
             nxt = depth[j + 1] if j + 1 < len(depth) else 0
             cyclic.extend([p ** (j + 1)] * (dj - nxt))
     return AbelianGroup.from_cyclic_orders(cyclic)
+
+
+def abstract_type(elements, add=None, zero=None) -> AbelianGroup:
+    """Isomorphism type of a finite abelian group given by its element set.
+
+    The type is recovered from the census of p-power torsion; `add`/`zero`
+    may be supplied for coset-style items that are not GroupElement values.
+    """
+    items = list(elements)
+    if add is None:
+        add = lambda x, y: x + y
+    if zero is None:
+        zero = next(x for x in items if add(x, x) == x)
+    return _type_from_census(_order_census(items, add, zero))
 
 
 def coset_rep(x: GroupElement, sub) -> GroupElement:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from .abelian import (
     AbelianGroup,
     AutBoundError,
+    _order_census,
+    _type_from_census,
     abstract_type,
     automorphism_group,
     character_group,
@@ -235,30 +237,19 @@ def descriptors_equal(a: GroupDescriptor, b: GroupDescriptor) -> bool:
 # identification of small finite groups
 # ---------------------------------------------------------------------------
 
+IDENTIFY_BOUND = 48  # identify_group answers other(n) for larger orders
+
+
 def _census(elements, mul):
-    ident = next(
-        x for x in elements if all(mul(x, y) == y and mul(y, x) == y for y in elements)
-    )
-    orders = {}
-    for x in elements:
-        acc = x
-        k = 1
-        while acc != ident:
-            acc = mul(acc, x)
-            k += 1
-        orders[k] = orders.get(k, 0) + 1
+    """(element-order census, abelian?); the identity is the only idempotent."""
+    ident = next(x for x in elements if mul(x, x) == x)
     abelian = all(mul(x, y) == mul(y, x) for x in elements for y in elements)
-    return orders, abelian
+    return _order_census(elements, mul, ident), abelian
 
 
 @functools.cache
 def _sym4_census():
-    perms = list(itertools.permutations(range(4)))
-
-    def mul(p, q):
-        return tuple(p[q[i]] for i in range(4))
-
-    return _census(perms, mul)[0]
+    return _census(list(itertools.permutations(range(4))), compose)[0]
 
 
 @functools.cache
@@ -270,12 +261,16 @@ def identify_group(elements, mul) -> str:
     """Name a finite group from order, abelianness, and element-order census.
 
     Returns one of '1', 'Z2', 'Z3', 'Z2^2', 'Z2^3', 'Sym(3)', 'Sym(4)',
-    'GL(2,3)', or 'other(n)' when the census is not decisive.
+    'GL(2,3)', or 'other(n)' when the census is not decisive or the order
+    exceeds IDENTIFY_BOUND.
     """
-    n = len(elements)
-    if n > 48:
-        return f"other({n})"
-    census, abelian = _census(elements, mul)
+    if len(elements) > IDENTIFY_BOUND:
+        return f"other({len(elements)})"
+    return _name_from_census(*_census(elements, mul))
+
+
+def _name_from_census(census, abelian) -> str:
+    n = sum(census.values())
     exponent = max(census)
     if n == 1:
         return "1"
@@ -348,12 +343,10 @@ def weyl_division(d: GradedDivisionAlgebra):
 def _finite_group_descriptor(elements, mul) -> GroupDescriptor:
     if not elements:
         raise ValueError("a group needs at least the identity")
-    _, abelian = _census(elements, mul)
+    census, abelian = _census(elements, mul)
     if abelian:
-        return FiniteAbelian(abstract_type(
-            elements, add=mul,
-            zero=next(x for x in elements if mul(x, x) == x)))
-    tag = identify_group(elements, mul)
+        return FiniteAbelian(_type_from_census(census))
+    tag = _name_from_census(census, abelian)
     if tag == "Sym(3)":
         return Symmetric(3)
     if tag == "Sym(4)":
@@ -372,11 +365,8 @@ def stab_division(d: GradedDivisionAlgebra) -> GroupDescriptor:
     if tag == "1-d":
         return FiniteAbelian(quotient_type(t, square_elements(t)))
     if tag in ("2-a", "2-b", "2-c"):
-        outside = sorted(
-            (x for x in t.elements() if x in d.conj_elements),
-            key=lambda e: e.coords,
-        )
-        note = f"T\\K acts on C^x/R^x by conjugation (chosen g = {outside[0].coords})"
+        g = min(d.conj_elements, key=lambda e: e.coords)
+        note = f"T\\K acts on C^x/R^x by conjugation (chosen g = {g.coords})"
         return SemidirectProduct(Torus("U1"), FiniteAbelian(abstract_type(t.elements())), note)
     if tag in ("2-d", "2-e"):
         quot = quotient_type(t, square_elements(t))

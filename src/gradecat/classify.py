@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .abelian import AbelianGroup, _factor
 from .autgroups import (
+    IDENTIFY_BOUND,
     GroupDescriptor,
     WeylModel,
     diag_descriptor,
@@ -175,7 +176,7 @@ def _build_row(k: int, tag: str, support: AbelianGroup) -> ClassificationRow:
     weyl = weyl_descriptor(algebra)
     order = weyl.finite_part_order()
     identified = None
-    if order is not None and order <= 48:
+    if order is not None and order <= IDENTIFY_BOUND:
         model = WeylModel(algebra)
         if model.order() != order:
             raise AssertionError("explicit Weyl model disagrees with the descriptor")

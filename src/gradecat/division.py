@@ -112,14 +112,11 @@ class CoefficientKind:
         return value.conjugate()
 
     def is_allowed_cocycle_unit(self, value) -> bool:
-        if self.family == "R":
-            return value in (1, -1)
+        """R and H admit +-1 only: with the trivial action on H, the product
+        c c' sigma(u, v) X_(u+v) is associative only for central sigma values."""
         if self.family == "C":
             return isinstance(value, Cyclotomic) and value.is_root_of_unity_or_zero()
-        units = [RationalQuaternion(s) for s in (1, -1)]
-        units += [s * u() for s in (1, -1)
-                  for u in (RationalQuaternion.i, RationalQuaternion.j, RationalQuaternion.k)]
-        return any(value == u for u in units)
+        return value in (1, -1)
 
     def basis(self):
         """Q-basis of the coefficient ring."""
@@ -612,7 +609,11 @@ def quad_forms(support: AbelianGroup, beta: Bicharacter) -> list[QuadraticData]:
     """All eta: T -> {+-1} with eta(uv) = beta(u, v) eta(u) eta(v).
 
     The support must be an elementary abelian 2-group and beta {+-1}-valued;
-    the result is a torsor over Hom(T, {+-1}) when nonempty.
+    the result is a torsor over Hom(T, {+-1}) when nonempty.  Each eta is
+    eta0 chi, with eta0 the extension of the sign +1 on every generator and
+    chi the character with chi(g_i) = -1 exactly for the bits i of the mask,
+    listed in mask order.  The identity is checked for eta0 only: since
+    chi(u + v) = chi(u) chi(v), eta0 chi satisfies it iff eta0 does.
     """
     if not support.is_elementary_two():
         raise ValueError("Quad(T, beta) is defined for elementary abelian 2-groups")
@@ -626,29 +627,22 @@ def quad_forms(support: AbelianGroup, beta: Bicharacter) -> list[QuadraticData]:
 
     elems = list(support.elements())
     gens = support.generators()
-    out = []
-    n = len(gens)
-    for mask in range(2 ** n):
-        gen_signs = [1 - 2 * ((mask >> i) & 1) for i in range(n)]
-        table = {support.zero(): 1}
-        ok = True
-        # extend along coordinates using the polarization identity
-        for x in sorted(elems, key=lambda e: (sum(e.coords), e.coords)):
-            if x in table:
-                continue
-            i = next(i for i, c in enumerate(x.coords) if c)
-            y = x - gens[i]
-            table[x] = as_sign(beta.value(y, gens[i])) * table[y] * gen_signs[i]
-        for u in elems:
-            for v in elems:
-                if table[u + v] != as_sign(beta.value(u, v)) * table[u] * table[v]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(QuadraticData(True, table))
-    return out
+    eta0 = {support.zero(): 1}
+    # extend along coordinates using the polarization identity
+    for x in sorted(elems, key=lambda e: (sum(e.coords), e.coords)):
+        if x in eta0:
+            continue
+        i = next(i for i, c in enumerate(x.coords) if c)
+        y = x - gens[i]
+        eta0[x] = as_sign(beta.value(y, gens[i])) * eta0[y]
+    for u in elems:
+        for v in elems:
+            if eta0[u + v] != as_sign(beta.value(u, v)) * eta0[u] * eta0[v]:
+                return []
+    bits = {x: sum(c << i for i, c in enumerate(x.coords)) for x in eta0}  # x as a mask
+    return [QuadraticData(True, {x: -s if (mask & bits[x]).bit_count() % 2 else s
+                                 for x, s in eta0.items()})
+            for mask in range(2 ** len(gens))]
 
 
 def equivalent(d1: GradedDivisionAlgebra, d2: GradedDivisionAlgebra) -> bool:

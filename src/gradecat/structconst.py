@@ -25,6 +25,10 @@ class NotInvertibleError(ValueError):
     """The element has no two-sided inverse."""
 
 
+class NotInStabilizerError(ValueError):
+    """Conjugation by the element moves a homogeneous component."""
+
+
 class _NoWitness:
     def __repr__(self):
         return "NoWitness"
@@ -276,13 +280,19 @@ class StructureConstantAlgebra:
 
     @classmethod
     def from_json(cls, data: dict) -> "StructureConstantAlgebra":
+        def index(key):  # "00" or "+0" would merge with "0", as a repeated row would
+            if str(int(key)) != key:
+                raise ValueError(f"key {key!r} is not the decimal of a basis index")
+            return int(key)
+
         group = AbelianGroup.from_json(data["group"])
         degrees = [group.element(c) for c in data["degrees"]]
-        table = {
-            (i, j): {int(k): Fraction(c) for k, c in entry.items()}
-            for i, j, entry in data["table"]
-        }
-        unity = {int(k): Fraction(c) for k, c in data["unity"].items()}
+        table = {}
+        for i, j, entry in data["table"]:
+            if (i, j) in table:
+                raise ValueError(f"table row {[i, j]} is repeated")
+            table[(i, j)] = {index(k): Fraction(c) for k, c in entry.items()}
+        unity = {index(k): Fraction(c) for k, c in data["unity"].items()}
         return cls(data["labels"], degrees, table, unity)
 
 
@@ -449,47 +459,45 @@ def is_graded_simple(a: StructureConstantAlgebra) -> bool:
         "deciding whether it is a field needs factoring over Q")
 
 
-def int_in_stabilizer(a: StructureConstantAlgebra, x: AlgebraElement) -> bool:
-    """Does conjugation by x preserve every homogeneous component?"""
-    return _stabilizing_inverse(a, x) is not None
-
-
-def _stabilizing_inverse(a: StructureConstantAlgebra, x: AlgebraElement):
-    """x^-1, or None when Int(x) moves a homogeneous component."""
+def _conjugation_images(a: StructureConstantAlgebra, x: AlgebraElement):
+    """The coordinates of x e_i x^-1 for every basis index i, or None as soon
+    as one of them leaves the component of e_i; x is inverted once."""
     xi = invert(x)
     if xi is None:
         raise NotInvertibleError("conjugating element is not invertible")
+    images = []
     for i in range(a.dim):
-        image = x * a.basis_element(i) * xi
-        for k in image.coords:
-            if a.degrees[k] != a.degrees[i]:
-                return None
-    return xi
+        image = a.mul_vectors(a.mul_vectors(x.coords, {i: 1}), xi.coords)
+        if any(a.degrees[k] != a.degrees[i] for k in image):
+            return None
+        images.append(image)
+    return images
 
 
-def same_inner_automorphism(a, x, xi, y, yi) -> bool:
-    return all(
-        x * a.basis_element(i) * xi == y * a.basis_element(i) * yi
-        for i in range(a.dim)
-    )
+def int_in_stabilizer(a: StructureConstantAlgebra, x: AlgebraElement) -> bool:
+    """Does conjugation by x preserve every homogeneous component?"""
+    return _conjugation_images(a, x) is not None
 
 
 def homogeneous_witness(a: StructureConstantAlgebra, x: AlgebraElement):
     """Every nonzero homogeneous component of x, each shown invertible with
     Int(component) == Int(x); returns NO_WITNESS when a component fails to
-    invert (possible only off the graded-simple hypothesis)."""
-    xi = _stabilizing_inverse(a, x)
-    if xi is None:
-        raise ValueError("Int(x) does not stabilize the grading")
-    witnesses = []
-    for degree, comp in sorted(x.homogeneous_components().items(), key=lambda kv: kv[0].coords):
+    invert (possible only off the graded-simple hypothesis).  Raises
+    NotInStabilizerError when Int(x) moves a homogeneous component."""
+    images = _conjugation_images(a, x)
+    if images is None:
+        raise NotInStabilizerError("Int(x) does not stabilize the grading")
+    components = sorted(x.homogeneous_components().items(), key=lambda kv: kv[0].coords)
+    if len(components) == 1:
+        return components  # the component is x itself
+    for _, comp in components:
         ci = invert(comp)
         if ci is None:
             return NO_WITNESS
-        if not same_inner_automorphism(a, x, xi, comp, ci):
-            return NO_WITNESS
-        witnesses.append((degree, comp))
-    return witnesses
+        for i, image in enumerate(images):
+            if a.mul_vectors(a.mul_vectors(comp.coords, {i: 1}), ci.coords) != image:
+                return NO_WITNESS
+    return components
 
 
 def _component_unit(a: StructureConstantAlgebra, indices, rng) -> AlgebraElement | None:
@@ -631,19 +639,11 @@ def hxh_counterexample() -> HxHReport:
     x = a.element({2: 1, 6: 1})  # (i, i)
     stabilizes = int_in_stabilizer(a, x)
 
-    # invertible homogeneous elements all lie in R(1,0) + R(0,1) = the center
-    all_central = True
-    for degree, indices in a.basis_degrees_by_component().items():
-        if degree.is_zero():
-            # identity component: invertible (l, m) needs l, m != 0; always central
-            for i in indices:
-                b = a._basis_vec(i)
-                if any(a.mul_vectors(b, a._basis_vec(j)) != a.mul_vectors(a._basis_vec(j), b)
-                       for j in range(a.dim)):
-                    all_central = False
-            continue
-        # one-sided components consist of zero divisors
-        for i in indices:
-            if invert(a.basis_element(i)) is not None:
-                all_central = False
+    # invertible homogeneous elements all lie in R(1,0) + R(0,1) = the center:
+    # the identity component is central, and the one-sided components
+    # consist of zero divisors, since an invertible (l, m) needs l, m != 0
+    e = a.group.zero()
+    all_central = len(_commutant(a, e)) == len(a._by_degree[e]) and all(
+        invert(a.basis_element(i)) is None
+        for degree, indices in a._by_degree.items() if degree != e for i in indices)
     return HxHReport(simple, stabilizes, all_central, a)

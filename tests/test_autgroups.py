@@ -1,10 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from gradecat.abelian import AbelianGroup, AutBoundError
+from gradecat.abelian import (
+    AbelianGroup,
+    AutBoundError,
+    abstract_type,
+    automorphism_group,
+    compose,
+)
 from gradecat.autgroups import (
+    IDENTIFY_BOUND,
     AutomorphismError,
     AutTriple,
     DirectProduct,
@@ -17,6 +25,7 @@ from gradecat.autgroups import (
     Torus,
     TRIVIAL,
     WeylModel,
+    _finite_group_descriptor,
     descriptors_equal,
     diag_descriptor,
     identify_group,
@@ -27,6 +36,7 @@ from gradecat.autgroups import (
     weyl_descriptor,
     weyl_division,
 )
+from gradecat.classify import classify
 from gradecat.division import canonical
 from gradecat.matrix import matrix_algebra
 from gradecat.scalars import RationalQuaternion, zeta
@@ -90,6 +100,109 @@ def test_identify_gl23_from_aut():
 
     auts = automorphism_group(AbelianGroup(0, (3, 3)))
     assert identify_group(auts, compose) == "GL(2,3)"
+
+
+def _reference_census(elements, mul):
+    """The census that identify_group and the descriptor each ran before one
+    census was shared: the identity by an O(n^2) scan."""
+    ident = next(
+        x for x in elements if all(mul(x, y) == y and mul(y, x) == y for y in elements)
+    )
+    orders = {}
+    for x in elements:
+        acc = x
+        k = 1
+        while acc != ident:
+            acc = mul(acc, x)
+            k += 1
+        orders[k] = orders.get(k, 0) + 1
+    abelian = all(mul(x, y) == mul(y, x) for x in elements for y in elements)
+    return orders, abelian
+
+
+def _reference_identify(elements, mul):
+    n = len(elements)
+    if n > 48:
+        return f"other({n})"
+    census, abelian = _reference_census(elements, mul)
+    exponent = max(census)
+    names = {1: "1", 2: "Z2", 3: "Z3"}
+    if n in names:
+        return names[n]
+    if n == 4 and abelian and exponent == 2:
+        return "Z2^2"
+    if n == 6 and not abelian:
+        return "Sym(3)"
+    if n == 8 and abelian and exponent == 2:
+        return "Z2^3"
+    perms4 = list(itertools.permutations(range(4)))
+    if n == 24 and not abelian and census == _reference_census(
+            perms4, lambda p, q: tuple(p[q[i]] for i in range(4)))[0]:
+        return "Sym(4)"
+    if n == 48 and not abelian and census == _reference_census(
+            automorphism_group(AbelianGroup(0, (3, 3))), compose)[0]:
+        return "GL(2,3)"
+    return f"other({n})"
+
+
+def _reference_descriptor(elements, mul):
+    _, abelian = _reference_census(elements, mul)
+    if abelian:
+        return FiniteAbelian(abstract_type(
+            elements, add=mul, zero=next(x for x in elements if mul(x, x) == x)))
+    tag = _reference_identify(elements, mul)
+    if tag == "Sym(3)":
+        return Symmetric(3)
+    if tag == "Sym(4)":
+        return Symmetric(4)
+    return NamedFinite(tag, len(elements))
+
+
+def _classify_groups():
+    """(label, elements, mul) of every W0 that classify builds, of every Weyl
+    model it builds, and of Sym(4) and GL(2,3) by their definitions."""
+    groups = []
+    for name in ("M1R", "M2R", "H", "M1C", "M2C", "M3C", "M4C"):
+        for row in classify(name):
+            label = f"{name}/{row.k}/{row.division.type_tag}:{row.division.support.pretty()}"
+            try:
+                groups.append((f"W0 {label}", list(weyl_division(row.division)[0]), compose))
+            except AutBoundError:
+                pass  # no W0 to census
+            if row.weyl_identified is not None:
+                model = WeylModel(row.algebra)
+                groups.append((f"W {label}", list(model.elements), model.mul))
+    groups.append(("Sym(4)", list(itertools.permutations(range(4))),
+                   lambda p, q: tuple(p[q[i]] for i in range(4))))
+    groups.append(("GL(2,3)", list(automorphism_group(AbelianGroup(0, (3, 3)))), compose))
+    return groups
+
+
+def test_census_on_shuffled_groups_matches_the_reference():
+    rng = random.Random(3)
+    groups = _classify_groups()
+    names = set()
+    for label, elements, mul in groups:
+        shuffled = list(elements)
+        rng.shuffle(shuffled)
+        if len(shuffled) > 1 and mul(shuffled[0], shuffled[0]) == shuffled[0]:
+            shuffled.append(shuffled.pop(0))  # the identity is not first
+        got = identify_group(shuffled, mul)
+        assert got == _reference_identify(shuffled, mul), label
+        assert _finite_group_descriptor(shuffled, mul) == _reference_descriptor(
+            shuffled, mul), label
+        names.add(got)
+    assert {"Sym(3)", "Sym(4)", "GL(2,3)", "Z2^2"} <= names
+
+
+def test_identify_bound_is_the_classify_bound():
+    n = IDENTIFY_BOUND + 2
+    assert identify_group(*_cyclic_model(n)) == f"other({n})"
+    for name in ("M3C", "M4C"):
+        for row in classify(name):
+            order = row.weyl_finite_order
+            assert (row.weyl_identified is not None) == (
+                order is not None and order <= IDENTIFY_BOUND)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,16 @@ def _z2_dump(**changes):
     _z2_dump(group=[2]),
     # a JSON boolean passes `in range(2)` but is no basis index
     _z2_dump(table=_z2_dump()["table"][:3] + [[True, True, {"0": "1/1"}]]),
+    # keys that int() reads as an index but that are not its decimal: "00" would
+    # overwrite x^2 = 1 with x^2 = -1
+    _z2_dump(table=_z2_dump()["table"][:3] + [[1, 1, {"0": "1/1", "00": "-1/1"}]]),
+    _z2_dump(table=_z2_dump()["table"][:3] + [[1, 1, {"+0": "1/1"}]]),
+    _z2_dump(table=_z2_dump()["table"][:3] + [[1, 1, {" 0_0 ": "1/1"}]]),
+    _z2_dump(unity={"00": "1/1"}),
+    _z2_dump(unity={"+0": "1/1"}),
+    _z2_dump(unity={" 0_0 ": "1/1"}),
+    # a repeated row would replace the earlier one
+    _z2_dump(table=_z2_dump()["table"] + [[1, 1, {"0": "-1/1"}]]),
     "not an object",
 ])
 def test_cli_malformed_fixture_exit_2(tmp_path, capsys, dump):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from gradecat.division import (
     CocycleError,
     CoefficientKind,
     GradedDivisionAlgebra,
+    QuadraticData,
     build_crossed_product,
     canonical,
     centralizer_support,
@@ -99,6 +101,25 @@ def test_invalid_cocycle_reports_witness():
     b, a = Z2xZ2.element((0, 1)), Z2xZ2.element((1, 0))
     assert err.value.witness == (b, a, b)
     assert str(err.value) == "cocycle identity fails at (<0,1>, <1,0>, <0,1>)"
+
+
+def test_quaternion_cocycle_values_are_signs():
+    # H carries the trivial action, so (c X_u)(c' X_v) = c c' sigma(u, v) X_(u+v);
+    # sigma(1, 1) = i would give (X X) j = i j = k but X (X j) = j i = -k
+    z2 = AbelianGroup(0, (2,))
+    e, x = z2.elements()
+    q = RationalQuaternion
+    assert q.i() * q.j() == q.k() and q.j() * q.i() == -q.k()
+
+    def build(value):
+        sigma = {(u, v): q(1) for u in (e, x) for v in (e, x)}
+        sigma[(x, x)] = value
+        return build_crossed_product(z2, CoefficientKind.quaternion(), set(), sigma)
+
+    assert build(q(-1)).sigma(x, x) == -1
+    for unit in (q.i(), q.j(), q.k(), -q.i(), -q.j(), -q.k()):
+        with pytest.raises(CocycleError, match="not an allowed unit"):
+            build(unit)
 
 
 def test_rejected_actions():
@@ -370,6 +391,122 @@ def test_quad_torsor_property():
                     assert diff[u + v] == diff[u] * diff[v]
 
 
+def _reference_quad_forms(support, beta):
+    """The per-mask loop that quad_forms ran before it checked eta0 once: a
+    table for every generator sign mask, each checked on all |T|^2 pairs."""
+    if not support.is_elementary_two():
+        raise ValueError("Quad(T, beta) is defined for elementary abelian 2-groups")
+
+    def as_sign(value):
+        if value == 1:
+            return 1
+        if value == -1:
+            return -1
+        raise ValueError("beta must be {+-1}-valued")
+
+    elems = list(support.elements())
+    gens = support.generators()
+    out = []
+    n = len(gens)
+    for mask in range(2 ** n):
+        gen_signs = [1 - 2 * ((mask >> i) & 1) for i in range(n)]
+        table = {support.zero(): 1}
+        ok = True
+        for x in sorted(elems, key=lambda e: (sum(e.coords), e.coords)):
+            if x in table:
+                continue
+            i = next(i for i, c in enumerate(x.coords) if c)
+            y = x - gens[i]
+            table[x] = as_sign(beta.value(y, gens[i])) * table[y] * gen_signs[i]
+        for u in elems:
+            for v in elems:
+                if table[u + v] != as_sign(beta.value(u, v)) * table[u] * table[v]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            out.append(QuadraticData(True, table))
+    return out
+
+
+def _quad_outcome(support, beta, quad):
+    """quad's forms as (value items in order) lists, or the error it raises."""
+    try:
+        return [list(f.values.items()) for f in quad(support, beta)]
+    except (KeyError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+# every entry of the catalog on an elementary abelian 2-group of order 2 ... 64
+ELEMENTARY_TWO_REFS = tuple(
+    f"{tag}:Z2^{r}"
+    for tags, ranks in ((("1-a", "1-b", "2-c", "2-f", "3-a", "3-b"), (2, 4, 6)),
+                        (("1-c", "2-a", "2-b", "3-c"), (1, 3, 5)))
+    for tag in tags for r in ranks)
+
+
+def test_elementary_two_refs_are_the_catalog():
+    for tag in ("1-a", "1-b", "1-c", "2-a", "2-b", "2-c", "2-f", "3-a", "3-b", "3-c"):
+        for r in range(1, 7):
+            ref = f"{tag}:Z2^{r}"
+            try:
+                _catalog(ref)
+            except CatalogError:
+                assert ref not in ELEMENTARY_TWO_REFS
+            else:
+                assert ref in ELEMENTARY_TWO_REFS
+
+
+def _sign_table(beta):
+    """beta's values, each one equal to 1 or -1 replaced by that int.  Both
+    quad_forms and the loop read beta only through `as_sign`, so their
+    outcomes on the table are their outcomes on beta."""
+    return frozenset((key, next((s for s in (1, -1) if x == s), x))
+                     for key, x in beta.values.items())
+
+
+def _on_table(support, table, quad):
+    values = dict(table)
+    return _quad_outcome(support, types.SimpleNamespace(value=lambda u, v: values[(u, v)]), quad)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_on_table(support, table):
+    """The loop's outcome; 3-a, 3-b and 3-c carry the sign tables of 1-a,
+    1-b and 1-c, so it runs once for each pair."""
+    return _on_table(support, table, _reference_quad_forms)
+
+
+@pytest.mark.parametrize("ref", ELEMENTARY_TWO_REFS)
+def test_quad_forms_against_the_per_mask_loop(ref):
+    d = _catalog(ref)
+    beta = commutation_bicharacter(d)
+    table = _sign_table(beta)
+    got = _quad_outcome(d.support, beta, quad_forms)
+    assert got == _on_table(d.support, table, quad_forms)
+    assert got == _reference_on_table(d.support, table)
+    if not d.conj_elements:  # beta lives on all of T: a torsor or empty
+        assert isinstance(got, list) and len(got) in (0, 2 ** d.support.rank)
+
+
+def test_quad_forms_with_a_beta_that_is_not_a_sign():
+    # pseudo-bicharacters with a value 2, zeta_4 or 0 at random pairs; the
+    # error, or the forms when a failing pair comes first, match the loop
+    rng = random.Random(5)
+    for rank in (1, 2, 3):
+        t = AbelianGroup(0, (2,) * rank)
+        elems = list(t.elements())
+        for _ in range(60):
+            values = {(u, v): rng.choice([1, 1, 1, -1, -1, 2, zeta(4, 1), 0])
+                      for u in elems for v in elems}
+            beta = types.SimpleNamespace(value=lambda u, v, values=values: values[(u, v)])
+            assert _quad_outcome(t, beta, quad_forms) == _quad_outcome(
+                t, beta, _reference_quad_forms)
+    with pytest.raises(ValueError, match="must be"):
+        quad_forms(Z2xZ2, types.SimpleNamespace(value=lambda u, v: 2))
+
+
 def test_equivalence():
     a = canonical("2-f", "Z3^2")
     b = canonical("2-f", AbelianGroup(0, (3, 3)))
@@ -548,7 +685,8 @@ def _outcome(check):
 
 
 def _unit_multipliers(kind):
-    """Units other than 1 that keep a cocycle value an allowed unit."""
+    """Units other than 1.  Each keeps a cocycle value an allowed unit, except
+    the quaternion units +-i, +-j, +-k: H admits only +-1 (see `_keeps_allowed`)."""
     if kind.family == "R":
         return [Fraction(-1)]
     if kind.family == "C":
@@ -558,6 +696,11 @@ def _unit_multipliers(kind):
     return [q(-1)] + [s * u() for s in (1, -1) for u in (q.i, q.j, q.k)]
 
 
+def _keeps_allowed(kind, factor):
+    """Does multiplying an allowed cocycle value by `factor` keep it allowed?"""
+    return factor != kind.coerce(2) and (kind.family != "H" or factor == -1)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(SMALL_REFS), st.data())
 def test_flipped_cocycle_entry_matches_reference_check(ref, data):
@@ -565,7 +708,8 @@ def test_flipped_cocycle_entry_matches_reference_check(ref, data):
     elems = d.elements()
     u = data.draw(st.sampled_from(elems), label="u")
     v = data.draw(st.sampled_from(elems), label="v")
-    # a unit keeps sigma unit-valued; 2 makes it a non-unit
+    # a sign or a root of unity keeps sigma an allowed unit; 2 makes it a
+    # non-unit, and a quaternion unit +-i, +-j, +-k one that H does not admit
     factor = data.draw(st.sampled_from(_unit_multipliers(d.kind) + [d.kind.coerce(2)]))
     cocycle = dict(d.cocycle)
     cocycle[(u, v)] = cocycle[(u, v)] * factor
@@ -573,7 +717,7 @@ def test_flipped_cocycle_entry_matches_reference_check(ref, data):
     got = _outcome(lambda: GradedDivisionAlgebra(
         d.support, d.kind, d.conj_elements, cocycle, d.type_tag))
     assert got == expected
-    if u != d.support.zero() and v != d.support.zero() and factor != d.kind.coerce(2):
+    if u != d.support.zero() and v != d.support.zero() and _keeps_allowed(d.kind, factor):
         assert expected is None or expected[2] is not None  # the triple loop decided
 
 

@@ -13,6 +13,7 @@ from gradecat.abelian import AbelianGroup
 from gradecat.division import canonical, parse_catalog_ref
 from gradecat.structconst import (
     NO_WITNESS,
+    NotInStabilizerError,
     NotInvertibleError,
     StructureConstantAlgebra,
     _Rref,
@@ -281,19 +282,74 @@ def test_homogeneous_witness_inverts_the_conjugator_once(monkeypatch):
         calls.append(y)
         return invert(y)
 
+    products = []  # (u, v) of every product u v of coordinate dicts
+    mul_vectors = a.mul_vectors
+
+    def counting_mul(u, v):
+        products.append((dict(u), dict(v)))
+        return mul_vectors(u, v)
+
     monkeypatch.setattr(structconst, "invert", counting)
+    monkeypatch.setattr(a, "mul_vectors", counting_mul)
     wits = homogeneous_witness(a, x)
     assert len(wits) == 2
     assert sum(1 for y in calls if y == x) == 1
     assert len(calls) == 1 + len(wits)  # x, then each component
+    # each conjugation y e_i y^-1 is computed once, for x and for each component:
+    # one product by y^-1, whose left factor y e_i differs for each i
+    for y in [x] + [comp for _, comp in wits]:
+        inverse = invert(y).coords
+        lefts = [u for u, v in products if v == inverse]
+        assert len(lefts) == a.dim
+        assert all(lefts.count(u) == 1 for u in lefts)
     # the error behaviour is unchanged
     q = quaternion_pair_algebra()
     with pytest.raises(NotInvertibleError):
         homogeneous_witness(q, q.basis_element(1))
     r = to_structure_constants(matrix_algebra(canonical("1-a", AbelianGroup.trivial()), k=2))
     e12 = next(r.basis_element(i) for i in range(r.dim) if r.labels[i].startswith("E[0,1]"))
-    with pytest.raises(ValueError, match="does not stabilize"):
+    with pytest.raises(NotInStabilizerError, match="^Int\\(x\\) does not stabilize the grading$"):
         homogeneous_witness(r, r.one() + e12)
+    assert issubclass(NotInStabilizerError, ValueError)
+    assert not issubclass(NotInStabilizerError, NotInvertibleError)
+
+
+def test_suite_inner_aut_inverts_each_conjugator_once(monkeypatch):
+    import gradecat.structconst as structconst
+    import gradecat.verify as verify
+
+    events = []  # ("invert", y), ("pools", None) and ("witness", x) in call order
+
+    def logged(tag, fn):
+        def wrapper(*args):
+            if tag == "invert":
+                events.append((tag, args[0]))
+            out = fn(*args)
+            if tag != "invert":
+                events.append((tag, args[1] if tag == "witness" else None))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(structconst, "invert", logged("invert", structconst.invert))
+    monkeypatch.setattr(verify, "_central_unit_pool",
+                        logged("pools", verify._central_unit_pool))
+    monkeypatch.setattr(verify, "homogeneous_witness",
+                        logged("witness", verify.homogeneous_witness))
+    checks = verify.suite_inner_aut(0)
+    assert all(c.ok for c in checks)
+    # count the inversions of each conjugator from the end of the fixture's
+    # unit pools or of the previous witness call to the end of its own
+    counts, window = [], []
+    for tag, y in events:
+        if tag == "invert":
+            window.append(y)
+        else:
+            if tag == "witness":
+                counts.append(sum(1 for z in window if z == y))
+            window = []
+    sampled = next(c for c in checks if c.name == "inner-aut/sample-size")
+    assert f"{len(counts)} sampled conjugators" == sampled.detail
+    assert counts == [1] * len(counts)
 
 
 def test_quaternion_pair_is_two_copies_of_the_catalog_quaternions():
