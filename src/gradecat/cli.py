@@ -105,15 +105,25 @@ def _verify_fixture(args) -> int:
     return 0 if all(ok for _, ok, _ in checks) else 1
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict, refusing a repeated key (`json` keeps the last)."""
+    keys = [k for k, _ in pairs]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return dict(pairs)
+
+
 def _read_json(what, path):
     """The JSON value of an input file; a file that cannot be opened, is not
-    UTF-8 or is not JSON is a usage error.  `what` names the file's role,
-    "spec" or "fixture"."""
+    UTF-8 or is not JSON is a usage error, and so is an object with a repeated
+    key.  `what` names the file's role, "spec" or "fixture"."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise UsageError(f"unreadable {what} {path}: {err}") from err
+    except ValueError as err:  # a repeated key
+        raise UsageError(f"malformed {what} {path}: {err}") from err
 
 
 @contextlib.contextmanager

@@ -15,6 +15,7 @@ and the Arf invariant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -158,8 +159,9 @@ class UnitInterner:
     A value is keyed on its coordinates on the Q-basis of the kind
     (`kind.to_vector`), so two ids are equal exactly when the values are.
     `values[i]` is the value with id i.  Products and conjugates are
-    memoized by id, so an O(|T|^3) identity check multiplies each pair of
-    distinct values once and otherwise compares ints.
+    memoized by id, so the Kronecker product of the catalog's block tables
+    and the cocycle identity (|T|^2 rank T triples) multiply each pair of
+    distinct values once and otherwise compare ints.
     """
 
     __slots__ = ("kind", "values", "_ids", "_products", "_conjugates")
@@ -197,24 +199,27 @@ class UnitInterner:
 
 FINE_DIVISION_TAGS = frozenset({"1-a", "1-b", "1-c", "1-d"})
 NON_FINE_DIVISION_TAGS = frozenset({"2-a", "2-b", "2-c", "2-d", "2-e", "3-a", "3-b", "3-c", "3-d"})
-ALL_TAGS = FINE_DIVISION_TAGS | NON_FINE_DIVISION_TAGS | {"2-f"}
 
 
 class GradedDivisionAlgebra:
-    """A crossed product over a finite abelian support, validated eagerly."""
+    """A crossed product over a finite abelian support, validated eagerly;
+    `sigma_ids[i][j]` is the id in `units` of sigma at support positions i, j."""
 
     def __init__(self, support: AbelianGroup, kind: CoefficientKind, conj_elements,
-                 cocycle, type_tag=None):
+                 units: UnitInterner, sigma_ids, type_tag=None):
         if not support.is_finite():
             raise ValueError("the support of a division grading must be finite")
         self.support = support
         self.kind = kind
         self.conj_elements = frozenset(conj_elements)
-        self.cocycle = dict(cocycle)
         self.type_tag = type_tag
         self._elements, self._index, self._add = support_table(support)
-        self._units = UnitInterner(kind)
-        self._sigma_ids = self._validate()
+        n = len(self._elements)
+        if units.kind != kind or len(sigma_ids) != n or any(len(row) != n for row in sigma_ids):
+            raise ValueError(f"sigma must be a {n} x {n} table of ids interned for {kind!r}")
+        self._units = units
+        self._sigma_ids = sigma_ids
+        self._validate()
         self._beta = None
         self._quad = None
         self._weyl = None
@@ -222,9 +227,25 @@ class GradedDivisionAlgebra:
     # -- construction-time checks ------------------------------------------
 
     def _validate(self):
-        """Check the action and the cocycle; returns sigma as ids of `self._units`,
-        indexed by support positions."""
-        elems, add = self._elements, self._add
+        """Check the action and the cocycle with the middle argument in the
+        coordinate generators S of T only.
+
+        Action: phi(u + g) = phi(u) + phi(g) for all u and g in S gives
+        phi(0) = 0 (at u = 0), then additivity by induction on words in S.
+        Cocycle (Light's argument): with x = a X_u, y = b X_v, the set
+        M = {m : (x m) y = x (m y) for all x, y} is a subspace closed under
+        products: (x (m m')) y = ((x m) m') y = (x m) (m' y) = x (m (m' y))
+        = x ((m m') y).  D_e lies in M, as sigma is normalized and alpha_u is
+        a ring automorphism: (x c) y = a alpha_u(c) alpha_u(b) sigma(u, v)
+        X_(u+v) = x (c y).  sigma values commute with D_e (C is commutative;
+        R and H admit only +-1), so with alpha_(u+s) = alpha_u alpha_s, both
+        (x X_s) y and x (X_s y) are a alpha_(u+s)(b) X_(u+s+v) times, in turn,
+        sigma(u, s) sigma(u + s, v) and alpha_u(sigma(s, v)) sigma(u, s + v):
+        X_s is in M iff the identity holds at every (u, s, v).  D_e and X_S
+        generate A, so M = A: A is associative, and the identity holds on all
+        triples.  The checks before it establish the facts used.
+        """
+        elems, add, sigma, units = self._elements, self._add, self._sigma_ids, self._units
         n = len(elems)
         if self.conj_elements and self.kind.family == "R":
             raise ValueError("the rationals admit no conjugation action")
@@ -236,48 +257,36 @@ class GradedDivisionAlgebra:
         for g in self.conj_elements:
             if g.group != self.support:
                 raise ValueError("action defined outside the support")
-        # the action must be a homomorphism T -> {id, conj}
+        gens = [self._index[g] for g in self.support.generators()] or [0]  # T = 0: its zero
         conj = [t in self.conj_elements for t in elems]
         for u in range(n):
-            for v in range(n):
-                if (conj[u] ^ conj[v]) != conj[add[u][v]]:
+            for g in gens:
+                if (conj[u] ^ conj[g]) != conj[add[u][g]]:
                     raise ValueError(
-                        f"action is not a group homomorphism at {elems[u]}, {elems[v]}")
-        units = self._units
-        allowed = {}
-        sigma = []
-        for u in elems:
-            row = []
-            for v in elems:
-                if (u, v) not in self.cocycle:
-                    raise CocycleError(f"sigma undefined at ({u}, {v})")
-                value = self.kind.coerce(self.cocycle[(u, v)])
-                self.cocycle[(u, v)] = value
-                a = units.intern(value)
-                if a not in allowed:
-                    allowed[a] = self.kind.is_allowed_cocycle_unit(value)
-                if not allowed[a]:
-                    raise CocycleError(f"sigma({u}, {v}) = {value!r} is not an allowed unit")
-                row.append(a)
-            sigma.append(row)
+                        f"action is not a group homomorphism at {elems[u]}, {elems[g]}")
+        allowed = {a: self.kind.is_allowed_cocycle_unit(units.values[a])
+                   for a in set().union(*sigma)}
+        if not all(allowed.values()):
+            u, v = next((u, v) for u in range(n) for v in range(n) if not allowed[sigma[u][v]])
+            raise CocycleError(f"sigma({elems[u]}, {elems[v]}) = "
+                               f"{units.values[sigma[u][v]]!r} is not an allowed unit")
         one = units.intern(self.kind.one())
         for u in range(n):  # position 0 is the zero of T
             if sigma[0][u] != one or sigma[u][0] != one:
                 raise CocycleError(f"sigma is not normalized at {elems[u]}")
-        # sigma(u, v) sigma(u + v, w) = alpha_u(sigma(v, w)) sigma(u, v + w) on ids
+        # sigma(u, g) sigma(u + g, w) = alpha_u(sigma(g, w)) sigma(u, g + w) on ids
         mul, conjugate = units.mul, units.conj
         for u in range(n):
             s_u, add_u, conj_u = sigma[u], add[u], conj[u]
-            for v in range(n):
-                s_uv, s_sum, s_v, add_v = s_u[v], sigma[add_u[v]], sigma[v], add[v]
+            for g in gens:
+                s_ug, s_sum, s_g, add_g = s_u[g], sigma[add_u[g]], sigma[g], add[g]
                 for w in range(n):
-                    s_vw = conjugate(s_v[w]) if conj_u else s_v[w]
-                    if mul(s_uv, s_sum[w]) != mul(s_vw, s_u[add_v[w]]):
+                    s_gw = conjugate(s_g[w]) if conj_u else s_g[w]
+                    if mul(s_ug, s_sum[w]) != mul(s_gw, s_u[add_g[w]]):
                         raise CocycleError(
-                            f"cocycle identity fails at ({elems[u]}, {elems[v]}, {elems[w]})",
-                            witness=(elems[u], elems[v], elems[w]),
+                            f"cocycle identity fails at ({elems[u]}, {elems[g]}, {elems[w]})",
+                            witness=(elems[u], elems[g], elems[w]),
                         )
-        return sigma
 
     # -- basic structure -----------------------------------------------------
 
@@ -289,10 +298,7 @@ class GradedDivisionAlgebra:
         return self.kind.conjugate(value) if t in self.conj_elements else value
 
     def sigma(self, u: GroupElement, v: GroupElement):
-        return self.cocycle[(u, v)]
-
-    def zero_element(self) -> "DivisionElement":
-        return DivisionElement(self, {})
+        return self._units.values[self._sigma_ids[self._index[u]][self._index[v]]]
 
     def one(self) -> "DivisionElement":
         return self.unit(self.support.zero())
@@ -519,7 +525,8 @@ def build_crossed_product(support, kind, action, cocycle, type_tag=None) -> Grad
     """Validated crossed product.
 
     `action` may be a set of conjugation-acting elements, a dict t -> 'id'/'conj',
-    or a callable; `cocycle` maps element pairs to coefficient units.
+    or a callable; `cocycle` maps element pairs to coefficient units, and is
+    turned here into the sigma id table of `GradedDivisionAlgebra`.
     """
     if callable(action):
         conj = {t for t in support.elements() if action(t) in ("conj", True)}
@@ -527,7 +534,13 @@ def build_crossed_product(support, kind, action, cocycle, type_tag=None) -> Grad
         conj = {t for t, a in action.items() if a in ("conj", True)}
     else:
         conj = set(action)
-    return GradedDivisionAlgebra(support, kind, conj, cocycle, type_tag)
+    elems = list(support.elements())
+    missing = next(((u, v) for u in elems for v in elems if (u, v) not in cocycle), None)
+    if missing:
+        raise CocycleError("sigma undefined at ({}, {})".format(*missing))
+    units = UnitInterner(kind)
+    sigma = [[units.intern(cocycle[(u, v)]) for v in elems] for u in elems]
+    return GradedDivisionAlgebra(support, kind, conj, units, sigma, type_tag)
 
 
 def commutation_bicharacter(d: GradedDivisionAlgebra) -> Bicharacter:
@@ -715,51 +728,36 @@ def _block_conj4():
 
 def _block_complex_pauli(order: int):
     # generalized clock and shift of size `order`: X_u X_v = zeta X_v X_u
-    return (order, order), (False, False), ("zeta", order)
+    return (order, order), (False, False), lambda u, v: zeta(order, u[0] * v[1] % order)
 
 
-def _assemble(blocks, kind_family, type_tag, conductor=None) -> GradedDivisionAlgebra:
-    orders: list[int] = []
-    conj_flags: list[bool] = []
-    sigmas = []
-    for block_orders, block_conj, block_sigma in blocks:
-        sigmas.append((len(orders), len(block_orders), block_sigma))
-        orders.extend(block_orders)
-        conj_flags.extend(block_conj)
-    support = AbelianGroup(0, tuple(orders))
-
+def _assemble(blocks, kind_family, type_tag) -> GradedDivisionAlgebra:
+    """The crossed product of `blocks`, each (orders, conjugation flags, sigma on
+    its own coordinates).  Support positions are lexicographic, so T's sigma
+    id table is the Kronecker product of the block tables under `units.mul`."""
+    orders = tuple(m for block_orders, _, _ in blocks for m in block_orders)
+    conj_flags = [flag for _, block_conj, _ in blocks for flag in block_conj]
+    support = AbelianGroup(0, orders)
     if kind_family == "R":
         kind = CoefficientKind.real()
     elif kind_family == "H":
         kind = CoefficientKind.quaternion()
     else:
-        if conductor is None:
-            exp = support.exponent()
-            conductor = exp if exp > 2 else 4
-        kind = CoefficientKind.complex(conductor)
-
-    def sig(u: GroupElement, v: GroupElement):
-        sign = 1
-        root = kind.one()
-        for start, width, fn in sigmas:
-            uu = u.coords[start:start + width]
-            vv = v.coords[start:start + width]
-            if callable(fn):
-                sign *= fn(uu, vv)
-            else:
-                _, order = fn
-                exponent = (uu[0] * vv[1]) % order
-                if exponent:
-                    root = root * zeta(conductor, (conductor // order) * exponent)
-        return kind.coerce(sign) * root if kind_family == "C" else kind.coerce(sign)
-
-    elements = list(support.elements())
-    cocycle = {(u, v): sig(u, v) for u in elements for v in elements}
+        exp = support.exponent()
+        kind = CoefficientKind.complex(exp if exp > 2 else 4)
+    units = UnitInterner(kind)
+    mul = units.mul
+    sigma = [[units.intern(1)]]
+    for block_orders, _, block_sigma in blocks:
+        coords = list(itertools.product(*(range(m) for m in block_orders)))
+        block = [[units.intern(block_sigma(u, v)) for v in coords] for u in coords]
+        sigma = [[mul(x, y) for x in row for y in block_row]
+                 for row in sigma for block_row in block]
     conj = {
-        t for t in elements
+        t for t in support.elements()
         if sum(c for c, flag in zip(t.coords, conj_flags) if flag) % 2 == 1
     }
-    return GradedDivisionAlgebra(support, kind, conj, cocycle, type_tag)
+    return GradedDivisionAlgebra(support, kind, conj, units, sigma, type_tag)
 
 
 def _require(condition, tag, support):
@@ -776,7 +774,9 @@ def canonical(type_tag: str, support) -> GradedDivisionAlgebra:
     """
     if isinstance(support, str):
         support = parse_group_string(support)
-    tag = type_tag
+    tag, real = type_tag, "R"
+    if tag in ("3-a", "3-b", "3-c", "3-d"):  # the blocks of 1-a ... 1-d over H
+        tag, real = "1-" + tag[-1], "H"
     _require(support.is_finite(), tag, support)
     tors = support.torsion
     twos = sum(1 for m in tors if m == 2)
@@ -784,17 +784,18 @@ def canonical(type_tag: str, support) -> GradedDivisionAlgebra:
 
     if tag == "1-a":
         _require(support.is_elementary_two() and len(tors) % 2 == 0, tag, support)
-        return _assemble([_block_pauli()] * (len(tors) // 2), "R", tag)
+        return _assemble([_block_pauli()] * (len(tors) // 2), real, type_tag)
     if tag == "1-b":
         _require(support.is_elementary_two() and len(tors) % 2 == 0 and tors, tag, support)
         blocks = [_block_quaternion()] + [_block_pauli()] * (len(tors) // 2 - 1)
-        return _assemble(blocks, "R", tag)
+        return _assemble(blocks, real, type_tag)
     if tag == "1-c":
         _require(support.is_elementary_two() and len(tors) % 2 == 1, tag, support)
-        return _assemble([_block_pauli()] * (len(tors) // 2) + [_block_central_i()], "R", tag)
+        blocks = [_block_pauli()] * (len(tors) // 2) + [_block_central_i()]
+        return _assemble(blocks, real, type_tag)
     if tag == "1-d":
         _require(twos + fours == len(tors) and fours == 1 and twos % 2 == 1, tag, support)
-        return _assemble([_block_pauli()] * (twos // 2) + [_block_z2_z4()], "R", tag)
+        return _assemble([_block_pauli()] * (twos // 2) + [_block_z2_z4()], real, type_tag)
     if tag in ("2-a", "2-b"):
         _require(support.is_elementary_two() and len(tors) % 2 == 1, tag, support)
         sign = 1 if tag == "2-a" else -1
@@ -818,15 +819,6 @@ def canonical(type_tag: str, support) -> GradedDivisionAlgebra:
             _require(tors[i] == tors[i + 1], tag, support)
             half.append(tors[i])
         return _assemble([_block_complex_pauli(m) for m in half], "C", tag)
-    if tag in ("3-a", "3-b", "3-c", "3-d"):
-        inner = canonical("1-" + tag[-1], support)
-        cocycle = {
-            pair: RationalQuaternion(value)
-            for pair, value in inner.cocycle.items()
-        }
-        return GradedDivisionAlgebra(
-            support, CoefficientKind.quaternion(), frozenset(), cocycle, tag
-        )
     raise CatalogError(f"unknown type tag {type_tag!r}")
 
 

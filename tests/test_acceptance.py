@@ -209,8 +209,19 @@ def _random_triple(r, rng):
     return AutTriple(r, diag, perm, psi0)
 
 
+def test_properties_reports_a_failed_export(monkeypatch):
+    import gradecat.verify as verify
+
+    def broken(d):
+        raise ValueError("associativity fails at triple (0, 1, 2)")
+
+    monkeypatch.setattr(verify, "from_division", broken)
+    check = next(c for c in suite_properties() if c.name.startswith("properties/assoc+beta/"))
+    assert not check.ok and check.detail == "associativity fails at triple (0, 1, 2)"
+
+
 def test_criterion_11_property_suites():
-    checks = suite_properties(seed=0)
+    checks = suite_properties()
     ok = all(c.ok for c in checks)
 
     # cocycle identity <-> associativity, both directions, |T| <= 16

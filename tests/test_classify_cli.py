@@ -230,6 +230,20 @@ def test_cli_malformed_fixture_exit_2(tmp_path, capsys, dump):
     assert "malformed fixture" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,text,repeated", [
+    # the last of two equal keys would win: x^2 = -1, which loads as Q(i)
+    (["verify", "--fixture"], json.dumps(_z2_dump()).replace(
+        '[1, 1, {"0": "1/1"}]', '[1, 1, {"0": "1/1", "0": "-1/1"}]'), '"0": "1/1", "0"'),
+    (["universal", "--spec"], '{"D": "1-c:Z2", "k": 2, "k": 3}', '"k": 2, "k"'),
+])
+def test_cli_repeated_json_key_exit_2(tmp_path, capsys, command, text, repeated):
+    assert repeated in text
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main(command + [str(path)]) == 2
+    assert f"malformed {command[1][2:]}" in capsys.readouterr().err
+
+
 def test_cli_catalog_json(capsys):
     assert main(["catalog", "--entry", "2-f:Z3xZ3", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradecat import division
 from gradecat.abelian import AbelianGroup, abstract_type
+from gradecat.classify import classify
 from gradecat.division import (
     Bicharacter,
     CatalogError,
@@ -15,6 +17,7 @@ from gradecat.division import (
     CoefficientKind,
     GradedDivisionAlgebra,
     QuadraticData,
+    UnitInterner,
     build_crossed_product,
     canonical,
     centralizer_support,
@@ -29,6 +32,7 @@ from gradecat.division import (
     underlying_algebra_name,
 )
 from gradecat.scalars import Cyclotomic, RationalQuaternion, zeta
+from gradecat.verify import run_suite
 
 Z2xZ2 = AbelianGroup(0, (2, 2))
 
@@ -618,11 +622,31 @@ def test_inverse_raises_when_only_one_side_inverts():
     z3 = AbelianGroup(0, (3,))
     e = list(z3.elements())
     cocycle = {(u, v): Fraction(1) for u in e for v in e}
-    d = GradedDivisionAlgebra(z3, CoefficientKind.real(), (), cocycle)
+    d = build_crossed_product(z3, CoefficientKind.real(), (), cocycle)
     # construction validated the trivial cocycle; break it afterwards
-    d.cocycle[(e[2], e[1])] = Fraction(-1)  # sigma(1, 2) = 1 but sigma(2, 1) = -1
+    d._sigma_ids[2][1] = d._units.intern(-1)  # sigma(1, 2) = 1 but sigma(2, 1) = -1
+    assert d.sigma(e[2], e[1]) == -1 and d.sigma(e[1], e[2]) == 1
     with pytest.raises(ArithmeticError):
         d.unit(e[1]).inverse()
+
+
+def test_constructor_takes_a_checked_id_table():
+    z2 = AbelianGroup(0, (2,))
+    e, x = z2.elements()
+    real = CoefficientKind.real()
+    units = UnitInterner(real)
+    one, minus = units.intern(1), units.intern(-1)
+    d = GradedDivisionAlgebra(z2, real, (), units, [[one, one], [one, minus]])
+    assert d.sigma(x, x) == -1 and d.sigma(e, x) == 1
+    assert not hasattr(d, "cocycle")
+    with pytest.raises(ValueError, match="a 2 x 2 table"):
+        GradedDivisionAlgebra(z2, real, (), units, [[one, one]])
+    with pytest.raises(ValueError, match="a 2 x 2 table"):
+        GradedDivisionAlgebra(z2, real, (), units, [[one, one], [one]])
+    with pytest.raises(ValueError, match="a 2 x 2 table"):
+        GradedDivisionAlgebra(z2, CoefficientKind.complex(4), (), units, [[one, one], [one, one]])
+    with pytest.raises(CocycleError, match=r"sigma undefined at \(<1>, <1>\)"):
+        build_crossed_product(z2, real, (), {(e, e): 1, (e, x): 1, (x, e): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +664,12 @@ SMALL_REFS = (
 @functools.lru_cache(maxsize=None)
 def _catalog(ref):
     return parse_catalog_ref(ref)
+
+
+def _identity_fails(kind, conj, sigma, u, v, w):
+    """Does sigma(u, v) sigma(u + v, w) = alpha_u(sigma(v, w)) sigma(u, v + w) fail?"""
+    s_vw = kind.conjugate(sigma[(v, w)]) if u in conj else sigma[(v, w)]
+    return sigma[(u, v)] * sigma[(u + v, w)] != s_vw * sigma[(u, v + w)]
 
 
 def _reference_validate(support, kind, conj, cocycle):
@@ -662,18 +692,16 @@ def _reference_validate(support, kind, conj, cocycle):
     for u in elems:
         if sigma[(zero, u)] != one or sigma[(u, zero)] != one:
             raise CocycleError(f"sigma is not normalized at {u}")
-
-    def alpha(t, value):
-        return kind.conjugate(value) if t in conj else value
-
     for u in elems:
         for v in elems:
             for w in elems:
-                lhs = sigma[(u, v)] * sigma[(u + v, w)]
-                rhs = alpha(u, sigma[(v, w)]) * sigma[(u, v + w)]
-                if lhs != rhs:
+                if _identity_fails(kind, conj, sigma, u, v, w):
                     raise CocycleError(f"cocycle identity fails at ({u}, {v}, {w})",
                                        witness=(u, v, w))
+
+
+def _cocycle(d):
+    return {(u, v): d.sigma(u, v) for u in d.elements() for v in d.elements()}
 
 
 def _outcome(check):
@@ -701,6 +729,25 @@ def _keeps_allowed(kind, factor):
     return factor != kind.coerce(2) and (kind.family != "H" or factor == -1)
 
 
+def _assert_reference_verdict(d, cocycle):
+    """Building from `cocycle` gives the verdict of the O(|T|^3) reference.
+    A failure of the cocycle identity may name another triple: one that fails
+    under the reference, with a generator of T in the middle."""
+    expected = _outcome(lambda: _reference_validate(d.support, d.kind, d.conj_elements, cocycle))
+    got = _outcome(lambda: build_crossed_product(
+        d.support, d.kind, d.conj_elements, cocycle, d.type_tag))
+    if expected is None or expected[2] is None:
+        assert got == expected
+        return expected
+    assert got is not None and got[0] == "CocycleError"
+    u, g, w = got[2]
+    assert got[1] == f"cocycle identity fails at ({u}, {g}, {w})"
+    assert g in d.support.generators()
+    sigma = {pair: d.kind.coerce(value) for pair, value in cocycle.items()}
+    assert _identity_fails(d.kind, d.conj_elements, sigma, u, g, w)
+    return expected
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(SMALL_REFS), st.data())
 def test_flipped_cocycle_entry_matches_reference_check(ref, data):
@@ -711,20 +758,46 @@ def test_flipped_cocycle_entry_matches_reference_check(ref, data):
     # a sign or a root of unity keeps sigma an allowed unit; 2 makes it a
     # non-unit, and a quaternion unit +-i, +-j, +-k one that H does not admit
     factor = data.draw(st.sampled_from(_unit_multipliers(d.kind) + [d.kind.coerce(2)]))
-    cocycle = dict(d.cocycle)
+    cocycle = _cocycle(d)
     cocycle[(u, v)] = cocycle[(u, v)] * factor
-    expected = _outcome(lambda: _reference_validate(d.support, d.kind, d.conj_elements, cocycle))
-    got = _outcome(lambda: GradedDivisionAlgebra(
-        d.support, d.kind, d.conj_elements, cocycle, d.type_tag))
-    assert got == expected
+    expected = _assert_reference_verdict(d, cocycle)
     if u != d.support.zero() and v != d.support.zero() and _keeps_allowed(d.kind, factor):
         assert expected is None or expected[2] is not None  # the triple loop decided
+
+
+@pytest.mark.parametrize("ref", ["2-b:Z2", "2-e:Z4", "1-a:Z2xZ2", "1-d:Z2xZ4"])
+def test_every_flipped_entry_matches_reference_check(ref):
+    # cyclic supports have one generator: a check that skips it, or that stops
+    # the last argument short, accepts a broken sigma(1, 1)
+    d = _catalog(ref)
+    for u, v in itertools.product(d.elements(), repeat=2):
+        for factor in _unit_multipliers(d.kind):
+            cocycle = _cocycle(d)
+            cocycle[(u, v)] = cocycle[(u, v)] * factor
+            _assert_reference_verdict(d, cocycle)
 
 
 def test_catalog_cocycles_pass_the_reference_check():
     for ref in SMALL_REFS:
         d = _catalog(ref)
-        _reference_validate(d.support, d.kind, d.conj_elements, d.cocycle)
+        _reference_validate(d.support, d.kind, d.conj_elements, _cocycle(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 4), (2, 2, 4), (4, 4)]), st.data())
+def test_conjugation_sets_match_reference_check(torsion, data):
+    # the trivial cocycle suits every action, so the verdict is the action's:
+    # the set of elements on which a character T -> Z2 is odd, maybe perturbed
+    support = AbelianGroup(0, torsion)
+    elems = list(support.elements())
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=len(torsion), max_size=len(torsion)))
+    conj = {t for t in elems if sum(b * c for b, c in zip(bits, t.coords)) % 2}
+    conj ^= set(data.draw(st.lists(st.sampled_from(elems), max_size=2)))
+    kind = CoefficientKind.complex(4)
+    cocycle = {(u, v): 1 for u in elems for v in elems}
+    expected = _outcome(lambda: _reference_validate(support, kind, conj, cocycle))
+    got = _outcome(lambda: build_crossed_product(support, kind, conj, cocycle))
+    assert (got is None) == (expected is None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -746,11 +819,61 @@ def test_coboundary_twist_validates_and_keeps_beta(ref, data):
         (u, v): d.sigma(u, v) * c[u] * d.alpha(u, c[v]) * kind.conjugate(c[u + v])
         for u in elems for v in elems
     }
-    twisted = GradedDivisionAlgebra(d.support, kind, d.conj_elements, cocycle, d.type_tag)
+    twisted = build_crossed_product(d.support, kind, d.conj_elements, cocycle, d.type_tag)
     beta, twisted_beta = commutation_bicharacter(d), commutation_bicharacter(twisted)
     assert twisted_beta.domain == beta.domain
     assert all(twisted_beta.value(u, v) == beta.value(u, v)
                for u in beta.domain for v in beta.domain)
+
+
+def _per_pair_sigma(blocks, family):
+    """sigma by the former per-pair construction: the product, over the
+    blocks, of each block's value on the pair's own coordinates.  Over H,
+    the values are those over R wrapped as quaternions."""
+    if family == "H":
+        return {pair: RationalQuaternion(value)
+                for pair, value in _per_pair_sigma(blocks, "R").items()}
+    group = AbelianGroup(0, tuple(m for orders, _, _ in blocks for m in orders))
+    exp = group.exponent()
+    kind = CoefficientKind.real() if family == "R" else CoefficientKind.complex(
+        exp if exp > 2 else 4)
+    spans, start = [], 0
+    for orders, _, block_sigma in blocks:
+        spans.append((start, start + len(orders), block_sigma))
+        start += len(orders)
+
+    def sig(u, v):
+        value = kind.one()
+        for a, b, block_sigma in spans:
+            value = value * kind.coerce(block_sigma(u.coords[a:b], v.coords[a:b]))
+        return value
+
+    elems = list(group.elements())
+    return {(u, v): sig(u, v) for u in elems for v in elems}
+
+
+def test_catalog_tables_match_the_per_pair_construction(monkeypatch):
+    built = {}
+    assemble = division._assemble
+
+    def recording(blocks, family, tag):
+        d = assemble(blocks, family, tag)
+        built.setdefault((tag, d.support), (d, blocks, family))
+        return d
+
+    monkeypatch.setattr(division, "_assemble", recording)
+    for name in ("M1R", "M2R", "H", "M1C", "M2C", "M3C", "M4C"):
+        classify(name)
+    run_suite("all")
+    assert len(built) >= 18  # the distinct entries the 7 tables and the suites build
+    for ref in ("1-b:Z2^6", "1-c:Z2^5", "1-d:Z2^3xZ4", "2-f:Z4^2",
+                "3-a:Z2^4", "3-b:Z2^4", "3-c:Z2^5", "3-d:Z2^3xZ4"):
+        parse_catalog_ref(ref)
+    for (tag, support), (d, blocks, family) in built.items():
+        expected = _per_pair_sigma(blocks, family)
+        assert {(u, v) for u in d.elements() for v in d.elements()} == set(expected)
+        assert all(d.sigma(u, v) == value for (u, v), value in expected.items()), (tag, support)
+    assert {"3-a", "3-b", "3-c", "3-d"} <= {tag for tag, _ in built}
 
 
 def _first_non_multiplicative(domain, values):
