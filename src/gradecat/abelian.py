@@ -171,7 +171,16 @@ class AbelianGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> "AbelianGroup":
-        return cls(data.get("free_rank", 0), data.get("torsion", ()))
+        return cls(json_int(data.get("free_rank", 0)),
+                   [json_int(m) for m in data.get("torsion", ())])
+
+
+def json_int(value) -> int:
+    """`value`, read from JSON, if it is an int.  A float or a bool, which
+    `int()` would truncate or read as 0 or 1, is a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def parse_group_string(text: str) -> AbelianGroup:

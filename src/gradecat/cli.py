@@ -18,7 +18,7 @@ import contextlib
 import json
 import sys
 
-from .abelian import AbelianGroup, GroupHomomorphism, parse_group_string
+from .abelian import AbelianGroup, GroupHomomorphism, json_int, parse_group_string
 from .classify import CoverageError, classify, rows_to_json, rows_to_table
 from .division import CatalogError, CocycleError, canonical, parse_catalog_ref
 from .matrix import GradingError, harvest_universal_group, component_count, matrix_algebra
@@ -139,12 +139,13 @@ def _spec_values(what, path):
 
 
 def _matrix_shape(spec, support: AbelianGroup) -> dict:
-    """The matrix_algebra keyword arguments of a grading spec."""
+    """The matrix_algebra keyword arguments of a grading spec; every number
+    in it must be a JSON integer."""
     gamma_spec = spec.get("gamma")
     if "G" not in spec:
         k = spec.get("k", len(gamma_spec) if gamma_spec else 1)
-        if not isinstance(k, int) or k < 1:
-            raise UsageError(f"k must be a positive integer, got {k!r}")
+        if type(k) is not int or k < 1:
+            raise ValueError(f"k must be a positive integer, got {k!r}")
         return {"k": k}
     if gamma_spec is None:
         raise UsageError("a spec with an explicit G needs explicit gamma degrees")
@@ -153,13 +154,13 @@ def _matrix_shape(spec, support: AbelianGroup) -> dict:
     if embed_spec is None and support.is_trivial():
         images = []
     else:
-        images = [ambient.element(c) for c in embed_spec]
+        images = [ambient.element([json_int(c) for c in coords]) for coords in embed_spec]
     kappa = spec.get("kappa")
     return {
-        "gamma": [ambient.element(c) for c in gamma_spec],
+        "gamma": [ambient.element([json_int(c) for c in coords]) for coords in gamma_spec],
         "ambient": ambient,
         "embed": GroupHomomorphism(support, ambient, images),
-        "kappa": None if kappa is None else [int(m) for m in kappa],
+        "kappa": None if kappa is None else [json_int(m) for m in kappa],
     }
 
 

@@ -26,6 +26,7 @@ from .abelian import (
     parse_group_string,
     quotient_type,
     square_elements,
+    subgroup_generated,
     support_table,
 )
 from .scalars import Cyclotomic, RationalQuaternion, zeta
@@ -455,6 +456,14 @@ class Bicharacter:
     """An alternating bimultiplicative pairing on a finite abelian group.
 
     `ids[i][j]` is the id in `units` of the value at (domain[i], domain[j]).
+
+    Alternation is checked on all of the domain K, and
+    beta(u + v, w) = beta(u, w) beta(v, w) for all u, w and for v in a
+    generating set of K only, taken greedily on the `support_table`
+    positions.  The set M of the v that pass for all u, w is closed under +:
+    for v1, v2 in M, beta(u + v1 + v2, w) = beta(u + v1, w) beta(v2, w)
+    = beta(u, w) beta(v1, w) beta(v2, w) = beta(u, w) beta(v1 + v2, w).  K is
+    finite, so the sums of its generators exhaust it, and M = K.
     """
 
     def __init__(self, domain, values, kind: CoefficientKind):
@@ -466,21 +475,29 @@ class Bicharacter:
                           for u in self.domain]
         if not self.domain:
             return
-        _, index, add = support_table(self.domain[0].group)
+        group = self.domain[0].group
+        elements, index, add = support_table(group)
         at = [index[u] for u in self.domain]
         pos = {t: i for i, t in enumerate(at)}
+        gens, span = [], {group.zero()}
+        for p in sorted(pos):
+            if elements[p] not in span:
+                gens.append(pos[p])
+                span = subgroup_generated(group, [self.domain[j] for j in gens])
+        if span != set(self.domain):
+            raise ValueError("bicharacter domain is not a subgroup")
         one, mul = units.intern(kind.one()), units.mul
         n = len(self.domain)
         for i, u in enumerate(self.domain):
             if ids[i][i] != one:
                 raise ValueError(f"bicharacter is not alternating at {u}")
             ids_u, sums = ids[i], add[at[i]]
-            for j, v in enumerate(self.domain):
+            for j in gens:
                 ids_v, ids_sum = ids[j], ids[pos[sums[at[j]]]]
                 for k in range(n):
                     if ids_sum[k] != mul(ids_u[k], ids_v[k]):
-                        raise ValueError(
-                            f"bicharacter not multiplicative at ({u},{v},{self.domain[k]})")
+                        raise ValueError("bicharacter not multiplicative at "
+                                         f"({u},{self.domain[j]},{self.domain[k]})")
 
     def value(self, u, v):
         return self.values[(u, v)]
@@ -595,16 +612,34 @@ def quadratic_form(d: GradedDivisionAlgebra) -> QuadraticData:
         values = {t: sign_of(d.sigma(t, t)) for t in d.elements()}
         quad = QuadraticData(True, values)
         if d.support.is_elementary_two():
-            beta = commutation_bicharacter(d)
-            for u in d.elements():
-                for v in d.elements():
-                    if quad.values[u + v] != sign_of(beta.value(u, v)) * quad.values[u] * quad.values[v]:
-                        raise ValueError(f"polarization identity fails at ({u}, {v})")
+            bad = _polarization_failure(d, commutation_bicharacter(d), quad.values)
+            if bad:
+                raise ValueError("polarization identity fails at ({}, {})".format(*bad))
     else:
         values = {t: sign_of(d.sigma(t, t)) for t in d.conj_elements}
         quad = QuadraticData(False, values)
     d._quad = quad
     return quad
+
+
+def _polarization_failure(d: GradedDivisionAlgebra, beta: Bicharacter, mu):
+    """The first (u, g), g a coordinate generator of T, at which
+    mu(u + g) = beta(u, g) mu(u) mu(g) fails, or None.
+
+    That covers every pair (u, v).  The set V of the v that pass for all u is
+    closed under +: for v1, v2 in V, mu(u + v1 + v2) = beta(u + v1, v2)
+    beta(u, v1) mu(u) mu(v1) mu(v2).  beta is multiplicative in its first
+    argument (`Bicharacter` checks it) and so in its second, as
+    beta(u, v) = sigma(u, v) sigma(v, u)^(-1) is skew; its values +-1 commute.
+    So beta(u + v1, v2) beta(u, v1) = beta(u, v1 + v2) beta(v1, v2), and with
+    mu(v1 + v2) = beta(v1, v2) mu(v1) mu(v2) (u = v1) the identity holds at
+    (u, v1 + v2).  T is finite, so V = T.
+    """
+    for u in d.elements():
+        for g in d.support.generators():
+            if beta.value(u, g) != mu[u + g] * mu[u] * mu[g]:
+                return u, g
+    return None
 
 
 def arf(quad: QuadraticData) -> int:

@@ -390,10 +390,25 @@ def squares_profile(r: GradedMatrixAlgebra) -> dict:
 # ---------------------------------------------------------------------------
 
 def harvest_universal_group(r: GradedMatrixAlgebra):
-    """Present the universal abelian group from deg x + deg y = deg xy over all
-    nonzero products of homogeneous basis elements."""
+    """Present the universal abelian group by the relations
+    r(x, y) = L(x) + L(y) - L(xy) on the degree labels L, for every basis
+    element x = E_ij (x) X_t and every y = E_jl (x) X_s in the generating set G
+    of the basis monoid: E_(j,j+1) (x) X_0 and E_(j+1,j) (x) X_0 for j < k - 1,
+    and E_00 (x) X_g for the coordinate generators g of T (E_00 (x) X_0 if
+    T = 0).  Here xy stands for the basis element that the product is a
+    multiple of.
+
+    These relations span the lattice of all of them, so the group is that of
+    all nonzero products.  A product of basis elements is 0 or a nonzero
+    multiple of a basis element, and D is validated associative, so
+    r(x, y1 y2) = r(x, y1) + r(x y1, y2) - r(y1, y2) whenever x y1 y2 != 0,
+    and then x y1 != 0 and y1 y2 != 0 too.  Every basis element is a multiple
+    of a word in G with nonzero prefixes (E_jl (x) X_s = E_j0 (E_00 (x) X_s)
+    E_0l), so induction on the length of the word in y puts each r(x, y) in
+    the span of the r(x', g) with g in G.
+    """
     elems = r.division.elements()
-    _, _, add = support_table(r.division.support)
+    _, at, add = support_table(r.division.support)
     k, n = r.k, len(elems)
     labels = []
     index = {}
@@ -407,12 +422,14 @@ def harvest_universal_group(r: GradedMatrixAlgebra):
                     index[d] = len(labels)
                     labels.append(d)
                 ids[i][j][t] = index[d]
+    # G as (j, l, s): y = E_jl (x) X_s, with s a support position
+    right = [(0, 0, at[g]) for g in r.division.support.generators()] or [(0, 0, 0)]
+    right += [(j, j + 1, 0) for j in range(k - 1)] + [(j + 1, j, 0) for j in range(k - 1)]
     # (E_ij (x) X_t)(E_jl (x) X_s) is never zero over D and relates the
     # label ids a, b, c of the two factors and the product
     triples = {
         (ids[i][j][t], ids[j][l][s], ids[i][l][add[t][s]])
-        for i in range(k) for j in range(k) for l in range(k)
-        for t in range(n) for s in range(n)
+        for j, l, s in right for i in range(k) for t in range(n)
     }
     relations = set()
     for a, b, c in triples:

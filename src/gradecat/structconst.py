@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abelian import AbelianGroup, abstract_type, coset_rep, universal_abelian_group
+from .abelian import AbelianGroup, abstract_type, coset_rep, json_int, universal_abelian_group
 from .division import GradedDivisionAlgebra, canonical
 
 
@@ -286,7 +286,7 @@ class StructureConstantAlgebra:
             return int(key)
 
         group = AbelianGroup.from_json(data["group"])
-        degrees = [group.element(c) for c in data["degrees"]]
+        degrees = [group.element([json_int(c) for c in coords]) for coords in data["degrees"]]
         table = {}
         for i, j, entry in data["table"]:
             if (i, j) in table:

@@ -221,6 +221,12 @@ def _z2_dump(**changes):
     _z2_dump(unity={" 0_0 ": "1/1"}),
     # a repeated row would replace the earlier one
     _z2_dump(table=_z2_dump()["table"] + [[1, 1, {"0": "-1/1"}]]),
+    # numbers that int() would truncate or read as 0 or 1
+    _z2_dump(degrees=[[0], [1.5]]),
+    _z2_dump(degrees=[[0], [True]]),
+    _z2_dump(group={"free_rank": 0, "torsion": [2.9]}),
+    _z2_dump(group={"free_rank": 0, "torsion": [2.0]}),
+    _z2_dump(group={"free_rank": False, "torsion": [2]}),
     "not an object",
 ])
 def test_cli_malformed_fixture_exit_2(tmp_path, capsys, dump):
@@ -268,6 +274,18 @@ def test_cli_user_errors_exit_2(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+# a valid spec with an explicit G, spoiled one value at a time below
+_G_SPEC = {"D": "1-c:Z2", "G": {"free_rank": 1, "torsion": [2]}, "embed": [[0, 1]],
+           "gamma": [[0, 0], [1, 0]], "kappa": [1, 1]}
+
+
+def test_cli_g_spec_is_valid(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_G_SPEC))
+    assert main(["universal", "--spec", str(path)]) == 0
+    assert "Z × Z2" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("spec,message", [
     ({"k": 2}, "malformed spec"),
     ({"D": "1-c:Z2", "k": 0}, "positive integer"),
@@ -276,6 +294,13 @@ def test_cli_user_errors_exit_2(argv, message, capsys):
     ({"D": "1-a:", "G": {"free_rank": 1}}, "explicit gamma"),
     ({"D": "1-a:", "G": {"free_rank": 1}, "gamma": [[0, 0]]}, "malformed spec"),
     ("not an object", "malformed spec"),
+    # numbers that int() would truncate or read as 1
+    ({**_G_SPEC, "gamma": [[0, 0], [1.5, 0]]}, "malformed spec"),
+    ({**_G_SPEC, "embed": [[0, 1.7]]}, "malformed spec"),
+    ({"D": {"type": "1-c", "support": {"torsion": [2.9]}}}, "malformed spec"),
+    ({**_G_SPEC, "kappa": [1.5, 1]}, "malformed spec"),
+    ({"D": "1-c:Z2", "k": True}, "malformed spec"),
+    ({**_G_SPEC, "kappa": [True, True]}, "malformed spec"),
 ])
 def test_cli_malformed_spec_exit_2(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradecat import division
-from gradecat.abelian import AbelianGroup, abstract_type
+from gradecat.abelian import AbelianGroup, abstract_type, subgroup_generated
 from gradecat.classify import classify
 from gradecat.division import (
     Bicharacter,
@@ -18,6 +18,7 @@ from gradecat.division import (
     GradedDivisionAlgebra,
     QuadraticData,
     UnitInterner,
+    _polarization_failure,
     build_crossed_product,
     canonical,
     centralizer_support,
@@ -511,6 +512,37 @@ def test_quad_forms_with_a_beta_that_is_not_a_sign():
         quad_forms(Z2xZ2, types.SimpleNamespace(value=lambda u, v: 2))
 
 
+def _reference_polarization_failure(d, beta, mu):
+    """The per-pair loop that quadratic_form ran before it checked
+    generators only: the first (u, v) at which the identity fails."""
+    for u in d.elements():
+        for v in d.elements():
+            if beta.value(u, v) != mu[u + v] * mu[u] * mu[v]:
+                return u, v
+    return None
+
+
+@pytest.mark.parametrize("ref", [r for r in ELEMENTARY_TWO_REFS if r[0] in "13"])
+def test_polarization_on_generators_against_the_per_pair_loop(ref):
+    """The total forms (types 1 and 3), as built and with the sign flipped at
+    each element in turn: the same verdict as the per-pair loop, and a
+    failing pair named has a generator second."""
+    d = _catalog(ref)
+    beta = commutation_bicharacter(d)
+    mu = quadratic_form(d).values
+    assert _polarization_failure(d, beta, mu) is None
+    assert _reference_polarization_failure(d, beta, mu) is None
+    for t in d.elements():
+        corrupted = dict(mu)
+        corrupted[t] = -corrupted[t]
+        bad = _polarization_failure(d, beta, corrupted)
+        assert (bad is None) == (_reference_polarization_failure(d, beta, corrupted) is None)
+        if bad is not None:
+            u, g = bad
+            assert beta.value(u, g) != corrupted[u + g] * corrupted[u] * corrupted[g]
+            assert g in d.support.generators()
+
+
 def test_equivalence():
     a = canonical("2-f", "Z3^2")
     b = canonical("2-f", AbelianGroup(0, (3, 3)))
@@ -885,10 +917,23 @@ def _first_non_multiplicative(domain, values):
     return None
 
 
+def _greedy_generators(domain):
+    """Each element of the domain, in lexicographic order, that the earlier
+    ones do not generate."""
+    group, gens = domain[0].group, []
+    for x in sorted(domain, key=lambda e: e.coords):
+        if x not in subgroup_generated(group, gens):
+            gens.append(x)
+    return gens
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([r for r in SMALL_REFS if len(_catalog(r).centralizer_elements()) >= 4]),
        st.data())
 def test_corrupted_bicharacter_names_first_bad_triple(ref, data):
+    """A corrupted beta is refused exactly when the |K|^3 loop finds a bad
+    triple, and the triple named fails there too, with a generator of K in
+    the middle."""
     d = _catalog(ref)
     beta = commutation_bicharacter(d)
     u = data.draw(st.sampled_from(beta.domain), label="u")
@@ -896,8 +941,44 @@ def test_corrupted_bicharacter_names_first_bad_triple(ref, data):
     factor = data.draw(st.sampled_from(_unit_multipliers(d.kind)))
     values = dict(beta.values)
     values[(u, v)] = values[(u, v)] * factor
-    bad = _first_non_multiplicative(beta.domain, values)
-    assert bad is not None  # |K| >= 4, so some x outside {0, u} exposes the change
+    assert _first_non_multiplicative(beta.domain, values) is not None  # |K| >= 4
     with pytest.raises(ValueError) as err:
         Bicharacter(beta.domain, values, d.kind)
-    assert str(err.value) == "bicharacter not multiplicative at ({},{},{})".format(*bad)
+    triples = {"bicharacter not multiplicative at ({},{},{})".format(*t): t
+               for t in itertools.product(beta.domain, repeat=3)}
+    x, g, w = triples[str(err.value)]
+    assert values[(x + g, w)] != values[(x, w)] * values[(g, w)]
+    assert g in _greedy_generators(beta.domain)
+
+
+def test_bicharacter_on_every_catalog_beta_matches_the_triple_loop():
+    for ref in SMALL_REFS:
+        beta = commutation_bicharacter(_catalog(ref))
+        assert _first_non_multiplicative(beta.domain, beta.values) is None
+
+
+def test_bicharacter_checks_its_last_generator():
+    # on Z2^2, with e2 = (0, 1) the first generator taken and e1 = (1, 0) the
+    # last: f(u + e2, w) = f(u, w) f(e2, w) holds everywhere, while
+    # f(e1 + e1, e2) = 1 is not f(e1, e2)^2 = 4
+    group = AbelianGroup(0, (2, 2))
+    zero, e2, e1, e12 = group.elements()
+    rows = {e1: {e1: 1, e2: 2, e12: -1}, e2: {e1: -1, e2: 1, e12: -1}}
+    rows[e12] = {w: rows[e1][w] * rows[e2][w] for w in (e1, e2, e12)}
+    values = {(u, w): rows[u][w] if u != zero and w != zero else 1
+              for u in group.elements() for w in group.elements()}
+    with pytest.raises(ValueError) as err:
+        Bicharacter(list(group.elements()), values, CoefficientKind.real())
+    assert str(err.value) == f"bicharacter not multiplicative at ({e1},{e1},{e2})"
+
+
+@pytest.mark.parametrize("domain", [
+    [(0,), (1,)],  # {0, 1} in Z4
+    [(1,), (2,), (3,)],  # Z4 without its zero
+])
+def test_bicharacter_domain_that_is_not_a_subgroup(domain):
+    group = AbelianGroup(0, (4,))
+    domain = [group.element(c) for c in domain]
+    values = {(u, v): 1 for u in domain for v in domain}
+    with pytest.raises(ValueError, match="bicharacter domain is not a subgroup"):
+        Bicharacter(domain, values, CoefficientKind.real())

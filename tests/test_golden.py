@@ -1,8 +1,10 @@
-"""Byte-for-byte golden outputs of `classify`, `catalog` and `verify` in JSON form.
+"""Byte-for-byte golden outputs of `classify`, `catalog`, `verify` and
+`universal` in JSON form.
 
 The files under tests/golden/ pin the CLI output for the 7 covered algebras,
 for every catalog entry that `classify` and `verify` build, including the
-full sigma and beta tables, and for `verify --suite all` at seed 7.  A change
+full sigma and beta tables, for `verify --suite all` at seed 7, and for
+`universal --spec` on the specs of UNIVERSAL.  A change
 that must keep outputs identical passes this test unchanged; a change that
 alters an output on purpose regenerates the files and says why.
 
@@ -13,8 +15,10 @@ Regenerate from the checkout's own sources with
 
 import contextlib
 import io
+import json
 import pathlib
 import sys
+import tempfile
 
 import pytest
 
@@ -31,6 +35,15 @@ CATALOG = (
     "2-f:Z2^2", "2-f:Z3^2", "2-f:Z4^2", "3-b:Z2^2", "3-d:Z2xZ4",
 )
 
+# `universal --spec` inputs, written to a temporary file for each run
+UNIVERSAL = {
+    "1-c:Z2-k2": {"D": "1-c:Z2", "k": 2},
+    "1-c:Z2-G-kappa": {"D": "1-c:Z2", "G": {"free_rank": 1, "torsion": [2]},
+                       "embed": [[0, 1]], "gamma": [[0, 0], [1, 0]], "kappa": [2, 1]},
+    "2-f:Z4^2-k1": {"D": "2-f:Z4^2", "k": 1},
+    "1-d:Z2^3xZ4-k1": {"D": "1-d:Z2^3xZ4", "k": 1},
+}
+
 
 def _cases():
     for name in CLASSIFY:
@@ -38,6 +51,8 @@ def _cases():
     for ref in CATALOG:
         yield f"catalog-{ref}", ["catalog", "--entry", ref, "--format", "json"]
     yield "verify-all-seed7", ["verify", "--suite", "all", "--seed", "7", "--format", "json"]
+    for name, spec in UNIVERSAL.items():
+        yield f"universal-{name}", ["universal", "--format", "json", "--spec", spec]
 
 
 def _path(case_id):
@@ -45,8 +60,13 @@ def _path(case_id):
 
 
 def _run(argv):
+    """stdout of the CLI on `argv`; a dict after --spec is written to a file first."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        if argv[:1] == ["universal"]:
+            spec = pathlib.Path(tmp) / "spec.json"
+            spec.write_text(json.dumps(argv[-1]), encoding="utf-8")
+            argv = argv[:-1] + [str(spec)]
         code = main(argv)
     assert code == 0, f"{argv} exited with {code}"
     return out.getvalue()

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gradecat.abelian import AbelianGroup, GroupHomomorphism
-from gradecat.division import canonical
+from gradecat.division import canonical, parse_catalog_ref
 from gradecat.matrix import (
     GradingError,
     NONZERO_SQUARES,
@@ -217,7 +217,7 @@ def test_universal_group_formula():
     ("1-c", "Z2^5", 2),
 ])
 def test_universal_group_beyond_classify_coverage(ref, support, k):
-    # M(6,C) and M(8,C) sizes: up to 96 labels and 3505 relations
+    # M(6,C) and M(8,C) sizes: up to 96 labels and 426 relations
     r = matrix_algebra(canonical(ref, support), k=k)
     group, _ = harvest_universal_group(r)
     assert group == expected_universal_group(r)
@@ -366,8 +366,10 @@ def test_eight_matrix_refinements():
     assert len(rows) == 2
 
 
-def _reference_harvest(r):
-    """Labels and relations from the former loop, three degree_of calls per product."""
+def _reference_harvest(r, right=None):
+    """Labels and relations from the former loop, three degree_of calls per
+    product; with `right`, only for the right factors E_jl (x) X_s with
+    (j, l, s) in it."""
     labels, index = [], {}
     for i in range(r.k):
         for j in range(r.k):
@@ -380,6 +382,8 @@ def _reference_harvest(r):
     for i, j, l in itertools.product(range(r.k), repeat=3):
         for t in r.division.elements():
             for s in r.division.elements():
+                if right is not None and (j, l, s) not in right:
+                    continue
                 vec = [0] * len(labels)
                 vec[index[r.degree_of(i, j, t).coords]] += 1
                 vec[index[r.degree_of(j, l, s).coords]] += 1
@@ -389,10 +393,30 @@ def _reference_harvest(r):
     return labels, relations
 
 
+def _harvest_rows():
+    from gradecat.classify import classify
+
+    for name in ("M1R", "M2R", "H", "M1C", "M2C", "M3C", "M4C"):
+        for row in classify(name):
+            yield row.algebra
+    for ref in ("1-b:Z2^6", "2-f:Z2^2xZ4^2"):
+        yield matrix_algebra(parse_catalog_ref(ref), k=1)
+
+
+def _monoid_generators(r):
+    """E_(j,j+1) and E_(j+1,j) times X_0, and E_00 times X_g for the
+    generators g of T (E_00 X_0 when T = 0), as (j, l, g)."""
+    zero, k = r.division.support.zero(), r.k
+    gens = {(0, 0, g) for g in r.division.support.generators()} or {(0, 0, zero)}
+    return gens | {(j, j + 1, zero) for j in range(k - 1)} | {(j + 1, j, zero) for j in range(k - 1)}
+
+
 def test_harvest_matches_reference_on_classify_rows(monkeypatch):
+    """The harvest keeps the relations whose right factor is in the generating
+    set of the basis monoid, and they present the group of all products:
+    every relation of the reference vanishes under the harvested projection."""
     import gradecat.matrix as matrix
     from gradecat.abelian import universal_abelian_group
-    from gradecat.classify import classify
 
     seen = []
 
@@ -400,13 +424,21 @@ def test_harvest_matches_reference_on_classify_rows(monkeypatch):
         seen.append((list(labels), set(relations)))
         return universal_abelian_group(labels, relations)
 
-    for name in ("M1R", "M2R", "H", "M1C", "M2C", "M3C"):
-        for row in classify(name):
-            monkeypatch.setattr(matrix, "universal_abelian_group", recording)
-            group, projection = harvest_universal_group(row.algebra)
-            monkeypatch.undo()
-            labels, relations = _reference_harvest(row.algebra)
-            assert seen.pop() == (labels, relations)
-            ref_group, ref_projection = universal_abelian_group(labels, relations)
-            assert group == ref_group
-            assert list(projection.items()) == [(x, ref_projection[x]) for x in labels]
+    for algebra in _harvest_rows():
+        monkeypatch.setattr(matrix, "universal_abelian_group", recording)
+        group, projection = harvest_universal_group(algebra)
+        monkeypatch.undo()
+        labels, relations = _reference_harvest(algebra)
+        got_labels, got_relations = seen.pop()
+        assert got_labels == labels
+        assert got_relations <= relations
+        assert got_relations == _reference_harvest(algebra, _monoid_generators(algebra))[1]
+        assert group == universal_abelian_group(labels, relations)[0]
+        assert list(projection) == labels
+        images = [projection[x] for x in labels]
+        for rel in relations:
+            total = group.zero()
+            for c, image in zip(rel, images):
+                if c:
+                    total = total + c * image
+            assert total.is_zero()
