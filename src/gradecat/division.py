@@ -635,8 +635,9 @@ def _polarization_failure(d: GradedDivisionAlgebra, beta: Bicharacter, mu):
     mu(v1 + v2) = beta(v1, v2) mu(v1) mu(v2) (u = v1) the identity holds at
     (u, v1 + v2).  T is finite, so V = T.
     """
+    gens = d.support.generators()
     for u in d.elements():
-        for g in d.support.generators():
+        for g in gens:
             if beta.value(u, g) != mu[u + g] * mu[u] * mu[g]:
                 return u, g
     return None
