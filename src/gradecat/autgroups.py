@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from .abelian import (
     AbelianGroup,
@@ -35,6 +34,7 @@ from .division import (
     quadratic_form,
 )
 from .matrix import GradedElement, GradedMatrixAlgebra
+from .records import FrozenRecord
 from .structconst import nullspace
 
 
@@ -42,7 +42,11 @@ from .structconst import nullspace
 # descriptors
 # ---------------------------------------------------------------------------
 
-class GroupDescriptor:
+class GroupDescriptor(FrozenRecord):
+    """An immutable value: equal to another of the same class with equal fields."""
+
+    __slots__ = ()
+
     def normalized(self) -> "GroupDescriptor":
         return self
 
@@ -56,9 +60,8 @@ class GroupDescriptor:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class FiniteAbelian(GroupDescriptor):
-    group: AbelianGroup
+    __slots__ = ("group",)  # AbelianGroup
 
     def finite_part_order(self):
         return self.group.order()
@@ -71,9 +74,8 @@ class FiniteAbelian(GroupDescriptor):
         return f"(ab {self.group.free_rank} ({torsion}))"
 
 
-@dataclass(frozen=True)
 class Symmetric(GroupDescriptor):
-    k: int
+    __slots__ = ("k",)
 
     def normalized(self):
         if self.k <= 1:
@@ -92,10 +94,8 @@ class Symmetric(GroupDescriptor):
         return f"(sym {self.k})"
 
 
-@dataclass(frozen=True)
 class NamedFinite(GroupDescriptor):
-    tag: str
-    order: int
+    __slots__ = ("tag", "order")
 
     def finite_part_order(self):
         return self.order
@@ -107,9 +107,8 @@ class NamedFinite(GroupDescriptor):
         return f"(named {self.tag} {self.order})"
 
 
-@dataclass(frozen=True)
 class Torus(GroupDescriptor):
-    kind: str  # 'Rx' | 'Cx' | 'Hx' | 'U1' | 'AutH'
+    __slots__ = ("kind",)  # 'Rx' | 'Cx' | 'Hx' | 'U1' | 'AutH'
 
     _PRETTY = {"Rx": "R^x", "Cx": "C^x", "Hx": "H^x", "U1": "C^x/R^x", "AutH": "Aut(H)"}
 
@@ -123,9 +122,8 @@ class Torus(GroupDescriptor):
         return f"(torus {self.kind})"
 
 
-@dataclass(frozen=True)
 class Opaque(GroupDescriptor):
-    label: str
+    __slots__ = ("label",)
 
     def finite_part_order(self):
         return None
@@ -137,9 +135,8 @@ class Opaque(GroupDescriptor):
         return f"(opaque {self.label})"
 
 
-@dataclass(frozen=True)
 class DirectProduct(GroupDescriptor):
-    factors: tuple
+    __slots__ = ("factors",)  # tuple of GroupDescriptor
 
     def normalized(self):
         flat = []
@@ -190,12 +187,9 @@ class DirectProduct(GroupDescriptor):
         return "(x " + " ".join(f.sexpr() for f in self.factors) + ")"
 
 
-@dataclass(frozen=True)
 class SemidirectProduct(GroupDescriptor):
-    normal: GroupDescriptor
-    acting: GroupDescriptor
-    action_note: str = ""
-    action_trivial: bool = False
+    __slots__ = ("normal", "acting", "action_note", "action_trivial")
+    _defaults = {"action_note": "", "action_trivial": False}
 
     def normalized(self):
         normal = self.normal.normalized()

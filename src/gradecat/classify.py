@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 
 from .abelian import AbelianGroup, _factor
 from .autgroups import (
     IDENTIFY_BOUND,
-    GroupDescriptor,
     WeylModel,
     diag_descriptor,
     stab_descriptor,
@@ -26,12 +24,12 @@ from .autgroups import (
 )
 from .division import GradedDivisionAlgebra, canonical, underlying_algebra_name
 from .matrix import (
-    GradedMatrixAlgebra,
     expected_universal_group,
     harvest_universal_group,
     is_fine,
     matrix_algebra,
 )
+from .records import Record
 
 
 class CoverageError(ValueError):
@@ -51,7 +49,10 @@ def parse_algebra_name(name: str):
     match = _NAME_RE.match(text)
     if not match:
         raise CoverageError(f"cannot parse algebra name {name!r}")
-    return match.group(2).upper(), int(match.group(1))
+    size = int(match.group(1))
+    if size < 1:
+        raise CoverageError(f"cannot parse algebra name {name!r}: the size must be at least 1")
+    return match.group(2).upper(), size
 
 
 def _abelian_groups_of_order(n: int):
@@ -111,19 +112,15 @@ def _division_plans(family: str, n: int):
     return plans
 
 
-@dataclass
-class ClassificationRow:
-    k: int
-    division: GradedDivisionAlgebra
-    algebra: GradedMatrixAlgebra
-    description: str
-    universal: AbelianGroup
-    weyl: GroupDescriptor
-    weyl_finite_order: object  # int | None
-    weyl_identified: object  # str | None
-    stabilizer: GroupDescriptor
-    diagonal: GroupDescriptor
-    flags: tuple = field(default_factory=tuple)
+class ClassificationRow(Record):
+    """One row of the classification.  `division` is a GradedDivisionAlgebra,
+    `algebra` a GradedMatrixAlgebra, `universal` an AbelianGroup,
+    `weyl`, `stabilizer` and `diagonal` GroupDescriptors,
+    `weyl_finite_order` an int or None and `weyl_identified` a str or None."""
+
+    __slots__ = ("k", "division", "algebra", "description", "universal", "weyl",
+                 "weyl_finite_order", "weyl_identified", "stabilizer", "diagonal", "flags")
+    _defaults = {"flags": ()}
 
     def to_json(self) -> dict:
         return {

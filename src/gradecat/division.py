@@ -464,15 +464,20 @@ class Bicharacter:
     for v1, v2 in M, beta(u + v1 + v2, w) = beta(u + v1, w) beta(v2, w)
     = beta(u, w) beta(v1, w) beta(v2, w) = beta(u, w) beta(v1 + v2, w).  K is
     finite, so the sums of its generators exhaust it, and M = K.
+
+    A caller that has interned the values already passes `units` and `ids`
+    with them; otherwise each value is interned here, in row-major order.
     """
 
-    def __init__(self, domain, values, kind: CoefficientKind):
+    def __init__(self, domain, values, kind: CoefficientKind, units=None, ids=None):
         self.domain = tuple(domain)
         self.values = dict(values)
         self.kind = kind
-        self.units = units = UnitInterner(kind)
-        self.ids = ids = [[units.intern(self.values[(u, v)]) for v in self.domain]
-                          for u in self.domain]
+        if ids is None:
+            units = UnitInterner(kind)
+            ids = [[units.intern(self.values[(u, v)]) for v in self.domain]
+                   for u in self.domain]
+        self.units, self.ids = units, ids
         if not self.domain:
             return
         group = self.domain[0].group
@@ -503,16 +508,13 @@ class Bicharacter:
         return self.values[(u, v)]
 
     def radical_elements(self) -> tuple:
-        return tuple(
-            t for t in self.domain
-            if all(self.values[(u, t)] == self.kind.one() for u in self.domain)
-        )
+        one = self.units.intern(self.kind.one())
+        return tuple(t for j, t in enumerate(self.domain)
+                     if all(row[j] == one for row in self.ids))
 
     def is_self_conjugate(self) -> bool:
-        return all(
-            self.values[(u, v)] == self.kind.conjugate(self.values[(u, v)])
-            for u in self.domain for v in self.domain
-        )
+        conj = self.units.conj
+        return all(conj(a) == a for a in set().union(*self.ids))
 
     def __eq__(self, other):
         if not isinstance(other, Bicharacter):
@@ -567,17 +569,23 @@ def commutation_bicharacter(d: GradedDivisionAlgebra) -> Bicharacter:
     k = d.centralizer_elements()
     sigma, units = d._sigma_ids, d._units
     at = [d._index[u] for u in k]
-    quotients = {}  # one division per pair of distinct sigma values
-    values = {}
+    beta_units = UnitInterner(d.kind)
+    quotients = {}  # one division and one intern per pair of distinct sigma ids
+    values, ids = {}, []
     for u, i in zip(k, at):
+        row = []
         for v, j in zip(k, at):
             key = (sigma[i][j], sigma[j][i])
-            if key not in quotients:
+            found = quotients.get(key)
+            if found is None:
                 s_uv, s_vu = units.values[key[0]], units.values[key[1]]
                 inv = 1 / s_vu if isinstance(s_vu, Fraction) else s_vu.inverse()
-                quotients[key] = s_uv * inv
-            values[(u, v)] = quotients[key]
-    d._beta = Bicharacter(k, values, d.kind)
+                value = s_uv * inv
+                found = quotients[key] = (beta_units.intern(value), value)
+            row.append(found[0])
+            values[(u, v)] = found[1]
+        ids.append(row)
+    d._beta = Bicharacter(k, values, d.kind, beta_units, ids)
     return d._beta
 
 

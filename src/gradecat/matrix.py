@@ -297,6 +297,10 @@ def equivalent_gradings(r1: GradedMatrixAlgebra, r2: GradedMatrixAlgebra) -> boo
 # idempotents
 # ---------------------------------------------------------------------------
 
+def _diagonal_key(x: GradedElement) -> frozenset:
+    return frozenset(i for i, j in x.entries if i == j)
+
+
 def homogeneous_idempotents(r: GradedMatrixAlgebra):
     """(all, primitive) homogeneous idempotents of M_k(D).
 
@@ -316,6 +320,9 @@ def homogeneous_idempotents(r: GradedMatrixAlgebra):
         candidate = GradedElement(r, entries)
         if candidate * candidate == candidate:
             found.append(candidate)
+    # an element equal to a member of `found` has that member's nonzero
+    # diagonal positions: look it up by them, then confirm with one ==
+    by_diagonal = {_diagonal_key(eps): eps for eps in found}
     zero = r.zero_element()
     primitive = []
     for eps in found:
@@ -323,10 +330,13 @@ def homogeneous_idempotents(r: GradedMatrixAlgebra):
             continue
         decomposable = False
         for delta in found:
-            if delta.is_zero() or delta == eps:
+            if delta.is_zero() or delta is eps:  # the members of found are distinct
                 continue
             mu = eps - delta
-            if mu.is_zero() or mu not in found:
+            if mu.is_zero():
+                continue
+            hit = by_diagonal.get(_diagonal_key(mu))
+            if hit is None or hit != mu:
                 continue
             if (delta * mu) == zero and (mu * delta) == zero:
                 decomposable = True

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian import AbelianGroup, abstract_type, coset_rep, json_int, universal_abelian_group
 from .division import GradedDivisionAlgebra, canonical
+from .records import Record
 
 
 class NotInvertibleError(ValueError):
@@ -606,12 +606,11 @@ def direct_sum(a: StructureConstantAlgebra, b: StructureConstantAlgebra) -> Stru
     return StructureConstantAlgebra(labels, degrees, table, unity)
 
 
-@dataclass
-class HxHReport:
-    graded_simple: bool
-    int_ii_stabilizes: bool
-    invertible_homogeneous_all_central: bool
-    algebra: StructureConstantAlgebra
+class HxHReport(Record):
+    """The three claims about H x H (bools) and the algebra they are about."""
+
+    __slots__ = ("graded_simple", "int_ii_stabilizes", "invertible_homogeneous_all_central",
+                 "algebra")
 
     def all_pass(self) -> bool:
         return (

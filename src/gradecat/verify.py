@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian import AbelianGroup, character_group, compose
@@ -52,13 +51,12 @@ from .structconst import (
     invert,
     is_graded_simple,
 )
+from .records import Record
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = ("name", "ok", "detail")
+    _defaults = {"detail": ""}
 
 
 def _trivial_division():

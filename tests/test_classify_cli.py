@@ -23,6 +23,9 @@ def test_parse_algebra_name():
     assert parse_algebra_name("H") == ("H", 1)
     with pytest.raises(CoverageError):
         parse_algebra_name("SU(2)")
+    for name in ("M0C", "M(0,R)", "M_00(H)"):
+        with pytest.raises(CoverageError, match="size must be at least 1"):
+            parse_algebra_name(name)
 
 
 def test_classify_deterministic():
@@ -268,6 +271,7 @@ def test_cli_missing_spec_file(capsys):
     (["catalog", "--entry", "1-a:Z3"], "incompatible"),
     (["verify", "--suite", "nonsense"], "unknown suite"),
     (["catalog", "--entry", "2-f:Z"], "incompatible"),
+    (["classify", "--algebra", "M0C"], "cannot parse algebra name 'M0C'"),
 ])
 def test_cli_user_errors_exit_2(argv, message, capsys):
     assert main(argv) == 2

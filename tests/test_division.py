@@ -982,3 +982,33 @@ def test_bicharacter_domain_that_is_not_a_subgroup(domain):
     values = {(u, v): 1 for u in domain for v in domain}
     with pytest.raises(ValueError, match="bicharacter domain is not a subgroup"):
         Bicharacter(domain, values, CoefficientKind.real())
+
+
+def _reference_beta_ids(beta):
+    """Each value of beta interned anew, in row-major order."""
+    units = UnitInterner(beta.kind)
+    return [[units.intern(beta.values[(u, v)]) for v in beta.domain] for u in beta.domain]
+
+
+def _reference_radical_elements(beta):
+    return tuple(t for t in beta.domain
+                 if all(beta.values[(u, t)] == beta.kind.one() for u in beta.domain))
+
+
+def _reference_is_self_conjugate(beta):
+    return all(beta.values[(u, v)] == beta.kind.conjugate(beta.values[(u, v)])
+               for u in beta.domain for v in beta.domain)
+
+
+def test_beta_ids_interned_per_sigma_pair_match_a_per_value_intern():
+    for ref in SMALL_REFS:
+        beta = commutation_bicharacter(parse_catalog_ref(ref))  # a fresh beta
+        assert beta.ids == _reference_beta_ids(beta), ref
+        assert all(beta.units.values[a] == beta.values[(u, v)]
+                   for u, row in zip(beta.domain, beta.ids)
+                   for v, a in zip(beta.domain, row)), ref
+        rebuilt = Bicharacter(beta.domain, beta.values, beta.kind)
+        assert rebuilt.ids == beta.ids, ref
+        for b in (beta, rebuilt):
+            assert b.radical_elements() == _reference_radical_elements(b), ref
+            assert b.is_self_conjugate() == _reference_is_self_conjugate(b), ref

@@ -6,6 +6,7 @@ import pytest
 from gradecat.abelian import AbelianGroup, GroupHomomorphism
 from gradecat.division import canonical, parse_catalog_ref
 from gradecat.matrix import (
+    GradedElement,
     GradingError,
     NONZERO_SQUARES,
     ZERO_SQUARES,
@@ -442,3 +443,43 @@ def test_harvest_matches_reference_on_classify_rows(monkeypatch):
                 if c:
                     total = total + c * image
             assert total.is_zero()
+
+
+def _reference_homogeneous_idempotents(r):
+    """The list scan `homogeneous_idempotents` used before its lookup by
+    diagonal positions."""
+    one = r.division.one()
+    found = []
+    for mask in range(2 ** r.k):
+        entries = {(i, i): one for i in range(r.k) if (mask >> i) & 1}
+        candidate = GradedElement(r, entries)
+        if candidate * candidate == candidate:
+            found.append(candidate)
+    zero = r.zero_element()
+    primitive = []
+    for eps in found:
+        if eps.is_zero():
+            continue
+        decomposable = False
+        for delta in found:
+            if delta.is_zero() or delta == eps:
+                continue
+            mu = eps - delta
+            if mu.is_zero() or mu not in found:
+                continue
+            if (delta * mu) == zero and (mu * delta) == zero:
+                decomposable = True
+                break
+        if not decomposable:
+            primitive.append(eps)
+    return found, primitive
+
+
+@pytest.mark.parametrize("tag,support,k",
+                         [("1-a", "trivial", k) for k in range(1, 7)] + [("2-f", "Z2^2", 2)])
+def test_idempotents_match_the_list_scan(tag, support, k):
+    r = matrix_algebra(canonical(tag, support), k=k)
+    found, primitive = homogeneous_idempotents(r)
+    ref_found, ref_primitive = _reference_homogeneous_idempotents(r)
+    assert [x.entries for x in found] == [x.entries for x in ref_found]
+    assert [x.entries for x in primitive] == [x.entries for x in ref_primitive]
