@@ -23,7 +23,7 @@ from .abelian import (
 )
 from .division import GradedDivisionAlgebra, is_fine_division, equivalent
 # is_graded_simple is re-exported: perfbench/tracer.py wraps it by this name
-from .structconst import StructureConstantAlgebra, is_graded_simple  # noqa: F401
+from .structconst import StructureConstantAlgebra, _exact, is_graded_simple  # noqa: F401
 
 
 class GradingError(ValueError):
@@ -402,20 +402,25 @@ def squares_profile(r: GradedMatrixAlgebra) -> dict:
 def harvest_universal_group(r: GradedMatrixAlgebra):
     """Present the universal abelian group by the relations
     r(x, y) = L(x) + L(y) - L(xy) on the degree labels L, for every basis
-    element x = E_ij (x) X_t and every y = E_jl (x) X_s in the generating set G
-    of the basis monoid: E_(j,j+1) (x) X_0 and E_(j+1,j) (x) X_0 for j < k - 1,
-    and E_00 (x) X_g for the coordinate generators g of T (E_00 (x) X_0 if
-    T = 0).  Here xy stands for the basis element that the product is a
-    multiple of.
+    element x = E_ij (x) X_t and every y = E_jl (x) X_s in the set H of
+    right factors: u_j = E_(j,j+1) (x) X_0 for j < k - 1, and E_00 (x) X_g
+    for the coordinate generators g of T (E_00 (x) X_0 if T = 0).  Here xy
+    stands for the basis element that the product is a multiple of.
 
-    These relations span the lattice of all of them, so the group is that of
-    all nonzero products.  A product of basis elements is 0 or a nonzero
-    multiple of a basis element, and D is validated associative, so
+    These relations span the lattice S of all of them, so the group is
+    that of all nonzero products.  First, L(0) is in S: it is
+    r(E_00 (x) X_0, E_00 (x) X_g), or r(E_00 (x) X_0, E_00 (x) X_0) when
+    T = 0.  Next, with f_j = E_(j+1,j) (x) X_0 and x f_j != 0, x f_j u_j is
+    a multiple of x and f_j u_j one of E_(j+1,j+1) (x) X_0, of degree 0, so
+    r(x, f_j) = r(f_j, u_j) - r(x f_j, u_j) + L(0) is in S as well.  So S
+    holds r(x, g) for every g in G = H + {f_j}, which generates the basis
+    monoid.  A product of basis elements is 0 or a nonzero multiple of a
+    basis element, and D is validated associative, so
     r(x, y1 y2) = r(x, y1) + r(x y1, y2) - r(y1, y2) whenever x y1 y2 != 0,
-    and then x y1 != 0 and y1 y2 != 0 too.  Every basis element is a multiple
-    of a word in G with nonzero prefixes (E_jl (x) X_s = E_j0 (E_00 (x) X_s)
-    E_0l), so induction on the length of the word in y puts each r(x, y) in
-    the span of the r(x', g) with g in G.
+    and then x y1 != 0 and y1 y2 != 0 too.  Every basis element is a
+    multiple of a word in G with nonzero prefixes (E_jl (x) X_s =
+    E_j0 (E_00 (x) X_s) E_0l), so induction on the length of the word in y
+    puts each r(x, y) in S.
     """
     elems = r.division.elements()
     _, at, add = support_table(r.division.support)
@@ -432,9 +437,9 @@ def harvest_universal_group(r: GradedMatrixAlgebra):
                     index[d] = len(labels)
                     labels.append(d)
                 ids[i][j][t] = index[d]
-    # G as (j, l, s): y = E_jl (x) X_s, with s a support position
+    # H as (j, l, s): y = E_jl (x) X_s, with s a support position
     right = [(0, 0, at[g]) for g in r.division.support.generators()] or [(0, 0, 0)]
-    right += [(j, j + 1, 0) for j in range(k - 1)] + [(j + 1, j, 0) for j in range(k - 1)]
+    right += [(j, j + 1, 0) for j in range(k - 1)]
     # (E_ij (x) X_t)(E_jl (x) X_s) is never zero over D and relates the
     # label ids a, b, c of the two factors and the product
     triples = {
@@ -478,7 +483,8 @@ def to_structure_constants(r: GradedMatrixAlgebra) -> StructureConstantAlgebra:
     X_(t+s), a unit and so never zero.  It is placed in every block
     (i, j, l) by E_ij E_jl = E_il.  Basis element (i, j, t, b) has index
     ((i k + j) |T| + t) w + b, with t a support position and w the width
-    of the coefficient basis.
+    of the coefficient basis.  Each distinct coefficient is converted once,
+    to an int when it is integral.
     """
     d = r.division
     kind, units, sigma, add = d.kind, d._units, d._sigma_ids, d._add
@@ -497,7 +503,7 @@ def to_structure_constants(r: GradedMatrixAlgebra) -> StructureConstantAlgebra:
                 for b2, image in enumerate(images):
                     p = units.mul(units.mul(b1, image), sigma[t][s])
                     if p not in coords:
-                        coords[p] = [(b3, c) for b3, c in
+                        coords[p] = [(b3, _exact(c)) for b3, c in
                                      enumerate(kind.to_vector(units.values[p])) if c]
                     row.append((s * width + b2, [(at + b3, c) for b3, c in coords[p]]))
             rows.append(row)

@@ -7,13 +7,14 @@ grading, and the quaternion-pair counterexample all run here with exact
 rational linear algebra.  Constants and coordinates are ints when integral
 (`_exact`), and every algebra is validated when it is built.  `_Rref` is the
 single elimination kernel: `solve_square`, `nullspace` and every span
-computation reduce through it.
+computation reduce through it.  It eliminates fraction-free, in ints, and
+a Fraction appears only where a solution or a basis vector is read out of
+it, divided by its pivot.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 from .abelian import AbelianGroup, abstract_type, coset_rep, json_int, universal_abelian_group
@@ -41,19 +42,47 @@ NO_WITNESS = _NoWitness()
 
 
 def _exact(c):
-    """`c` as an int when it is integral, else as an exact Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    """`c` as an int when it is integral, else as an exact Fraction; an int
+    or a Fraction is returned as it is, or as its numerator."""
+    if type(c) is not int:
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra over Q
 # ---------------------------------------------------------------------------
 
+def _integral(vec) -> list:
+    """The entries of the sequence `vec` times the lcm of their
+    denominators, as a list of ints."""
+    if set(map(type, vec)) <= {int}:
+        return list(vec)
+    den = math.lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec]
+
+
+def _primitive(v: list) -> list:
+    """`v` divided by the gcd of its entries (a zero `v` as it is)."""
+    g = math.gcd(*v)
+    return v if g <= 1 else [x // g for x in v]
+
+
 class _Rref:
-    """Incremental row-reduced span; entries stay ints until a pivot is not +-1."""
+    """Incremental row-reduced span, fraction-free in ints.
+
+    Each row is a primitive integer vector with a positive pivot entry, and
+    every other row is zero at that pivot: row r is a positive multiple of
+    row r of the reduced row echelon form, which is unique, so a reader
+    divides by `row[pivot]` to get it.  A vector with Fraction entries is
+    scaled by the lcm of its denominators on the way in, which keeps its
+    span.  Eliminating by a row cross-multiplies (a v - c row, as in
+    Bareiss's fraction-free elimination) and divides by the gcd of the
+    entries, so no Fraction is built.
+    """
 
     def __init__(self, width: int):
         self.width = width
@@ -65,28 +94,36 @@ class _Rref:
         return len(self.rows)
 
     def reduce(self, vec) -> list:
-        v = list(vec)
+        """A nonzero integer multiple of the remainder of `vec` modulo the
+        span, or zero when `vec` lies in the span.  The remainder itself is
+        not returned: `_generating_set`, the one caller outside this class,
+        only tests whether it is zero."""
+        v = _integral(vec)
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if c:
-                v = [x - c * y for x, y in zip(v, row)]
+                a = row[p]
+                if a == 1:  # no entry grows
+                    v = [x - c * y for x, y in zip(v, row)]
+                else:
+                    v = _primitive([a * x - c * y for x, y in zip(v, row)])
         return v
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
         v = self.reduce(vec)
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
+        lead = next(filter(None, v), 0)
+        if not lead:
             return False
-        if v[pivot] == -1:
+        pivot = v.index(lead)  # the entries before the first nonzero one are 0
+        v = _primitive(v)
+        if v[pivot] < 0:
             v = [-x for x in v]
-        elif v[pivot] != 1:
-            inv = Fraction(v[pivot])
-            v = [_exact(x / inv) for x in v]
+        a = v[pivot]
         for r, row in enumerate(self.rows):
             c = row[pivot]
             if c:
-                self.rows[r] = [x - c * y for x, y in zip(row, v)]
+                self.rows[r] = _primitive([a * x - c * y for x, y in zip(row, v)])
         self.rows.append(v)
         self.pivots.append(pivot)
         return True
@@ -102,7 +139,7 @@ def solve_square(matrix, rhs):
         return None
     y = [0] * n
     for row, p in zip(rref.rows, rref.pivots):
-        y[p] = row[n]
+        y[p] = _exact(Fraction(row[n], row[p]))
     return y
 
 
@@ -119,7 +156,7 @@ def nullspace(rows, width):
         vec = [0] * width
         vec[free] = 1
         for row, p in zip(rref.rows, rref.pivots):
-            vec[p] = -row[free]
+            vec[p] = _exact(Fraction(-row[free], row[p]))
         basis.append(vec)
     return basis
 
@@ -127,6 +164,10 @@ def nullspace(rows, width):
 # ---------------------------------------------------------------------------
 # the algebra
 # ---------------------------------------------------------------------------
+
+def _nonzero(vec: dict) -> dict:
+    return {k: c for k, c in vec.items() if c}
+
 
 class StructureConstantAlgebra:
     """Finite-dimensional graded unital algebra with exact structure constants."""
@@ -158,10 +199,10 @@ class StructureConstantAlgebra:
             for key, entry in table.items()
         }
         self.unity = {k: _exact(c) for k, c in unity.items() if c}
-        self._validate()
         self._by_degree: dict = {}
         for i, d in enumerate(self.degrees):
             self._by_degree.setdefault(d, []).append(i)
+        self._validate()
 
     @property
     def dim(self) -> int:
@@ -219,6 +260,11 @@ class StructureConstantAlgebra:
     def _validate(self):
         """Grading, unity, then associativity by Light's test.
 
+        The grading is checked on every table entry, with deg e_i + deg e_j
+        computed once per pair of components: the components are numbered
+        in the order of `_by_degree`, and an entry passes when every index
+        of it lies in the component numbered for the sum.
+
         Associativity is checked only on the triples (e_i, e_s, e_k) with s
         in the generating set S of `_generating_set`, and this proves it on
         all triples.  M = {g : (xg)y = x(gy) for all x, y} is a subspace,
@@ -226,30 +272,49 @@ class StructureConstantAlgebra:
         (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
         M contains 1 once the unity check has passed, and the check below
         puts S in M.  Every element of V = A is a sum of products of 1 and
-        elements of S, so M = A.
+        elements of S, so M = A.  Both sides of a triple are read off the
+        table rows: (e_i e_s) e_k sums c (e_m e_k) over the terms c e_m of
+        e_i e_s, and e_i (e_s e_k) sums c (e_i e_m) over those of e_s e_k.
         """
-        n = self.dim
-        # grading compatibility
-        for (i, j), entry in self.table.items():
-            target = self.degrees[i] + self.degrees[j]
+        n, table = self.dim, self.table
+        # grading compatibility, one group addition per pair of components
+        number = {d: c for c, d in enumerate(self._by_degree)}
+        component = [number[d] for d in self.degrees]
+        sums: dict = {}
+        for (i, j), entry in table.items():
+            pair = (component[i], component[j])
+            target = sums.get(pair)
+            if target is None:
+                target = sums[pair] = number.get(self.degrees[i] + self.degrees[j])
             for k in entry:
-                if self.degrees[k] != target:
+                if component[k] != target:
                     raise ValueError(
                         f"product {self.labels[i]}*{self.labels[j]} leaves its component"
                     )
         # unity
         for i in range(n):
-            b = self._basis_vec(i)
+            b = {i: 1}
             if self.mul_vectors(self.unity, b) != b or self.mul_vectors(b, self.unity) != b:
                 raise ValueError("unity fails on a basis element")
-        # associativity by Light's test: the middle factor runs over S only
+        # associativity by Light's test: the middle factor runs over S only;
+        # rows[i][j] is the entry of e_i e_j
+        empty: dict = {}
+        rows = [[table.get((i, j), empty) for j in range(n)] for i in range(n)]
         for s in self._generating_set():
+            row_s = rows[s]
             for i in range(n):
-                i_s = self.table.get((i, s), {})
+                row_i = rows[i]
+                i_s = row_i[s].items()
                 for k in range(n):
-                    left = self.mul_vectors(i_s, self._basis_vec(k))
-                    right = self.mul_vectors(self._basis_vec(i), self.table.get((s, k), {}))
-                    if left != right:
+                    left: dict = {}
+                    for m, c in i_s:
+                        for t, v in rows[m][k].items():
+                            left[t] = left.get(t, 0) + c * v
+                    right: dict = {}
+                    for m, c in row_s[k].items():
+                        for t, v in row_i[m].items():
+                            right[t] = right.get(t, 0) + c * v
+                    if left != right and _nonzero(left) != _nonzero(right):
                         raise ValueError(f"associativity fails at triple ({i}, {s}, {k})")
 
     def element(self, coords) -> "AlgebraElement":
@@ -280,6 +345,13 @@ class StructureConstantAlgebra:
 
     @classmethod
     def from_json(cls, data: dict) -> "StructureConstantAlgebra":
+        def constant(value):  # Fraction() would read true as 1 and 1.0 as 1
+            if type(value) is int:
+                return value
+            if type(value) is not str or "/" not in value:
+                raise ValueError(f"constant {value!r} is neither an int nor a 'p/q' string")
+            return Fraction(value)
+
         def index(key):  # "00" or "+0" would merge with "0", as a repeated row would
             if str(int(key)) != key:
                 raise ValueError(f"key {key!r} is not the decimal of a basis index")
@@ -291,8 +363,8 @@ class StructureConstantAlgebra:
         for i, j, entry in data["table"]:
             if (i, j) in table:
                 raise ValueError(f"table row {[i, j]} is repeated")
-            table[(i, j)] = {index(k): Fraction(c) for k, c in entry.items()}
-        unity = {index(k): Fraction(c) for k, c in data["unity"].items()}
+            table[(i, j)] = {index(k): constant(c) for k, c in entry.items()}
+        unity = {index(k): constant(c) for k, c in data["unity"].items()}
         return cls(data["labels"], degrees, table, unity)
 
 
@@ -524,6 +596,8 @@ def inner_stabilizer_quotient(a: StructureConstantAlgebra, seed: int = 0):
     """
     if not is_graded_simple(a):
         raise ValueError("the inner stabilizer description needs a graded-simple algebra")
+    import random  # only the seeded sampling needs it; a CLI start does not
+
     rng = random.Random(seed)
     by_component = a.basis_degrees_by_component()
     unit_degrees = {}

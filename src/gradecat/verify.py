@@ -8,7 +8,6 @@ tests and the `gradecat verify` command.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 from .abelian import AbelianGroup, character_group, compose
@@ -121,6 +120,8 @@ def _central_unit_pool(a, rng):
 # ---------------------------------------------------------------------------
 
 def suite_inner_aut(seed: int = 0):
+    import random  # only the seeded sampling needs it; a CLI start does not
+
     checks = []
     rng = random.Random(seed)
     fixtures = graded_simple_fixtures()

@@ -184,6 +184,17 @@ def test_cli_verify_fixture_dump(tmp_path, capsys):
     assert "graded-simple" in out
 
 
+def test_cli_verify_fixture_reads_int_constants(tmp_path, capsys):
+    # a JSON int is a constant as well as the "p/q" string that to_json writes
+    dump = _z2_dump(table=[[i, j, {str(k): 1 for k in entry}]
+                           for i, j, entry in _z2_dump()["table"]], unity={"0": 1})
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(dump))
+    assert main(["verify", "--fixture", str(path)]) == 0
+    assert StructureConstantAlgebra.from_json(dump).table \
+        == StructureConstantAlgebra.from_json(_z2_dump()).table
+
+
 def test_cli_verify_fixture_undecidable_centre_propagates(tmp_path):
     # Q[Z3] trivially graded: whether its 3-dimensional Z(A)_e is a field is
     # left undecided, which is a gap of the library and no user error
@@ -230,6 +241,12 @@ def _z2_dump(**changes):
     _z2_dump(group={"free_rank": 0, "torsion": [2.9]}),
     _z2_dump(group={"free_rank": 0, "torsion": [2.0]}),
     _z2_dump(group={"free_rank": False, "torsion": [2]}),
+    # constants that Fraction() would read as 1: only an int or "p/q" is one
+    _z2_dump(table=_z2_dump()["table"][:3] + [[1, 1, {"0": True}]]),
+    _z2_dump(table=_z2_dump()["table"][:3] + [[1, 1, {"0": 1.0}]]),
+    _z2_dump(table=_z2_dump()["table"][:3] + [[1, 1, {"0": "1"}]]),
+    _z2_dump(unity={"0": True}),
+    _z2_dump(unity={"0": 1.0}),
     "not an object",
 ])
 def test_cli_malformed_fixture_exit_2(tmp_path, capsys, dump):

@@ -404,18 +404,18 @@ def _harvest_rows():
         yield matrix_algebra(parse_catalog_ref(ref), k=1)
 
 
-def _monoid_generators(r):
-    """E_(j,j+1) and E_(j+1,j) times X_0, and E_00 times X_g for the
-    generators g of T (E_00 X_0 when T = 0), as (j, l, g)."""
+def _right_factors(r):
+    """E_(j,j+1) times X_0, and E_00 times X_g for the generators g of T
+    (E_00 X_0 when T = 0), as (j, l, g)."""
     zero, k = r.division.support.zero(), r.k
     gens = {(0, 0, g) for g in r.division.support.generators()} or {(0, 0, zero)}
-    return gens | {(j, j + 1, zero) for j in range(k - 1)} | {(j + 1, j, zero) for j in range(k - 1)}
+    return gens | {(j, j + 1, zero) for j in range(k - 1)}
 
 
 def test_harvest_matches_reference_on_classify_rows(monkeypatch):
-    """The harvest keeps the relations whose right factor is in the generating
-    set of the basis monoid, and they present the group of all products:
-    every relation of the reference vanishes under the harvested projection."""
+    """The harvest keeps the relations whose right factor is E_(j,j+1) X_0
+    or E_00 X_g, and they present the group of all products: every relation
+    of the reference vanishes under the harvested projection."""
     import gradecat.matrix as matrix
     from gradecat.abelian import universal_abelian_group
 
@@ -433,7 +433,7 @@ def test_harvest_matches_reference_on_classify_rows(monkeypatch):
         got_labels, got_relations = seen.pop()
         assert got_labels == labels
         assert got_relations <= relations
-        assert got_relations == _reference_harvest(algebra, _monoid_generators(algebra))[1]
+        assert got_relations == _reference_harvest(algebra, _right_factors(algebra))[1]
         assert group == universal_abelian_group(labels, relations)[0]
         assert list(projection) == labels
         images = [projection[x] for x in labels]

@@ -33,13 +33,25 @@ print(sorted(set(sys.modules) - before))
 """
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
-    out = subprocess.run([sys.executable, "-I", "-c", _NEWLY_LOADED.format(src=str(SRC))],
+def _newly_loaded_by_cli_import():
+    # -S as well: a .pth file of site-packages may load a module first
+    # (random through tempfile, say), and then its absence shows nothing
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", _NEWLY_LOADED.format(src=str(SRC))],
                          capture_output=True, text=True, check=True).stdout
     loaded = ast.literal_eval(out.strip())
     assert "gradecat.cli" in loaded
+    return loaded
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    loaded = _newly_loaded_by_cli_import()
     assert "dataclasses" not in loaded
     assert "inspect" not in loaded
+
+
+def test_cli_import_loads_no_random():
+    # only the seeded sampling of the verify suites uses it, and imports it there
+    assert "random" not in _newly_loaded_by_cli_import()
 
 
 Z2 = AbelianGroup(0, (2,))

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -40,14 +41,18 @@ def test_solve_square():
     assert solve_square([[1, 1], [2, 2]], [1, 1]) is None
 
 
+_small_ints = st.integers(-3, 3)
+# denominators 1..4: the fraction-free kernel scales such a row by their lcm
+_small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
 @st.composite
-def _integer_matrices(draw, square=False):
-    """Small integer matrices; a row is often a combination of two others, so
+def _matrices(draw, entries, square=False):
+    """Small matrices; a row is often a combination of two others, so
     singular and rank-deficient inputs are common."""
     width = draw(st.integers(1, 5))
     height = width if square else draw(st.integers(0, 5))
-    rows = [draw(st.lists(st.integers(-3, 3), min_size=width, max_size=width))
-            for _ in range(height)]
+    rows = [draw(st.lists(entries, min_size=width, max_size=width)) for _ in range(height)]
     if height >= 3 and draw(st.booleans()):
         a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
         rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
@@ -58,25 +63,48 @@ def _rationals(values):
     return [sympy.Rational(v.numerator, v.denominator) for v in values]
 
 
+def _sympy_matrix(rows, width):
+    return sympy.Matrix([_rationals(row) for row in rows]) if rows else sympy.zeros(0, width)
+
+
 @settings(max_examples=200, deadline=None)
-@given(_integer_matrices(square=True), st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+@given(st.one_of(_matrices(_small_ints, square=True), _matrices(_small_rationals, square=True)),
+       st.lists(st.one_of(_small_ints, _small_rationals), min_size=5, max_size=5))
 def test_solve_square_agrees_with_sympy(system, rhs):
     matrix, n = system
     rhs = rhs[:n]
     y = solve_square(matrix, rhs)
-    m = sympy.Matrix(matrix)
+    m = _sympy_matrix(matrix, n)
     if m.rank() < n:
         assert y is None
     else:
-        assert _rationals(y) == list(m.LUsolve(sympy.Matrix(rhs)))
+        assert _rationals(y) == list(m.LUsolve(sympy.Matrix(_rationals(rhs))))
+        assert all(type(c) is int or c.denominator > 1 for c in y)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_integer_matrices())
+@given(st.one_of(_matrices(_small_ints), _matrices(_small_rationals)))
+def test_rref_rank_agrees_with_sympy(system):
+    rows, width = system
+    rref = _Rref(width)
+    grew = [rref.add(row) for row in rows]
+    m = _sympy_matrix(rows, width)
+    assert rref.rank == sum(grew) == m.rank()
+    # primitive int rows with a positive pivot, zero at every other pivot
+    for row, p in zip(rref.rows, rref.pivots):
+        assert all(type(x) is int for x in row)
+        assert row[p] > 0 and math.gcd(*row) == 1
+        assert all(row[q] == 0 for q in rref.pivots if q != p)
+    for row in rows:
+        assert not any(rref.reduce(row))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_matrices(_small_ints), _matrices(_small_rationals)))
 def test_nullspace_agrees_with_sympy(system):
     rows, width = system
     basis = nullspace(rows, width)
-    m = sympy.Matrix(rows) if rows else sympy.zeros(0, width)
+    m = _sympy_matrix(rows, width)
     assert len(basis) == width - m.rank() == len(m.nullspace())
     for vec in basis:
         assert all(x == 0 for x in m * sympy.Matrix(_rationals(vec)))
@@ -738,3 +766,90 @@ def test_light_test_finds_the_one_failing_triple(key, triple):
         == [triple]
     with pytest.raises(ValueError, match=re.escape(f"associativity fails at triple {triple}")):
         StructureConstantAlgebra(labels, degrees, table, {0: 1})
+
+
+# ---------------------------------------------------------------------------
+# `_validate` against the loop it replaced, on every algebra `verify` builds
+# ---------------------------------------------------------------------------
+
+def _reference_validate(a):
+    """The former `_validate`: one group addition per table entry, and two
+    `mul_vectors` calls on `{k: 1}` dicts per triple of Light's test."""
+    n = a.dim
+    for (i, j), entry in a.table.items():
+        target = a.degrees[i] + a.degrees[j]
+        for k in entry:
+            if a.degrees[k] != target:
+                raise ValueError(f"product {a.labels[i]}*{a.labels[j]} leaves its component")
+    for i in range(n):
+        b = {i: 1}
+        if a.mul_vectors(a.unity, b) != b or a.mul_vectors(b, a.unity) != b:
+            raise ValueError("unity fails on a basis element")
+    for s in a._generating_set():
+        for i in range(n):
+            i_s = a.table.get((i, s), {})
+            for k in range(n):
+                left = a.mul_vectors(i_s, {k: 1})
+                right = a.mul_vectors({i: 1}, a.table.get((s, k), {}))
+                if left != right:
+                    raise ValueError(f"associativity fails at triple ({i}, {s}, {k})")
+
+
+@functools.lru_cache(maxsize=None)
+def _verify_builds():
+    """(labels, degrees, table, unity) of every algebra that a run of
+    `verify --suite all` validates, each distinct one once."""
+    import gradecat.verify as verify
+
+    built = {}
+    validate = StructureConstantAlgebra._validate
+
+    def recording(self):
+        key = json.dumps(self.to_json(), sort_keys=True)
+        built.setdefault(key, (self.labels, self.degrees, self.table, self.unity))
+        validate(self)
+
+    StructureConstantAlgebra._validate = recording
+    try:
+        verify.run_suite("all", seed=0)
+    finally:
+        StructureConstantAlgebra._validate = validate
+    return tuple(built.values())
+
+
+def _verdict(validate):
+    try:
+        validate()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def test_verify_builds_pass_both_validations():
+    builds = _verify_builds()
+    assert len(builds) >= 17
+    assert max(len(labels) for labels, *_ in builds) >= 32
+    for labels, degrees, table, unity in builds:
+        _reference_validate(_Unvalidated(labels, degrees, table, unity))
+        StructureConstantAlgebra(labels, degrees, table, unity)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_validate_agrees_with_the_reference_on_one_perturbed_constant(data):
+    labels, degrees, table, unity = data.draw(st.sampled_from(_verify_builds()))
+    n = len(labels)
+    table = {key: dict(entry) for key, entry in table.items()}
+    unity = dict(unity)
+    # one constant: of a product or of the unity, at an index that may lie
+    # in another component, changed by a small rational (possibly to 0)
+    if data.draw(st.integers(0, 9)):
+        entry = table.setdefault(data.draw(st.sampled_from(sorted(table))), {})
+    else:
+        entry = unity
+    k = data.draw(st.sampled_from(sorted(entry)) if entry and data.draw(st.booleans())
+                  else st.integers(0, n - 1))
+    delta = data.draw(st.one_of(st.integers(-2, 2), _small_rationals).filter(bool))
+    entry[k] = entry.get(k, 0) + delta
+    reference = _verdict(lambda: _reference_validate(_Unvalidated(labels, degrees, table, unity)))
+    assert _verdict(lambda: StructureConstantAlgebra(labels, degrees, table, unity)) == reference
