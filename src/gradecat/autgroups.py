@@ -18,12 +18,9 @@ from .abelian import (
     AutBoundError,
     _order_census,
     _type_from_census,
-    abstract_type,
     automorphism_group,
     character_group,
     compose,
-    quotient_type,
-    square_elements,
     support_table,
 )
 from .division import (
@@ -294,41 +291,37 @@ def weyl_division(d: GradedDivisionAlgebra):
 
     Returns (elements, descriptor): the support automorphisms preserving the
     grading invariants, as position tuples (see `automorphism_group`), and a
-    descriptor identified from their composition.  Raises AutBoundError when
-    enumeration of Aut(T) is out of reach.
+    descriptor identified from their composition.  An automorphism p of T is
+    kept when it preserves, at every position t, the label (t in K, the id
+    of sigma(t, t) wherever the square of X_t is an invariant), and the ids
+    of beta on K.  The square is an invariant on the 2-torsion over R and H
+    (the form mu) and off K over C (the signs nu); over C with the trivial
+    action (2-f) beta may also go to its conjugate.  Raises AutBoundError
+    when enumeration of Aut(T) is out of reach.
     """
     if d._weyl is not None:
         return d._weyl
-    t = d.support
-    auts = automorphism_group(t)
-    elems, index, add = support_table(t)
-    n = len(elems)
+    auts = automorphism_group(d.support)
     beta = commutation_bicharacter(d)
-    ids, m = beta.ids, len(beta.domain)
-
-    def keeps(table, q):  # table[q[u]][q[v]] == ids[u][v] on the domain positions of beta
-        return all(table[q[u]][q[v]] == ids[u][v] for u in range(m) for v in range(m))
-
-    # in the first two branches the action is trivial, so K = T and the
-    # domain positions of beta are support positions
-    if d.type_tag == "2-f" or (d.kind.family == "C" and not d.conj_elements):
-        conj = [[beta.units.conj(a) for a in row] for row in ids]
-        kept = [p for p in auts if keeps(ids, p) or keeps(conj, p)]
-    elif d.kind.family in ("R", "H"):
-        mu2 = {i: d._sigma_ids[i][i] for i in range(n) if add[i][i] == 0}
-        kept = [p for p in auts
-                if all(mu2[p[i]] == mu2[i] for i in mu2) and keeps(ids, p)]
-    else:
-        # dimension-2 components with a nontrivial action: preserve K, the
-        # partial square signs on T \ K, and the bicharacter on K
-        in_k = [x not in d.conj_elements for x in elems]
-        nu = {index[x]: s for x, s in quadratic_form(d).values.items()}
-        k_at = [index[x] for x in beta.domain]
-        k_pos = {ti: i for i, ti in enumerate(k_at)}
-        kept = [p for p in auts
-                if all(in_k[p[i]] == in_k[i] for i in range(n))
-                and all(nu[p[i]] == s for i, s in nu.items())
-                and keeps(ids, [k_pos[p[ti]] for ti in k_at])]
+    if d.conj_elements:
+        quadratic_form(d)  # a square off K that is not +-1 raises ValueError
+    sigma, add, real = d._sigma_ids, d._add, d.kind.family != "C"
+    in_k = [x not in d.conj_elements for x in d.elements()]
+    label = [(k, sigma[i][i] if not k or (real and add[i][i] == 0) else None)
+             for i, k in enumerate(in_k)]
+    k_at = [i for i, k in enumerate(in_k) if k]  # the positions of beta.domain
+    rows = list(zip(k_at, beta.ids))
+    table = [[None] * len(in_k) for _ in in_k]  # beta's ids at support positions
+    for i, row in rows:
+        for j, a in zip(k_at, row):
+            table[i][j] = a
+    tables = [table]
+    if not real and not d.conj_elements:  # K = T
+        tables.append([[beta.units.conj(a) for a in r] for r in table])
+    kept = [p for p in auts
+            if [label[x] for x in p] == label
+            and any(all([t[p[i]][p[j]] for j in k_at] == row for i, row in rows)
+                    for t in tables)]
     descriptor = _finite_group_descriptor(kept, compose)
     d._weyl = (tuple(kept), descriptor)
     return d._weyl
@@ -349,33 +342,30 @@ def _finite_group_descriptor(elements, mul) -> GroupDescriptor:
 
 
 def stab_division(d: GradedDivisionAlgebra) -> GroupDescriptor:
-    """Stabilizer of a catalog division grading, by type."""
+    """Stabilizer of a catalog division grading, by type.
+
+    T/T^[2] is Hom(T, Z2), the sum of the Z_gcd(2, m_i).
+    """
     tag = d.type_tag
     if tag is None:
         raise CatalogError("stabilizer formulas apply to catalog algebras")
     t = d.support
-    if tag in ("1-a", "1-b", "1-c"):
+    if tag in ("1-a", "1-b", "1-c", "1-d"):
         return FiniteAbelian(character_group(t, 2))
-    if tag == "1-d":
-        return FiniteAbelian(quotient_type(t, square_elements(t)))
     if tag in ("2-a", "2-b", "2-c"):
         g = min(d.conj_elements, key=lambda e: e.coords)
         note = f"T\\K acts on C^x/R^x by conjugation (chosen g = {g.coords})"
-        return SemidirectProduct(Torus("U1"), FiniteAbelian(abstract_type(t.elements())), note)
+        return SemidirectProduct(Torus("U1"), FiniteAbelian(t), note)
     if tag in ("2-d", "2-e"):
-        quot = quotient_type(t, square_elements(t))
         note = "(T\\K)/T^[2] acts on C^x/R^x by conjugation"
-        return SemidirectProduct(Torus("U1"), FiniteAbelian(quot), note)
-    if tag in ("3-a", "3-b", "3-c"):
+        return SemidirectProduct(Torus("U1"), FiniteAbelian(character_group(t, 2)), note)
+    if tag in ("3-a", "3-b", "3-c", "3-d"):
         return DirectProduct((Torus("AutH"), FiniteAbelian(character_group(t, 2))))
-    if tag == "3-d":
-        return DirectProduct((Torus("AutH"),
-                              FiniteAbelian(quotient_type(t, square_elements(t)))))
     if tag == "2-f":
         beta = commutation_bicharacter(d)
         if beta.is_self_conjugate():
             return FiniteAbelian(t.direct_sum(AbelianGroup(0, (2,))))
-        return FiniteAbelian(AbelianGroup(0, t.torsion))
+        return FiniteAbelian(t)
     raise CatalogError(f"unknown type tag {tag!r}")
 
 

@@ -19,7 +19,6 @@ from .autgroups import (
     WeylModel,
     diag_descriptor,
     stab_descriptor,
-    stab_division,
     weyl_descriptor,
 )
 from .division import GradedDivisionAlgebra, canonical, underlying_algebra_name

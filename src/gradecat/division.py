@@ -24,8 +24,6 @@ from .abelian import (
     GroupElement,
     abstract_type,
     parse_group_string,
-    quotient_type,
-    square_elements,
     subgroup_generated,
     support_table,
 )
@@ -127,8 +125,7 @@ class CoefficientKind:
         if self.family == "C":
             n = self.conductor
             deg = len(Cyclotomic.from_rational(0, n).coeffs)
-            return tuple(zeta(n, k) if k else Cyclotomic.from_rational(1, n)
-                         for k in range(deg))
+            return tuple(zeta(n, k) for k in range(deg))
         return (RationalQuaternion.one(), RationalQuaternion.i(),
                 RationalQuaternion.j(), RationalQuaternion.k())
 
@@ -421,10 +418,7 @@ class DivisionElement:
         alg = self.algebra
         (t, c), = self.terms.items()
         ti = -t
-        need = alg.sigma(t, ti).inverse() if not isinstance(alg.sigma(t, ti), Fraction) \
-            else 1 / alg.sigma(t, ti)
-        cinv = c.inverse() if not isinstance(c, Fraction) else 1 / c
-        d = alg.alpha(t, need * cinv)
+        d = alg.alpha(t, 1 / (c * alg.sigma(t, ti)))
         result = DivisionElement(alg, {ti: alg.kind.coerce(d)})
         one = alg.one().terms
         if (self * result).terms != one or (result * self).terms != one:
@@ -578,9 +572,7 @@ def commutation_bicharacter(d: GradedDivisionAlgebra) -> Bicharacter:
             key = (sigma[i][j], sigma[j][i])
             found = quotients.get(key)
             if found is None:
-                s_uv, s_vu = units.values[key[0]], units.values[key[1]]
-                inv = 1 / s_vu if isinstance(s_vu, Fraction) else s_vu.inverse()
-                value = s_uv * inv
+                value = units.values[key[0]] / units.values[key[1]]
                 found = quotients[key] = (beta_units.intern(value), value)
             row.append(found[0])
             values[(u, v)] = found[1]

@@ -76,10 +76,6 @@ class GradingParams:
     def _coset_key(self, g: GroupElement):
         return coset_rep(g, self._support_image).coords
 
-    @property
-    def k(self) -> int:
-        return sum(self.kappa)
-
 
 class GradedMatrixAlgebra:
     """M_k(D) with its elementary grading refined by the division grading on D."""

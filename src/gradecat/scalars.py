@@ -100,13 +100,19 @@ class Cyclotomic:
             return self
         if conductor % self.conductor:
             raise ValueError("can only promote to a multiple conductor")
-        scale = conductor // self.conductor
-        deg = _phi_degree(conductor)
-        acc = [Fraction(0)] * deg
-        for k, c in enumerate(self.coeffs):
+        return self._substituted(conductor, conductor // self.conductor)
+
+    def _substituted(self, conductor: int, power: int) -> "Cyclotomic":
+        """The image under zeta_N^j -> zeta_conductor^(j * power), N = self.conductor.
+
+        With conductor = N and power coprime to N this is the Galois
+        automorphism zeta_N -> zeta_N^power of Q(zeta_N); with
+        conductor = N * power it is the embedding into Q(zeta_conductor).
+        """
+        acc = [Fraction(0)] * _phi_degree(conductor)
+        for j, c in enumerate(self.coeffs):
             if c:
-                vec = _zeta_power(conductor, k * scale)
-                for i, x in enumerate(vec):
+                for i, x in enumerate(_zeta_power(conductor, j * power)):
                     acc[i] += c * x
         return Cyclotomic(conductor, acc)
 
@@ -192,58 +198,24 @@ class Cyclotomic:
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation: zeta_N -> zeta_N^(N-1)."""
-        n = self.conductor
-        deg = len(self.coeffs)
-        acc = [Fraction(0)] * deg
-        for k, c in enumerate(self.coeffs):
-            if c:
-                vec = _zeta_power(n, (n - k) % n)
-                for i, x in enumerate(vec):
-                    acc[i] += c * x
-        return Cyclotomic(n, acc)
+        return self._substituted(self.conductor, self.conductor - 1)
 
     def inverse(self) -> "Cyclotomic":
+        """The product of the other Galois conjugates over the norm.
+
+        The conjugates zeta_N -> zeta_N^k, k coprime to N, run over the
+        embeddings of Q(zeta_N) (Phi_N is irreducible), so their product
+        over all k is the rational norm of self, nonzero when self is.
+        """
         if not self:
             raise ZeroDivisionError("inversion of zero cyclotomic")
-        # extended Euclid in Q[x] against Phi_N (irreducible over Q)
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        a = list(self.coeffs)
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def trim(p):
-            while p and not p[-1]:
-                p.pop()
-            return p
-
-        r0, r1 = trim(r0), trim(r1)
-        while r1:
-            q = [Fraction(0)] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-            rem = list(r0)
-            for top in range(len(rem) - 1, len(r1) - 2, -1):
-                shift = top - (len(r1) - 1)
-                if shift < 0:
-                    break
-                factor = rem[top] / r1[-1]
-                q[shift] = factor
-                for i, c in enumerate(r1):
-                    rem[shift + i] -= factor * c
-            rem = trim(rem)
-            new_s = [x for x in s0]
-            prod = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, x in enumerate(q):
-                for j, y in enumerate(s1):
-                    prod[i + j] += x * y
-            length = max(len(new_s), len(prod))
-            new_s += [Fraction(0)] * (length - len(new_s))
-            prod += [Fraction(0)] * (length - len(prod))
-            new_s = trim([x - y for x, y in zip(new_s, prod)])
-            r0, r1 = trim(list(r1)), rem
-            s0, s1 = s1, new_s
-        # r0 = gcd (a nonzero constant), s0 * self == r0 (mod phi)
-        const = r0[0]
-        inv_coeffs = [c / const for c in s0]
-        return Cyclotomic(self.conductor, inv_coeffs)
+        n = self.conductor
+        others = Cyclotomic.from_rational(1, n)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                others = others * self._substituted(n, k)
+        norm = (self * others).coeffs[0]
+        return Cyclotomic(n, [c / norm for c in others.coeffs])
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
@@ -356,17 +328,11 @@ class RationalQuaternion:
             return NotImplemented
         return self * o.inverse()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = RationalQuaternion.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
 
     def conjugate(self) -> "RationalQuaternion":
         return RationalQuaternion(self.w, -self.x, -self.y, -self.z)
@@ -397,7 +363,3 @@ class RationalQuaternion:
 
     def to_json(self) -> list:
         return [str(c) for c in self.components()]
-
-    @classmethod
-    def from_json(cls, data) -> "RationalQuaternion":
-        return cls(*(Fraction(c) for c in data))

@@ -14,7 +14,6 @@ from .abelian import AbelianGroup, character_group, compose
 from .autgroups import (
     DirectProduct,
     FiniteAbelian,
-    Symmetric,
     Torus,
     WeylModel,
     descriptors_equal,

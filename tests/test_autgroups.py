@@ -250,6 +250,21 @@ def test_weyl_respects_bound():
         weyl_division(canonical("1-c", "Z2^5"))
 
 
+def test_weyl_refuses_a_square_off_k_that_is_not_a_sign():
+    from gradecat.division import build_crossed_product
+
+    # 2-e:Z4 with X_2 rescaled by i: sigma'(u, v) = lam(u) alpha_u(lam(v))
+    # sigma(u, v) / lam(u + v) is cohomologous, and X_1^2 = -+i X_2 off K
+    d = canonical("2-e", "Z4")
+    elems = list(d.elements())
+    lam = {t: zeta(4) if t == elems[2] else 1 for t in elems}
+    cocycle = {(u, v): lam[u] * d.alpha(u, lam[v]) * d.sigma(u, v) / lam[u + v]
+               for u in elems for v in elems}
+    rescaled = build_crossed_product(d.support, d.kind, d.conj_elements, cocycle)
+    with pytest.raises(ValueError, match=r"normalized square .* is not \+-1"):
+        weyl_division(rescaled)
+
+
 def test_weyl_order_divides_aut_order():
     from gradecat.abelian import automorphism_group
 
@@ -304,6 +319,7 @@ def _reference_weyl_kept(d):
     "1-a:1", "1-a:Z2xZ2", "1-b:Z2xZ2", "1-c:Z2", "1-c:Z2^3", "1-d:Z2xZ4",
     "2-a:Z2", "2-a:Z2^3", "2-b:Z2", "2-c:Z2xZ2", "2-d:Z2^2xZ4", "2-e:Z4",
     "2-f:Z2^2", "2-f:Z3^2", "3-b:Z2xZ2", "3-d:Z2xZ4",
+    "3-a:Z2xZ2", "3-c:Z2", "2-b:Z2^3", "2-e:Z2^2xZ4", "2-f:Z4^2",
 ])
 def test_weyl_division_matches_reference_filter(ref):
     from gradecat.division import parse_catalog_ref
@@ -311,6 +327,45 @@ def test_weyl_division_matches_reference_filter(ref):
     d = parse_catalog_ref(ref)
     kept, _ = weyl_division(d)
     assert list(kept) == _reference_weyl_kept(d)
+
+
+def _census_stab_division(d):
+    """Stab(Gamma_0) with T/T^[2] and T read off element censuses, as an oracle."""
+    from gradecat.abelian import quotient_type, square_elements
+    from gradecat.division import commutation_bicharacter
+
+    t = d.support
+    quot = FiniteAbelian(quotient_type(t, square_elements(t)))
+    whole = abstract_type(t.elements())
+    family, tag = d.type_tag[0], d.type_tag
+    if family == "1":
+        return quot
+    if family == "3":
+        return DirectProduct((Torus("AutH"), quot))
+    if tag == "2-f":
+        if commutation_bicharacter(d).is_self_conjugate():
+            return FiniteAbelian(whole.direct_sum(Z2))
+        return FiniteAbelian(whole)
+    return quot if tag in ("2-d", "2-e") else FiniteAbelian(whole)
+
+
+@pytest.mark.parametrize("ref", [
+    "1-a:Z2^2", "1-a:Z2^4", "1-b:Z2^2", "1-b:Z2^4", "1-c:Z2", "1-c:Z2^3",
+    "1-d:Z2xZ4", "1-d:Z2^3xZ4", "2-a:Z2", "2-a:Z2^3", "2-b:Z2^3", "2-c:Z2^2",
+    "2-d:Z2^2xZ4", "2-d:Z2^4xZ4", "2-e:Z4", "2-e:Z2^2xZ4", "2-f:Z2^2", "2-f:Z4^2",
+    "2-f:Z6^2", "2-f:Z2^2xZ4^2", "3-a:Z2^2", "3-b:Z2^2", "3-c:Z2^3", "3-d:Z2xZ4",
+    "3-d:Z2^3xZ4",
+])
+def test_stab_division_matches_census_form(ref):
+    from gradecat.division import parse_catalog_ref
+
+    d = parse_catalog_ref(ref)
+    stab, expected = stab_division(d), _census_stab_division(d)
+    if isinstance(stab, SemidirectProduct):  # 2-a ... 2-e
+        assert stab.normal == Torus("U1")
+        assert stab.acting == expected
+    else:
+        assert stab == expected
 
 
 def test_stab_division_table():

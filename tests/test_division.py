@@ -650,6 +650,18 @@ def test_json_dump_has_required_fields():
     assert len(data["sigma"]) == 16
 
 
+@pytest.mark.parametrize("ref", ["3-a:Z2xZ2", "3-b:Z2xZ2", "3-c:Z2^3", "3-d:Z2xZ4"])
+def test_inverse_with_a_noncentral_quaternion_coefficient(ref):
+    d = parse_catalog_ref(ref)
+    c = RationalQuaternion(1, 1, 1)  # 1 + i + j
+    for t in d.elements():
+        x = d.unit(t, c)
+        xi = x.inverse()  # raises ArithmeticError unless the inverse is two-sided
+        assert xi.degree() == -t
+        assert x * xi == d.one()
+        assert xi * x == d.one()
+
+
 def test_inverse_raises_when_only_one_side_inverts():
     z3 = AbelianGroup(0, (3,))
     e = list(z3.elements())

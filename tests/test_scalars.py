@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from gradecat.scalars import (
     Cyclotomic,
@@ -92,6 +95,54 @@ def test_root_of_unity_detection():
     assert not (1 + zeta(4)).is_root_of_unity_or_zero()
 
 
+GALOIS_CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15)
+
+
+def cyclotomics(n):
+    """Elements of Q(zeta_n) with small rational coordinates."""
+    deg = len(cyclotomic_polynomial(n)) - 1
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    return st.lists(coeff, min_size=deg, max_size=deg).map(lambda c: Cyclotomic(n, c))
+
+
+@pytest.mark.parametrize("n", GALOIS_CONDUCTORS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_galois_inverse_agrees_with_sympy(n, data):
+    x = data.draw(cyclotomics(n).filter(bool), label="x")
+    inv = x.inverse()
+    assert x * inv == 1
+    var = sympy.Symbol("x")
+    poly = sum(sympy.Rational(c.numerator, c.denominator) * var ** i
+               for i, c in enumerate(x.coeffs))
+    theirs = sympy.Poly(sympy.invert(poly, sympy.cyclotomic_poly(n, var), var), var)
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(theirs.all_coeffs())]
+    assert inv == Cyclotomic(n, coeffs)
+
+
+@pytest.mark.parametrize("n", GALOIS_CONDUCTORS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_galois_substitutions_are_ring_maps(n, data):
+    k = data.draw(st.sampled_from([k for k in range(1, max(n, 2)) if math.gcd(k, n) == 1]))
+    x, y = data.draw(cyclotomics(n)), data.draw(cyclotomics(n))
+
+    def g(a):
+        return a._substituted(n, k)
+
+    assert g(x + y) == g(x) + g(y)
+    assert g(x * y) == g(x) * g(y)
+
+
+def test_inverting_zero_raises():
+    with pytest.raises(ZeroDivisionError, match="inversion of zero cyclotomic"):
+        Cyclotomic.from_rational(0, 5).inverse()
+    with pytest.raises(ZeroDivisionError, match="inversion of zero cyclotomic"):
+        1 / Cyclotomic.from_rational(0, 4)
+    with pytest.raises(ZeroDivisionError, match="inversion of zero quaternion"):
+        1 / RationalQuaternion()
+
+
 def test_cyclotomic_json_roundtrip():
     a = Cyclotomic(4, [Fraction(1, 2), Fraction(-3)])
     assert Cyclotomic.from_json(a.to_json()) == a
@@ -116,6 +167,13 @@ def test_quaternion_inverse_of_one_plus_i():
     assert q.inverse() == RationalQuaternion(Fraction(1, 2), Fraction(-1, 2))
     assert q * q.inverse() == 1
     assert q.inverse() * q == 1
+
+
+def test_rational_over_quaternion_is_the_inverse_times_it():
+    q = RationalQuaternion(1, 1, 1)
+    assert 1 / q == q.inverse()
+    assert Fraction(3, 2) / q == q.inverse() * Fraction(3, 2)
+    assert (1 / q) * q == 1
 
 
 def random_quat(rng):
