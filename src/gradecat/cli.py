@@ -1,7 +1,7 @@
 """Command-line front end.
 
     gradecat classify --algebra M4C [--format json|table]
-    gradecat verify --suite all [--seed N] [--fixture dump.json]
+    gradecat verify --suite all [--seed N] [--fixture dump.json] [--format text|json]
     gradecat universal --spec spec.json [--format json|table]
     gradecat catalog --entry 2-f:Z3xZ3 [--format json|table]
 
@@ -30,7 +30,7 @@ from .structconst import (
     homogeneous_witness,
     is_graded_simple,
 )
-from .verify import SUITES, run_suite
+from .verify import SUITES, CheckResult, checks_report, run_suite
 
 
 class UsageError(ValueError):
@@ -59,11 +59,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.fixture:
-        return _verify_fixture(args)
-    if args.suite != "all" and args.suite not in SUITES:
+        report = _verify_fixture(args)
+    elif args.suite != "all" and args.suite not in SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; pick from "
                          + ", ".join(list(SUITES) + ["all"]))
-    report = run_suite(args.suite, seed=args.seed)
+    else:
+        report = run_suite(args.suite, seed=args.seed)
     if args.format == "json":
         print(json.dumps(report, indent=2, ensure_ascii=False))
     else:
@@ -71,18 +72,20 @@ def _cmd_verify(args) -> int:
             status = "PASS" if check["ok"] else "FAIL"
             tail = f"  {check['detail']}" if check["detail"] else ""
             print(f"{status}  {check['name']}{tail}")
-        print(f"{report['passed']} passed, {report['failed']} failed")
+        if not args.fixture:
+            print(f"{report['passed']} passed, {report['failed']} failed")
     return 0 if report["failed"] == 0 else 1
 
 
-def _verify_fixture(args) -> int:
-    """Run the inner-automorphism checks against a structure-constant dump."""
+def _verify_fixture(args) -> dict:
+    """The report of the inner-automorphism checks on a structure-constant
+    dump, as suite "fixture"."""
     data = _read_json("fixture", args.fixture)
     with _spec_values("fixture", args.fixture):
         algebra = StructureConstantAlgebra.from_json(data)
     checks = []
     simple = is_graded_simple(algebra)
-    checks.append(("graded-simple", simple, ""))
+    checks.append(CheckResult("graded-simple", simple))
     failures = 0
     if simple:
         tested = 0
@@ -96,13 +99,9 @@ def _verify_fixture(args) -> int:
             tested += 1
             if not ok:
                 failures += 1
-        checks.append(("homogeneous-units-witness",
-                       failures == 0, f"{tested} homogeneous units tested"))
-    for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        tail = f"  {detail}" if detail else ""
-        print(f"{status}  {name}{tail}")
-    return 0 if all(ok for _, ok, _ in checks) else 1
+        checks.append(CheckResult("homogeneous-units-witness",
+                                  failures == 0, f"{tested} homogeneous units tested"))
+    return checks_report("fixture", args.seed, checks)
 
 
 def _unique_keys(pairs):

@@ -170,7 +170,12 @@ def _nonzero(vec: dict) -> dict:
 
 
 class StructureConstantAlgebra:
-    """Finite-dimensional graded unital algebra with exact structure constants."""
+    """Finite-dimensional graded unital algebra with exact structure constants.
+
+    `generators` lists the basis indices S of `_generating_set`: words in
+    the e_s, s in S, span A.  Light's test, the stabilizer and centrality
+    tests and the centre are all decided on S.
+    """
 
     def __init__(self, labels, degrees, table, unity):
         self.labels = tuple(labels)
@@ -233,6 +238,8 @@ class StructureConstantAlgebra:
         V starts as Q·1.  While V != A, the smallest i with e_i not in V
         joins S and V is closed under left and right multiplication by every
         element of S; each step adds at least e_i = e_i·1 to V, so it ends.
+        The closing stops as soon as V = A: no product can enlarge V then,
+        and no further generator is chosen, so S is the same.
         """
         n = self.dim
         span = _Rref(n)
@@ -251,14 +258,15 @@ class StructureConstantAlgebra:
                      if any(span.reduce([int(k == i) for k in range(n)])))
             generators.append(s)
             pending.extend((s, v) for v in spanned)
-            while pending:
+            while pending and span.rank < n:
                 s, v = pending.pop()
                 add(self.mul_vectors({s: 1}, v))
                 add(self.mul_vectors(v, {s: 1}))
         return generators
 
     def _validate(self):
-        """Grading, unity, then associativity by Light's test.
+        """Grading, unity, then associativity by Light's test; the generating
+        set S of the test is kept as `generators`.
 
         The grading is checked on every table entry, with deg e_i + deg e_j
         computed once per pair of components: the components are numbered
@@ -300,7 +308,8 @@ class StructureConstantAlgebra:
         # rows[i][j] is the entry of e_i e_j
         empty: dict = {}
         rows = [[table.get((i, j), empty) for j in range(n)] for i in range(n)]
-        for s in self._generating_set():
+        self.generators = self._generating_set()
+        for s in self.generators:
             row_s = rows[s]
             for i in range(n):
                 row_i = rows[i]
@@ -457,11 +466,19 @@ def invert(x: AlgebraElement):
 
 
 def _commutant(a: StructureConstantAlgebra, degree) -> list[dict]:
-    """Central elements of one degree: row (g, k) of the commutator equations
-    only touches the unknowns of degree deg k - deg g."""
+    """Central elements of one degree.
+
+    z is central iff z e_s = e_s z for every s in S = `a.generators`: the
+    centralizer of z is a unital subalgebra, and it contains S, so it
+    contains every word in S, which span A.  The equations of the whole
+    basis have the same solutions, so the same row space, whose reduced
+    row echelon form is unique; `nullspace` returns the same vectors from
+    either.  Row (s, k) of the commutator equations only touches the
+    unknowns of degree deg k - deg s.
+    """
     cols = a._by_degree.get(degree, [])
     rows = []
-    for g in range(a.dim):
+    for g in a.generators:
         block: dict = {}
         for c, j in enumerate(cols):
             diff = dict(a.table.get((j, g), {}))
@@ -531,44 +548,53 @@ def is_graded_simple(a: StructureConstantAlgebra) -> bool:
         "deciding whether it is a field needs factoring over Q")
 
 
-def _conjugation_images(a: StructureConstantAlgebra, x: AlgebraElement):
-    """The coordinates of x e_i x^-1 for every basis index i, or None as soon
-    as one of them leaves the component of e_i; x is inverted once."""
+def int_in_stabilizer(a: StructureConstantAlgebra, x: AlgebraElement) -> bool:
+    """Does conjugation by x preserve every homogeneous component?  Raises
+    NotInvertibleError when x has no inverse; x is inverted once.
+
+    It is decided on S = `a.generators`: Int(x) keeps every component iff
+    x e_s x^-1 lies in A_(deg e_s) for every s in S.  Int(x) is an algebra
+    automorphism, so the homogeneous h with Int(x)(h) in A_(deg h) are
+    closed under products; they include 1 and every e_s, so every word in
+    S.  Each e_i is the degree-(deg e_i) part of a combination of words in
+    S, which span A; that part is a combination of words of degree deg e_i,
+    so Int(x)(e_i) lies in A_(deg e_i).
+    """
     xi = invert(x)
     if xi is None:
         raise NotInvertibleError("conjugating element is not invertible")
-    images = []
-    for i in range(a.dim):
-        image = a.mul_vectors(a.mul_vectors(x.coords, {i: 1}), xi.coords)
-        if any(a.degrees[k] != a.degrees[i] for k in image):
-            return None
-        images.append(image)
-    return images
+    for s in a.generators:
+        image = a.mul_vectors(a.mul_vectors(x.coords, {s: 1}), xi.coords)
+        if any(a.degrees[k] != a.degrees[s] for k in image):
+            return False
+    return True
 
 
-def int_in_stabilizer(a: StructureConstantAlgebra, x: AlgebraElement) -> bool:
-    """Does conjugation by x preserve every homogeneous component?"""
-    return _conjugation_images(a, x) is not None
+def _is_central(a: StructureConstantAlgebra, z: dict) -> bool:
+    """Is the element with coordinates z central?  It is decided on S =
+    `a.generators`, as in `_commutant`: z e_s = e_s z for every s in S."""
+    return all(a.mul_vectors(z, {s: 1}) == a.mul_vectors({s: 1}, z) for s in a.generators)
 
 
 def homogeneous_witness(a: StructureConstantAlgebra, x: AlgebraElement):
     """Every nonzero homogeneous component of x, each shown invertible with
     Int(component) == Int(x); returns NO_WITNESS when a component fails to
-    invert (possible only off the graded-simple hypothesis).  Raises
-    NotInStabilizerError when Int(x) moves a homogeneous component."""
-    images = _conjugation_images(a, x)
-    if images is None:
+    invert (possible only off the graded-simple hypothesis) or to induce
+    Int(x).  Raises NotInvertibleError when x has no inverse, then
+    NotInStabilizerError when Int(x) moves a homogeneous component.
+
+    Int(c) = Int(x) iff c^-1 x is central: c y c^-1 = x y x^-1 iff
+    y c^-1 x = c^-1 x y.
+    """
+    if not int_in_stabilizer(a, x):
         raise NotInStabilizerError("Int(x) does not stabilize the grading")
     components = sorted(x.homogeneous_components().items(), key=lambda kv: kv[0].coords)
     if len(components) == 1:
         return components  # the component is x itself
     for _, comp in components:
         ci = invert(comp)
-        if ci is None:
+        if ci is None or not _is_central(a, a.mul_vectors(ci.coords, x.coords)):
             return NO_WITNESS
-        for i, image in enumerate(images):
-            if a.mul_vectors(a.mul_vectors(comp.coords, {i: 1}), ci.coords) != image:
-                return NO_WITNESS
     return components
 
 

@@ -1,8 +1,9 @@
 """Named verification suites driving the property checks of every module.
 
 Each suite returns a list of CheckResult values; `run_suite` wraps them in a
-machine-readable report (schema 1).  The same functions back the acceptance
-tests and the `gradecat verify` command.
+machine-readable report (schema 1), built by `checks_report`, which also
+reports `gradecat verify --fixture`.  The same functions back the
+acceptance tests and the `gradecat verify` command.
 """
 
 from __future__ import annotations
@@ -103,14 +104,22 @@ def _homogeneous_unit_pool(a):
 
 
 def _central_unit_pool(a, rng):
+    """The unity, then every invertible one of 30 random integer combinations
+    of the centre basis, in the order drawn.  A combination drawn again is
+    looked up by its coordinates over the centre basis, not inverted again:
+    a 1-dimensional centre gives at most 7 distinct ones."""
     centre = center_basis(a)
     pool = [a.one()]
+    units: dict = {}  # coordinates -> the unit, or None
     for _ in range(30):
-        z = a.element({})
-        for basis_el in centre:
-            z = z + rng.randint(-3, 3) * basis_el
-        if not z.is_zero() and invert(z) is not None:
-            pool.append(z)
+        key = tuple(rng.randint(-3, 3) for _ in centre)
+        if key not in units:
+            z = a.element({})
+            for c, basis_el in zip(key, centre):
+                z = z + c * basis_el
+            units[key] = None if z.is_zero() or invert(z) is None else z
+        if units[key] is not None:
+            pool.append(units[key])
     return pool
 
 
@@ -375,6 +384,11 @@ def run_suite(name: str, seed: int = 0) -> dict:
     else:
         raise ValueError(f"unknown suite {name!r}; pick from "
                          + ", ".join(list(SUITES) + ["all"]))
+    return checks_report(name, seed, checks)
+
+
+def checks_report(name: str, seed: int, checks) -> dict:
+    """The schema-1 report of a list of CheckResult values."""
     return {
         "schema": 1,
         "suite": name,

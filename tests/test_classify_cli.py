@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -13,7 +17,14 @@ from gradecat.classify import (
 )
 from gradecat.cli import main
 from gradecat.division import canonical
-from gradecat.structconst import StructureConstantAlgebra, from_division, group_algebra
+from gradecat.structconst import (
+    StructureConstantAlgebra,
+    from_division,
+    group_algebra,
+    quaternion_pair_algebra,
+)
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_parse_algebra_name():
@@ -182,6 +193,43 @@ def test_cli_verify_fixture_dump(tmp_path, capsys):
     assert main(["verify", "--fixture", str(path)]) == 0
     out = capsys.readouterr().out
     assert "graded-simple" in out
+
+
+@pytest.mark.parametrize("dump,code,checks", [
+    (from_division(canonical("1-b", "Z2xZ2")).to_json(), 0,
+     [("graded-simple", True, ""),
+      ("homogeneous-units-witness", True, "4 homogeneous units tested")]),
+    (quaternion_pair_algebra().to_json(), 1, [("graded-simple", False, "")]),
+], ids=["H", "HxH"])
+def test_cli_verify_fixture_text_and_json(tmp_path, capsys, dump, code, checks):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(dump))
+    assert main(["verify", "--fixture", str(path)]) == code
+    assert capsys.readouterr().out.splitlines() == [
+        f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  {detail}" if detail else "")
+        for name, ok, detail in checks]
+    assert main(["verify", "--fixture", str(path), "--format", "json"]) == code
+    assert json.loads(capsys.readouterr().out) == {
+        "schema": 1, "suite": "fixture", "seed": 0,
+        "checks": [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in checks],
+        "passed": sum(ok for _, ok, _ in checks), "failed": sum(not ok for _, ok, _ in checks)}
+
+
+def test_python_m_gradecat_runs_the_cli(capsys):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "gradecat", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    proc = run("classify", "--algebra", "M1R", "--format", "json")
+    assert main(["classify", "--algebra", "M1R", "--format", "json"]) == proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert run("verify", "--suite", "nope").returncode == 2
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, gradecat.cli; print('gradecat.__main__' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert loaded.stdout == "False\n"
 
 
 def test_cli_verify_fixture_reads_int_constants(tmp_path, capsys):

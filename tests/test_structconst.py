@@ -323,13 +323,19 @@ def test_homogeneous_witness_inverts_the_conjugator_once(monkeypatch):
     assert len(wits) == 2
     assert sum(1 for y in calls if y == x) == 1
     assert len(calls) == 1 + len(wits)  # x, then each component
-    # each conjugation y e_i y^-1 is computed once, for x and for each component:
-    # one product by y^-1, whose left factor y e_i differs for each i
-    for y in [x] + [comp for _, comp in wits]:
-        inverse = invert(y).coords
-        lefts = [u for u, v in products if v == inverse]
-        assert len(lefts) == a.dim
-        assert all(lefts.count(u) == 1 for u in lefts)
+    # x e_s x^-1 is computed once for each s in the generating set S: one
+    # product by x^-1, whose left factor x e_s differs for each s
+    witnessed = list(products)
+    inverse = invert(x).coords
+    lefts = [u for u, v in witnessed if v == inverse]
+    assert len(lefts) == len(a.generators) < a.dim
+    assert all(lefts.count(u) == 1 for u in lefts)
+    # each component c is compared with x through one product c^-1 x, and
+    # no conjugation by c is computed
+    for _, comp in wits:
+        inverse = invert(comp).coords
+        assert sum(1 for u, v in witnessed if (u, v) == (inverse, x.coords)) == 1
+        assert not any(v == inverse for u, v in witnessed)
     # the error behaviour is unchanged
     q = quaternion_pair_algebra()
     with pytest.raises(NotInvertibleError):
@@ -853,3 +859,181 @@ def test_validate_agrees_with_the_reference_on_one_perturbed_constant(data):
     entry[k] = entry.get(k, 0) + delta
     reference = _verdict(lambda: _reference_validate(_Unvalidated(labels, degrees, table, unity)))
     assert _verdict(lambda: StructureConstantAlgebra(labels, degrees, table, unity)) == reference
+
+
+# ---------------------------------------------------------------------------
+# Int(x), Int(c) = Int(x) and the centre on the generating set S, against
+# the loops over the whole basis that they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_conjugation_images(a, x):
+    """The coordinates of x e_i x^-1 for every basis index i, or None as soon
+    as one of them leaves the component of e_i."""
+    xi = invert(x)
+    if xi is None:
+        raise NotInvertibleError("conjugating element is not invertible")
+    images = []
+    for i in range(a.dim):
+        image = a.mul_vectors(a.mul_vectors(x.coords, {i: 1}), xi.coords)
+        if any(a.degrees[k] != a.degrees[i] for k in image):
+            return None
+        images.append(image)
+    return images
+
+
+def reference_homogeneous_witness(a, x):
+    """Compares c e_i c^-1 with x e_i x^-1 for every component c and every i."""
+    images = _reference_conjugation_images(a, x)
+    if images is None:
+        raise NotInStabilizerError("Int(x) does not stabilize the grading")
+    components = sorted(x.homogeneous_components().items(), key=lambda kv: kv[0].coords)
+    if len(components) == 1:
+        return components
+    for _, comp in components:
+        ci = invert(comp)
+        if ci is None:
+            return NO_WITNESS
+        for i, image in enumerate(images):
+            if a.mul_vectors(a.mul_vectors(comp.coords, {i: 1}), ci.coords) != image:
+                return NO_WITNESS
+    return components
+
+
+def reference_commutant(a, degree):
+    """Central elements of one degree from the commutator rows of every g."""
+    cols = a._by_degree.get(degree, [])
+    rows = []
+    for g in range(a.dim):
+        block = {}
+        for c, j in enumerate(cols):
+            diff = dict(a.table.get((j, g), {}))
+            for k, v in a.table.get((g, j), {}).items():
+                diff[k] = diff.get(k, 0) - v
+            for k, v in diff.items():
+                if v:
+                    block.setdefault(k, [0] * len(cols))[c] = v
+        rows.extend(block.values())
+    return [{j: c for j, c in zip(cols, v) if c} for v in nullspace(rows, len(cols))]
+
+
+def _witness_verdict(witness, a, x):
+    """The exception class raised, NO_WITNESS, or the component list."""
+    try:
+        out = witness(a, x)
+    except (NotInvertibleError, NotInStabilizerError) as err:
+        return type(err)
+    return out if out is NO_WITNESS else [(d, c.coords) for d, c in out]
+
+
+@functools.lru_cache(maxsize=None)
+def _witness_sources():
+    """Every graded-simple verify fixture, H x H and the 36 direct sums of
+    two fixtures."""
+    fixtures = _verify_fixtures()
+    sums = tuple((f"{l1}+{l2}", direct_sum(a, b)) for (l1, a), (l2, b)
+                 in itertools.combinations_with_replacement(fixtures, 2))
+    return fixtures + (("HxH", quaternion_pair_algebra()),) + sums
+
+
+@functools.lru_cache(maxsize=None)
+def _suite_pools(label, seed):
+    """The homogeneous and central unit pools `suite_inner_aut` draws from."""
+    import gradecat.verify as verify
+
+    a = dict(_witness_sources())[label]
+    return verify._homogeneous_unit_pool(a), verify._central_unit_pool(a, random.Random(seed))
+
+
+def test_witness_sources():
+    sources = _witness_sources()
+    assert len(sources) == 8 + 1 + 36
+    assert len({label for label, _ in sources}) == len(sources)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_witness_and_stabilizer_on_s_agree_with_the_whole_basis(data):
+    label, a = data.draw(st.sampled_from(_witness_sources()))
+    kind = data.draw(st.sampled_from(["homogeneous", "mixed", "suite"]))
+    coefficient = st.integers(-3, 3)
+    if kind == "homogeneous":
+        indices = data.draw(st.sampled_from(list(a._by_degree.values())))
+        x = a.element({i: data.draw(coefficient) for i in indices})
+    elif kind == "mixed":
+        indices = data.draw(st.lists(st.integers(0, a.dim - 1), min_size=1, max_size=6))
+        x = a.element({i: data.draw(coefficient) for i in indices})
+    else:
+        units, central = _suite_pools(label, data.draw(st.sampled_from([0, 1, 7])))
+        scale = Fraction(data.draw(st.sampled_from([1, 2, -1, 3])),
+                         data.draw(st.sampled_from([1, 2])))
+        x = scale * (data.draw(st.sampled_from(central)) * data.draw(st.sampled_from(units)))
+    if x.is_zero():
+        x = a.one()
+    verdict = _witness_verdict(homogeneous_witness, a, x)
+    assert verdict == _witness_verdict(reference_homogeneous_witness, a, x), (label, x)
+    try:
+        reference = _reference_conjugation_images(a, x) is not None
+    except NotInvertibleError:
+        with pytest.raises(NotInvertibleError):
+            int_in_stabilizer(a, x)
+    else:
+        assert int_in_stabilizer(a, x) == reference, (label, x)
+
+
+def test_centre_and_graded_simplicity_on_s_agree_with_the_whole_basis(monkeypatch):
+    import gradecat.structconst as structconst
+
+    sources = _witness_sources()
+    assert all(len(a.generators) < a.dim for _, a in sources)
+    ours = [([z.coords for z in center_basis(a)], is_graded_simple(a)) for _, a in sources]
+    monkeypatch.setattr(structconst, "_commutant", reference_commutant)
+    for (label, a), (centre, simple) in zip(sources, ours):
+        assert [z.coords for z in center_basis(a)] == centre, label
+        assert is_graded_simple(a) == simple, label
+
+
+def test_centrality_is_decided_on_s():
+    import gradecat.structconst as structconst
+
+    for label, a in _witness_sources()[:9]:
+        for i in range(a.dim):
+            z = {i: 1}
+            central = all(a.mul_vectors(z, {j: 1}) == a.mul_vectors({j: 1}, z)
+                          for j in range(a.dim))
+            assert structconst._is_central(a, z) == central, (label, i)
+
+
+def _reference_central_unit_pool(a, rng):
+    """The pool with one inversion for every draw."""
+    centre = center_basis(a)
+    pool = [a.one()]
+    for _ in range(30):
+        z = a.element({})
+        for basis_el in centre:
+            z = z + rng.randint(-3, 3) * basis_el
+        if not z.is_zero() and invert(z) is not None:
+            pool.append(z)
+    return pool
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_central_unit_pool_agrees_with_the_reference(seed, monkeypatch):
+    import gradecat.verify as verify
+
+    calls = []
+
+    def counting(y):
+        calls.append(y)
+        return invert(y)
+
+    monkeypatch.setattr(verify, "invert", counting)
+    for label, a in _verify_fixtures():
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        calls.clear()
+        pool = verify._central_unit_pool(a, rng)
+        assert pool == _reference_central_unit_pool(a, reference_rng), label
+        assert rng.random() == reference_rng.random(), label
+        # each distinct nonzero combination is inverted once
+        assert all(calls.count(z) == 1 for z in calls), label
+        if len(center_basis(a)) == 1:
+            assert len(calls) <= 6, label  # the nonzero multiples -3..3 of one vector
