@@ -944,12 +944,6 @@ def _suite_pools(label, seed):
     return verify._homogeneous_unit_pool(a), verify._central_unit_pool(a, random.Random(seed))
 
 
-def test_witness_sources():
-    sources = _witness_sources()
-    assert len(sources) == 8 + 1 + 36
-    assert len({label for label, _ in sources}) == len(sources)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_witness_and_stabilizer_on_s_agree_with_the_whole_basis(data):
@@ -984,6 +978,7 @@ def test_centre_and_graded_simplicity_on_s_agree_with_the_whole_basis(monkeypatc
     import gradecat.structconst as structconst
 
     sources = _witness_sources()
+    assert len(dict(sources)) == 8 + 1 + 36
     assert all(len(a.generators) < a.dim for _, a in sources)
     ours = [([z.coords for z in center_basis(a)], is_graded_simple(a)) for _, a in sources]
     monkeypatch.setattr(structconst, "_commutant", reference_commutant)
