@@ -14,7 +14,6 @@ from .abelian import (
     character_group,
     parse_group_string,
     smith_normal_form,
-    square_subgroup,
     universal_abelian_group,
 )
 from .autgroups import (
@@ -72,8 +71,7 @@ from .verify import run_suite
 
 __all__ = [
     "AbelianGroup", "GroupElement", "GroupHomomorphism", "automorphism_group",
-    "character_group", "parse_group_string", "smith_normal_form",
-    "square_subgroup", "universal_abelian_group",
+    "character_group", "parse_group_string", "smith_normal_form", "universal_abelian_group",
     "AutTriple", "DivisionAutomorphism", "diag_descriptor", "identify_group",
     "stab_descriptor", "stab_division", "triple_apply", "triple_product",
     "weyl_descriptor", "weyl_division",

@@ -23,10 +23,11 @@ class AutBoundError(ValueError):
     """Automorphism enumeration refused: group infinite or too large."""
 
 
-# Aut(T) is enumerated only for |T| <= ELEMENT_BOUND and at most
-# CANDIDATE_BOUND endomorphism candidates.  Raising CANDIDATE_BOUND to
-# 200 000 would enumerate 1-d:Z2^3 x Z4 (131 072 candidates) and change the
-# M(4,C) Weyl column.
+# Aut(T) is searched only for |T| <= ELEMENT_BOUND and at most
+# CANDIDATE_BOUND endomorphism candidates.  The grading invariants prune the
+# search, so the bound no longer reflects its cost; it decides which W(Gamma_0)
+# are out of reach.  In M(4,C) those are rows 4 and 5, 1-c:Z2^5 (33 554 432
+# candidates) and 1-d:Z2^3 x Z4 (131 072), which print W0[...].
 ELEMENT_BOUND = 256
 CANDIDATE_BOUND = 100_000
 
@@ -593,12 +594,6 @@ def square_elements(group: AbelianGroup) -> frozenset:
     return frozenset(2 * t for t in group.elements())
 
 
-def square_subgroup(group: AbelianGroup):
-    """(type of T^[2], type of T / T^[2]) for a finite group T."""
-    sq = square_elements(group)
-    return abstract_type(sq), quotient_type(group, sq)
-
-
 def character_group(group: AbelianGroup, m: int) -> AbelianGroup:
     """Hom(T, Z_m) of a finite group T, in normal form."""
     if not group.is_finite():
@@ -610,48 +605,72 @@ def character_group(group: AbelianGroup, m: int) -> AbelianGroup:
     )
 
 
-def automorphism_group(group: AbelianGroup) -> list[tuple[int, ...]]:
-    """All automorphisms of a finite abelian group, by pruned brute force.
-
-    Each automorphism f is a tuple p of support positions: p[i] is the
-    position in `support_table(group)` of f(elements[i]).  Raises
-    AutBoundError when the group is infinite, has more than ELEMENT_BOUND
-    elements, or the endomorphism search space exceeds CANDIDATE_BOUND
-    candidates.
-    """
+@functools.lru_cache(maxsize=64)
+def _aut_candidates(group: AbelianGroup) -> tuple:
+    """The positions each generator may go to, those of an order dividing its
+    own; raises AutBoundError when the group is infinite, has more than
+    ELEMENT_BOUND elements, or there are more than CANDIDATE_BOUND choices."""
     if not group.is_finite():
         raise AutBoundError("group is infinite")
-    n = group.order()
-    if n > ELEMENT_BOUND:
-        raise AutBoundError(f"|T| = {n} exceeds the bound {ELEMENT_BOUND}")
-    elements, _, add = support_table(group)
-    orders = group.torsion
-    candidates = [[i for i, x in enumerate(elements) if m % x.order() == 0] for m in orders]
+    if group.order() > ELEMENT_BOUND:
+        raise AutBoundError(f"|T| = {group.order()} exceeds the bound {ELEMENT_BOUND}")
+    elements = support_table(group)[0]
+    candidates = tuple(tuple(i for i, x in enumerate(elements) if m % x.order() == 0)
+                       for m in group.torsion)
     total = math.prod(len(c) for c in candidates)
     if total > CANDIDATE_BOUND:
-        raise AutBoundError(
-            f"{total} candidate endomorphisms exceed the bound {CANDIDATE_BOUND}"
-        )
+        raise AutBoundError(f"{total} candidate endomorphisms exceed the bound {CANDIDATE_BOUND}")
+    return candidates
 
+
+def automorphism_group(group: AbelianGroup, label=None, domain=(),
+                       tables=()) -> list[tuple[int, ...]]:
+    """The automorphisms p of a finite abelian group keeping the invariants
+    given, in search order (all of Aut(T) with none); AutBoundError as in
+    `_aut_candidates`.  p[i] is the position in `support_table(group)` of the
+    image of elements[i].  p keeps `label`, a list, if label[p[x]] == label[x]
+    for all x, and `tables` if it maps the positions `domain` onto themselves
+    and some t in `tables` has t[a(p[x])][a(p[y])] == tables[0][a(x)][a(y)]
+    for x, y in `domain`, a(x) the index of x there.  The tables are skew
+    under one inversion, as beta's ids are: one order of each pair is tested.
+
+    Generators go from the last coordinate to the first, so the subgroup T_j
+    on coordinates j.. is the prefix 0..|T_j|-1 of positions, fixed by g_j.
+    Each test is at a position or a pair, so on T_j the leaf test is the same
+    test inside the prefix: a failing prefix has no passing completion, and
+    at a leaf the prefix is T.  A node tests its new positions x only (from
+    `start` on), for injectivity, the label and each table at (x, y), y <= x
+    in `domain` (`targets` lists the a(p[y]) of the prefix); a failing table
+    is dropped for the branch, which is cut when none is left.
+    """
+    candidates, (_, _, add) = _aut_candidates(group), support_table(group)
+    at = {x: a for a, x in enumerate(domain)} if tables else {}
+    ordered = [at[x] for x in sorted(at)]
+    want = [[tables[0][a][b] for b in ordered[:c + 1]] for c, a in enumerate(ordered)]
     results: list[tuple[int, ...]] = []
 
-    # Generators are placed from the last coordinate to the first, so the
-    # subgroup on coordinates j.. is a prefix of the positions and `images`
-    # lists its image; an image list that is not injective is pruned.
-    def search(j: int, images: list):
+    def search(j: int, images: list, start: int, targets: list, alive):
         if j < 0:
             results.append(tuple(images))
             return
         for x in candidates[j]:
-            extended = list(images)
-            step = x
-            for _ in range(orders[j] - 1):
+            extended, step = list(images), x
+            for _ in range(group.torsion[j] - 1):
                 extended += [add[step][y] for y in images]
                 step = add[step][x]
-            if len(set(extended)) == len(extended):
-                search(j - 1, extended)
+            stop = len(extended)
+            if len(set(extended)) < stop or label is not None and \
+                    [*map(label.__getitem__, extended[start:])] != label[start:stop]:
+                continue
+            grown = targets + [at.get(extended[y]) for y in range(start, stop) if y in at]
+            if None in grown:
+                continue
+            live = [t for t in alive if all([*map(t[grown[c]].__getitem__, grown[:c + 1])]
+                                            == want[c] for c in range(len(targets), len(grown)))]
+            if live or not tables:
+                search(j - 1, extended, stop, grown, live)
 
-    search(len(orders) - 1, [0])
+    search(len(group.torsion) - 1, [0], 0, [], tables)  # T = 0: the identity keeps all
     return results
 
 

@@ -2,8 +2,8 @@
 
 Symbolic group descriptors encode the closed-form answers (tori are never
 enumerated); finite parts are computed exactly.  Weyl groups of division
-gradings are brute-forced as subgroups of Aut(T) filtered by the grading
-invariants, and the (diagonal, permutation, psi0) triples realize concrete
+gradings come from one search of Aut(T) pruned by the grading invariants,
+and the (diagonal, permutation, psi0) triples realize concrete
 automorphisms of M_k(D) together with their twisted product law.
 """
 
@@ -16,6 +16,7 @@ import math
 from .abelian import (
     AbelianGroup,
     AutBoundError,
+    _aut_candidates,
     _order_census,
     _type_from_census,
     automorphism_group,
@@ -287,21 +288,20 @@ def _name_from_census(census, abelian) -> str:
 # ---------------------------------------------------------------------------
 
 def weyl_division(d: GradedDivisionAlgebra):
-    """Brute-forced Weyl group of a division grading, memoized on `d`.
-
-    Returns (elements, descriptor): the support automorphisms preserving the
-    grading invariants, as position tuples (see `automorphism_group`), and a
-    descriptor identified from their composition.  An automorphism p of T is
-    kept when it preserves, at every position t, the label (t in K, the id
-    of sigma(t, t) wherever the square of X_t is an invariant), and the ids
-    of beta on K.  The square is an invariant on the 2-torsion over R and H
-    (the form mu) and off K over C (the signs nu); over C with the trivial
-    action (2-f) beta may also go to its conjugate.  Raises AutBoundError
-    when enumeration of Aut(T) is out of reach.
+    """Weyl group of a division grading, memoized on `d`: (elements,
+    descriptor), the support automorphisms preserving the grading invariants
+    as position tuples, found by one `automorphism_group` search pruned by
+    those invariants, and a descriptor identified from their composition.
+    p is kept when it preserves, at every position t, the label (t in K, the
+    id of sigma(t, t) wherever the square of X_t is an invariant), and the
+    ids of beta on K.  The square is an invariant on the 2-torsion over R
+    and H (the form mu) and off K over C (the signs nu); over C with the
+    trivial action (2-f) beta may also go to its conjugate.  Raises
+    AutBoundError, before computing beta, when the search is out of reach.
     """
     if d._weyl is not None:
         return d._weyl
-    auts = automorphism_group(d.support)
+    _aut_candidates(d.support)  # refuse before computing beta
     beta = commutation_bicharacter(d)
     if d.conj_elements:
         quadratic_form(d)  # a square off K that is not +-1 raises ValueError
@@ -309,21 +309,11 @@ def weyl_division(d: GradedDivisionAlgebra):
     in_k = [x not in d.conj_elements for x in d.elements()]
     label = [(k, sigma[i][i] if not k or (real and add[i][i] == 0) else None)
              for i, k in enumerate(in_k)]
-    k_at = [i for i, k in enumerate(in_k) if k]  # the positions of beta.domain
-    rows = list(zip(k_at, beta.ids))
-    table = [[None] * len(in_k) for _ in in_k]  # beta's ids at support positions
-    for i, row in rows:
-        for j, a in zip(k_at, row):
-            table[i][j] = a
-    tables = [table]
+    tables = [beta.ids]
     if not real and not d.conj_elements:  # K = T
-        tables.append([[beta.units.conj(a) for a in r] for r in table])
-    kept = [p for p in auts
-            if [label[x] for x in p] == label
-            and any(all([t[p[i]][p[j]] for j in k_at] == row for i, row in rows)
-                    for t in tables)]
-    descriptor = _finite_group_descriptor(kept, compose)
-    d._weyl = (tuple(kept), descriptor)
+        tables.append([[beta.units.conj(a) for a in row] for row in beta.ids])
+    kept = automorphism_group(d.support, label, [d._index[u] for u in beta.domain], tables)
+    d._weyl = (tuple(kept), _finite_group_descriptor(kept, compose))
     return d._weyl
 
 

@@ -570,31 +570,23 @@ def int_in_stabilizer(a: StructureConstantAlgebra, x: AlgebraElement) -> bool:
     return True
 
 
-def _is_central(a: StructureConstantAlgebra, z: dict) -> bool:
-    """Is the element with coordinates z central?  It is decided on S =
-    `a.generators`, as in `_commutant`: z e_s = e_s z for every s in S."""
-    return all(a.mul_vectors(z, {s: 1}) == a.mul_vectors({s: 1}, z) for s in a.generators)
-
-
 def homogeneous_witness(a: StructureConstantAlgebra, x: AlgebraElement):
     """Every nonzero homogeneous component of x, each shown invertible with
     Int(component) == Int(x); returns NO_WITNESS when a component fails to
-    invert (possible only off the graded-simple hypothesis) or to induce
-    Int(x).  Raises NotInvertibleError when x has no inverse, then
-    NotInStabilizerError when Int(x) moves a homogeneous component.
+    invert (possible only off the graded-simple hypothesis).  Raises
+    NotInvertibleError when x has no inverse, then NotInStabilizerError
+    when Int(x) moves a homogeneous component.
 
-    Int(c) = Int(x) iff c^-1 x is central: c y c^-1 = x y x^-1 iff
-    y c^-1 x = c^-1 x y.
+    Once Int(x) keeps every component, Int(c) = Int(x) for each invertible
+    component c: for y in A_k, x y = y' x with y' = x y x^-1 in A_k, and the
+    degree-(deg c + k) parts give c y = y' c, that is c y c^-1 = x y x^-1.
     """
     if not int_in_stabilizer(a, x):
         raise NotInStabilizerError("Int(x) does not stabilize the grading")
     components = sorted(x.homogeneous_components().items(), key=lambda kv: kv[0].coords)
-    if len(components) == 1:
-        return components  # the component is x itself
-    for _, comp in components:
-        ci = invert(comp)
-        if ci is None or not _is_central(a, a.mul_vectors(ci.coords, x.coords)):
-            return NO_WITNESS
+    # a single component is x itself, inverted already
+    if len(components) > 1 and any(invert(comp) is None for _, comp in components):
+        return NO_WITNESS
     return components
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -19,8 +20,9 @@ from gradecat.abelian import (
     parse_group_string,
     quotient_type,
     smith_normal_form,
-    square_subgroup,
+    square_elements,
     subgroup_generated,
+    support_table,
     universal_abelian_group,
 )
 
@@ -337,6 +339,12 @@ def test_subgroup_generated():
     assert abstract_type(sub) == Z(0, (2,))
 
 
+def square_subgroup(group):
+    """(type of T^[2], type of T / T^[2]) for a finite group T, as an oracle."""
+    sq = square_elements(group)
+    return abstract_type(sq), quotient_type(group, sq)
+
+
 def test_square_subgroup_elementary():
     sub, quot = square_subgroup(Z(0, (2, 2, 2)))
     assert sub == Z.trivial()
@@ -516,6 +524,93 @@ def test_aut_bounds():
         automorphism_group(Z(0, (257,)))
     with pytest.raises(AutBoundError):
         automorphism_group(Z(0, (2,) * 5))
+
+
+@functools.lru_cache(maxsize=None)
+def _all_automorphisms(group):
+    return tuple(automorphism_group(group))
+
+
+def _searchable_groups():
+    """Every group of order <= 16 whose search is in reach."""
+    return [g for g in _groups_up_to(16)
+            if math.prod(sum(1 for x in g.elements() if (m * x).is_zero())
+                         for m in g.torsion) <= CANDIDATE_BOUND]
+
+
+def _filtered(group, label=None, domain=(), tables=()):
+    """All of Aut(T), then the invariants of `automorphism_group` at every
+    position and every pair of `domain`."""
+    at = {x: a for a, x in enumerate(domain)}
+    kept = []
+    for p in _all_automorphisms(group):
+        if label is not None and [label[x] for x in p] != list(label):
+            continue
+        if tables and (any(p[x] not in at for x in domain) or not any(
+                all(t[at[p[x]]][at[p[y]]] == tables[0][at[x]][at[y]]
+                    for x in domain for y in domain) for t in tables)):
+            continue
+        kept.append(p)
+    return kept
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_label_search_is_the_filter_of_aut(data):
+    group = data.draw(st.sampled_from(_searchable_groups()))
+    n = group.order()
+    if data.draw(st.booleans()):
+        colours = data.draw(st.integers(1, 3))
+        label = [0] + data.draw(st.lists(st.integers(1, colours), min_size=n - 1,
+                                         max_size=n - 1))
+    else:
+        # the orbits of a random automorphism q, named by their least position,
+        # so that the kept list holds at least the powers of q
+        q = data.draw(st.sampled_from(_all_automorphisms(group)))
+        label = list(range(n))
+        for x in range(n):
+            y = q[x]
+            while y != x:
+                label[x] = min(label[x], y)
+                y = q[y]
+    assert automorphism_group(group, label) == _filtered(group, label)
+
+
+def _skew(values):
+    """The skew table (negation is the inversion) with values[i][j] above
+    the diagonal."""
+    n = len(values)
+    return [[values[i][j] if i < j else -values[j][i] if j < i else 0 for j in range(n)]
+            for i in range(n)]
+
+
+def test_table_search_tests_every_pair():
+    # one marked pair {x, y} must be kept by p, whichever pair it is
+    for group in (Z(0, (4,)), Z2xZ2, Z2xZ4, Z(0, (3, 3)), Z(0, (2, 2, 2))):
+        n = group.order()
+        domain = range(n)
+        for x, y in itertools.combinations(domain, 2):
+            table = _skew([[int((i, j) == (x, y)) for j in domain] for i in domain])
+            assert automorphism_group(group, None, domain, [table]) == \
+                _filtered(group, None, domain, [table]), (group, x, y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_table_search_on_a_subgroup_is_the_filter_of_aut(data):
+    group = data.draw(st.sampled_from(_searchable_groups()))
+    elements, index, _ = support_table(group)
+    gens = data.draw(st.lists(st.sampled_from(elements), max_size=2))
+    domain = sorted(index[x] for x in subgroup_generated(group, gens))
+    if data.draw(st.booleans()):
+        domain.reverse()  # the tables follow `domain`, in any order
+    values = st.integers(-1, data.draw(st.integers(0, 2)))
+    square = st.lists(st.lists(values, min_size=len(domain), max_size=len(domain)),
+                      min_size=len(domain), max_size=len(domain)).map(_skew)
+    tables = data.draw(st.lists(square, min_size=1, max_size=3))
+    label = data.draw(st.none() | st.just([int(x in domain) for x in range(group.order())]))
+    assert automorphism_group(group, label, domain, tables) == \
+        _filtered(group, label, domain, tables)
 
 
 @st.composite

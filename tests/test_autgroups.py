@@ -329,6 +329,49 @@ def test_weyl_division_matches_reference_filter(ref):
     assert list(kept) == _reference_weyl_kept(d)
 
 
+def _enumerate_then_filter_kept(d):
+    """The int-table filter of weyl_division before its search was pruned,
+    as an oracle: all of Aut(T) first, then the label and the ids of beta on
+    K at every position."""
+    from gradecat.division import commutation_bicharacter
+
+    beta = commutation_bicharacter(d)
+    sigma, add, real = d._sigma_ids, d._add, d.kind.family != "C"
+    in_k = [x not in d.conj_elements for x in d.elements()]
+    label = [(k, sigma[i][i] if not k or (real and add[i][i] == 0) else None)
+             for i, k in enumerate(in_k)]
+    k_at = [i for i, k in enumerate(in_k) if k]
+    rows = list(zip(k_at, beta.ids))
+    table = [[None] * len(in_k) for _ in in_k]
+    for i, row in rows:
+        for j, a in zip(k_at, row):
+            table[i][j] = a
+    tables = [table]
+    if not real and not d.conj_elements:
+        tables.append([[beta.units.conj(a) for a in r] for r in table])
+    return [p for p in automorphism_group(d.support)
+            if [label[x] for x in p] == label
+            and any(all([t[p[i]][p[j]] for j in k_at] == row for i, row in rows)
+                    for t in tables)]
+
+
+@pytest.mark.parametrize("ref", ["1-a:Z2^4", "1-b:Z2^4", "2-f:Z4^2", "2-f:Z3^2",
+                                 "2-e:Z2^2xZ4", "3-d:Z2xZ4"])
+def test_weyl_division_matches_the_enumerate_then_filter_oracle(ref):
+    from gradecat.division import parse_catalog_ref
+
+    d = parse_catalog_ref(ref)
+    kept, _ = weyl_division(d)
+    assert list(kept) == _enumerate_then_filter_kept(d)
+
+
+def test_weyl_division_refuses_before_computing_beta():
+    d = canonical("1-c", "Z2^5")
+    with pytest.raises(AutBoundError):
+        weyl_division(d)
+    assert d._beta is None
+
+
 def _census_stab_division(d):
     """Stab(Gamma_0) with T/T^[2] and T read off element censuses, as an oracle."""
     from gradecat.abelian import quotient_type, square_elements

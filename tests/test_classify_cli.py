@@ -76,9 +76,9 @@ def test_build_row_enumerates_aut_once(monkeypatch):
     calls = []
     enumerate_aut = autgroups.automorphism_group
 
-    def counting(group):
+    def counting(group, *invariants):
         calls.append(group)
-        return enumerate_aut(group)
+        return enumerate_aut(group, *invariants)
 
     monkeypatch.setattr(autgroups, "automorphism_group", counting)
     row = _build_row(2, "1-c", AbelianGroup(0, (2,)))

@@ -330,11 +330,11 @@ def test_homogeneous_witness_inverts_the_conjugator_once(monkeypatch):
     lefts = [u for u, v in witnessed if v == inverse]
     assert len(lefts) == len(a.generators) < a.dim
     assert all(lefts.count(u) == 1 for u in lefts)
-    # each component c is compared with x through one product c^-1 x, and
-    # no conjugation by c is computed
+    # each component c is only inverted: no product c^-1 x and no
+    # conjugation by c is computed
     for _, comp in wits:
         inverse = invert(comp).coords
-        assert sum(1 for u, v in witnessed if (u, v) == (inverse, x.coords)) == 1
+        assert (inverse, x.coords) not in witnessed
         assert not any(v == inverse for u, v in witnessed)
     # the error behaviour is unchanged
     q = quaternion_pair_algebra()
@@ -985,17 +985,6 @@ def test_centre_and_graded_simplicity_on_s_agree_with_the_whole_basis(monkeypatc
     for (label, a), (centre, simple) in zip(sources, ours):
         assert [z.coords for z in center_basis(a)] == centre, label
         assert is_graded_simple(a) == simple, label
-
-
-def test_centrality_is_decided_on_s():
-    import gradecat.structconst as structconst
-
-    for label, a in _witness_sources()[:9]:
-        for i in range(a.dim):
-            z = {i: 1}
-            central = all(a.mul_vectors(z, {j: 1}) == a.mul_vectors({j: 1}, z)
-                          for j in range(a.dim))
-            assert structconst._is_central(a, z) == central, (label, i)
 
 
 def _reference_central_unit_pool(a, rng):

@@ -1,14 +1,13 @@
-"""Every module-level import of the package is used by its module."""
+"""Every module-level import of the package is used by its module, and every
+module-level private function or class is used by the package."""
 
 import ast
 import pathlib
 
 import pytest
 
-SOURCES = sorted(
-    p for p in (pathlib.Path(__file__).parent.parent / "src" / "gradecat").glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = sorted((pathlib.Path(__file__).parent.parent / "src" / "gradecat").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,3 +45,45 @@ def test_unused_import_check_sees_a_stray_name():
         "def f(p):\n    return compose(p, p), math.pi\n"
     )
     assert unused_imports(source) == ["support_table"]
+
+
+def unreferenced_private_definitions(sources: dict) -> list[str]:
+    """Module-level private functions and classes (one leading underscore)
+    that no statement of the package references outside their own
+    definition, as "module.name".  A name, an attribute or an imported name
+    counts as a reference."""
+    statements = []  # (module, node, the names it references)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    names.add(sub.name)
+            statements.append((module, node, names))
+    return [
+        f"{module}.{node.name}" for module, node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and not any(node.name in names for _, other, names in statements if other is not node)
+    ]
+
+
+def test_private_definitions_are_used_by_the_package():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unreferenced_private_definitions(sources) == []
+
+
+def test_private_definition_check_sees_a_helper_left_for_tests():
+    sources = {
+        "a": "def _used(x):\n    return x\n"
+             "def _left_for_tests(z):\n    return _left_for_tests(z - 1) if z else 0\n"
+             "class _Marker:\n    pass\n"
+             "MARK = _Marker()\n",
+        "b": "from .a import _used\n"
+             "def f():\n    return _used(1)\n",
+    }
+    assert unreferenced_private_definitions(sources) == ["a._left_for_tests"]
