@@ -623,33 +623,32 @@ def _aut_candidates(group: AbelianGroup) -> tuple:
     return candidates
 
 
-def automorphism_group(group: AbelianGroup, label=None, domain=(),
-                       tables=()) -> list[tuple[int, ...]]:
+def automorphism_group(group: AbelianGroup, label=None, tables=()) -> list[tuple[int, ...]]:
     """The automorphisms p of a finite abelian group keeping the invariants
     given, in search order (all of Aut(T) with none); AutBoundError as in
     `_aut_candidates`.  p[i] is the position in `support_table(group)` of the
     image of elements[i].  p keeps `label`, a list, if label[p[x]] == label[x]
-    for all x, and `tables` if it maps the positions `domain` onto themselves
-    and some t in `tables` has t[a(p[x])][a(p[y])] == tables[0][a(x)][a(y)]
-    for x, y in `domain`, a(x) the index of x there.  The tables are skew
-    under one inversion, as beta's ids are: one order of each pair is tested.
+    for all x, and `tables`, |T| x |T| lists over the positions, if some t in
+    `tables` has t[p[x]][p[y]] == tables[0][x][y] for all x, y.  The tables
+    are skew under one inversion, as beta's ids are: one order of each pair
+    is tested.  A table that lives on a subgroup K holds None at every pair
+    outside K x K and a value at every (x, x), x in K.  When all the tables
+    live on K, the diagonal test alone gives p(K) = K: t[p[x]][p[x]] is None
+    exactly when p[x] is outside K, and tables[0][x][x] exactly when x is.
 
     Generators go from the last coordinate to the first, so the subgroup T_j
     on coordinates j.. is the prefix 0..|T_j|-1 of positions, fixed by g_j.
     Each test is at a position or a pair, so on T_j the leaf test is the same
     test inside the prefix: a failing prefix has no passing completion, and
     at a leaf the prefix is T.  A node tests its new positions x only (from
-    `start` on), for injectivity, the label and each table at (x, y), y <= x
-    in `domain` (`targets` lists the a(p[y]) of the prefix); a failing table
-    is dropped for the branch, which is cut when none is left.
+    `start` on), for injectivity, the label and each table at (x, y), y <= x;
+    a failing table is dropped for the branch, which is cut when none is left.
     """
     candidates, (_, _, add) = _aut_candidates(group), support_table(group)
-    at = {x: a for a, x in enumerate(domain)} if tables else {}
-    ordered = [at[x] for x in sorted(at)]
-    want = [[tables[0][a][b] for b in ordered[:c + 1]] for c, a in enumerate(ordered)]
+    want = [row[:x + 1] for x, row in enumerate(tables[0])] if tables else []
     results: list[tuple[int, ...]] = []
 
-    def search(j: int, images: list, start: int, targets: list, alive):
+    def search(j: int, images: list, start: int, alive):
         if j < 0:
             results.append(tuple(images))
             return
@@ -662,15 +661,12 @@ def automorphism_group(group: AbelianGroup, label=None, domain=(),
             if len(set(extended)) < stop or label is not None and \
                     [*map(label.__getitem__, extended[start:])] != label[start:stop]:
                 continue
-            grown = targets + [at.get(extended[y]) for y in range(start, stop) if y in at]
-            if None in grown:
-                continue
-            live = [t for t in alive if all([*map(t[grown[c]].__getitem__, grown[:c + 1])]
-                                            == want[c] for c in range(len(targets), len(grown)))]
+            live = [t for t in alive if all([*map(t[extended[y]].__getitem__, extended[:y + 1])]
+                                            == want[y] for y in range(start, stop))]
             if live or not tables:
-                search(j - 1, extended, stop, grown, live)
+                search(j - 1, extended, stop, live)
 
-    search(len(group.torsion) - 1, [0], 0, [], tables)  # T = 0: the identity keeps all
+    search(len(group.torsion) - 1, [0], 0, tables)  # T = 0: the identity keeps all
     return results
 
 

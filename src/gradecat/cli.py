@@ -139,13 +139,20 @@ def _spec_values(what, path):
 
 def _matrix_shape(spec, support: AbelianGroup) -> dict:
     """The matrix_algebra keyword arguments of a grading spec; every number
-    in it must be a JSON integer."""
-    gamma_spec = spec.get("gamma")
+    in it must be a JSON integer.  A spec is `D` with an optional `k`, or `D`,
+    `G` and `gamma` with an optional `embed` and `kappa`; any other key is a
+    usage error."""
+    keys = ("D", "G", "gamma", "embed", "kappa") if "G" in spec else ("D", "k")
+    extra = next((key for key in spec if key not in keys), None)
+    if extra is not None:
+        raise UsageError(f"unexpected spec key {extra!r}: a spec is D with an optional k, "
+                         "or D, G and gamma with an optional embed and kappa")
     if "G" not in spec:
-        k = spec.get("k", len(gamma_spec) if gamma_spec else 1)
+        k = spec.get("k", 1)
         if type(k) is not int or k < 1:
             raise ValueError(f"k must be a positive integer, got {k!r}")
         return {"k": k}
+    gamma_spec = spec.get("gamma")
     if gamma_spec is None:
         raise UsageError("a spec with an explicit G needs explicit gamma degrees")
     ambient = AbelianGroup.from_json(spec["G"])

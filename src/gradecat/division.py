@@ -537,23 +537,17 @@ class QuadraticData:
 def build_crossed_product(support, kind, action, cocycle, type_tag=None) -> GradedDivisionAlgebra:
     """Validated crossed product.
 
-    `action` may be a set of conjugation-acting elements, a dict t -> 'id'/'conj',
-    or a callable; `cocycle` maps element pairs to coefficient units, and is
-    turned here into the sigma id table of `GradedDivisionAlgebra`.
+    `action` is the collection of the elements that act by conjugation;
+    `cocycle` maps element pairs to coefficient units, and is turned here into
+    the sigma id table of `GradedDivisionAlgebra`.
     """
-    if callable(action):
-        conj = {t for t in support.elements() if action(t) in ("conj", True)}
-    elif isinstance(action, dict):
-        conj = {t for t, a in action.items() if a in ("conj", True)}
-    else:
-        conj = set(action)
     elems = list(support.elements())
     missing = next(((u, v) for u in elems for v in elems if (u, v) not in cocycle), None)
     if missing:
         raise CocycleError("sigma undefined at ({}, {})".format(*missing))
     units = UnitInterner(kind)
     sigma = [[units.intern(cocycle[(u, v)]) for v in elems] for u in elems]
-    return GradedDivisionAlgebra(support, kind, conj, units, sigma, type_tag)
+    return GradedDivisionAlgebra(support, kind, action, units, sigma, type_tag)
 
 
 def commutation_bicharacter(d: GradedDivisionAlgebra) -> Bicharacter:

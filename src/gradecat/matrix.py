@@ -22,6 +22,7 @@ from .abelian import (
     universal_abelian_group,
 )
 from .division import GradedDivisionAlgebra, is_fine_division, equivalent
+from .scalars import RationalQuaternion, zeta
 # is_graded_simple is re-exported: perfbench/tracer.py wraps it by this name
 from .structconst import StructureConstantAlgebra, _exact, is_graded_simple  # noqa: F401
 
@@ -358,20 +359,16 @@ def squares_profile(r: GradedMatrixAlgebra) -> dict:
         raise GradingError("the squares dichotomy assumes the fine condition")
     coeff_samples = [1]
     if r.division.kind.family == "C":
-        from .scalars import zeta
-
         coeff_samples.append(1 + zeta(r.division.kind.conductor))
     elif r.division.kind.family == "H":
-        from .scalars import RationalQuaternion
-
         coeff_samples.append(RationalQuaternion(1, 2, 0, 3))
     else:
         coeff_samples.append(Fraction(-7, 3))
     profile: dict = {}
     for i in range(r.k):
         for j in range(r.k):
+            key = r.params._coset_key(r.gamma[i] - r.gamma[j])
             for t in r.division.elements():
-                key = r.params._coset_key(r.gamma[i] - r.gamma[j])
                 outcomes = set()
                 for c in coeff_samples:
                     x = r.basis_element(i, j, t, c)

@@ -538,17 +538,16 @@ def _searchable_groups():
                          for m in g.torsion) <= CANDIDATE_BOUND]
 
 
-def _filtered(group, label=None, domain=(), tables=()):
+def _filtered(group, label=None, tables=()):
     """All of Aut(T), then the invariants of `automorphism_group` at every
-    position and every pair of `domain`."""
-    at = {x: a for a, x in enumerate(domain)}
+    position and every pair of positions."""
+    positions = range(group.order())
     kept = []
     for p in _all_automorphisms(group):
         if label is not None and [label[x] for x in p] != list(label):
             continue
-        if tables and (any(p[x] not in at for x in domain) or not any(
-                all(t[at[p[x]]][at[p[y]]] == tables[0][at[x]][at[y]]
-                    for x in domain for y in domain) for t in tables)):
+        if tables and not any(all(t[p[x]][p[y]] == tables[0][x][y]
+                                  for x in positions for y in positions) for t in tables):
             continue
         kept.append(p)
     return kept
@@ -585,14 +584,14 @@ def _skew(values):
 
 
 def test_table_search_tests_every_pair():
-    # one marked pair {x, y} must be kept by p, whichever pair it is
+    # one marked pair {x, y}, or one marked diagonal (x, x), must be kept by p
     for group in (Z(0, (4,)), Z2xZ2, Z2xZ4, Z(0, (3, 3)), Z(0, (2, 2, 2))):
-        n = group.order()
-        domain = range(n)
-        for x, y in itertools.combinations(domain, 2):
-            table = _skew([[int((i, j) == (x, y)) for j in domain] for i in domain])
-            assert automorphism_group(group, None, domain, [table]) == \
-                _filtered(group, None, domain, [table]), (group, x, y)
+        positions = range(group.order())
+        for x, y in itertools.combinations_with_replacement(positions, 2):
+            marked = [[int((i, j) == (x, y)) for j in positions] for i in positions]
+            table = marked if x == y else _skew(marked)  # a diagonal mark is symmetric
+            assert automorphism_group(group, None, [table]) == \
+                _filtered(group, None, [table]), (group, x, y)
 
 
 @settings(max_examples=80, deadline=None)
@@ -601,16 +600,21 @@ def test_table_search_on_a_subgroup_is_the_filter_of_aut(data):
     group = data.draw(st.sampled_from(_searchable_groups()))
     elements, index, _ = support_table(group)
     gens = data.draw(st.lists(st.sampled_from(elements), max_size=2))
-    domain = sorted(index[x] for x in subgroup_generated(group, gens))
-    if data.draw(st.booleans()):
-        domain.reverse()  # the tables follow `domain`, in any order
+    sub = sorted(index[x] for x in subgroup_generated(group, gens))
     values = st.integers(-1, data.draw(st.integers(0, 2)))
-    square = st.lists(st.lists(values, min_size=len(domain), max_size=len(domain)),
-                      min_size=len(domain), max_size=len(domain)).map(_skew)
-    tables = data.draw(st.lists(square, min_size=1, max_size=3))
-    label = data.draw(st.none() | st.just([int(x in domain) for x in range(group.order())]))
-    assert automorphism_group(group, label, domain, tables) == \
-        _filtered(group, label, domain, tables)
+    square = st.lists(st.lists(values, min_size=len(sub), max_size=len(sub)),
+                      min_size=len(sub), max_size=len(sub)).map(_skew)
+    tables = []
+    for drawn in data.draw(st.lists(square, min_size=1, max_size=3)):
+        # the whole support, None off sub x sub
+        table = [[None] * group.order() for _ in elements]
+        for x, row in zip(sub, drawn):
+            for y, value in zip(sub, row):
+                table[x][y] = value
+        tables.append(table)
+    # without a label only the tables keep the subgroup
+    label = data.draw(st.none() | st.just([int(x in sub) for x in range(group.order())]))
+    assert automorphism_group(group, label, tables) == _filtered(group, label, tables)
 
 
 @st.composite

@@ -356,13 +356,30 @@ def _enumerate_then_filter_kept(d):
 
 
 @pytest.mark.parametrize("ref", ["1-a:Z2^4", "1-b:Z2^4", "2-f:Z4^2", "2-f:Z3^2",
-                                 "2-e:Z2^2xZ4", "3-d:Z2xZ4"])
+                                 "2-e:Z2^2xZ4", "3-d:Z2xZ4", "2-a:Z2^3", "2-c:Z2^2",
+                                 "2-d:Z2^2xZ4"])
 def test_weyl_division_matches_the_enumerate_then_filter_oracle(ref):
     from gradecat.division import parse_catalog_ref
 
     d = parse_catalog_ref(ref)
     kept, _ = weyl_division(d)
     assert list(kept) == _enumerate_then_filter_kept(d)
+
+
+@pytest.mark.parametrize("ref", ["2-a:Z2^3", "2-d:Z2^2xZ4", "2-f:Z3^2", "1-c:Z2^3"])
+def test_weyl_division_tables_hold_none_exactly_off_k(ref, monkeypatch):
+    from gradecat import autgroups
+    from gradecat.division import parse_catalog_ref
+
+    seen = []
+    monkeypatch.setattr(autgroups, "automorphism_group", lambda group, label, tables:
+                        seen.append(tables) or [tuple(range(group.order()))])
+    d = parse_catalog_ref(ref)  # a fresh algebra: the stub's answer is memoized on it
+    in_k = [x not in d.conj_elements for x in d.elements()]
+    weyl_division(d)
+    for table in seen[0]:
+        assert [[a is not None for a in row] for row in table] == \
+            [[i and j for j in in_k] for i in in_k]
 
 
 def test_weyl_division_refuses_before_computing_beta():

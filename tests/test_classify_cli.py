@@ -370,12 +370,37 @@ def test_cli_g_spec_is_valid(tmp_path, capsys):
     ({**_G_SPEC, "kappa": [1.5, 1]}, "malformed spec"),
     ({"D": "1-c:Z2", "k": True}, "malformed spec"),
     ({**_G_SPEC, "kappa": [True, True]}, "malformed spec"),
+    # a key outside the spec's form
+    ({"D": "1-a:", "gamma": [[0], [0]]}, "unexpected spec key 'gamma'"),
+    ({"D": "1-c:Z2", "k": 2, "kappa": [2, 1]}, "unexpected spec key 'kappa'"),
+    ({"D": "1-a:", "k": 2, "embed": [[5]]}, "unexpected spec key 'embed'"),
+    ({"D": "1-a:", "G": {"free_rank": 1}, "gamma": [[0], [1]], "k": 7},
+     "unexpected spec key 'k'"),
+    ({"D": "1-a:", "k": 2, "colour": 3}, "unexpected spec key 'colour'"),
 ])
 def test_cli_malformed_spec_exit_2(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["universal", "--spec", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def _readme_universal_specs():
+    """The ```json blocks of README's `universal` paragraph, up to the next
+    section."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("`universal` reads a JSON grading spec", 1)[1].split("\n## ", 1)[0]
+    return [block.split("```", 1)[0] for block in section.split("```json\n")[1:]]
+
+
+def test_readme_universal_specs_run(tmp_path, capsys):
+    specs = _readme_universal_specs()
+    assert len(specs) >= 2
+    for text in specs:
+        path = tmp_path / "spec.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["universal", "--spec", str(path)]) == 0, text
+        assert "universal abelian group:" in capsys.readouterr().out
 
 
 def test_cli_bad_json_exit_2(tmp_path, capsys):
