@@ -293,8 +293,8 @@ def weyl_division(d: GradedDivisionAlgebra):
     as position tuples, found by one `automorphism_group` search pruned by
     those invariants, and a descriptor identified from their composition.
     p is kept when it keeps the label of every position t (the id of
-    sigma(t, t) where the square of X_t is an invariant, else None) and the
-    ids of beta, in a |T| x |T| table that is None off K x K: beta(t, t) = 1
+    sigma(t, t) where the square of X_t is an invariant, else None) and
+    `beta.ids`, the |T| x |T| table that is None off K x K: beta(t, t) = 1
     on K, so the diagonal makes p(K) = K.  The square is an invariant on the
     2-torsion over R and H (mu) and off K over C (nu); over C with the
     trivial action (2-f) beta may also go to its conjugate.  Raises
@@ -309,11 +309,9 @@ def weyl_division(d: GradedDivisionAlgebra):
     sigma, add, real = d._sigma_ids, d._add, d.kind.family != "C"
     label = [sigma[i][i] if x in d.conj_elements or (real and add[i][i] == 0) else None
              for i, x in enumerate(d.elements())]
-    n, at = len(label), {d._index[u]: a for a, u in enumerate(beta.domain)}  # K's positions
-    tables = [[[beta.ids[at[i]][at[j]] if i in at and j in at else None for j in range(n)]
-               for i in range(n)]]
+    tables = [beta.ids]
     if not real and not d.conj_elements:  # K = T
-        tables.append([[beta.units.conj(a) for a in row] for row in tables[0]])
+        tables.append([[beta.units.conj(a) for a in row] for row in beta.ids])
     kept = automorphism_group(d.support, label, tables)
     d._weyl = (tuple(kept), _finite_group_descriptor(kept, compose))
     return d._weyl

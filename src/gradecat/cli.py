@@ -140,8 +140,8 @@ def _spec_values(what, path):
 def _matrix_shape(spec, support: AbelianGroup) -> dict:
     """The matrix_algebra keyword arguments of a grading spec; every number
     in it must be a JSON integer.  A spec is `D` with an optional `k`, or `D`,
-    `G` and `gamma` with an optional `embed` and `kappa`; any other key is a
-    usage error."""
+    `G` and `gamma` with an `embed` (optional on a trivial support) and an
+    optional `kappa`; any other key is a usage error."""
     keys = ("D", "G", "gamma", "embed", "kappa") if "G" in spec else ("D", "k")
     extra = next((key for key in spec if key not in keys), None)
     if extra is not None:
@@ -157,10 +157,12 @@ def _matrix_shape(spec, support: AbelianGroup) -> dict:
         raise UsageError("a spec with an explicit G needs explicit gamma degrees")
     ambient = AbelianGroup.from_json(spec["G"])
     embed_spec = spec.get("embed")
-    if embed_spec is None and support.is_trivial():
-        images = []
-    else:
-        images = [ambient.element([json_int(c) for c in coords]) for coords in embed_spec]
+    if embed_spec is None:
+        if not support.is_trivial():
+            raise UsageError("a spec with an explicit G on a nontrivial support needs "
+                             "explicit embed images")
+        embed_spec = []
+    images = [ambient.element([json_int(c) for c in coords]) for coords in embed_spec]
     kappa = spec.get("kappa")
     return {
         "gamma": [ambient.element([json_int(c) for c in coords]) for coords in gamma_spec],

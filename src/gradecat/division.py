@@ -447,75 +447,73 @@ class DivisionElement:
 # ---------------------------------------------------------------------------
 
 class Bicharacter:
-    """An alternating bimultiplicative pairing on a finite abelian group.
+    """An alternating bimultiplicative pairing beta on a subgroup K of a
+    finite abelian group T, as one table of ids over T's support positions.
 
-    `ids[i][j]` is the id in `units` of the value at (domain[i], domain[j]).
+    `ids[x][y]` is the id in `units` of beta at the `support_table(group)`
+    positions x and y, and None exactly when x or y lies outside K; K is
+    read from the diagonal.  `domain` lists K in position order.
 
-    Alternation is checked on all of the domain K, and
+    Alternation is checked on all of K, and
     beta(u + v, w) = beta(u, w) beta(v, w) for all u, w and for v in a
-    generating set of K only, taken greedily on the `support_table`
-    positions.  The set M of the v that pass for all u, w is closed under +:
-    for v1, v2 in M, beta(u + v1 + v2, w) = beta(u + v1, w) beta(v2, w)
+    generating set of K only, taken greedily on the positions.  The set M of
+    the v that pass for all u, w is closed under +: for v1, v2 in M,
+    beta(u + v1 + v2, w) = beta(u + v1, w) beta(v2, w)
     = beta(u, w) beta(v1, w) beta(v2, w) = beta(u, w) beta(v1 + v2, w).  K is
     finite, so the sums of its generators exhaust it, and M = K.
-
-    A caller that has interned the values already passes `units` and `ids`
-    with them; otherwise each value is interned here, in row-major order.
     """
 
-    def __init__(self, domain, values, kind: CoefficientKind, units=None, ids=None):
-        self.domain = tuple(domain)
-        self.values = dict(values)
-        self.kind = kind
-        if ids is None:
-            units = UnitInterner(kind)
-            ids = [[units.intern(self.values[(u, v)]) for v in self.domain]
-                   for u in self.domain]
-        self.units, self.ids = units, ids
-        if not self.domain:
-            return
-        group = self.domain[0].group
-        elements, index, add = support_table(group)
-        at = [index[u] for u in self.domain]
-        pos = {t: i for i, t in enumerate(at)}
+    def __init__(self, group: AbelianGroup, units: UnitInterner, ids):
+        elements, self._index, add = support_table(group)
+        n = len(elements)
+        in_k = [x < len(row) and row[x] is not None for x, row in enumerate(ids)]
+        if len(ids) != n or [[a is not None for a in row] for row in ids] != [
+                [x and y for y in in_k] for x in in_k]:
+            raise ValueError(f"bicharacter must be a {n} x {n} table of ids with a value "
+                             "exactly on K x K, K read from its diagonal")
+        k = [x for x in range(n) if in_k[x]]
+        self.group, self.units, self.ids, self.kind = group, units, ids, units.kind
+        self.domain = tuple(elements[x] for x in k)
         gens, span = [], {group.zero()}
-        for p in sorted(pos):
-            if elements[p] not in span:
-                gens.append(pos[p])
-                span = subgroup_generated(group, [self.domain[j] for j in gens])
+        for x in k:
+            if elements[x] not in span:
+                gens.append(x)
+                span = subgroup_generated(group, [elements[j] for j in gens])
         if span != set(self.domain):
             raise ValueError("bicharacter domain is not a subgroup")
-        one, mul = units.intern(kind.one()), units.mul
-        n = len(self.domain)
-        for i, u in enumerate(self.domain):
-            if ids[i][i] != one:
-                raise ValueError(f"bicharacter is not alternating at {u}")
-            ids_u, sums = ids[i], add[at[i]]
-            for j in gens:
-                ids_v, ids_sum = ids[j], ids[pos[sums[at[j]]]]
-                for k in range(n):
-                    if ids_sum[k] != mul(ids_u[k], ids_v[k]):
+        one, mul = units.intern(self.kind.one()), units.mul
+        for x in k:
+            if ids[x][x] != one:
+                raise ValueError(f"bicharacter is not alternating at {elements[x]}")
+            ids_u, sums = ids[x], add[x]
+            for g in gens:
+                ids_v, ids_sum = ids[g], ids[sums[g]]
+                for w in k:
+                    if ids_sum[w] != mul(ids_u[w], ids_v[w]):
                         raise ValueError("bicharacter not multiplicative at "
-                                         f"({u},{self.domain[j]},{self.domain[k]})")
+                                         f"({elements[x]},{elements[g]},{elements[w]})")
 
     def value(self, u, v):
-        return self.values[(u, v)]
+        """beta(u, v); KeyError for a pair outside K x K."""
+        a = self.ids[self._index[u]][self._index[v]]
+        if a is None:
+            raise KeyError((u, v))
+        return self.units.values[a]
 
     def radical_elements(self) -> tuple:
         one = self.units.intern(self.kind.one())
-        return tuple(t for j, t in enumerate(self.domain)
-                     if all(row[j] == one for row in self.ids))
+        rows = [self.ids[self._index[t]] for t in self.domain]
+        return tuple(t for t in self.domain if all(row[self._index[t]] == one for row in rows))
 
     def is_self_conjugate(self) -> bool:
         conj = self.units.conj
-        return all(conj(a) == a for a in set().union(*self.ids))
+        return all(conj(a) == a for a in set().union(*self.ids) - {None})
 
     def __eq__(self, other):
         if not isinstance(other, Bicharacter):
             return NotImplemented
-        return set(self.domain) == set(other.domain) and all(
-            self.values[k] == other.values[k] for k in self.values
-        )
+        return self.domain == other.domain and all(
+            self.value(u, v) == other.value(u, v) for u in self.domain for v in self.domain)
 
 
 class QuadraticData:
@@ -551,27 +549,23 @@ def build_crossed_product(support, kind, action, cocycle, type_tag=None) -> Grad
 
 
 def commutation_bicharacter(d: GradedDivisionAlgebra) -> Bicharacter:
-    """beta(u, v) = sigma(u, v) * sigma(v, u)^(-1) on the centralizer support K."""
+    """beta(u, v) = sigma(u, v) * sigma(v, u)^(-1) on the centralizer support K,
+    memoized on d: the whole-support id table of `Bicharacter`, filled on
+    K x K with one division and one intern per distinct pair of sigma ids."""
     if d._beta is not None:
         return d._beta
-    k = d.centralizer_elements()
-    sigma, units = d._sigma_ids, d._units
-    at = [d._index[u] for u in k]
-    beta_units = UnitInterner(d.kind)
-    quotients = {}  # one division and one intern per pair of distinct sigma ids
-    values, ids = {}, []
-    for u, i in zip(k, at):
-        row = []
-        for v, j in zip(k, at):
+    sigma, values, n = d._sigma_ids, d._units.values, len(d._elements)
+    k = [d._index[u] for u in d.centralizer_elements()]
+    units, quotients = UnitInterner(d.kind), {}
+    ids = [[None] * n for _ in range(n)]
+    for i in k:
+        for j in k:
             key = (sigma[i][j], sigma[j][i])
             found = quotients.get(key)
             if found is None:
-                value = units.values[key[0]] / units.values[key[1]]
-                found = quotients[key] = (beta_units.intern(value), value)
-            row.append(found[0])
-            values[(u, v)] = found[1]
-        ids.append(row)
-    d._beta = Bicharacter(k, values, d.kind, beta_units, ids)
+                found = quotients[key] = units.intern(values[key[0]] / values[key[1]])
+            ids[i][j] = found
+    d._beta = Bicharacter(d.support, units, ids)
     return d._beta
 
 
@@ -627,13 +621,16 @@ def _polarization_failure(d: GradedDivisionAlgebra, beta: Bicharacter, mu):
     beta(u, v) = sigma(u, v) sigma(v, u)^(-1) is skew; its values +-1 commute.
     So beta(u + v1, v2) beta(u, v1) = beta(u, v1 + v2) beta(v1, v2), and with
     mu(v1 + v2) = beta(v1, v2) mu(v1) mu(v2) (u = v1) the identity holds at
-    (u, v1 + v2).  T is finite, so V = T.
+    (u, v1 + v2).  T is finite, so V = T.  beta lives on all of T here (the
+    action is trivial over R and H), and beta and mu are read by position.
     """
-    gens = d.support.generators()
-    for u in d.elements():
+    elems, add, values, ids = d._elements, d._add, beta.units.values, beta.ids
+    signs = [mu[t] for t in elems]
+    gens = [d._index[g] for g in d.support.generators()]
+    for u, sums in enumerate(add):
         for g in gens:
-            if beta.value(u, g) != mu[u + g] * mu[u] * mu[g]:
-                return u, g
+            if values[ids[u][g]] != signs[sums[g]] * signs[u] * signs[g]:
+                return elems[u], elems[g]
     return None
 
 

@@ -331,24 +331,25 @@ def test_weyl_division_matches_reference_filter(ref):
 
 def _enumerate_then_filter_kept(d):
     """The int-table filter of weyl_division before its search was pruned,
-    as an oracle: all of Aut(T) first, then the label and the ids of beta on
-    K at every position."""
-    from gradecat.division import commutation_bicharacter
+    as an oracle: all of Aut(T) first, then the label and the ids of
+    sigma(u, v) / sigma(v, u), interned afresh, on K at every position."""
+    from gradecat.division import UnitInterner
 
-    beta = commutation_bicharacter(d)
-    sigma, add, real = d._sigma_ids, d._add, d.kind.family != "C"
-    in_k = [x not in d.conj_elements for x in d.elements()]
+    elems, sigma, add, real = d.elements(), d._sigma_ids, d._add, d.kind.family != "C"
+    in_k = [x not in d.conj_elements for x in elems]
     label = [(k, sigma[i][i] if not k or (real and add[i][i] == 0) else None)
              for i, k in enumerate(in_k)]
     k_at = [i for i, k in enumerate(in_k) if k]
-    rows = list(zip(k_at, beta.ids))
+    units = UnitInterner(d.kind)
+    rows = [(i, [units.intern(d.sigma(elems[i], elems[j]) / d.sigma(elems[j], elems[i]))
+                 for j in k_at]) for i in k_at]
     table = [[None] * len(in_k) for _ in in_k]
     for i, row in rows:
         for j, a in zip(k_at, row):
             table[i][j] = a
     tables = [table]
     if not real and not d.conj_elements:
-        tables.append([[beta.units.conj(a) for a in r] for r in table])
+        tables.append([[units.conj(a) for a in r] for r in table])
     return [p for p in automorphism_group(d.support)
             if [label[x] for x in p] == label
             and any(all([t[p[i]][p[j]] for j in k_at] == row for i, row in rows)

@@ -377,6 +377,9 @@ def test_cli_g_spec_is_valid(tmp_path, capsys):
     ({"D": "1-a:", "G": {"free_rank": 1}, "gamma": [[0], [1]], "k": 7},
      "unexpected spec key 'k'"),
     ({"D": "1-a:", "k": 2, "colour": 3}, "unexpected spec key 'colour'"),
+    # G without embed on a nontrivial support
+    ({"D": "1-c:Z2", "G": {"free_rank": 1, "torsion": [2]}, "gamma": [[0, 0], [1, 0]]},
+     "explicit embed"),
 ])
 def test_cli_malformed_spec_exit_2(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"

@@ -464,11 +464,11 @@ def test_elementary_two_refs_are_the_catalog():
 
 
 def _sign_table(beta):
-    """beta's values, each one equal to 1 or -1 replaced by that int.  Both
-    quad_forms and the loop read beta only through `as_sign`, so their
+    """beta's values on K x K, each one equal to 1 or -1 replaced by that int.
+    Both quad_forms and the loop read beta only through `as_sign`, so their
     outcomes on the table are their outcomes on beta."""
     return frozenset((key, next((s for s in (1, -1) if x == s), x))
-                     for key, x in beta.values.items())
+                     for key, x in _values(beta).items())
 
 
 def _on_table(support, table, quad):
@@ -920,6 +920,21 @@ def test_catalog_tables_match_the_per_pair_construction(monkeypatch):
     assert {"3-a", "3-b", "3-c", "3-d"} <= {tag for tag, _ in built}
 
 
+def _values(beta):
+    """beta as a map of the pairs of K x K, read through `value`."""
+    return {(u, v): beta.value(u, v) for u in beta.domain for v in beta.domain}
+
+
+def _beta_from_values(group, values, kind):
+    """The Bicharacter on `group` with `values`, a map of element pairs,
+    interned in row-major order over the support positions, and None at
+    every pair that `values` does not hold."""
+    units, elements = UnitInterner(kind), list(group.elements())
+    return Bicharacter(group, units, [
+        [units.intern(values[(u, v)]) if (u, v) in values else None for v in elements]
+        for u in elements])
+
+
 def _first_non_multiplicative(domain, values):
     for u in domain:
         for v in domain:
@@ -951,11 +966,11 @@ def test_corrupted_bicharacter_names_first_bad_triple(ref, data):
     u = data.draw(st.sampled_from(beta.domain), label="u")
     v = data.draw(st.sampled_from([x for x in beta.domain if x != u]), label="v")
     factor = data.draw(st.sampled_from(_unit_multipliers(d.kind)))
-    values = dict(beta.values)
+    values = _values(beta)
     values[(u, v)] = values[(u, v)] * factor
     assert _first_non_multiplicative(beta.domain, values) is not None  # |K| >= 4
     with pytest.raises(ValueError) as err:
-        Bicharacter(beta.domain, values, d.kind)
+        _beta_from_values(d.support, values, d.kind)
     triples = {"bicharacter not multiplicative at ({},{},{})".format(*t): t
                for t in itertools.product(beta.domain, repeat=3)}
     x, g, w = triples[str(err.value)]
@@ -966,7 +981,7 @@ def test_corrupted_bicharacter_names_first_bad_triple(ref, data):
 def test_bicharacter_on_every_catalog_beta_matches_the_triple_loop():
     for ref in SMALL_REFS:
         beta = commutation_bicharacter(_catalog(ref))
-        assert _first_non_multiplicative(beta.domain, beta.values) is None
+        assert _first_non_multiplicative(beta.domain, _values(beta)) is None
 
 
 def test_bicharacter_checks_its_last_generator():
@@ -980,7 +995,7 @@ def test_bicharacter_checks_its_last_generator():
     values = {(u, w): rows[u][w] if u != zero and w != zero else 1
               for u in group.elements() for w in group.elements()}
     with pytest.raises(ValueError) as err:
-        Bicharacter(list(group.elements()), values, CoefficientKind.real())
+        _beta_from_values(group, values, CoefficientKind.real())
     assert str(err.value) == f"bicharacter not multiplicative at ({e1},{e1},{e2})"
 
 
@@ -993,34 +1008,79 @@ def test_bicharacter_domain_that_is_not_a_subgroup(domain):
     domain = [group.element(c) for c in domain]
     values = {(u, v): 1 for u in domain for v in domain}
     with pytest.raises(ValueError, match="bicharacter domain is not a subgroup"):
-        Bicharacter(domain, values, CoefficientKind.real())
+        _beta_from_values(group, values, CoefficientKind.real())
 
 
 def _reference_beta_ids(beta):
-    """Each value of beta interned anew, in row-major order."""
-    units = UnitInterner(beta.kind)
-    return [[units.intern(beta.values[(u, v)]) for v in beta.domain] for u in beta.domain]
+    """Each value of beta interned anew, in row-major order over the support
+    positions, and None off K x K."""
+    units, domain = UnitInterner(beta.kind), set(beta.domain)
+    return [[units.intern(beta.value(u, v)) if u in domain and v in domain else None
+             for v in beta.group.elements()] for u in beta.group.elements()]
 
 
 def _reference_radical_elements(beta):
     return tuple(t for t in beta.domain
-                 if all(beta.values[(u, t)] == beta.kind.one() for u in beta.domain))
+                 if all(beta.value(u, t) == beta.kind.one() for u in beta.domain))
 
 
 def _reference_is_self_conjugate(beta):
-    return all(beta.values[(u, v)] == beta.kind.conjugate(beta.values[(u, v)])
+    return all(beta.value(u, v) == beta.kind.conjugate(beta.value(u, v))
                for u in beta.domain for v in beta.domain)
 
 
 def test_beta_ids_interned_per_sigma_pair_match_a_per_value_intern():
     for ref in SMALL_REFS:
-        beta = commutation_bicharacter(parse_catalog_ref(ref))  # a fresh beta
+        d = parse_catalog_ref(ref)
+        beta = commutation_bicharacter(d)  # a fresh beta
+        assert beta.domain == d.centralizer_elements(), ref
         assert beta.ids == _reference_beta_ids(beta), ref
-        assert all(beta.units.values[a] == beta.values[(u, v)]
-                   for u, row in zip(beta.domain, beta.ids)
-                   for v, a in zip(beta.domain, row)), ref
-        rebuilt = Bicharacter(beta.domain, beta.values, beta.kind)
-        assert rebuilt.ids == beta.ids, ref
+        assert all(beta.value(u, v) == d.sigma(u, v) / d.sigma(v, u)
+                   for u in beta.domain for v in beta.domain), ref
+        rebuilt = _beta_from_values(d.support, _values(beta), beta.kind)
+        assert rebuilt.ids == beta.ids and rebuilt == beta, ref
         for b in (beta, rebuilt):
             assert b.radical_elements() == _reference_radical_elements(b), ref
             assert b.is_self_conjugate() == _reference_is_self_conjugate(b), ref
+
+
+def _with(ids, x, y, a):
+    """A copy of the table `ids` with `a` at (x, y)."""
+    ids = [list(row) for row in ids]
+    ids[x][y] = a
+    return ids
+
+
+def test_bicharacter_table_has_a_value_exactly_on_k_x_k():
+    beta = commutation_bicharacter(_catalog("2-a:Z2^3"))  # |K| = 4, |T| = 8
+    index = {t: i for i, t in enumerate(beta.group.elements())}
+    k = [index[t] for t in beta.domain]
+    off = next(x for x in index.values() if x not in k)
+    one = beta.ids[0][0]
+    bad = [
+        _with(beta.ids, k[1], off, one),  # a value at (x, y), y outside K
+        _with(beta.ids, off, k[1], one),  # and at (y, x)
+        _with(beta.ids, k[1], k[2], None),  # no value inside K x K
+        _with(beta.ids, k[1], k[1], None),  # k[1] off the diagonal: its row has values
+        beta.ids[:-1],  # not |T| x |T|
+        beta.ids + [beta.ids[-1]],
+        [row[:-1] for row in beta.ids],
+        [row + [None] for row in beta.ids],
+        beta.ids[:-1] + [beta.ids[-1][:-1]],
+    ]
+    for ids in bad:
+        with pytest.raises(ValueError, match="table of ids with a value exactly on K x K"):
+            Bicharacter(beta.group, beta.units, ids)
+    assert Bicharacter(beta.group, beta.units, [list(row) for row in beta.ids]) == beta
+
+
+def test_bicharacter_value_raises_key_error_off_k_x_k():
+    d = _catalog("2-a:Z2^3")
+    beta = commutation_bicharacter(d)
+    u = beta.domain[1]
+    v = next(t for t in d.elements() if t not in beta.domain)
+    for pair in ((u, v), (v, u), (v, v)):
+        with pytest.raises(KeyError) as err:
+            beta.value(*pair)
+        assert err.value.args == (pair,)
+    assert beta.value(u, u) == d.kind.one()

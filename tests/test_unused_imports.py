@@ -1,10 +1,14 @@
-"""Every module-level import of the package is used by its module, and every
-module-level private function or class is used by the package."""
+"""Every module-level import of the package is used by its module, every
+module-level private function or class is used by the package, and every
+public one is used by the package, exported, or traced by perfbench."""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
+
+import gradecat
 
 PACKAGE = sorted((pathlib.Path(__file__).parent.parent / "src" / "gradecat").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -47,11 +51,11 @@ def test_unused_import_check_sees_a_stray_name():
     assert unused_imports(source) == ["support_table"]
 
 
-def unreferenced_private_definitions(sources: dict) -> list[str]:
-    """Module-level private functions and classes (one leading underscore)
-    that no statement of the package references outside their own
-    definition, as "module.name".  A name, an attribute or an imported name
-    counts as a reference."""
+def unreferenced_definitions(sources: dict) -> list[str]:
+    """Module-level functions and classes (no dunder names) that no
+    statement of `sources` references outside their own definition, as
+    "module.name".  A name, an attribute or an imported name counts as a
+    reference."""
     statements = []  # (module, node, the names it references)
     for module, source in sources.items():
         for node in ast.parse(source).body:
@@ -66,10 +70,28 @@ def unreferenced_private_definitions(sources: dict) -> list[str]:
             statements.append((module, node, names))
     return [
         f"{module}.{node.name}" for module, node, _ in statements
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__")
         and not any(node.name in names for _, other, names in statements if other is not node)
     ]
+
+
+def unreferenced_private_definitions(sources: dict) -> list[str]:
+    """The unreferenced definitions with one leading underscore."""
+    return [name for name in unreferenced_definitions(sources)
+            if name.rpartition(".")[2].startswith("_")]
+
+
+def unreferenced_public_definitions(sources: dict, exported, spanned: dict) -> list[str]:
+    """The unreferenced definitions without a leading underscore that are
+    neither in `exported` (the package's `__all__`) nor named in `spanned`,
+    the tracer's map of module to names, where "Class.method" names Class."""
+    out = []
+    for name in unreferenced_definitions(sources):
+        module, _, short = name.rpartition(".")
+        if not short.startswith("_") and short not in exported and short not in {
+                attr.split(".")[0] for attr in spanned.get(module, ())}:
+            out.append(name)
+    return out
 
 
 def test_private_definitions_are_used_by_the_package():
@@ -87,3 +109,28 @@ def test_private_definition_check_sees_a_helper_left_for_tests():
              "def f():\n    return _used(1)\n",
     }
     assert unreferenced_private_definitions(sources) == ["a._left_for_tests"]
+
+
+def test_public_definitions_are_used_exported_or_traced():
+    """The re-exports of `__init__` are its `__all__`, so they are not
+    counted as uses."""
+    tracer = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", tracer)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unreferenced_public_definitions(sources, gradecat.__all__, module.SPANNED) == []
+
+
+def test_public_definition_check_sees_a_function_left_for_tests():
+    sources = {
+        "a": "def used(x):\n    return x\n"
+             "def exported():\n    pass\n"
+             "class Traced:\n    def run(self):\n        pass\n"
+             "def left_for_tests(z):\n    return left_for_tests(z - 1) if z else 0\n"
+             "def _private():\n    pass\n",
+        "b": "from .a import used\n"
+             "def f():\n    return used(1)\n",
+    }
+    assert unreferenced_public_definitions(
+        sources, ["exported", "f"], {"a": ("Traced.run",)}) == ["a.left_for_tests"]
