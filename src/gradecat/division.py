@@ -428,11 +428,7 @@ class DivisionElement:
     def __eq__(self, other):
         if not isinstance(other, DivisionElement):
             return NotImplemented
-        if other.algebra is not self.algebra:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        zero = self.algebra.kind.zero()
-        return all(self.terms.get(k, zero) == other.terms.get(k, zero) for k in keys)
+        return other.algebra is self.algebra and self.terms == other.terms
 
     __hash__ = None
 
@@ -460,7 +456,12 @@ class Bicharacter:
     the v that pass for all u, w is closed under +: for v1, v2 in M,
     beta(u + v1 + v2, w) = beta(u + v1, w) beta(v2, w)
     = beta(u, w) beta(v1, w) beta(v2, w) = beta(u, w) beta(v1 + v2, w).  K is
-    finite, so the sums of its generators exhaust it, and M = K.
+    finite, so the sums of its generators exhaust it, and M = K.  Then
+    beta(u, g) beta(g, u) = 1 is checked for all u and the same g, so
+    beta(g, .) is the inverse of the character beta(., g), and beta(v, .) is
+    a product of those for every v (the values commute): beta is
+    multiplicative in its second argument too.  The first two checks do not
+    give this: on Z2, beta(1, 0) = -1 and 1 elsewhere passes them.
     """
 
     def __init__(self, group: AbelianGroup, units: UnitInterner, ids):
@@ -492,6 +493,10 @@ class Bicharacter:
                     if ids_sum[w] != mul(ids_u[w], ids_v[w]):
                         raise ValueError("bicharacter not multiplicative at "
                                          f"({elements[x]},{elements[g]},{elements[w]})")
+        for x in k:
+            for g in gens:
+                if mul(ids[x][g], ids[g][x]) != one:
+                    raise ValueError(f"bicharacter is not skew at ({elements[x]},{elements[g]})")
 
     def value(self, u, v):
         """beta(u, v); KeyError for a pair outside K x K."""
@@ -600,7 +605,8 @@ def quadratic_form(d: GradedDivisionAlgebra) -> QuadraticData:
         values = {t: sign_of(d.sigma(t, t)) for t in d.elements()}
         quad = QuadraticData(True, values)
         if d.support.is_elementary_two():
-            bad = _polarization_failure(d, commutation_bicharacter(d), quad.values)
+            bad = _polarization_failure(commutation_bicharacter(d),
+                                        [values[t] for t in d.elements()])
             if bad:
                 raise ValueError("polarization identity fails at ({}, {})".format(*bad))
     else:
@@ -610,23 +616,22 @@ def quadratic_form(d: GradedDivisionAlgebra) -> QuadraticData:
     return quad
 
 
-def _polarization_failure(d: GradedDivisionAlgebra, beta: Bicharacter, mu):
-    """The first (u, g), g a coordinate generator of T, at which
-    mu(u + g) = beta(u, g) mu(u) mu(g) fails, or None.
+def _polarization_failure(beta: Bicharacter, signs):
+    """The first (u, g), g a coordinate generator of T = beta.group, at which
+    mu(u + g) = beta(u, g) mu(u) mu(g) fails, or None; `signs[x]` is mu at
+    the support position x, and beta must live on all of T.
 
     That covers every pair (u, v).  The set V of the v that pass for all u is
     closed under +: for v1, v2 in V, mu(u + v1 + v2) = beta(u + v1, v2)
-    beta(u, v1) mu(u) mu(v1) mu(v2).  beta is multiplicative in its first
-    argument (`Bicharacter` checks it) and so in its second, as
-    beta(u, v) = sigma(u, v) sigma(v, u)^(-1) is skew; its values +-1 commute.
+    beta(u, v1) mu(u) mu(v1) mu(v2).  beta is multiplicative in both
+    arguments (`Bicharacter` checks it), and its values +-1 commute.
     So beta(u + v1, v2) beta(u, v1) = beta(u, v1 + v2) beta(v1, v2), and with
     mu(v1 + v2) = beta(v1, v2) mu(v1) mu(v2) (u = v1) the identity holds at
-    (u, v1 + v2).  T is finite, so V = T.  beta lives on all of T here (the
-    action is trivial over R and H), and beta and mu are read by position.
+    (u, v1 + v2).  T is finite, so V = T.
     """
-    elems, add, values, ids = d._elements, d._add, beta.units.values, beta.ids
-    signs = [mu[t] for t in elems]
-    gens = [d._index[g] for g in d.support.generators()]
+    elems, index, add = support_table(beta.group)
+    values, ids = beta.units.values, beta.ids
+    gens = [index[g] for g in beta.group.generators()]
     for u, sums in enumerate(add):
         for g in gens:
             if values[ids[u][g]] != signs[sums[g]] * signs[u] * signs[g]:
@@ -646,43 +651,37 @@ def arf(quad: QuadraticData) -> int:
 
 
 def quad_forms(support: AbelianGroup, beta: Bicharacter) -> list[QuadraticData]:
-    """All eta: T -> {+-1} with eta(uv) = beta(u, v) eta(u) eta(v).
+    """All eta: T -> {+-1} with eta(u + v) = beta(u, v) eta(u) eta(v).
 
-    The support must be an elementary abelian 2-group and beta {+-1}-valued;
-    the result is a torsor over Hom(T, {+-1}) when nonempty.  Each eta is
-    eta0 chi, with eta0 the extension of the sign +1 on every generator and
-    chi the character with chi(g_i) = -1 exactly for the bits i of the mask,
-    listed in mask order.  The identity is checked for eta0 only: since
-    chi(u + v) = chi(u) chi(v), eta0 chi satisfies it iff eta0 does.
+    T = `support` must be an elementary abelian 2-group and beta a
+    `Bicharacter` on all of T; its values are +-1, as beta(u, v)^2 =
+    beta(2u, v) = beta(0, v) = 1.  Each eta is eta0 chi, with eta0 the
+    extension of the sign +1 on every generator and chi the character with
+    chi(g_i) = -1 exactly for the coordinates i set in the mask, listed in
+    mask order; `values` lists T in position order.  eta0 is built along the
+    support positions, eta0(x) = beta(x - g, g) eta0(x - g) with g = x & -x,
+    and checked once by `_polarization_failure`: since
+    chi(u + v) = chi(u) chi(v), eta0 chi satisfies the identity iff eta0
+    does.  A `Bicharacter` is alternating, and for every alternating beta
+    Quad(T, beta) is a full torsor of 2^rank forms over Hom(T, {+-1}), so
+    the check only guards the construction: an empty list means a fault.
     """
     if not support.is_elementary_two():
         raise ValueError("Quad(T, beta) is defined for elementary abelian 2-groups")
-
-    def as_sign(value):
-        if value == 1:
-            return 1
-        if value == -1:
-            return -1
-        raise ValueError("beta must be {+-1}-valued")
-
-    elems = list(support.elements())
-    gens = support.generators()
-    eta0 = {support.zero(): 1}
-    # extend along coordinates using the polarization identity
-    for x in sorted(elems, key=lambda e: (sum(e.coords), e.coords)):
-        if x in eta0:
-            continue
-        i = next(i for i, c in enumerate(x.coords) if c)
-        y = x - gens[i]
-        eta0[x] = as_sign(beta.value(y, gens[i])) * eta0[y]
-    for u in elems:
-        for v in elems:
-            if eta0[u + v] != as_sign(beta.value(u, v)) * eta0[u] * eta0[v]:
-                return []
-    bits = {x: sum(c << i for i, c in enumerate(x.coords)) for x in eta0}  # x as a mask
-    return [QuadraticData(True, {x: -s if (mask & bits[x]).bit_count() % 2 else s
-                                 for x, s in eta0.items()})
-            for mask in range(2 ** len(gens))]
+    elements = support_table(support)[0]
+    if beta.group != support or len(beta.domain) != len(elements):
+        raise ValueError("Quad(T, beta) needs beta on all of T")
+    one, ids = beta.units.intern(beta.kind.one()), beta.ids
+    eta0 = [1] * len(elements)
+    for x in range(1, len(elements)):
+        g = x & -x  # the generator of the last nonzero coordinate of x
+        eta0[x] = eta0[x - g] if ids[x - g][g] == one else -eta0[x - g]
+    if _polarization_failure(beta, eta0):
+        return []
+    masks = [sum(c << i for i, c in enumerate(t.coords)) for t in elements]
+    return [QuadraticData(True, {t: -s if (mask & m).bit_count() % 2 else s
+                                 for t, s, m in zip(elements, eta0, masks)})
+            for mask in range(2 ** support.rank)]
 
 
 def equivalent(d1: GradedDivisionAlgebra, d2: GradedDivisionAlgebra) -> bool:

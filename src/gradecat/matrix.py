@@ -176,18 +176,7 @@ class GradedElement:
     def __eq__(self, other):
         if not isinstance(other, GradedElement):
             return NotImplemented
-        if other.algebra is not self.algebra:
-            return False
-        keys = set(self.entries) | set(other.entries)
-        for key in keys:
-            a = self.entries.get(key)
-            b = other.entries.get(key)
-            if a is None or b is None:
-                if (a or b) and not (a or b).is_zero():
-                    return False
-            elif a != b:
-                return False
-        return True
+        return other.algebra is self.algebra and self.entries == other.entries
 
     __hash__ = None
 

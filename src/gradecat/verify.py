@@ -353,10 +353,7 @@ def suite_properties():
         beta = commutation_bicharacter(d)
         forms = quad_forms(d.support, beta)
         hom_order = character_group(d.support, 2).order()
-        torsor_ok = len(forms) in (0, hom_order)
-        if forms:
-            mu = quadratic_form(d)
-            torsor_ok = torsor_ok and any(f == mu for f in forms)
+        torsor_ok = len(forms) == hom_order and quadratic_form(d) in forms
         checks.append(CheckResult(
             f"properties/quad-torsor/{tag}:{support}", torsor_ok,
             f"|Quad| = {len(forms)}, |Hom(T, +-1)| = {hom_order}"))

@@ -3,7 +3,6 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -24,8 +23,6 @@ from gradecat.division import (
     arf,
     build_crossed_product,
     canonical,
-    commutation_bicharacter,
-    quad_forms,
     quadratic_form,
 )
 from gradecat.matrix import matrix_algebra

@@ -5,10 +5,10 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradecat import division
-from gradecat.abelian import AbelianGroup, abstract_type, subgroup_generated
+from gradecat.abelian import AbelianGroup, subgroup_generated
 from gradecat.classify import classify
 from gradecat.division import (
     Bicharacter,
@@ -435,14 +435,6 @@ def _reference_quad_forms(support, beta):
     return out
 
 
-def _quad_outcome(support, beta, quad):
-    """quad's forms as (value items in order) lists, or the error it raises."""
-    try:
-        return [list(f.values.items()) for f in quad(support, beta)]
-    except (KeyError, ValueError) as err:
-        return type(err).__name__, str(err)
-
-
 # every entry of the catalog on an elementary abelian 2-group of order 2 ... 64
 ELEMENTARY_TWO_REFS = tuple(
     f"{tag}:Z2^{r}"
@@ -465,51 +457,85 @@ def test_elementary_two_refs_are_the_catalog():
 
 def _sign_table(beta):
     """beta's values on K x K, each one equal to 1 or -1 replaced by that int.
-    Both quad_forms and the loop read beta only through `as_sign`, so their
-    outcomes on the table are their outcomes on beta."""
+    The loop reads beta only through `as_sign`, so its outcome on the table
+    is its outcome on beta."""
     return frozenset((key, next((s for s in (1, -1) if x == s), x))
                      for key, x in _values(beta).items())
 
 
-def _on_table(support, table, quad):
-    values = dict(table)
-    return _quad_outcome(support, types.SimpleNamespace(value=lambda u, v: values[(u, v)]), quad)
-
-
 @functools.lru_cache(maxsize=None)
-def _reference_on_table(support, table):
-    """The loop's outcome; 3-a, 3-b and 3-c carry the sign tables of 1-a,
-    1-b and 1-c, so it runs once for each pair."""
-    return _on_table(support, table, _reference_quad_forms)
+def _reference_forms(support, table):
+    """The value dicts of the loop's forms on a sign table; 3-a, 3-b and 3-c
+    carry the sign tables of 1-a, 1-b and 1-c, so it runs once for each pair."""
+    values = dict(table)
+    beta = types.SimpleNamespace(value=lambda u, v: values[(u, v)])
+    return tuple(f.values for f in _reference_quad_forms(support, beta))
+
+
+def _assert_quad_forms_match_the_loop(d, beta):
+    """quad_forms gives the loop's forms, form by form and in list order,
+    each listing T in position order, and a full torsor."""
+    got = [f.values for f in quad_forms(d.support, beta)]
+    assert got == list(_reference_forms(d.support, _sign_table(beta)))
+    assert len(got) == 2 ** d.support.rank
+    assert all(list(f) == list(d.elements()) for f in got)
+    return got
+
+
+NEEDS_BETA_ON_T = r"^Quad\(T, beta\) needs beta on all of T$"
 
 
 @pytest.mark.parametrize("ref", ELEMENTARY_TWO_REFS)
 def test_quad_forms_against_the_per_mask_loop(ref):
     d = _catalog(ref)
     beta = commutation_bicharacter(d)
-    table = _sign_table(beta)
-    got = _quad_outcome(d.support, beta, quad_forms)
-    assert got == _on_table(d.support, table, quad_forms)
-    assert got == _reference_on_table(d.support, table)
-    if not d.conj_elements:  # beta lives on all of T: a torsor or empty
-        assert isinstance(got, list) and len(got) in (0, 2 ** d.support.rank)
+    if d.conj_elements:  # types 2-a, 2-b and 2-c: beta lives on K != T
+        with pytest.raises(ValueError, match=NEEDS_BETA_ON_T):
+            quad_forms(d.support, beta)
+    else:
+        _assert_quad_forms_match_the_loop(d, beta)
 
 
-def test_quad_forms_with_a_beta_that_is_not_a_sign():
-    # pseudo-bicharacters with a value 2, zeta_4 or 0 at random pairs; the
-    # error, or the forms when a failing pair comes first, match the loop
-    rng = random.Random(5)
-    for rank in (1, 2, 3):
-        t = AbelianGroup(0, (2,) * rank)
-        elems = list(t.elements())
-        for _ in range(60):
-            values = {(u, v): rng.choice([1, 1, 1, -1, -1, 2, zeta(4, 1), 0])
-                      for u in elems for v in elems}
-            beta = types.SimpleNamespace(value=lambda u, v, values=values: values[(u, v)])
-            assert _quad_outcome(t, beta, quad_forms) == _quad_outcome(
-                t, beta, _reference_quad_forms)
-    with pytest.raises(ValueError, match="must be"):
-        quad_forms(Z2xZ2, types.SimpleNamespace(value=lambda u, v: 2))
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda r: st.lists(
+    st.lists(st.integers(0, 1), min_size=r, max_size=r), min_size=r, max_size=r)))
+@example([[int(j == i + 2) for j in range(6)] for i in range(6)])  # radical of rank 2
+def test_quad_forms_on_upper_triangular_cocycles(rows):
+    """Z2^r over R with sigma(u, v) = (-1)^(u^T B v), B the strictly upper
+    triangular part of `rows`, so that beta runs over every alternating
+    form: quad_forms is the loop's torsor, mu is in it, and for r <= 3 each
+    form passes the identity on every pair.  The loop takes 0.5 s at r = 5
+    and 2.6 s at r = 6, so r <= 4 is drawn and r = 6 is one example, with a
+    radical of rank 2 (the catalog's rank-6 forms are nondegenerate)."""
+    r = len(rows)
+    t = AbelianGroup(0, (2,) * r)
+    elems = list(t.elements())
+    sigma = {(u, v): (-1) ** sum(rows[i][j] * u.coords[i] * v.coords[j]
+                                 for i in range(r) for j in range(i + 1, r))
+             for u in elems for v in elems}
+    d = build_crossed_product(t, CoefficientKind.real(), set(), sigma)
+    beta = commutation_bicharacter(d)
+    forms = _assert_quad_forms_match_the_loop(d, beta)
+    assert quadratic_form(d).values in forms
+    if r <= 3:
+        for f in forms:
+            assert all(f[u + v] == beta.value(u, v) * f[u] * f[v] for u in elems for v in elems)
+
+
+def test_quad_forms_rejects_a_beta_on_another_group_and_other_supports():
+    """The entries with K != T are refused in the test against the loop."""
+    z4 = AbelianGroup(0, (4,))
+    on_z4 = commutation_bicharacter(build_crossed_product(
+        z4, CoefficientKind.real(), set(), {(u, v): 1 for u in z4.elements() for v in z4.elements()}))
+    for support, beta in [(Z2xZ2, commutation_bicharacter(_catalog("1-a:Z2^4"))),
+                          (AbelianGroup(0, (2,) * 4), commutation_bicharacter(_catalog("1-a:Z2^2"))),
+                          (Z2xZ2, on_z4)]:  # the last on a group of the same order
+        with pytest.raises(ValueError, match=NEEDS_BETA_ON_T):
+            quad_forms(support, beta)
+    d = _catalog("2-f:Z3^2")
+    for support, beta in [(z4, on_z4), (d.support, commutation_bicharacter(d))]:
+        with pytest.raises(ValueError, match="defined for elementary abelian 2-groups"):
+            quad_forms(support, beta)
 
 
 def _reference_polarization_failure(d, beta, mu):
@@ -530,12 +556,12 @@ def test_polarization_on_generators_against_the_per_pair_loop(ref):
     d = _catalog(ref)
     beta = commutation_bicharacter(d)
     mu = quadratic_form(d).values
-    assert _polarization_failure(d, beta, mu) is None
+    assert _polarization_failure(beta, [mu[t] for t in d.elements()]) is None
     assert _reference_polarization_failure(d, beta, mu) is None
     for t in d.elements():
         corrupted = dict(mu)
         corrupted[t] = -corrupted[t]
-        bad = _polarization_failure(d, beta, corrupted)
+        bad = _polarization_failure(beta, [corrupted[s] for s in d.elements()])
         assert (bad is None) == (_reference_polarization_failure(d, beta, corrupted) is None)
         if bad is not None:
             u, g = bad
@@ -997,6 +1023,19 @@ def test_bicharacter_checks_its_last_generator():
     with pytest.raises(ValueError) as err:
         _beta_from_values(group, values, CoefficientKind.real())
     assert str(err.value) == f"bicharacter not multiplicative at ({e1},{e1},{e2})"
+
+
+def test_bicharacter_checks_its_second_argument():
+    # on Z2, beta(1, 0) = -1 and 1 elsewhere is alternating and a character
+    # in its first argument, but beta(1, 0 + 0) is not beta(1, 0)^2; the
+    # polarization check on generators never looks at v = 0, so it would
+    # pass this beta, on which mu(1) = beta(1, 0) mu(1) mu(0) fails for any mu
+    group = AbelianGroup(0, (2,))
+    zero, one = group.elements()
+    values = {(u, v): -1 if (u, v) == (one, zero) else 1
+              for u in group.elements() for v in group.elements()}
+    with pytest.raises(ValueError, match=r"^bicharacter is not skew at \(<0>,<1>\)$"):
+        _beta_from_values(group, values, CoefficientKind.real())
 
 
 @pytest.mark.parametrize("domain", [

@@ -1,6 +1,8 @@
-"""Every module-level import of the package is used by its module, every
-module-level private function or class is used by the package, and every
-public one is used by the package, exported, or traced by perfbench."""
+"""Every module-level import of the package and of its tests is used by its
+module, every module-level private function or class is used by the
+package, and every public one is used by the package, exported, or traced
+by perfbench.  Every module-level function or class of the tests other
+than a `test_*` function or a pytest fixture is used by the tests."""
 
 import ast
 import importlib.util
@@ -12,6 +14,7 @@ import gradecat
 
 PACKAGE = sorted((pathlib.Path(__file__).parent.parent / "src" / "gradecat").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,7 +38,7 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -81,6 +84,20 @@ def unreferenced_private_definitions(sources: dict) -> list[str]:
             if name.rpartition(".")[2].startswith("_")]
 
 
+def unreferenced_test_helpers(sources: dict) -> list[str]:
+    """The unreferenced definitions of test modules other than the `test_*`
+    functions and the pytest fixtures, which pytest finds by name."""
+    def is_fixture(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "attr", getattr(target, "id", None)) == "fixture"
+
+    exempt = {node.name for source in sources.values() for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef)
+              and (node.name.startswith("test_") or any(map(is_fixture, node.decorator_list)))}
+    return [name for name in unreferenced_definitions(sources)
+            if name.rpartition(".")[2] not in exempt]
+
+
 def unreferenced_public_definitions(sources: dict, exported, spanned: dict) -> list[str]:
     """The unreferenced definitions without a leading underscore that are
     neither in `exported` (the package's `__all__`) nor named in `spanned`,
@@ -109,6 +126,23 @@ def test_private_definition_check_sees_a_helper_left_for_tests():
              "def f():\n    return _used(1)\n",
     }
     assert unreferenced_private_definitions(sources) == ["a._left_for_tests"]
+
+
+def test_test_helpers_are_used_by_the_tests():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in TESTS}
+    assert unreferenced_test_helpers(sources) == []
+
+
+def test_test_helper_check_sees_a_helper_left_over():
+    sources = {
+        "test_a": "import pytest\n"
+                  "def _used(x):\n    return x\n"
+                  "def left_over(z):\n    return left_over(z - 1) if z else 0\n"
+                  "@pytest.fixture(scope='module')\ndef table():\n    return 1\n"
+                  "@pytest.fixture\ndef other():\n    return 2\n"
+                  "def test_it(table, other):\n    assert _used(table)\n",
+    }
+    assert unreferenced_test_helpers(sources) == ["test_a.left_over"]
 
 
 def test_public_definitions_are_used_exported_or_traced():
