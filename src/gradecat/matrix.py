@@ -283,18 +283,19 @@ def equivalent_gradings(r1: GradedMatrixAlgebra, r2: GradedMatrixAlgebra) -> boo
 # idempotents
 # ---------------------------------------------------------------------------
 
-def _diagonal_key(x: GradedElement) -> frozenset:
-    return frozenset(i for i, j in x.entries if i == j)
-
-
 def homogeneous_idempotents(r: GradedMatrixAlgebra):
     """(all, primitive) homogeneous idempotents of M_k(D).
 
     Homogeneous idempotents have degree e and live in the identity component
     R_e = diag(D_e, ..., D_e); since D_e is one of the exact division rings,
     the scalar equation c^2 = c only has the solutions 0 and 1, so the
-    idempotents are exactly the 0/1 diagonal matrices.  Primitivity is
-    decided by searching for an orthogonal decomposition inside the set.
+    idempotents are exactly the 0/1 diagonal matrices.  A nonzero eps is
+    primitive exactly when no delta in the set other than 0 and eps has
+    eps delta = delta = delta eps.  If such a delta exists, mu = eps - delta
+    is a homogeneous idempotent, so in the set, with delta mu = mu delta = 0:
+    eps = delta + mu is an orthogonal decomposition.  Conversely, such a
+    decomposition gives eps delta = (delta + mu) delta = delta, and
+    delta eps = delta likewise.
     """
     if not fine_condition(r.params):
         raise GradingError("idempotent counting assumes the fine condition")
@@ -306,29 +307,13 @@ def homogeneous_idempotents(r: GradedMatrixAlgebra):
         candidate = GradedElement(r, entries)
         if candidate * candidate == candidate:
             found.append(candidate)
-    # an element equal to a member of `found` has that member's nonzero
-    # diagonal positions: look it up by them, then confirm with one ==
-    by_diagonal = {_diagonal_key(eps): eps for eps in found}
-    zero = r.zero_element()
-    primitive = []
-    for eps in found:
-        if eps.is_zero():
-            continue
-        decomposable = False
-        for delta in found:
-            if delta.is_zero() or delta is eps:  # the members of found are distinct
-                continue
-            mu = eps - delta
-            if mu.is_zero():
-                continue
-            hit = by_diagonal.get(_diagonal_key(mu))
-            if hit is None or hit != mu:
-                continue
-            if (delta * mu) == zero and (mu * delta) == zero:
-                decomposable = True
-                break
-        if not decomposable:
-            primitive.append(eps)
+    primitive = [
+        eps for eps in found
+        if not eps.is_zero() and not any(
+            not delta.is_zero() and delta is not eps  # the members of found are distinct
+            and eps * delta == delta == delta * eps
+            for delta in found)
+    ]
     return found, primitive
 
 

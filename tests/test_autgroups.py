@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradecat.abelian import (
     AbelianGroup,
@@ -38,7 +40,7 @@ from gradecat.autgroups import (
 )
 from gradecat.classify import classify
 from gradecat.division import canonical
-from gradecat.matrix import matrix_algebra
+from gradecat.matrix import GradedElement, matrix_algebra
 from gradecat.scalars import RationalQuaternion, zeta
 
 Z2 = AbelianGroup(0, (2,))
@@ -589,17 +591,143 @@ def test_division_automorphism_rejects_non_characters():
         DivisionAutomorphism(d, chi, d.kind.basis())
 
 
+def _reference_psi(d, phi, images):
+    """psi(c X_t) = phi(t) m(c) X_t, with m read off the coordinates of c."""
+    kind = d.kind
+
+    def psi(x):
+        terms = {}
+        for t, c in x.terms.items():
+            m_c = kind.zero()
+            for q, image in zip(kind.to_vector(c), images):
+                if q:
+                    m_c = m_c + kind.coerce(q) * kind.coerce(image)
+            terms[t] = kind.coerce(phi[t]) * m_c
+        return d.element(terms)
+    return psi
+
+
+def _reference_is_automorphism(d, phi, images):
+    """psi(x y) = psi(x) psi(y) for every pair x, y of the Q-basis b X_u of D."""
+    psi = _reference_psi(d, phi, images)
+    basis = [(x, psi(x)) for x in (d.unit(u, b) for u in d.elements() for b in d.kind.basis())]
+    return all(psi(x * y) == psi_x * psi_y for x, psi_x in basis for y, psi_y in basis)
+
+
+def _assert_generating_witness(d, phi, images, err):
+    """The witness is a pair (x, y), with y in D_e or X_g for a generator g,
+    at which psi fails to be multiplicative; the message names it."""
+    x, y = err.witness
+    psi = _reference_psi(d, phi, images)
+    assert psi(x * y) != psi(x) * psi(y)
+    g = y.degree()
+    assert g == d.support.zero() or (y == d.unit(g) and g in d.support.generators())
+    assert f"({x!r}, {y!r})" in str(err)
+
+
 def test_division_automorphism_witness_pair():
     d = canonical("2-f", "Z3^2")
-    # a sign map that is not beta-compatible cannot be an automorphism
+    # a map that is not a character cannot be an automorphism
     phi = {t: 1 for t in d.elements()}
     phi[d.support.element((1, 0))] = zeta(3)
-    try:
+    with pytest.raises(AutomorphismError) as err:
         DivisionAutomorphism(d, phi, d.kind.basis())
+    _assert_generating_witness(d, phi, d.kind.basis(), err.value)
+
+
+def test_division_automorphism_refuses_a_non_central_phi_over_h():
+    # phi(a, s) = i^s is a character of T, but i is not central in H:
+    # psi(j X_s) = k X_s while psi(j) psi(X_s) = -k X_s
+    d = canonical("3-d", "Z2xZ4")
+    i, j, k = RationalQuaternion.i(), RationalQuaternion.j(), RationalQuaternion.k()
+    powers = [1, i, -1, -i]
+    phi = {t: powers[t.coords[1]] for t in d.elements()}
+    s = d.support.element((0, 1))
+    psi = _reference_psi(d, phi, d.kind.basis())
+    assert psi(d.unit(s, j)) == d.unit(s, k)
+    assert psi(d.one() * j) * psi(d.unit(s)) == d.unit(s, -k)
+    with pytest.raises(AutomorphismError) as err:
+        DivisionAutomorphism(d, phi, d.kind.basis())
+    _assert_generating_witness(d, phi, d.kind.basis(), err.value)
+
+
+def test_division_automorphism_checks_products_inside_d_e():
+    # swapping i and j is unital and invertible but reverses ij = k; with
+    # phi = 1 it commutes with every X_g, so only D_e x D_e shows the failure
+    d = canonical("3-b", "Z2xZ2")
+    one, i, j, k = d.kind.basis()
+    phi = {t: 1 for t in d.elements()}
+    with pytest.raises(AutomorphismError) as err:
+        DivisionAutomorphism(d, phi, (one, j, i, k))
+    assert err.value.witness[1].degree() == d.support.zero()
+    _assert_generating_witness(d, phi, (one, j, i, k), err.value)
+
+
+def test_division_automorphism_checks_the_last_generator():
+    # phi(a, s) = -1 exactly at s = 2 is multiplicative along a but not
+    # along s, the last coordinate generator
+    d = canonical("1-d", "Z2xZ4")
+    phi = {t: -1 if t.coords[1] == 2 else 1 for t in d.elements()}
+    with pytest.raises(AutomorphismError) as err:
+        DivisionAutomorphism(d, phi, d.kind.basis())
+    assert err.value.witness[1] == d.unit(d.support.element((0, 1)))
+    _assert_generating_witness(d, phi, d.kind.basis(), err.value)
+
+
+_PSI0_ALGEBRAS = {
+    f"{tag}:{support}": canonical(tag, support)
+    for tag, support in (("1-b", "Z2^2"), ("1-d", "Z2xZ4"), ("2-e", "Z4"),
+                         ("2-f", "Z3^2"), ("3-b", "Z2^2"), ("3-d", "Z2xZ4"))
+}
+
+
+def _small_units(kind):
+    if kind.family == "R":
+        return [1, -1]
+    if kind.family == "C":
+        z = zeta(kind.conductor)
+        return [1, -1, z, -z]
+    units = list(kind.basis())
+    return units + [-q for q in units]
+
+
+def _coefficient_maps(kind):
+    """Images of the Q-basis: automorphisms of the kind, and one unital,
+    invertible map that is not multiplicative."""
+    basis = kind.basis()
+    if kind.family == "R":
+        return [basis]
+    if kind.family == "C":
+        conj = tuple(kind.conjugate(b) for b in basis)
+        return [basis, conj, (basis[0], 2 * basis[1]) + basis[2:]]
+    one, i, j, k = basis
+    inner = [tuple(q * b * q.conjugate() for b in basis) for q in (i, j, k)]
+    return [basis] + inner + [(one, j, i, k)]
+
+
+@pytest.mark.parametrize("name", sorted(_PSI0_ALGEBRAS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_division_automorphism_accepts_what_the_pair_loop_accepts(name, data):
+    d = _PSI0_ALGEBRAS[name]
+    elems = d.elements()
+    if data.draw(st.booleans(), label="sign character"):
+        signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(d.support.torsion),
+                                   max_size=len(d.support.torsion)))
+        phi = {t: math.prod(s ** c for s, c in zip(signs, t.coords)) for t in elems}
+    else:
+        values = data.draw(st.lists(st.sampled_from(_small_units(d.kind)),
+                                    min_size=len(elems) - 1, max_size=len(elems) - 1))
+        phi = dict(zip(elems, [1] + values))  # position 0 is the zero of T
+    images = data.draw(st.sampled_from(_coefficient_maps(d.kind)))
+    expected = _reference_is_automorphism(d, phi, images)
+    try:
+        DivisionAutomorphism(d, phi, images)
     except AutomorphismError as err:
-        assert err.witness is not None
-    else:  # pragma: no cover
-        raise AssertionError("expected an automorphism failure")
+        assert not expected
+        _assert_generating_witness(d, phi, images, err)
+    else:
+        assert expected
 
 
 def test_second_kind_automorphism_2f():
@@ -679,6 +807,38 @@ def _random_triple(r, rng):
         chi[t] = sign
     psi0 = DivisionAutomorphism.from_character(d, chi)
     return AutTriple(r, diag, perm, psi0)
+
+
+def _reference_triple_apply(t, x):
+    """X -> D P psi0(X) P^-1 D^-1 as a product of k x k matrices."""
+    r = t.algebra
+    k = r.k
+    inv = [0] * k
+    for i, v in enumerate(t.perm):
+        inv[v] = i
+    one = r.division.one()
+    d_mat = GradedElement(r, {(i, i): t.diag[i] for i in range(k)})
+    d_inv = GradedElement(r, {(i, i): t.diag[i].inverse() for i in range(k)})
+    p_mat = GradedElement(r, {(i, inv[i]): one for i in range(k)})
+    p_inv = GradedElement(r, {(i, t.perm[i]): one for i in range(k)})
+    psi_x = GradedElement(r, {pos: t.psi0.apply(val) for pos, val in x.entries.items()})
+    return d_mat * p_mat * psi_x * p_inv * d_inv
+
+
+def test_triple_apply_matches_the_matrix_product():
+    rng = random.Random(11)
+    for d, k in ((canonical("1-b", "Z2xZ2"), 2),
+                 (canonical("1-d", "Z2xZ4"), 2),
+                 (canonical("1-c", "Z2"), 3)):
+        r = matrix_algebra(d, k=k)
+        basis = [
+            r.basis_element(i, j, t, c)
+            for i in range(k) for j in range(k) for t in d.elements() for c in (1, Fraction(-3, 2))
+        ]
+        for _ in range(6):
+            triple = _random_triple(r, rng)
+            for x in basis:
+                assert triple_apply(triple, x) == _reference_triple_apply(triple, x)
 
 
 def test_triple_product_functoriality_exhaustive_basis():
