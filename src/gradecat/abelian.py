@@ -623,29 +623,34 @@ def _aut_candidates(group: AbelianGroup) -> tuple:
     return candidates
 
 
-def automorphism_group(group: AbelianGroup, label=None, tables=()) -> list[tuple[int, ...]]:
+def automorphism_group(group: AbelianGroup, label=None, betas=()) -> list[tuple[int, ...]]:
     """The automorphisms p of a finite abelian group keeping the invariants
     given, in search order (all of Aut(T) with none); AutBoundError as in
     `_aut_candidates`.  p[i] is the position in `support_table(group)` of the
     image of elements[i].  p keeps `label`, a list, if label[p[x]] == label[x]
-    for all x, and `tables`, |T| x |T| lists over the positions, if some t in
-    `tables` has t[p[x]][p[y]] == tables[0][x][y] for all x, y.  The tables
-    are skew under one inversion, as beta's ids are: one order of each pair
-    is tested.  A table that lives on a subgroup K holds None at every pair
-    outside K x K and a value at every (x, x), x in K.  When all the tables
-    live on K, the diagonal test alone gives p(K) = K: t[p[x]][p[x]] is None
-    exactly when p[x] is outside K, and tables[0][x][x] exactly when x is.
+    for all x, and `betas`, `Bicharacter`s on one K sharing one interner, if
+    some b in `betas` has b.ids[p[x]][p[y]] == betas[0].ids[x][y] for all x, y.
 
     Generators go from the last coordinate to the first, so the subgroup T_j
     on coordinates j.. is the prefix 0..|T_j|-1 of positions, fixed by g_j.
-    Each test is at a position or a pair, so on T_j the leaf test is the same
-    test inside the prefix: a failing prefix has no passing completion, and
-    at a leaf the prefix is T.  A node tests its new positions x only (from
-    `start` on), for injectivity, the label and each table at (x, y), y <= x;
-    a failing table is dropped for the branch, which is cut when none is left.
+    A node tests what is new to its prefix only: injectivity and the label
+    at the positions from `start` on, and each b at the pairs (a, c) of
+    `betas[0].generators` with a <= c and c new.  The leaf makes each of
+    these tests, so a failing prefix has no passing completion.  The
+    generators are greedy in position order, so those below |T_j| generate
+    K n T_j.  The test at (a, a) puts p(a) in K (b is None off K x K), so p
+    maps K n T_j into K; b o (p x p) and beta are then skew bicharacters on
+    K n T_j, equal once equal on generator pairs.  At a leaf p is bijective,
+    so p(K) = K and the None entries agree too.  A failing b is dropped for
+    the branch, which is cut when none is left.
     """
     candidates, (_, _, add) = _aut_candidates(group), support_table(group)
-    want = [row[:x + 1] for x, row in enumerate(tables[0])] if tables else []
+    gens = betas[0].generators if betas else ()
+    pairs, size = [], 1  # pairs[j]: (a, c, id of beta(a, c)) tested as g_j is placed
+    for m in reversed(group.torsion):
+        pairs.insert(0, [(a, c, betas[0].ids[a][c]) for c in gens if size <= c < size * m
+                         for a in gens if a <= c])
+        size *= m
     results: list[tuple[int, ...]] = []
 
     def search(j: int, images: list, start: int, alive):
@@ -661,12 +666,12 @@ def automorphism_group(group: AbelianGroup, label=None, tables=()) -> list[tuple
             if len(set(extended)) < stop or label is not None and \
                     [*map(label.__getitem__, extended[start:])] != label[start:stop]:
                 continue
-            live = [t for t in alive if all([*map(t[extended[y]].__getitem__, extended[:y + 1])]
-                                            == want[y] for y in range(start, stop))]
-            if live or not tables:
+            live = [b for b in alive if all(b.ids[extended[a]][extended[c]] == w
+                                            for a, c, w in pairs[j])]
+            if live or not betas:
                 search(j - 1, extended, stop, live)
 
-    search(len(group.torsion) - 1, [0], 0, tables)  # T = 0: the identity keeps all
+    search(len(group.torsion) - 1, [0], 0, betas)  # T = 0: the identity keeps all
     return results
 
 

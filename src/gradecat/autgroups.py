@@ -9,7 +9,6 @@ automorphisms of M_k(D) together with their twisted product law.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -25,6 +24,7 @@ from .abelian import (
     support_table,
 )
 from .division import (
+    Bicharacter,
     CatalogError,
     DivisionElement,
     GradedDivisionAlgebra,
@@ -239,16 +239,6 @@ def _census(elements, mul):
     return _order_census(elements, mul, ident), abelian
 
 
-@functools.cache
-def _sym4_census():
-    return _census(list(itertools.permutations(range(4))), compose)[0]
-
-
-@functools.cache
-def _gl23_census():
-    return _census(automorphism_group(AbelianGroup(0, (3, 3))), compose)[0]
-
-
 def identify_group(elements, mul) -> str:
     """Name a finite group from order, abelianness, and element-order census.
 
@@ -276,9 +266,9 @@ def _name_from_census(census, abelian) -> str:
         return "Sym(3)"
     if n == 8 and abelian and exponent == 2:
         return "Z2^3"
-    if n == 24 and not abelian and census == _sym4_census():
+    if n == 24 and not abelian and census == {1: 1, 2: 9, 3: 8, 4: 6}:
         return "Sym(4)"
-    if n == 48 and not abelian and census == _gl23_census():
+    if n == 48 and not abelian and census == {1: 1, 2: 13, 3: 8, 4: 6, 6: 8, 8: 12}:
         return "GL(2,3)"
     return f"other({n})"
 
@@ -294,11 +284,11 @@ def weyl_division(d: GradedDivisionAlgebra):
     those invariants, and a descriptor identified from their composition.
     p is kept when it keeps the label of every position t (the id of
     sigma(t, t) where the square of X_t is an invariant, else None) and
-    `beta.ids`, the |T| x |T| table that is None off K x K: beta(t, t) = 1
-    on K, so the diagonal makes p(K) = K.  The square is an invariant on the
-    2-torsion over R and H (mu) and off K over C (nu); over C with the
-    trivial action (2-f) beta may also go to its conjugate.  Raises
-    AutBoundError, before computing beta, when the search is out of reach.
+    beta, so p(K) = K.  The square is an invariant on the 2-torsion over R
+    and H (mu) and off K over C (nu); over C with the trivial action (2-f)
+    beta may also go to its conjugate, a `Bicharacter` on the same interner.
+    Raises AutBoundError, before computing beta, when the search is out of
+    reach.
     """
     if d._weyl is not None:
         return d._weyl
@@ -309,10 +299,11 @@ def weyl_division(d: GradedDivisionAlgebra):
     sigma, add, real = d._sigma_ids, d._add, d.kind.family != "C"
     label = [sigma[i][i] if x in d.conj_elements or (real and add[i][i] == 0) else None
              for i, x in enumerate(d.elements())]
-    tables = [beta.ids]
+    betas = [beta]
     if not real and not d.conj_elements:  # K = T
-        tables.append([[beta.units.conj(a) for a in row] for row in beta.ids])
-    kept = automorphism_group(d.support, label, tables)
+        betas.append(Bicharacter(d.support, beta.units,
+                                 [[beta.units.conj(a) for a in row] for row in beta.ids]))
+    kept = automorphism_group(d.support, label, betas)
     d._weyl = (tuple(kept), _finite_group_descriptor(kept, compose))
     return d._weyl
 
@@ -552,16 +543,20 @@ class DivisionAutomorphism:
         """
         alg = self.algebra
         kind = alg.kind
-        elems = alg.elements()
+        elems, basis = alg.elements(), kind.basis()
+        if len(self.coeff_images) != len(basis):
+            raise AutomorphismError(f"expected {len(basis)} coefficient images, "
+                                    f"got {len(self.coeff_images)}")
         for t in elems:
             if t not in self.phi:
                 raise AutomorphismError(f"phi undefined at {t}")
             if not self.phi[t]:
                 raise AutomorphismError(f"phi({t}) must be a unit")
+        if len(self.phi) != len(elems):  # every t in T is a key
+            raise AutomorphismError("phi is defined outside T")
         zero = alg.support.zero()
         if self.phi[zero] != kind.one():
             raise AutomorphismError("phi(e) must equal 1")
-        basis = kind.basis()
         if self.map_coefficient(kind.one()) != kind.one():
             raise AutomorphismError("coefficient map does not fix 1")
         if nullspace([kind.to_vector(img) for img in self.coeff_images], len(basis)):

@@ -448,12 +448,13 @@ class Bicharacter:
 
     `ids[x][y]` is the id in `units` of beta at the `support_table(group)`
     positions x and y, and None exactly when x or y lies outside K; K is
-    read from the diagonal.  `domain` lists K in position order.
+    read from the diagonal.  `domain` lists K in position order, and
+    `generators` a generating set of K as positions, taken greedily in order.
 
     Alternation is checked on all of K, and
-    beta(u + v, w) = beta(u, w) beta(v, w) for all u, w and for v in a
-    generating set of K only, taken greedily on the positions.  The set M of
-    the v that pass for all u, w is closed under +: for v1, v2 in M,
+    beta(u + v, w) = beta(u, w) beta(v, w) for all u, w and for v in
+    `generators` only.  The set M of the v that pass for all u, w is closed
+    under +: for v1, v2 in M,
     beta(u + v1 + v2, w) = beta(u + v1, w) beta(v2, w)
     = beta(u, w) beta(v1, w) beta(v2, w) = beta(u, w) beta(v1 + v2, w).  K is
     finite, so the sums of its generators exhaust it, and M = K.  Then
@@ -482,6 +483,7 @@ class Bicharacter:
                 span = subgroup_generated(group, [elements[j] for j in gens])
         if span != set(self.domain):
             raise ValueError("bicharacter domain is not a subgroup")
+        self.generators = tuple(gens)
         one, mul = units.intern(self.kind.one()), units.mul
         for x in k:
             if ids[x][x] != one:
@@ -506,9 +508,10 @@ class Bicharacter:
         return self.units.values[a]
 
     def radical_elements(self) -> tuple:
+        """The t in K with beta(t, g) = 1 at each of `generators`, so on K."""
         one = self.units.intern(self.kind.one())
-        rows = [self.ids[self._index[t]] for t in self.domain]
-        return tuple(t for t in self.domain if all(row[self._index[t]] == one for row in rows))
+        return tuple(t for t in self.domain
+                     if all(self.ids[self._index[t]][g] == one for g in self.generators))
 
     def is_self_conjugate(self) -> bool:
         conj = self.units.conj

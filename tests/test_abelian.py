@@ -25,6 +25,8 @@ from gradecat.abelian import (
     support_table,
     universal_abelian_group,
 )
+from gradecat.division import Bicharacter, CoefficientKind, UnitInterner
+from gradecat.scalars import zeta
 
 Z = AbelianGroup
 Z2xZ2 = Z(0, (2, 2))
@@ -575,23 +577,42 @@ def test_label_search_is_the_filter_of_aut(data):
     assert automorphism_group(group, label) == _filtered(group, label)
 
 
-def _skew(values):
-    """The skew table (negation is the inversion) with values[i][j] above
-    the diagonal."""
-    n = len(values)
-    return [[values[i][j] if i < j else -values[j][i] if j < i else 0 for j in range(n)]
-            for i in range(n)]
+def _alternating(group, sub, skew, units):
+    """beta(u, v) = prod zeta_gcd(m_i, m_j)^(skew[i][j] u_i v_j) on the
+    subgroup with the positions `sub`, as a Bicharacter on `units`; skew[i][j]
+    is read for i < j, and skew[j][i] is its negative."""
+    n, m = units.kind.conductor, group.torsion
+
+    def power(u, v):  # the exponent of zeta_n
+        return sum(skew[i][j] * (u[i] * v[j] - u[j] * v[i]) * (n // math.gcd(m[i], m[j]))
+                   for i, j in itertools.combinations(range(len(m)), 2))
+
+    elements = support_table(group)[0]
+    return Bicharacter(group, units, [
+        [units.intern(zeta(n, power(u.coords, v.coords))) if x in sub and y in sub else None
+         for y, v in enumerate(elements)] for x, u in enumerate(elements)])
+
+
+def _units(group):
+    """One interner for the values of `_alternating` on `group`."""
+    return UnitInterner(CoefficientKind.complex(math.lcm(group.exponent(), 4)))
 
 
 def test_table_search_tests_every_pair():
-    # one marked pair {x, y}, or one marked diagonal (x, x), must be kept by p
+    # K the whole group or cyclic, and beta trivial or marked at one pair of
+    # coordinates; with no label only beta keeps K
     for group in (Z(0, (4,)), Z2xZ2, Z2xZ4, Z(0, (3, 3)), Z(0, (2, 2, 2))):
-        positions = range(group.order())
-        for x, y in itertools.combinations_with_replacement(positions, 2):
-            marked = [[int((i, j) == (x, y)) for j in positions] for i in positions]
-            table = marked if x == y else _skew(marked)  # a diagonal mark is symmetric
-            assert automorphism_group(group, None, [table]) == \
-                _filtered(group, None, [table]), (group, x, y)
+        elements, index, _ = support_table(group)
+        r = len(group.torsion)
+        subgroups = {frozenset(index[y] for y in subgroup_generated(group, gens))
+                     for gens in [elements] + [[x] for x in elements]}
+        marks = [[[0] * r for _ in range(r)]]
+        for i, j in itertools.combinations(range(r), 2):
+            marks.append([[int((a, b) == (i, j)) for b in range(r)] for a in range(r)])
+        for sub, skew in itertools.product(sorted(subgroups, key=sorted), marks):
+            beta = _alternating(group, sub, skew, _units(group))
+            assert automorphism_group(group, None, [beta]) == \
+                _filtered(group, None, [beta.ids]), (group, sorted(sub), skew)
 
 
 @settings(max_examples=80, deadline=None)
@@ -600,21 +621,16 @@ def test_table_search_on_a_subgroup_is_the_filter_of_aut(data):
     group = data.draw(st.sampled_from(_searchable_groups()))
     elements, index, _ = support_table(group)
     gens = data.draw(st.lists(st.sampled_from(elements), max_size=2))
-    sub = sorted(index[x] for x in subgroup_generated(group, gens))
-    values = st.integers(-1, data.draw(st.integers(0, 2)))
-    square = st.lists(st.lists(values, min_size=len(sub), max_size=len(sub)),
-                      min_size=len(sub), max_size=len(sub)).map(_skew)
-    tables = []
-    for drawn in data.draw(st.lists(square, min_size=1, max_size=3)):
-        # the whole support, None off sub x sub
-        table = [[None] * group.order() for _ in elements]
-        for x, row in zip(sub, drawn):
-            for y, value in zip(sub, row):
-                table[x][y] = value
-        tables.append(table)
-    # without a label only the tables keep the subgroup
+    sub = {index[x] for x in subgroup_generated(group, gens)}
+    r, units = len(group.torsion), _units(group)
+    skew = st.lists(st.lists(st.integers(0, group.exponent() - 1), min_size=r, max_size=r),
+                    min_size=r, max_size=r)
+    betas = [_alternating(group, sub, drawn, units)
+             for drawn in data.draw(st.lists(skew, min_size=1, max_size=3))]
+    # without a label only beta keeps the subgroup
     label = data.draw(st.none() | st.just([int(x in sub) for x in range(group.order())]))
-    assert automorphism_group(group, label, tables) == _filtered(group, label, tables)
+    assert automorphism_group(group, label, betas) == \
+        _filtered(group, label, [b.ids for b in betas])
 
 
 @st.composite

@@ -39,7 +39,7 @@ from gradecat.autgroups import (
     weyl_division,
 )
 from gradecat.classify import classify
-from gradecat.division import canonical
+from gradecat.division import Bicharacter, canonical, commutation_bicharacter
 from gradecat.matrix import GradedElement, matrix_algebra
 from gradecat.scalars import RationalQuaternion, zeta
 
@@ -359,8 +359,8 @@ def _enumerate_then_filter_kept(d):
 
 
 @pytest.mark.parametrize("ref", ["1-a:Z2^4", "1-b:Z2^4", "2-f:Z4^2", "2-f:Z3^2",
-                                 "2-e:Z2^2xZ4", "3-d:Z2xZ4", "2-a:Z2^3", "2-c:Z2^2",
-                                 "2-d:Z2^2xZ4"])
+                                 "2-f:Z5^2", "2-e:Z2^2xZ4", "3-d:Z2xZ4", "2-a:Z2^3",
+                                 "2-c:Z2^2", "2-d:Z2^2xZ4"])
 def test_weyl_division_matches_the_enumerate_then_filter_oracle(ref):
     from gradecat.division import parse_catalog_ref
 
@@ -375,13 +375,22 @@ def test_weyl_division_tables_hold_none_exactly_off_k(ref, monkeypatch):
     from gradecat.division import parse_catalog_ref
 
     seen = []
-    monkeypatch.setattr(autgroups, "automorphism_group", lambda group, label, tables:
-                        seen.append(tables) or [tuple(range(group.order()))])
+    monkeypatch.setattr(autgroups, "automorphism_group", lambda group, label, betas:
+                        seen.append(betas) or [tuple(range(group.order()))])
     d = parse_catalog_ref(ref)  # a fresh algebra: the stub's answer is memoized on it
     in_k = [x not in d.conj_elements for x in d.elements()]
     weyl_division(d)
-    for table in seen[0]:
-        assert [[a is not None for a in row] for row in table] == \
+    beta, betas = commutation_bicharacter(d), seen[0]
+    assert betas[0] is beta
+    if ref.startswith("2-f"):  # beta may also go to its conjugate
+        assert [b.ids for b in betas[1:]] == [[[beta.units.conj(a) for a in row]
+                                               for row in beta.ids]]
+    else:
+        assert len(betas) == 1
+    for b in betas:
+        assert isinstance(b, Bicharacter) and b.units is beta.units
+        assert b.domain == d.centralizer_elements()
+        assert [[a is not None for a in row] for row in b.ids] == \
             [[i and j for j in in_k] for i in in_k]
 
 
@@ -672,6 +681,18 @@ def test_division_automorphism_checks_the_last_generator():
         DivisionAutomorphism(d, phi, d.kind.basis())
     assert err.value.witness[1] == d.unit(d.support.element((0, 1)))
     _assert_generating_witness(d, phi, d.kind.basis(), err.value)
+
+
+def test_division_automorphism_refuses_inputs_of_the_wrong_shape():
+    # an extra coefficient image, or phi at an element outside T, is refused
+    # even when the rest is the identity
+    d = canonical("3-b", "Z2xZ2")
+    basis, phi = d.kind.basis(), {t: 1 for t in d.elements()}
+    with pytest.raises(AutomorphismError, match="expected 4 coefficient images, got 5"):
+        DivisionAutomorphism(d, phi, basis + (basis[1],))
+    with pytest.raises(AutomorphismError, match="outside T"):
+        DivisionAutomorphism(d, {**phi, AbelianGroup(0, (2,)).element((1,)): 1}, basis)
+    assert DivisionAutomorphism(d, phi, basis) == DivisionAutomorphism.identity(d)
 
 
 _PSI0_ALGEBRAS = {

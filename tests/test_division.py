@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 import types
 from fractions import Fraction
@@ -1081,6 +1082,40 @@ def test_beta_ids_interned_per_sigma_pair_match_a_per_value_intern():
         for b in (beta, rebuilt):
             assert b.radical_elements() == _reference_radical_elements(b), ref
             assert b.is_self_conjugate() == _reference_is_self_conjugate(b), ref
+
+
+def _catalog_up_to(order):
+    """(ref, algebra) of each catalog entry with |T| <= order."""
+    def chains(prefix, product):  # invariant-factor chains m1 | m2 | ...
+        yield prefix
+        step = prefix[-1] if prefix else 1
+        m = max(step, 2)
+        while product * m <= order:
+            yield from chains(prefix + (m,), product * m)
+            m += step
+    tags = [f"{n}-{c}" for n, cs in ((1, "abcd"), (2, "abcdef"), (3, "abcd")) for c in cs]
+    for torsion, tag in itertools.product(chains((), 1), tags):
+        group = AbelianGroup(0, torsion)
+        try:
+            yield f"{tag}:{group.pretty()}", canonical(tag, group)
+        except CatalogError:
+            pass
+
+
+def test_generators_below_each_prefix_generate_k_on_it():
+    # T_j, the subgroup on coordinates j.., is the prefix of |T_j| positions
+    # that the automorphism search fills first
+    seen = set()
+    for ref, d in _catalog_up_to(64):
+        beta, group = commutation_bicharacter(d), d.support
+        elements = list(group.elements())
+        for j in range(group.rank + 1):
+            size = math.prod(group.torsion[j:])
+            assert all(not any(x.coords[:j]) for x in elements[:size]), ref
+            below = subgroup_generated(group, [elements[g] for g in beta.generators if g < size])
+            assert below == {x for x in beta.domain if not any(x.coords[:j])}, (ref, j)
+        seen.add(ref.split(":")[0])
+    assert len(seen) == 14
 
 
 def _with(ids, x, y, a):
