@@ -11,6 +11,7 @@ from .abelian import (
     GroupElement,
     GroupHomomorphism,
     automorphism_group,
+    chain_elements,
     character_group,
     parse_group_string,
     smith_normal_form,
@@ -70,7 +71,7 @@ from .structconst import (
 from .verify import run_suite
 
 __all__ = [
-    "AbelianGroup", "GroupElement", "GroupHomomorphism", "automorphism_group",
+    "AbelianGroup", "GroupElement", "GroupHomomorphism", "automorphism_group", "chain_elements",
     "character_group", "parse_group_string", "smith_normal_form", "universal_abelian_group",
     "AutTriple", "DivisionAutomorphism", "diag_descriptor", "identify_group",
     "stab_descriptor", "stab_division", "triple_apply", "triple_product",

@@ -20,16 +20,10 @@ class GroupMismatchError(ValueError):
 
 
 class AutBoundError(ValueError):
-    """Automorphism enumeration refused: group infinite or too large."""
+    """Automorphism search refused: group infinite or too large."""
 
 
-# Aut(T) is searched only for |T| <= ELEMENT_BOUND and at most
-# CANDIDATE_BOUND endomorphism candidates.  The grading invariants prune the
-# search, so the bound no longer reflects its cost; it decides which W(Gamma_0)
-# are out of reach.  In M(4,C) those are rows 4 and 5, 1-c:Z2^5 (33 554 432
-# candidates) and 1-d:Z2^3 x Z4 (131 072), which print W0[...].
-ELEMENT_BOUND = 256
-CANDIDATE_BOUND = 100_000
+ELEMENT_BOUND = 256  # the largest |T| whose Aut(T) is searched
 
 
 def _factor(n: int) -> dict[int, int]:
@@ -309,11 +303,11 @@ class GroupHomomorphism:
     def __call__(self, el: GroupElement) -> GroupElement:
         if el.group != self.source:
             raise GroupMismatchError("element not in the source group")
-        out = self.target.zero()
+        out = [0] * self.target.rank
         for c, img in zip(el.coords, self.images):
             if c:
-                out = out + c * img
-        return out
+                out = [a + c * b for a, b in zip(out, img.coords)]
+        return GroupElement(self.target, out)
 
     def __eq__(self, other):
         if not isinstance(other, GroupHomomorphism):
@@ -608,71 +602,98 @@ def character_group(group: AbelianGroup, m: int) -> AbelianGroup:
 @functools.lru_cache(maxsize=64)
 def _aut_candidates(group: AbelianGroup) -> tuple:
     """The positions each generator may go to, those of an order dividing its
-    own; raises AutBoundError when the group is infinite, has more than
-    ELEMENT_BOUND elements, or there are more than CANDIDATE_BOUND choices."""
+    own; raises AutBoundError when the group is infinite or has more than
+    ELEMENT_BOUND elements."""
     if not group.is_finite():
         raise AutBoundError("group is infinite")
     if group.order() > ELEMENT_BOUND:
         raise AutBoundError(f"|T| = {group.order()} exceeds the bound {ELEMENT_BOUND}")
     elements = support_table(group)[0]
-    candidates = tuple(tuple(i for i, x in enumerate(elements) if m % x.order() == 0)
-                       for m in group.torsion)
-    total = math.prod(len(c) for c in candidates)
-    if total > CANDIDATE_BOUND:
-        raise AutBoundError(f"{total} candidate endomorphisms exceed the bound {CANDIDATE_BOUND}")
-    return candidates
+    return tuple(tuple(i for i, x in enumerate(elements) if m % x.order() == 0)
+                 for m in group.torsion)
 
 
-def automorphism_group(group: AbelianGroup, label=None, betas=()) -> list[tuple[int, ...]]:
-    """The automorphisms p of a finite abelian group keeping the invariants
-    given, in search order (all of Aut(T) with none); AutBoundError as in
-    `_aut_candidates`.  p[i] is the position in `support_table(group)` of the
-    image of elements[i].  p keeps `label`, a list, if label[p[x]] == label[x]
-    for all x, and `betas`, `Bicharacter`s on one K sharing one interner, if
-    some b in `betas` has b.ids[p[x]][p[y]] == betas[0].ids[x][y] for all x, y.
+def automorphism_group(group: AbelianGroup, label=None, betas=()) -> tuple:
+    """The group W of the automorphisms p of a finite abelian group keeping
+    the invariants given (all of Aut(T) with none) as a stabilizer chain:
+    transversals U_0, ..., U_(r-1) of position tuples, the identity first,
+    whose products u_(r-1) o ... o u_0 list W once each (`chain_elements`).
+    AutBoundError as in `_aut_candidates`.  p[i] is the position in
+    `support_table(group)` of the image of elements[i].  p keeps `label`, a
+    list, if label[p[x]] == label[x] for all x, and `betas`, a `Bicharacter`
+    beta on a subgroup K alone or with `beta.conjugate()`, if some b in
+    `betas` has b.ids[p[x]][p[y]] == beta.ids[x][y] for all x, y; either
+    way the p kept form a group.
 
-    Generators go from the last coordinate to the first, so the subgroup T_j
-    on coordinates j.. is the prefix 0..|T_j|-1 of positions, fixed by g_j.
-    A node tests what is new to its prefix only: injectivity and the label
-    at the positions from `start` on, and each b at the pairs (a, c) of
-    `betas[0].generators` with a <= c and c new.  The leaf makes each of
-    these tests, so a failing prefix has no passing completion.  The
-    generators are greedy in position order, so those below |T_j| generate
-    K n T_j.  The test at (a, a) puts p(a) in K (b is None off K x K), so p
-    maps K n T_j into K; b o (p x p) and beta are then skew bicharacters on
-    K n T_j, equal once equal on generator pairs.  At a leaf p is bijective,
-    so p(K) = K and the None entries agree too.  A failing b is dropped for
-    the branch, which is cut when none is left.
+    T_j, on the coordinates j.., is the prefix 0..|T_j|-1 of positions, and
+    g_j sits at |T_(j+1)|.  U_j maps g_j to each point of its orbit under
+    W^(j+1), the p in W fixing T_(j+1), so |W^(j+1)| = |U_j| |W^(j)| (Sims;
+    base g_0, ..., g_(r-1)).  Level j starts from the identity on T_(j+1),
+    with the b it keeps; a candidate image of g_j not yet reached by closing
+    the orbit under the representatives found gets a search of g_(j-1), ...,
+    g_0 that stops at its first leaf.  A node tests what is new to its
+    prefix: injectivity and the label at the new positions, and each b at
+    the pairs (a, c) of `betas[0].generators` with a <= c and c new; a
+    failing b is dropped for the branch, cut when none is left.  Those
+    below |T_j| generate K n T_j (greedy in position order); (a, a) puts
+    p(a) in K (b is None off K x K), and b o (p x p) and beta are skew
+    bicharacters on K n T_j, equal once equal on generator pairs.  At a
+    leaf p is bijective, so p(K) = K.
     """
     candidates, (_, _, add) = _aut_candidates(group), support_table(group)
+    torsion, identity = group.torsion, tuple(range(group.order()))
     gens = betas[0].generators if betas else ()
-    pairs, size = [], 1  # pairs[j]: (a, c, id of beta(a, c)) tested as g_j is placed
-    for m in reversed(group.torsion):
-        pairs.insert(0, [(a, c, betas[0].ids[a][c]) for c in gens if size <= c < size * m
-                         for a in gens if a <= c])
-        size *= m
-    results: list[tuple[int, ...]] = []
+    sizes = [math.prod(torsion[j:]) for j in range(len(torsion) + 1)]  # |T_j|
+    pairs = [[(a, c, betas[0].ids[a][c]) for c in gens if sizes[j + 1] <= c < sizes[j]
+              for a in gens if a <= c] for j in range(len(torsion))]  # tested as g_j is placed
 
-    def search(j: int, images: list, start: int, alive):
+    def first_leaf(j: int, images: list, alive, xs):
+        """The first p in W with these images of T_(j+1) and p(g_j) in xs."""
         if j < 0:
-            results.append(tuple(images))
-            return
-        for x in candidates[j]:
+            return tuple(images)
+        for x in xs:
             extended, step = list(images), x
-            for _ in range(group.torsion[j] - 1):
+            for _ in range(torsion[j] - 1):
                 extended += [add[step][y] for y in images]
                 step = add[step][x]
-            stop = len(extended)
+            start, stop = len(images), len(extended)
             if len(set(extended)) < stop or label is not None and \
                     [*map(label.__getitem__, extended[start:])] != label[start:stop]:
                 continue
             live = [b for b in alive if all(b.ids[extended[a]][extended[c]] == w
                                             for a, c, w in pairs[j])]
-            if live or not betas:
-                search(j - 1, extended, stop, live)
+            leaf = (live or not betas) and first_leaf(j - 1, extended, live, candidates[j - 1])
+            if leaf:
+                return leaf
+        return None
 
-    search(len(group.torsion) - 1, [0], 0, betas)  # T = 0: the identity keeps all
-    return results
+    transversals, strong = [], []
+    for j in range(len(torsion)):
+        alive = [b for b in betas if all(b.ids[a][c] == w for level in pairs[j + 1:]
+                                         for a, c, w in level)]
+        orbit = {sizes[j + 1]: identity}  # image of g_j -> its representative
+        for x in candidates[j]:
+            leaf = x not in orbit and first_leaf(j, list(identity[:sizes[j + 1]]), alive, [x])
+            if leaf:
+                strong.append(leaf)
+                orbit[x] = leaf
+                points = list(orbit)
+                for y in points:  # grows as the orbit closes
+                    for s in strong:
+                        if s[y] not in orbit:
+                            orbit[s[y]] = compose(s, orbit[y])
+                            points.append(s[y])
+        transversals.append(tuple(orbit.values()))
+    return tuple(transversals)
+
+
+def chain_elements(transversals) -> list[tuple[int, ...]]:
+    """The elements u_(r-1) o ... o u_0 of the group with these transversals
+    (see `automorphism_group`), each once, the identity first."""
+    elements = list(transversals[0]) if transversals else [(0,)]  # T = 0: its identity
+    for level in transversals[1:]:
+        elements = [compose(u, e) for u in level for e in elements]
+    return elements
 
 
 def compose(p: tuple, q: tuple) -> tuple:

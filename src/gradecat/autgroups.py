@@ -2,9 +2,9 @@
 
 Symbolic group descriptors encode the closed-form answers (tori are never
 enumerated); finite parts are computed exactly.  Weyl groups of division
-gradings come from one search of Aut(T) pruned by the grading invariants,
-and the (diagonal, permutation, psi0) triples realize concrete
-automorphisms of M_k(D) together with their twisted product law.
+gradings come from one stabilizer-chain search of Aut(T) pruned by the
+grading invariants, and the (diagonal, permutation, psi0) triples realize
+concrete automorphisms of M_k(D) together with their twisted product law.
 """
 
 from __future__ import annotations
@@ -14,17 +14,16 @@ import math
 
 from .abelian import (
     AbelianGroup,
-    AutBoundError,
     _aut_candidates,
     _order_census,
     _type_from_census,
     automorphism_group,
+    chain_elements,
     character_group,
     compose,
     support_table,
 )
 from .division import (
-    Bicharacter,
     CatalogError,
     DivisionElement,
     GradedDivisionAlgebra,
@@ -120,19 +119,6 @@ class Torus(GroupDescriptor):
         return f"(torus {self.kind})"
 
 
-class Opaque(GroupDescriptor):
-    __slots__ = ("label",)
-
-    def finite_part_order(self):
-        return None
-
-    def pretty(self):
-        return self.label
-
-    def sexpr(self):
-        return f"(opaque {self.label})"
-
-
 class DirectProduct(GroupDescriptor):
     __slots__ = ("factors",)  # tuple of GroupDescriptor
 
@@ -150,7 +136,7 @@ class DirectProduct(GroupDescriptor):
                     abelian = abelian.direct_sum(child.group)
                 else:
                     flat.append(child)
-        rank = {Torus: 0, Symmetric: 1, NamedFinite: 2, Opaque: 3, SemidirectProduct: 4}
+        rank = {Torus: 0, Symmetric: 1, NamedFinite: 2, SemidirectProduct: 3}
         flat.sort(key=lambda f: (rank.get(type(f), 9), f.sexpr()))
         if not abelian.is_trivial() or not flat:
             flat.append(FiniteAbelian(abelian))
@@ -232,23 +218,15 @@ def descriptors_equal(a: GroupDescriptor, b: GroupDescriptor) -> bool:
 IDENTIFY_BOUND = 48  # identify_group answers other(n) for larger orders
 
 
-def _census(elements, mul):
-    """(element-order census, abelian?); the identity is the only idempotent."""
-    ident = next(x for x in elements if mul(x, x) == x)
-    abelian = all(mul(x, y) == mul(y, x) for x in elements for y in elements)
-    return _order_census(elements, mul, ident), abelian
-
-
 def identify_group(elements, mul) -> str:
-    """Name a finite group from order, abelianness, and element-order census.
-
-    Returns one of '1', 'Z2', 'Z3', 'Z2^2', 'Z2^3', 'Sym(3)', 'Sym(4)',
-    'GL(2,3)', or 'other(n)' when the census is not decisive or the order
-    exceeds IDENTIFY_BOUND.
-    """
+    """Name a finite group from order, abelianness, and element-order census:
+    '1', 'Z2', 'Z3', 'Z2^2', 'Z2^3', 'Sym(3)', 'Sym(4)', 'GL(2,3)', or
+    'other(n)' when the census is not decisive or n > IDENTIFY_BOUND."""
     if len(elements) > IDENTIFY_BOUND:
         return f"other({len(elements)})"
-    return _name_from_census(*_census(elements, mul))
+    ident = next(x for x in elements if mul(x, x) == x)  # the only idempotent
+    abelian = all(mul(x, y) == mul(y, x) for x in elements for y in elements)
+    return _name_from_census(_order_census(elements, mul, ident), abelian)
 
 
 def _name_from_census(census, abelian) -> str:
@@ -278,17 +256,14 @@ def _name_from_census(census, abelian) -> str:
 # ---------------------------------------------------------------------------
 
 def weyl_division(d: GradedDivisionAlgebra):
-    """Weyl group of a division grading, memoized on `d`: (elements,
-    descriptor), the support automorphisms preserving the grading invariants
-    as position tuples, found by one `automorphism_group` search pruned by
-    those invariants, and a descriptor identified from their composition.
-    p is kept when it keeps the label of every position t (the id of
-    sigma(t, t) where the square of X_t is an invariant, else None) and
-    beta, so p(K) = K.  The square is an invariant on the 2-torsion over R
-    and H (mu) and off K over C (nu); over C with the trivial action (2-f)
-    beta may also go to its conjugate, a `Bicharacter` on the same interner.
-    Raises AutBoundError, before computing beta, when the search is out of
-    reach.
+    """Weyl group of a division grading, memoized on `d`: (transversals,
+    descriptor), the stabilizer chain of the support automorphisms that keep
+    the label of every position t and beta (so p(K) = K), found by one
+    `automorphism_group` search.  The label pairs the id of sigma(t, t)
+    where the square of X_t is an invariant (on the 2-torsion over R and H,
+    off K over C; else None) with t in rad beta, which such a p keeps.  Over
+    C with the trivial action (2-f) beta may also go to its conjugate.
+    AutBoundError, before computing beta, when |T| is out of reach.
     """
     if d._weyl is not None:
         return d._weyl
@@ -297,29 +272,30 @@ def weyl_division(d: GradedDivisionAlgebra):
     if d.conj_elements:
         quadratic_form(d)  # a square off K that is not +-1 raises ValueError
     sigma, add, real = d._sigma_ids, d._add, d.kind.family != "C"
-    label = [sigma[i][i] if x in d.conj_elements or (real and add[i][i] == 0) else None
-             for i, x in enumerate(d.elements())]
-    betas = [beta]
-    if not real and not d.conj_elements:  # K = T
-        betas.append(Bicharacter(d.support, beta.units,
-                                 [[beta.units.conj(a) for a in row] for row in beta.ids]))
-    kept = automorphism_group(d.support, label, betas)
-    d._weyl = (tuple(kept), _finite_group_descriptor(kept, compose))
+    rad = set(beta.radical_elements())
+    label = [(sigma[i][i] if x in d.conj_elements or (real and add[i][i] == 0) else None,
+              x in rad) for i, x in enumerate(d.elements())]
+    betas = [beta, beta.conjugate()] if not real and not d.conj_elements else [beta]
+    transversals = automorphism_group(d.support, label, betas)
+    d._weyl = (transversals, _finite_group_descriptor(transversals))
     return d._weyl
 
 
-def _finite_group_descriptor(elements, mul) -> GroupDescriptor:
-    if not elements:
-        raise ValueError("a group needs at least the identity")
-    census, abelian = _census(elements, mul)
+def _finite_group_descriptor(transversals) -> GroupDescriptor:
+    """Descriptor of the group with these transversals of a stabilizer chain:
+    abelian exactly when its strong generators commute, and its elements are
+    listed only when it is abelian or of order <= IDENTIFY_BOUND."""
+    order = math.prod(map(len, transversals))
+    strong = [u for level in transversals for u in level[1:]]
+    abelian = all(compose(a, b) == compose(b, a) for a, b in itertools.combinations(strong, 2))
+    if not abelian and order > IDENTIFY_BOUND:
+        return NamedFinite(f"other({order})", order)
+    elements = chain_elements(transversals)
+    census = _order_census(elements, compose, elements[0])
     if abelian:
         return FiniteAbelian(_type_from_census(census))
     tag = _name_from_census(census, abelian)
-    if tag == "Sym(3)":
-        return Symmetric(3)
-    if tag == "Sym(4)":
-        return Symmetric(4)
-    return NamedFinite(tag, len(elements))
+    return Symmetric(int(tag[4])) if tag in ("Sym(3)", "Sym(4)") else NamedFinite(tag, order)
 
 
 def stab_division(d: GradedDivisionAlgebra) -> GroupDescriptor:
@@ -374,26 +350,15 @@ def stab_descriptor(r: GradedMatrixAlgebra) -> GroupDescriptor:
 
 def weyl_descriptor(r: GradedMatrixAlgebra) -> GroupDescriptor:
     """W(Gamma) = T^(k-1) >| (Sym(k) x W(Gamma_0))."""
-    d = r.division
-    t = d.support
-    k = r.k
-    try:
-        w0_elems, w0 = weyl_division(d)
-        w0_size = len(w0_elems)
-    except AutBoundError:
-        tag = d.type_tag or "?"
-        w0 = Opaque(f"W0[{tag}:{t.pretty()}]")
-        w0_size = None
+    t, k = r.division.support, r.k
+    _, w0 = weyl_division(r.division)
     if k == 1:
         return w0
     acting = Symmetric(k) if w0 == TRIVIAL else DirectProduct((Symmetric(k), w0))
     if t.is_trivial():
         return acting
-    power = AbelianGroup.trivial()
-    for _ in range(k - 1):
-        power = power.direct_sum(t)
-    trivial = w0_size == 1 and k == 2 and t.exponent() <= 2
-    if trivial:
+    power = AbelianGroup.from_cyclic_orders(t.torsion * (k - 1))
+    if w0 == TRIVIAL and k == 2 and t.exponent() <= 2:
         return DirectProduct((FiniteAbelian(power), acting))
     return SemidirectProduct(
         FiniteAbelian(power), acting,
@@ -416,7 +381,7 @@ class WeylModel:
     def __init__(self, r: GradedMatrixAlgebra):
         self.support = r.division.support
         self.k = r.k
-        self.w0, _ = weyl_division(r.division)
+        self.w0 = chain_elements(weyl_division(r.division)[0])
         _, _, self._add = support_table(self.support)
         self._neg = [row.index(0) for row in self._add]
         perms = list(itertools.permutations(range(self.k)))

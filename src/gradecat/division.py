@@ -513,6 +513,14 @@ class Bicharacter:
         return tuple(t for t in self.domain
                      if all(self.ids[self._index[t]][g] == one for g in self.generators))
 
+    def conjugate(self) -> "Bicharacter":
+        """beta-bar on the same interner, not checked again: conjugation is a
+        ring automorphism of the coefficients, so it keeps every law."""
+        other = object.__new__(Bicharacter)
+        other.__dict__.update(vars(self), ids=[[None if a is None else self.units.conj(a)
+                                                for a in row] for row in self.ids])
+        return other
+
     def is_self_conjugate(self) -> bool:
         conj = self.units.conj
         return all(conj(a) == a for a in set().union(*self.ids) - {None})
@@ -620,21 +628,25 @@ def quadratic_form(d: GradedDivisionAlgebra) -> QuadraticData:
 
 
 def _polarization_failure(beta: Bicharacter, signs):
-    """The first (u, g), g a coordinate generator of T = beta.group, at which
-    mu(u + g) = beta(u, g) mu(u) mu(g) fails, or None; `signs[x]` is mu at
-    the support position x, and beta must live on all of T.
+    """The first (u, g) with g a coordinate generator of T = beta.group, the
+    last left out when rank T >= 2, at which mu(u + g) = beta(u, g) mu(u)
+    mu(g) fails, or None; `signs[x]` is mu at the support position x.  T
+    must be an elementary abelian 2-group, and beta live on all of T.
 
-    That covers every pair (u, v).  The set V of the v that pass for all u is
-    closed under +: for v1, v2 in V, mu(u + v1 + v2) = beta(u + v1, v2)
-    beta(u, v1) mu(u) mu(v1) mu(v2).  beta is multiplicative in both
-    arguments (`Bicharacter` checks it), and its values +-1 commute.
-    So beta(u + v1, v2) beta(u, v1) = beta(u, v1 + v2) beta(v1, v2), and with
-    mu(v1 + v2) = beta(v1, v2) mu(v1) mu(v2) (u = v1) the identity holds at
-    (u, v1 + v2).  T is finite, so V = T.
+    All generators would cover every pair: if v1 and v2 pass for all u, then
+    mu(u + v1 + v2) = beta(u + v1, v2) beta(u, v1) mu(u) mu(v1) mu(v2)
+    = beta(u, v1 + v2) mu(u) mu(v1 + v2), beta being bimultiplicative
+    (`Bicharacter` checks it).  The last one, h, adds nothing: take eta0
+    with polar beta (eta0(x) = prod beta(g_i, g_j) over i < j set in x, as
+    beta is alternating) and psi = mu eta0.  psi(u + g) = psi(u) psi(g) at
+    the g tested, so psi(0) = 1 and psi(v + c h) = psi(c h) chi(v) with v on
+    the other coordinates, chi(g) = psi(g) and c -> psi(c h) a character of
+    Z2: psi is a character of T, and mu = eta0 psi passes every pair.
     """
     elems, index, add = support_table(beta.group)
     values, ids = beta.units.values, beta.ids
     gens = [index[g] for g in beta.group.generators()]
+    gens = gens[:-1] or gens  # rank 1 keeps its one generator
     for u, sums in enumerate(add):
         for g in gens:
             if values[ids[u][g]] != signs[sums[g]] * signs[u] * signs[g]:

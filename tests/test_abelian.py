@@ -11,10 +11,10 @@ from sympy.matrices.normalforms import invariant_factors
 from gradecat.abelian import (
     AbelianGroup,
     AutBoundError,
-    CANDIDATE_BOUND,
     GroupMismatchError,
     abstract_type,
     automorphism_group,
+    chain_elements,
     character_group,
     compose,
     parse_group_string,
@@ -415,11 +415,16 @@ def test_hom_count_even_factor_rule():
 
 
 # ---------------------------------------------------------------------------
-# automorphism enumeration
+# automorphism groups as stabilizer chains
 # ---------------------------------------------------------------------------
 
+def _aut_elements(group, label=None, betas=()):
+    """The elements of the chain of `automorphism_group`, in position order."""
+    return sorted(chain_elements(automorphism_group(group, label, betas)))
+
+
 def test_aut_z2_is_trivial():
-    assert len(automorphism_group(Z(0, (2,)))) == 1
+    assert _aut_elements(Z(0, (2,))) == [(0, 1)]
 
 
 def brute_gl2_f2_count():
@@ -432,23 +437,23 @@ def brute_gl2_f2_count():
 
 
 def test_aut_z2_squared():
-    auts = automorphism_group(Z2xZ2)
+    auts = _aut_elements(Z2xZ2)
     assert len(auts) == brute_gl2_f2_count() == 6
 
 
 def test_aut_z3_squared_is_gl23():
-    auts = automorphism_group(Z(0, (3, 3)))
+    auts = _aut_elements(Z(0, (3, 3)))
     assert len(auts) == 48
 
 
 def test_aut_z2_z4():
-    auts = automorphism_group(Z2xZ4)
+    auts = _aut_elements(Z2xZ4)
     assert len(auts) == 8
 
 
 def test_aut_is_a_group():
     g = Z2xZ4
-    auts = automorphism_group(g)
+    auts = _aut_elements(g)
     keys = set(auts)
     ident = tuple(range(g.order()))
     assert ident in keys
@@ -491,32 +496,60 @@ def hillar_rhea_aut_order(group):
     return total
 
 
+def _is_automorphism(group, p):
+    """p is a bijection of the support positions with p(x + y) = p(x) + p(y)."""
+    add = support_table(group)[2]
+    n = group.order()
+    return sorted(p) == list(range(n)) and all(
+        [p[k] for k in add[i]] == [add[p[i]][q] for q in p] for i in range(n))
+
+
+def _strong_generators(transversals):
+    return [u for level in transversals for u in level[1:]]
+
+
+def _assert_chain(group, transversals):
+    """Level j fixes T_(j+1), the prefix of |T_(j+1)| positions, and sends
+    g_j, at position |T_(j+1)|, to distinct points, the identity first."""
+    assert len(transversals) == len(group.torsion)
+    size = group.order()
+    for m, level in zip(group.torsion, transversals):
+        size //= m  # |T_(j+1)|
+        assert level[0] == tuple(range(group.order()))
+        assert all(u[:size] == level[0][:size] for u in level)
+        assert len({u[size] for u in level}) == len(level)
+
+
 def test_aut_search_against_hillar_rhea():
     groups = _groups_up_to(32)
     # one group per choice of a partition of each prime exponent
     assert len(groups) == sum(
         math.prod(int(sympy.partition(e)) for e in sympy.factorint(n).values())
         for n in range(1, 33))
-    refused = []
     for g in groups:
-        elements = list(g.elements())
-        candidates = math.prod(
-            sum(1 for x in elements if (m * x).is_zero()) for m in g.torsion)
-        if candidates > CANDIDATE_BOUND:
-            with pytest.raises(AutBoundError):
-                automorphism_group(g)
-            refused.append(g)
-            continue
-        auts = automorphism_group(g)
-        n = len(elements)
-        index = {x: i for i, x in enumerate(elements)}
-        add = [[index[x + y] for y in elements] for x in elements]
-        assert len(set(auts)) == len(auts) == hillar_rhea_aut_order(g), g
-        for p in auts:
-            assert sorted(p) == list(range(n))
-            # p[add[i][j]] == add[p[i]][p[j]] for every i and j
-            assert all([p[k] for k in add[i]] == [add[p[i]][q] for q in p] for i in range(n))
-    assert refused == [Z(0, (2, 2, 2, 2, 2)), Z(0, (2, 2, 2, 4))]
+        chain = automorphism_group(g)
+        _assert_chain(g, chain)
+        assert math.prod(map(len, chain)) == hillar_rhea_aut_order(g), g
+        assert all(_is_automorphism(g, p) for p in _strong_generators(chain)), g
+
+
+def test_chain_generates_a_permutation_group_of_its_order():
+    # sympy's Schreier-Sims on the strong generators, independent of the chain
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    for g in _groups_up_to(32):
+        chain = automorphism_group(g)
+        strong = _strong_generators(chain) or [tuple(range(g.order()))]
+        group = PermutationGroup([Permutation(list(p)) for p in strong])
+        assert group.order() == math.prod(map(len, chain)), g
+
+
+def test_chain_elements_list_the_group_once():
+    for g in _groups_up_to(16):
+        elements = chain_elements(automorphism_group(g))
+        assert len(set(elements)) == len(elements) == hillar_rhea_aut_order(g), g
+        assert elements[0] == tuple(range(g.order()))
+        assert all(_is_automorphism(g, p) for p in elements), g
 
 
 def test_aut_bounds():
@@ -524,20 +557,14 @@ def test_aut_bounds():
         automorphism_group(Z(1, ()))
     with pytest.raises(AutBoundError):
         automorphism_group(Z(0, (257,)))
-    with pytest.raises(AutBoundError):
-        automorphism_group(Z(0, (2,) * 5))
+    # |T| = ELEMENT_BOUND is in reach, Z2^5 too: its search once refused
+    assert math.prod(map(len, automorphism_group(Z(0, (256,))))) == 128
+    assert math.prod(map(len, automorphism_group(Z(0, (2,) * 5)))) == 9999360
 
 
 @functools.lru_cache(maxsize=None)
 def _all_automorphisms(group):
-    return tuple(automorphism_group(group))
-
-
-def _searchable_groups():
-    """Every group of order <= 16 whose search is in reach."""
-    return [g for g in _groups_up_to(16)
-            if math.prod(sum(1 for x in g.elements() if (m * x).is_zero())
-                         for m in g.torsion) <= CANDIDATE_BOUND]
+    return tuple(_aut_elements(group))
 
 
 def _filtered(group, label=None, tables=()):
@@ -558,7 +585,7 @@ def _filtered(group, label=None, tables=()):
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_label_search_is_the_filter_of_aut(data):
-    group = data.draw(st.sampled_from(_searchable_groups()))
+    group = data.draw(st.sampled_from(_groups_up_to(16)))
     n = group.order()
     if data.draw(st.booleans()):
         colours = data.draw(st.integers(1, 3))
@@ -574,7 +601,7 @@ def test_label_search_is_the_filter_of_aut(data):
             while y != x:
                 label[x] = min(label[x], y)
                 y = q[y]
-    assert automorphism_group(group, label) == _filtered(group, label)
+    assert _aut_elements(group, label) == _filtered(group, label)
 
 
 def _alternating(group, sub, skew, units):
@@ -611,25 +638,42 @@ def test_table_search_tests_every_pair():
             marks.append([[int((a, b) == (i, j)) for b in range(r)] for a in range(r)])
         for sub, skew in itertools.product(sorted(subgroups, key=sorted), marks):
             beta = _alternating(group, sub, skew, _units(group))
-            assert automorphism_group(group, None, [beta]) == \
+            assert _aut_elements(group, None, [beta]) == \
                 _filtered(group, None, [beta.ids]), (group, sorted(sub), skew)
+
+
+def test_the_conjugate_must_hold_on_the_fixed_prefix():
+    # On Z3^3 with beta(g0, g1) = beta(g1, g2) = z, p: g0 -> g0 + 2 g2 (the
+    # identity on g1, g2) takes beta to its conjugate at the pairs new to g0
+    # but not at (g1, g2), so it keeps neither: the level that starts from
+    # the identity on g1, g2 must drop the conjugate before its search
+    group = Z(0, (3, 3, 3))
+    beta = _alternating(group, set(range(group.order())),
+                        [[0, 1, 0], [0, 0, 1], [0, 0, 0]], _units(group))
+    kept = _aut_elements(group, None, [beta, beta.conjugate()])
+    assert kept == _filtered(group, None, [beta.ids, beta.conjugate().ids])
+    elements, index, _ = support_table(group)
+    shift = 2 * group.generators()[2]
+    p = tuple(index[x + x.coords[0] * shift] for x in elements)
+    assert p in _all_automorphisms(group) and p not in kept
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_table_search_on_a_subgroup_is_the_filter_of_aut(data):
-    group = data.draw(st.sampled_from(_searchable_groups()))
+    group = data.draw(st.sampled_from(_groups_up_to(16)))
     elements, index, _ = support_table(group)
     gens = data.draw(st.lists(st.sampled_from(elements), max_size=2))
     sub = {index[x] for x in subgroup_generated(group, gens)}
     r, units = len(group.torsion), _units(group)
-    skew = st.lists(st.lists(st.integers(0, group.exponent() - 1), min_size=r, max_size=r),
-                    min_size=r, max_size=r)
-    betas = [_alternating(group, sub, drawn, units)
-             for drawn in data.draw(st.lists(skew, min_size=1, max_size=3))]
+    skew = data.draw(st.lists(st.lists(st.integers(0, group.exponent() - 1), min_size=r,
+                                       max_size=r), min_size=r, max_size=r))
+    beta = _alternating(group, sub, skew, units)
+    # beta alone, or with its conjugate: either way the kept p form a group
+    betas = [beta, beta.conjugate()] if data.draw(st.booleans()) else [beta]
     # without a label only beta keeps the subgroup
     label = data.draw(st.none() | st.just([int(x in sub) for x in range(group.order())]))
-    assert automorphism_group(group, label, betas) == \
+    assert _aut_elements(group, label, betas) == \
         _filtered(group, label, [b.ids for b in betas])
 
 

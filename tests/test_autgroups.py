@@ -11,6 +11,7 @@ from gradecat.abelian import (
     AutBoundError,
     abstract_type,
     automorphism_group,
+    chain_elements,
     compose,
 )
 from gradecat.autgroups import (
@@ -21,7 +22,6 @@ from gradecat.autgroups import (
     DivisionAutomorphism,
     FiniteAbelian,
     NamedFinite,
-    Opaque,
     SemidirectProduct,
     Symmetric,
     Torus,
@@ -39,7 +39,14 @@ from gradecat.autgroups import (
     weyl_division,
 )
 from gradecat.classify import classify
-from gradecat.division import Bicharacter, canonical, commutation_bicharacter
+from gradecat.division import (
+    Bicharacter,
+    CoefficientKind,
+    GradedDivisionAlgebra,
+    UnitInterner,
+    canonical,
+    commutation_bicharacter,
+)
 from gradecat.matrix import GradedElement, matrix_algebra
 from gradecat.scalars import RationalQuaternion, zeta
 
@@ -70,7 +77,6 @@ def test_descriptor_orders_and_pretty():
     assert "⋊" in w.pretty()
     assert Torus("Rx").pretty() == "R^x"
     assert DirectProduct((Torus("Rx"), Torus("Rx"))).pretty() == "(R^x)^2"
-    assert Opaque("W0[x]").finite_part_order() is None
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +104,7 @@ def test_identify_small_groups():
 
 
 def test_identify_gl23_from_aut():
-    from gradecat.abelian import automorphism_group, compose
-
-    auts = automorphism_group(AbelianGroup(0, (3, 3)))
+    auts = chain_elements(automorphism_group(AbelianGroup(0, (3, 3))))
     assert identify_group(auts, compose) == "GL(2,3)"
 
 
@@ -142,7 +146,7 @@ def _reference_identify(elements, mul):
             perms4, lambda p, q: tuple(p[q[i]] for i in range(4)))[0]:
         return "Sym(4)"
     if n == 48 and not abelian and census == _reference_census(
-            automorphism_group(AbelianGroup(0, (3, 3))), compose)[0]:
+            chain_elements(automorphism_group(AbelianGroup(0, (3, 3)))), compose)[0]:
         return "GL(2,3)"
     return f"other({n})"
 
@@ -161,22 +165,22 @@ def _reference_descriptor(elements, mul):
 
 
 def _classify_groups():
-    """(label, elements, mul) of every W0 that classify builds, of every Weyl
-    model it builds, and of Sym(4) and GL(2,3) by their definitions."""
+    """(label, elements, mul, chain) of every W0 that classify builds, of
+    every Weyl model it builds, and of Sym(4) and GL(2,3) by their
+    definitions; chain is the stabilizer chain of a W0, else None."""
     groups = []
     for name in ("M1R", "M2R", "H", "M1C", "M2C", "M3C", "M4C"):
         for row in classify(name):
             label = f"{name}/{row.k}/{row.division.type_tag}:{row.division.support.pretty()}"
-            try:
-                groups.append((f"W0 {label}", list(weyl_division(row.division)[0]), compose))
-            except AutBoundError:
-                pass  # no W0 to census
+            chain = weyl_division(row.division)[0]
+            groups.append((f"W0 {label}", chain_elements(chain), compose, chain))
             if row.weyl_identified is not None:
                 model = WeylModel(row.algebra)
-                groups.append((f"W {label}", list(model.elements), model.mul))
+                groups.append((f"W {label}", list(model.elements), model.mul, None))
     groups.append(("Sym(4)", list(itertools.permutations(range(4))),
-                   lambda p, q: tuple(p[q[i]] for i in range(4))))
-    groups.append(("GL(2,3)", list(automorphism_group(AbelianGroup(0, (3, 3)))), compose))
+                   lambda p, q: tuple(p[q[i]] for i in range(4)), None))
+    gl23 = automorphism_group(AbelianGroup(0, (3, 3)))
+    groups.append(("GL(2,3)", chain_elements(gl23), compose, gl23))
     return groups
 
 
@@ -184,17 +188,18 @@ def test_census_on_shuffled_groups_matches_the_reference():
     rng = random.Random(3)
     groups = _classify_groups()
     names = set()
-    for label, elements, mul in groups:
+    for label, elements, mul, chain in groups:
         shuffled = list(elements)
         rng.shuffle(shuffled)
         if len(shuffled) > 1 and mul(shuffled[0], shuffled[0]) == shuffled[0]:
             shuffled.append(shuffled.pop(0))  # the identity is not first
         got = identify_group(shuffled, mul)
         assert got == _reference_identify(shuffled, mul), label
-        assert _finite_group_descriptor(shuffled, mul) == _reference_descriptor(
-            shuffled, mul), label
+        if chain is not None:
+            assert _finite_group_descriptor(chain) == _reference_descriptor(
+                shuffled, mul), label
         names.add(got)
-    assert {"Sym(3)", "Sym(4)", "GL(2,3)", "Z2^2"} <= names
+    assert {"Sym(3)", "Sym(4)", "GL(2,3)", "Z2^2", "other(720)", "other(96)"} <= names
 
 
 def test_identify_bound_is_the_classify_bound():
@@ -211,45 +216,58 @@ def test_identify_bound_is_the_classify_bound():
 # Weyl groups of division gradings on small real algebras
 # ---------------------------------------------------------------------------
 
+def _w0(d):
+    """The elements of W(Gamma_0) listed from its chain, and its descriptor."""
+    chain, desc = weyl_division(d)
+    return chain_elements(chain), desc
+
+
 def test_weyl_quaternions_is_sym3():
-    elems, desc = weyl_division(canonical("1-b", "Z2xZ2"))
+    elems, desc = _w0(canonical("1-b", "Z2xZ2"))
     assert len(elems) == 6
     assert desc == Symmetric(3)
 
 
 def test_weyl_pauli_m2r_is_z2():
-    elems, desc = weyl_division(canonical("1-a", "Z2xZ2"))
+    elems, desc = _w0(canonical("1-a", "Z2xZ2"))
     assert len(elems) == 2
     assert desc == FiniteAbelian(Z2)
 
 
 def test_weyl_2f_z3_squared_is_gl23():
-    elems, desc = weyl_division(canonical("2-f", "Z3^2"))
+    elems, desc = _w0(canonical("2-f", "Z3^2"))
     assert len(elems) == 48
     assert desc == NamedFinite("GL(2,3)", 48)
 
 
 def test_weyl_1d_z2_z4_is_z2_squared():
-    elems, desc = weyl_division(canonical("1-d", "Z2xZ4"))
+    elems, desc = _w0(canonical("1-d", "Z2xZ4"))
     assert len(elems) == 4
     assert desc == FiniteAbelian(Z2xZ2)
 
 
 def test_weyl_1c_m2c_is_sym3():
-    elems, desc = weyl_division(canonical("1-c", "Z2^3"))
+    elems, desc = _w0(canonical("1-c", "Z2^3"))
     assert len(elems) == 6
     assert desc == Symmetric(3)
 
 
 def test_weyl_1c_on_c_is_trivial():
-    elems, desc = weyl_division(canonical("1-c", "Z2"))
+    elems, desc = _w0(canonical("1-c", "Z2"))
     assert len(elems) == 1
     assert desc == TRIVIAL
 
 
+def _trivially_graded_z257():
+    """Q graded trivially by Z257, one element past ELEMENT_BOUND."""
+    group, units = AbelianGroup(0, (257,)), UnitInterner(CoefficientKind.real())
+    one = units.intern(1)
+    return GradedDivisionAlgebra(group, units.kind, (), units, [[one] * 257] * 257)
+
+
 def test_weyl_respects_bound():
     with pytest.raises(AutBoundError):
-        weyl_division(canonical("1-c", "Z2^5"))
+        weyl_division(_trivially_graded_z257())
 
 
 def test_weyl_refuses_a_square_off_k_that_is_not_a_sign():
@@ -268,53 +286,47 @@ def test_weyl_refuses_a_square_off_k_that_is_not_a_sign():
 
 
 def test_weyl_order_divides_aut_order():
-    from gradecat.abelian import automorphism_group
-
     for ref, support in (("1-b", "Z2xZ2"), ("1-d", "Z2xZ4"), ("2-f", "Z3^2")):
         d = canonical(ref, support)
-        elems, _ = weyl_division(d)
-        assert len(automorphism_group(d.support)) % len(elems) == 0
+        elems, _ = _w0(d)
+        assert len(chain_elements(automorphism_group(d.support))) % len(elems) == 0
 
 
 # ---------------------------------------------------------------------------
 # stabilizers of division gradings, by type
 # ---------------------------------------------------------------------------
 
-def _reference_weyl_kept(d):
-    """The GroupElement filter of weyl_division over all of Aut(T), as an oracle.
-
-    Each position tuple p is read as the map x -> elems[p[index[x]]].
-    """
-    from gradecat.abelian import automorphism_group
-    from gradecat.division import commutation_bicharacter, quadratic_form
+def _reference_keeps(d, p):
+    """The GroupElement filter of weyl_division, as an oracle: does the
+    automorphism p of T keep the invariants of d?  The position tuple p is
+    read as the map x -> elems[p[index[x]]]."""
+    from gradecat.division import quadratic_form
 
     elems = list(d.support.elements())
     index = {x: i for i, x in enumerate(elems)}
     beta = commutation_bicharacter(d)
-    kept = []
-    for p in automorphism_group(d.support):
-        def f(x):
-            return elems[p[index[x]]]
 
-        if d.type_tag == "2-f" or (d.kind.family == "C" and not d.conj_elements):
-            pairs = [(beta.value(f(u), f(v)), beta.value(u, v)) for u in elems for v in elems]
-            if all(a == b for a, b in pairs) or \
-                    all(a == d.kind.conjugate(b) for a, b in pairs):
-                kept.append(p)
-        elif d.kind.family in ("R", "H"):
-            two_torsion = [x for x in elems if (2 * x).is_zero()]
-            if all(d.sigma(f(x), f(x)) == d.sigma(x, x) for x in two_torsion) and all(
-                    beta.value(f(u), f(v)) == beta.value(u, v) for u in elems for v in elems):
-                kept.append(p)
-        else:
-            kset = set(d.centralizer_elements())
-            nu = quadratic_form(d).values
-            if all((f(x) in kset) == (x in kset) for x in elems) \
-                    and all(nu[f(x)] == nu[x] for x in nu) \
-                    and all(beta.value(f(u), f(v)) == beta.value(u, v)
-                            for u in kset for v in kset):
-                kept.append(p)
-    return kept
+    def f(x):
+        return elems[p[index[x]]]
+
+    if d.type_tag == "2-f" or (d.kind.family == "C" and not d.conj_elements):
+        pairs = [(beta.value(f(u), f(v)), beta.value(u, v)) for u in elems for v in elems]
+        return all(a == b for a, b in pairs) or \
+            all(a == d.kind.conjugate(b) for a, b in pairs)
+    if d.kind.family in ("R", "H"):
+        two_torsion = [x for x in elems if (2 * x).is_zero()]
+        return all(d.sigma(f(x), f(x)) == d.sigma(x, x) for x in two_torsion) and all(
+            beta.value(f(u), f(v)) == beta.value(u, v) for u in elems for v in elems)
+    kset = set(d.centralizer_elements())
+    nu = quadratic_form(d).values
+    return all((f(x) in kset) == (x in kset) for x in elems) \
+        and all(nu[f(x)] == nu[x] for x in nu) \
+        and all(beta.value(f(u), f(v)) == beta.value(u, v) for u in kset for v in kset)
+
+
+def _reference_weyl_kept(d):
+    """The elements of Aut(T) that `_reference_keeps` keeps."""
+    return [p for p in chain_elements(automorphism_group(d.support)) if _reference_keeps(d, p)]
 
 
 @pytest.mark.parametrize("ref", [
@@ -327,8 +339,7 @@ def test_weyl_division_matches_reference_filter(ref):
     from gradecat.division import parse_catalog_ref
 
     d = parse_catalog_ref(ref)
-    kept, _ = weyl_division(d)
-    assert list(kept) == _reference_weyl_kept(d)
+    assert sorted(_w0(d)[0]) == sorted(_reference_weyl_kept(d))
 
 
 def _enumerate_then_filter_kept(d):
@@ -352,7 +363,7 @@ def _enumerate_then_filter_kept(d):
     tables = [table]
     if not real and not d.conj_elements:
         tables.append([[units.conj(a) for a in r] for r in table])
-    return [p for p in automorphism_group(d.support)
+    return [p for p in chain_elements(automorphism_group(d.support))
             if [label[x] for x in p] == label
             and any(all([t[p[i]][p[j]] for j in k_at] == row for i, row in rows)
                     for t in tables)]
@@ -365,8 +376,53 @@ def test_weyl_division_matches_the_enumerate_then_filter_oracle(ref):
     from gradecat.division import parse_catalog_ref
 
     d = parse_catalog_ref(ref)
-    kept, _ = weyl_division(d)
-    assert list(kept) == _enumerate_then_filter_kept(d)
+    assert sorted(_w0(d)[0]) == sorted(_enumerate_then_filter_kept(d))
+
+
+def _sp_order(m):
+    """|Sp(2m, 2)|."""
+    return 2 ** (m * m) * math.prod(4 ** i - 1 for i in range(1, m + 1))
+
+
+def _o_order(m, sign):
+    """|O^+(2m, 2)| for sign 1, |O^-(2m, 2)| for sign -1."""
+    return 2 * 2 ** (m * (m - 1)) * (2 ** m - sign) * math.prod(4 ** i - 1 for i in range(1, m))
+
+
+def _gl_pm_order(n):
+    """2 n^3 prod_(p | n) (1 - p^-2), the order of W0 of 2-f on Z_n^2."""
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    return int(2 * n ** 3 * math.prod(Fraction(p * p - 1, p * p) for p in primes))
+
+
+CHAIN_ORDERS = [
+    ("1-c:Z2^3", _sp_order(1)), ("1-c:Z2^5", _sp_order(2)), ("1-c:Z2^7", _sp_order(3)),
+    ("1-a:Z2^4", _o_order(2, 1)), ("1-a:Z2^6", _o_order(3, 1)),
+    ("1-b:Z2^4", _o_order(2, -1)), ("1-b:Z2^6", _o_order(3, -1)),
+    ("2-f:Z3^2", _gl_pm_order(3)), ("2-f:Z4^2", _gl_pm_order(4)),
+    ("2-f:Z5^2", _gl_pm_order(5)), ("2-f:Z6^2", _gl_pm_order(6)),
+    ("1-d:Z2^3xZ4", 96), ("2-f:Z2^2xZ4^2", 9216),  # pinned: no closed form is derived
+]
+
+
+@pytest.mark.parametrize("ref,order", CHAIN_ORDERS, ids=[r for r, _ in CHAIN_ORDERS])
+def test_chain_order_is_the_closed_form(ref, order):
+    # sympy's Schreier-Sims, independent of the chain, finds that the strong
+    # generators generate a group of its order, and a generating subset of
+    # them, picked by sympy's membership test, keeps the invariants
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    from gradecat.division import parse_catalog_ref
+
+    d = parse_catalog_ref(ref)
+    chain, desc = weyl_division(d)
+    assert math.prod(map(len, chain)) == desc.finite_part_order() == order
+    gens = []
+    for p in (Permutation(list(u)) for level in chain for u in level[1:]):
+        if not gens or not PermutationGroup(gens).contains(p):
+            gens.append(p)
+    assert PermutationGroup(gens).order() == order
+    assert all(_reference_keeps(d, p.array_form) for p in gens)
 
 
 @pytest.mark.parametrize("ref", ["2-a:Z2^3", "2-d:Z2^2xZ4", "2-f:Z3^2", "1-c:Z2^3"])
@@ -376,7 +432,7 @@ def test_weyl_division_tables_hold_none_exactly_off_k(ref, monkeypatch):
 
     seen = []
     monkeypatch.setattr(autgroups, "automorphism_group", lambda group, label, betas:
-                        seen.append(betas) or [tuple(range(group.order()))])
+                        seen.append(betas) or ())  # the chain of the trivial group
     d = parse_catalog_ref(ref)  # a fresh algebra: the stub's answer is memoized on it
     in_k = [x not in d.conj_elements for x in d.elements()]
     weyl_division(d)
@@ -395,7 +451,7 @@ def test_weyl_division_tables_hold_none_exactly_off_k(ref, monkeypatch):
 
 
 def test_weyl_division_refuses_before_computing_beta():
-    d = canonical("1-c", "Z2^5")
+    d = _trivially_graded_z257()
     with pytest.raises(AutBoundError):
         weyl_division(d)
     assert d._beta is None
@@ -523,16 +579,20 @@ def test_weyl_descriptor_finite_order_formula():
 
     for d, k in cases:
         r = matrix_algebra(d, k=k)
-        w0, _ = weyl_division(d)
+        w0, _ = _w0(d)
         expected = (d.support.order() ** (k - 1)) * math.factorial(k) * len(w0)
         assert weyl_descriptor(r).finite_part_order() == expected
         assert WeylModel(r).order() == expected
 
 
-def test_weyl_descriptor_falls_back_to_opaque():
-    r = matrix_algebra(canonical("1-c", "Z2^5"), k=1)
-    w = weyl_descriptor(r)
-    assert w.finite_part_order() is None
+def test_weyl_descriptor_of_m4c_rows_4_and_5_is_finite():
+    # once out of the search's reach and printed W0[...]
+    from gradecat.division import parse_catalog_ref
+
+    for ref, order in (("1-c:Z2^5", 720), ("1-d:Z2^3xZ4", 96)):
+        w = weyl_descriptor(matrix_algebra(parse_catalog_ref(ref), k=1))
+        assert w == NamedFinite(f"other({order})", order)
+        assert w.finite_part_order() == order
 
 
 def test_semidirect_pretty_brackets_product_factors():

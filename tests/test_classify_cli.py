@@ -99,14 +99,23 @@ def test_build_row_refuses_a_non_fine_row(monkeypatch):
 def test_weyl_order_consistency_invariant():
     import math
 
+    from gradecat.abelian import chain_elements
     from gradecat.autgroups import weyl_division
 
     for name in ("M(2,R)", "H", "M(2,C)", "M(3,C)"):
         for row in classify(name):
-            w0, _ = weyl_division(row.division)
+            w0 = chain_elements(weyl_division(row.division)[0])
             expected = (row.division.support.order() ** (row.k - 1)) \
                 * math.factorial(row.k) * len(w0)
             assert row.weyl_finite_order == expected
+
+
+def test_no_covered_table_prints_a_w0_placeholder(capsys):
+    for name in ("M1R", "M2R", "H", "M1C", "M2C", "M3C", "M4C"):
+        for fmt in ("table", "json"):
+            assert main(["classify", "--algebra", name, "--format", fmt]) == 0
+            assert "W0[" not in capsys.readouterr().out, (name, fmt)
+        assert all(row.weyl_finite_order for row in classify(name)), name
 
 
 def test_cli_classify_table(capsys):

@@ -13,7 +13,6 @@ from gradecat.autgroups import (
     DirectProduct,
     FiniteAbelian,
     NamedFinite,
-    Opaque,
     SemidirectProduct,
     Symmetric,
     Torus,
@@ -63,7 +62,6 @@ CASES = [
     (Symmetric, (3,), (4,), "Symmetric(k=3)"),
     (NamedFinite, ("Sym(3)", 6), ("Sym(3)", 7), "NamedFinite(tag='Sym(3)', order=6)"),
     (Torus, ("Cx",), ("Rx",), "Torus(kind='Cx')"),
-    (Opaque, ("W0[x]",), ("W0[y]",), "Opaque(label='W0[x]')"),
     (DirectProduct, ((Symmetric(3), Torus("Cx")),), ((Symmetric(3),),),
      "DirectProduct(factors=(Symmetric(k=3), Torus(kind='Cx')))"),
     (SemidirectProduct, (Torus("Cx"), Symmetric(3), "swap", False),
@@ -94,7 +92,7 @@ def test_descriptor_value_semantics(cls, values, other, text):
 def test_descriptors_equal_by_type_and_fields():
     assert Symmetric(3) != NamedFinite("Sym(3)", 6)
     assert NamedFinite("Sym(3)", 6) != Symmetric(3)
-    assert Torus("Cx") != Opaque("Cx")
+    assert Torus(3) != Symmetric(3)
 
 
 def test_semidirect_defaults():
