@@ -4,7 +4,9 @@ A group is Z^r x Z_{m1} x ... x Z_{ms} with 2 <= m1 | m2 | ... | ms.
 Elements are integer coordinate vectors, free coordinates first; torsion
 coordinates are kept reduced modulo their factor order.  Two groups compare
 equal exactly when their normal forms coincide, which by the structure
-theorem means they are isomorphic.  All arithmetic is exact.
+theorem means they are isomorphic.  All arithmetic is exact.  Every type is
+read by `universal_abelian_group` from relations: a grading's, or those of
+the polycyclic presentation `abstract_type` builds from an element set.
 """
 
 from __future__ import annotations
@@ -513,59 +515,39 @@ def subgroup_generated(group: AbelianGroup, gens) -> frozenset:
     return frozenset(current)
 
 
-def _order_census(items, op, identity) -> dict:
-    """{order: number of elements of that order} of a finite group."""
-    census: dict = {}
-    for x in items:
-        k = 1
-        acc = x
-        while acc != identity:
-            acc = op(acc, x)
-            k += 1
-        census[k] = census.get(k, 0) + 1
-    return census
+def abstract_type(elements, add=None, modulo=()) -> AbelianGroup:
+    """Isomorphism type of the finite abelian group G on `elements`, or of
+    G / <modulo>, read off a polycyclic presentation.  `add` is the group
+    law, `+` by default, so the items need not be GroupElement values.
 
-
-def _type_from_census(census: dict) -> AbelianGroup:
-    """The abelian group with the given element-order census (see `_order_census`)."""
-    n = sum(census.values())
-    cyclic: list[int] = []
-    for p in _factor(n):
-        counts = []  # counts[k] = #elements with order dividing p^k
-        k = 0
-        while True:
-            c = sum(m for o, m in census.items() if p ** k % o == 0)
-            counts.append(c)
-            if c == n or (k and counts[k] == counts[k - 1]):
-                break
-            k += 1
-        logs = []
-        for c in counts:
-            e = 0
-            while p ** e < c:
-                e += 1
-            if p ** e != c:
-                raise ValueError("element census is not that of an abelian p-group")
-            logs.append(e)
-        depth = [logs[k] - logs[k - 1] for k in range(1, len(logs))]
-        for j, dj in enumerate(depth):
-            nxt = depth[j + 1] if j + 1 < len(depth) else 0
-            cyclic.extend([p ** (j + 1)] * (dj - nxt))
-    return AbelianGroup.from_cyclic_orders(cyclic)
-
-
-def abstract_type(elements, add=None, zero=None) -> AbelianGroup:
-    """Isomorphism type of a finite abelian group given by its element set.
-
-    The type is recovered from the census of p-power torsion; `add`/`zero`
-    may be supplied for coset-style items that are not GroupElement values.
+    S_0 is the span of `modulo` (of the identity when it is empty).  The
+    elements are taken in order, and each g not in S_(j-1) becomes g_j,
+    with S_j = S_(j-1) + <g_j>.  Its relative order o_j is the least o with
+    o g_j in S_(j-1); the cosets of S_(j-1) in S_j are the k g_j, 0 <= k <
+    o_j, so |S_j| = o_j |S_(j-1)|.  Each element x of S_j is kept with
+    coordinates a on g_1, ..., g_j, x - sum a_i g_i in S_0; c are those of
+    o_j g_j in S_(j-1).  The relations o_j e_j - c, j = 1, ..., r, go to
+    `universal_abelian_group`.  Their matrix is triangular with diagonal
+    o_j, so the lattice L they span has index prod o_j = |G / S_0| in Z^r.
+    The map e_j -> g_j + S_0 is onto G / S_0, so its kernel has that index
+    too, and it contains L; so the kernel is L, and Z^r / L = G / S_0.
     """
     items = list(elements)
-    if add is None:
-        add = lambda x, y: x + y
-    if zero is None:
-        zero = next(x for x in items if add(x, x) == x)
-    return _type_from_census(_order_census(items, add, zero))
+    add = add or (lambda x, y: x + y)
+    span = {next(x for x in items if add(x, x) == x): ()}  # x -> its coordinates
+    relations = []  # o_j e_j - c, on e_1, ..., e_j
+    for g, counted in itertools.chain(((m, False) for m in modulo), ((g, True) for g in items)):
+        if g in span:
+            continue
+        steps = [g]  # k g for k = 1, ..., o - 1
+        while (step := add(steps[-1], g)) not in span:
+            steps.append(step)
+        if counted:
+            relations.append(tuple(-c for c in span[step]) + (len(steps) + 1,))
+        span = {x: a + (0,) * counted for x, a in span.items()} | {  # S_0 adds no coordinate
+            add(x, y): a + (k,) * counted for k, y in enumerate(steps, 1) for x, a in span.items()}
+    r = len(relations)
+    return universal_abelian_group(range(r), [rel + (0,) * (r - len(rel)) for rel in relations])[0]
 
 
 def coset_rep(x: GroupElement, sub) -> GroupElement:
@@ -575,10 +557,7 @@ def coset_rep(x: GroupElement, sub) -> GroupElement:
 
 def quotient_type(group: AbelianGroup, subgroup_elements) -> AbelianGroup:
     """Isomorphism type of group / <subgroup_elements> for a finite group."""
-    sub = frozenset(subgroup_elements) or frozenset([group.zero()])
-    reps = {coset_rep(x, sub) for x in group.elements()}
-    return abstract_type(reps, add=lambda a, b: coset_rep(a + b, sub),
-                         zero=coset_rep(group.zero(), sub))
+    return abstract_type(group.elements(), modulo=subgroup_elements)
 
 
 def square_elements(group: AbelianGroup) -> frozenset:

@@ -15,8 +15,7 @@ import math
 from .abelian import (
     AbelianGroup,
     _aut_candidates,
-    _order_census,
-    _type_from_census,
+    abstract_type,
     automorphism_group,
     chain_elements,
     character_group,
@@ -172,15 +171,15 @@ class DirectProduct(GroupDescriptor):
 
 
 class SemidirectProduct(GroupDescriptor):
-    __slots__ = ("normal", "acting", "action_note", "action_trivial")
-    _defaults = {"action_note": "", "action_trivial": False}
+    __slots__ = ("normal", "acting", "action_note")
+    _defaults = {"action_note": ""}
 
     def normalized(self):
         normal = self.normal.normalized()
         acting = self.acting.normalized()
-        if self.action_trivial or normal == TRIVIAL or acting == TRIVIAL:
+        if normal == TRIVIAL or acting == TRIVIAL:
             return DirectProduct((normal, acting)).normalized()
-        return SemidirectProduct(normal, acting, self.action_note, False)
+        return SemidirectProduct(normal, acting, self.action_note)
 
     def finite_part_order(self):
         a = self.normal.finite_part_order()
@@ -222,33 +221,36 @@ def identify_group(elements, mul) -> str:
     """Name a finite group from order, abelianness, and element-order census:
     '1', 'Z2', 'Z3', 'Z2^2', 'Z2^3', 'Sym(3)', 'Sym(4)', 'GL(2,3)', or
     'other(n)' when the census is not decisive or n > IDENTIFY_BOUND."""
-    if len(elements) > IDENTIFY_BOUND:
-        return f"other({len(elements)})"
+    n = len(elements)
+    if n > IDENTIFY_BOUND:
+        return f"other({n})"
     ident = next(x for x in elements if mul(x, x) == x)  # the only idempotent
     abelian = all(mul(x, y) == mul(y, x) for x in elements for y in elements)
-    return _name_from_census(_order_census(elements, mul, ident), abelian)
-
-
-def _name_from_census(census, abelian) -> str:
-    n = sum(census.values())
-    exponent = max(census)
-    if n == 1:
-        return "1"
-    if n == 2:
-        return "Z2"
-    if n == 3:
-        return "Z3"
-    if n == 4 and abelian and exponent == 2:
+    census = _order_census(elements, mul, ident)
+    if n <= 3:
+        return ("1", "Z2", "Z3")[n - 1]
+    if n == 4 and abelian and max(census) == 2:
         return "Z2^2"
     if n == 6 and not abelian:
         return "Sym(3)"
-    if n == 8 and abelian and exponent == 2:
+    if n == 8 and abelian and max(census) == 2:
         return "Z2^3"
     if n == 24 and not abelian and census == {1: 1, 2: 9, 3: 8, 4: 6}:
         return "Sym(4)"
     if n == 48 and not abelian and census == {1: 1, 2: 13, 3: 8, 4: 6, 6: 8, 8: 12}:
         return "GL(2,3)"
     return f"other({n})"
+
+
+def _order_census(items, op, identity) -> dict:
+    """{order: number of elements of that order} of a finite group."""
+    census: dict = {}
+    for x in items:
+        k, acc = 1, x
+        while acc != identity:
+            k, acc = k + 1, op(acc, x)
+        census[k] = census.get(k, 0) + 1
+    return census
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +285,16 @@ def weyl_division(d: GradedDivisionAlgebra):
 
 def _finite_group_descriptor(transversals) -> GroupDescriptor:
     """Descriptor of the group with these transversals of a stabilizer chain:
-    abelian exactly when its strong generators commute, and its elements are
-    listed only when it is abelian or of order <= IDENTIFY_BOUND."""
+    abelian exactly when its strong generators commute, and then typed by
+    `abstract_type`; else named by `identify_group`, its elements listed
+    only when its order is at most IDENTIFY_BOUND."""
     order = math.prod(map(len, transversals))
     strong = [u for level in transversals for u in level[1:]]
-    abelian = all(compose(a, b) == compose(b, a) for a, b in itertools.combinations(strong, 2))
-    if not abelian and order > IDENTIFY_BOUND:
+    if all(compose(a, b) == compose(b, a) for a, b in itertools.combinations(strong, 2)):
+        return FiniteAbelian(abstract_type(chain_elements(transversals), compose))
+    if order > IDENTIFY_BOUND:
         return NamedFinite(f"other({order})", order)
-    elements = chain_elements(transversals)
-    census = _order_census(elements, compose, elements[0])
-    if abelian:
-        return FiniteAbelian(_type_from_census(census))
-    tag = _name_from_census(census, abelian)
+    tag = identify_group(chain_elements(transversals), compose)
     return Symmetric(int(tag[4])) if tag in ("Sym(3)", "Sym(4)") else NamedFinite(tag, order)
 
 

@@ -606,7 +606,7 @@ def _component_unit(a: StructureConstantAlgebra, indices, rng) -> AlgebraElement
     return None
 
 
-def inner_stabilizer_quotient(a: StructureConstantAlgebra, seed: int = 0):
+def inner_stabilizer_quotient(a: StructureConstantAlgebra):
     """Degree group of homogeneous units modulo degrees of central homogeneous units.
 
     Returns (quotient AbelianGroup, coset generator list of (degree, unit)).
@@ -616,7 +616,7 @@ def inner_stabilizer_quotient(a: StructureConstantAlgebra, seed: int = 0):
         raise ValueError("the inner stabilizer description needs a graded-simple algebra")
     import random  # only the seeded sampling needs it; a CLI start does not
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     by_component = a.basis_degrees_by_component()
     unit_degrees = {}
     for degree, indices in by_component.items():
@@ -637,12 +637,10 @@ def inner_stabilizer_quotient(a: StructureConstantAlgebra, seed: int = 0):
             if comp is not None and invert(comp) is not None:
                 central_degrees.add(degree)
                 break
-    sub = frozenset(central_degrees)
-    reps = {coset_rep(x, sub) for x in degs}
-    zero = coset_rep(next(iter(degs)) - next(iter(degs)), sub)
-    quotient = abstract_type(reps, add=lambda p, q: coset_rep(p + q, sub), zero=zero)
+    reps = {coset_rep(x, central_degrees) for x in degs}
+    zero = coset_rep(a.group.zero(), central_degrees)
     generators = [(d, unit_degrees[d]) for d in sorted(reps, key=lambda e: e.coords) if d != zero]
-    return quotient, generators
+    return abstract_type(degs, modulo=central_degrees), generators
 
 
 # ---------------------------------------------------------------------------

@@ -679,7 +679,7 @@ def test_table_search_on_a_subgroup_is_the_filter_of_aut(data):
 
 @st.composite
 def _group_and_generators(draw):
-    orders = draw(st.lists(st.sampled_from([2, 3, 4]), max_size=3))
+    orders = draw(st.lists(st.integers(2, 12), max_size=3).filter(lambda ms: math.prod(ms) <= 144))
     group = Z.from_cyclic_orders(orders)
     elements = list(group.elements())
     return group, draw(st.lists(st.sampled_from(elements), max_size=3))
@@ -699,8 +699,20 @@ def test_abstract_type_agrees_with_sympy_invariant_factors(orders):
     # the element set of Z_m1 x ... x Z_mr as plain tuples, whatever the orders
     elements = list(itertools.product(*(range(m) for m in orders)))
     add = lambda x, y: tuple((a + b) % m for a, b, m in zip(x, y, orders))
-    got = abstract_type(elements, add=add, zero=(0,) * len(orders))
+    got = abstract_type(elements, add=add)
     theirs = invariant_factors(sympy.diag(*orders), domain=sympy.ZZ) if orders else ()
+    assert got == Z(0, tuple(int(f) for f in theirs if f != 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_group_and_generators())
+def test_quotient_type_agrees_with_sympy_invariant_factors(case):
+    # T / <gens> is Z^r modulo the rows of diag(m_i) and the generators' coordinates
+    group, gens = case
+    rows = [[m * (i == j) for j in range(group.rank)] for i, m in enumerate(group.torsion)]
+    rows += [list(g.coords) for g in gens]
+    theirs = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ) if group.rank else ()
+    got = quotient_type(group, subgroup_generated(group, gens))
     assert got == Z(0, tuple(int(f) for f in theirs if f != 1))
 
 

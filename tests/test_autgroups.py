@@ -64,8 +64,6 @@ def test_descriptor_normalization():
     assert Symmetric(1).normalized() == TRIVIAL
     prod = DirectProduct((FiniteAbelian(Z2), Symmetric(2)))
     assert prod.normalized() == FiniteAbelian(Z2xZ2)
-    sd = SemidirectProduct(FiniteAbelian(Z2), Symmetric(3), action_trivial=True)
-    assert sd.normalized() == DirectProduct((Symmetric(3), FiniteAbelian(Z2)))
     nested = DirectProduct((DirectProduct((Torus("Rx"), Torus("Rx"))), FiniteAbelian(Z2)))
     flat = nested.normalized()
     assert isinstance(flat, DirectProduct) and len(flat.factors) == 3
@@ -154,8 +152,7 @@ def _reference_identify(elements, mul):
 def _reference_descriptor(elements, mul):
     _, abelian = _reference_census(elements, mul)
     if abelian:
-        return FiniteAbelian(abstract_type(
-            elements, add=mul, zero=next(x for x in elements if mul(x, x) == x)))
+        return FiniteAbelian(abstract_type(elements, add=mul))
     tag = _reference_identify(elements, mul)
     if tag == "Sym(3)":
         return Symmetric(3)
@@ -200,6 +197,38 @@ def test_census_on_shuffled_groups_matches_the_reference():
                 shuffled, mul), label
         names.add(got)
     assert {"Sym(3)", "Sym(4)", "GL(2,3)", "Z2^2", "other(720)", "other(96)"} <= names
+
+
+def test_abelian_w0_agrees_with_sympy_abelian_invariants():
+    # sympy reads abelianness and the invariants off the strong generators alone
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    typed = set()
+    for name in ("M1R", "M2R", "H", "M1C", "M2C", "M3C", "M4C"):
+        for row in classify(name):
+            chain, w0 = weyl_division(row.division)
+            strong = [Permutation(list(u)) for level in chain for u in level[1:]]
+            group = PermutationGroup(strong or [Permutation(list(chain_elements(chain)[0]))])
+            assert isinstance(w0, FiniteAbelian) == group.is_abelian, name
+            if group.is_abelian:
+                assert w0.group == AbelianGroup.from_cyclic_orders(group.abelian_invariants())
+                typed.add(w0.group)
+    assert AbelianGroup(0, (2, 2)) in typed and AbelianGroup.trivial() in typed
+
+
+@pytest.mark.parametrize("ref,k", [("1-c:Z2^5", 6), ("1-b:Z2^4", 5)])
+def test_w0_has_the_census_of_a_symmetric_group(ref, k):
+    # Sp(4, 2) = Sym(6) and O^-(4, 2) = Sym(5): W0 has the order and the
+    # element-order census of Sym(k)
+    from gradecat.division import parse_catalog_ref
+
+    elements = chain_elements(weyl_division(parse_catalog_ref(ref))[0])
+    perms = list(itertools.permutations(range(k)))
+    assert len(elements) == len(perms) == math.factorial(k)
+    census = _reference_census(perms, lambda p, q: tuple(p[i] for i in q))[0]
+    assert _reference_census(elements, compose)[0] == census
+    if k == 6:
+        assert census == {1: 1, 2: 75, 3: 80, 4: 180, 5: 144, 6: 240}
 
 
 def test_identify_bound_is_the_classify_bound():

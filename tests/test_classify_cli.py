@@ -10,13 +10,15 @@ from gradecat.abelian import AbelianGroup
 from gradecat.classify import (
     _COVERED,
     CoverageError,
+    _abelian_groups_of_order,
     _division_plans,
     classify,
     parse_algebra_name,
     rows_to_json,
 )
 from gradecat.cli import main
-from gradecat.division import canonical
+from gradecat.division import CatalogError, canonical, underlying_algebra_name
+from gradecat.matrix import is_fine, matrix_algebra
 from gradecat.structconst import (
     StructureConstantAlgebra,
     from_division,
@@ -60,6 +62,44 @@ def test_division_plans_are_pairwise_distinct():
         plans = [(k, tag, support.free_rank, support.torsion)
                  for k, tag, support in _division_plans(family, n)]
         assert plans and len(set(plans)) == len(plans), (family, n)
+
+
+CATALOG_TAGS = ("1-a", "1-b", "1-c", "1-d", "2-a", "2-b", "2-c", "2-d", "2-e", "2-f",
+                "3-a", "3-b", "3-c", "3-d")
+
+
+def _real_algebra(d):
+    """(family, p) with M_p(family) the real algebra of a catalog entry.  A
+    3-x entry is named H (x) A; H (x) M_p(R) = M_p(H), H (x) M_p(H) =
+    M_4p(R) and H (x) M_p(C) = M_2p(C)."""
+    name = underlying_algebra_name(d)
+    family, p = parse_algebra_name(name.removeprefix("H (x) "))
+    if name.startswith("H (x) "):
+        family, p = {"R": ("H", p), "H": ("R", 4 * p), "C": ("C", 2 * p)}[family]
+    return family, p
+
+
+def test_division_plans_list_exactly_the_fine_catalog_entries():
+    # every catalog entry on M_p(family), p | n, with |T| <= dim_R M_p(H) = 4p^2
+    # gives a fine M_(n/p)(D) exactly when _division_plans lists it
+    reached = set()
+    for family, n in sorted(_COVERED):
+        fine = set()
+        for p in (p for p in range(1, n + 1) if n % p == 0):
+            for order in range(1, 4 * p * p + 1):
+                for support in _abelian_groups_of_order(order):
+                    for tag in CATALOG_TAGS:
+                        try:
+                            d = canonical(tag, support)
+                        except CatalogError:
+                            continue
+                        if _real_algebra(d) != (family, p):
+                            continue
+                        reached.add(tag)
+                        if is_fine(matrix_algebra(d, n // p)):
+                            fine.add((n // p, tag, support))
+        assert fine == set(_division_plans(family, n)), (family, n)
+    assert reached == set(CATALOG_TAGS) - {"3-b"}  # M_4p(R) is not covered
 
 
 def test_classify_m1_cases():

@@ -64,10 +64,9 @@ CASES = [
     (Torus, ("Cx",), ("Rx",), "Torus(kind='Cx')"),
     (DirectProduct, ((Symmetric(3), Torus("Cx")),), ((Symmetric(3),),),
      "DirectProduct(factors=(Symmetric(k=3), Torus(kind='Cx')))"),
-    (SemidirectProduct, (Torus("Cx"), Symmetric(3), "swap", False),
-     (Torus("Cx"), Symmetric(3), "swap", True),
-     "SemidirectProduct(normal=Torus(kind='Cx'), acting=Symmetric(k=3), "
-     "action_note='swap', action_trivial=False)"),
+    (SemidirectProduct, (Torus("Cx"), Symmetric(3), "swap"),
+     (Torus("Cx"), Symmetric(3), "conjugation"),
+     "SemidirectProduct(normal=Torus(kind='Cx'), acting=Symmetric(k=3), action_note='swap')"),
 ]
 
 
@@ -97,9 +96,8 @@ def test_descriptors_equal_by_type_and_fields():
 
 def test_semidirect_defaults():
     sd = SemidirectProduct(Torus("Cx"), Symmetric(3))
-    assert (sd.action_note, sd.action_trivial) == ("", False)
-    assert sd == SemidirectProduct(acting=Symmetric(3), normal=Torus("Cx"),
-                                   action_note="", action_trivial=False)
+    assert sd.action_note == ""
+    assert sd == SemidirectProduct(acting=Symmetric(3), normal=Torus("Cx"), action_note="")
 
 
 @pytest.mark.parametrize("call", [
