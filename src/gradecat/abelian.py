@@ -5,8 +5,9 @@ Elements are integer coordinate vectors, free coordinates first; torsion
 coordinates are kept reduced modulo their factor order.  Two groups compare
 equal exactly when their normal forms coincide, which by the structure
 theorem means they are isomorphic.  All arithmetic is exact.  Every type is
-read by `universal_abelian_group` from relations: a grading's, or those of
-the polycyclic presentation `abstract_type` builds from an element set.
+read off the diagonal of `smith_normal_form`: from a grading's relations by
+`universal_abelian_group`, or from the polycyclic presentation
+`abstract_type` builds from an element set.
 """
 
 from __future__ import annotations
@@ -268,17 +269,23 @@ class GroupElement:
 
 @functools.lru_cache(maxsize=64)
 def support_table(group: AbelianGroup):
-    """Index form of a finite group for inner loops: (elements, index, add).
-
-    `elements` lists the group in lexicographic coordinate order (that of
-    `group.elements()`), `index` maps each element to its position, and
-    `add[i][j]` is the position of elements[i] + elements[j].  Cached per
-    group; every part is read-only.
+    """(elements, index, add): the positions of a finite group T, its one
+    representation below the public API.  With T_j the subgroup on the
+    coordinates j.. of `group.torsion`, the element with coordinates c sits
+    at sum c_j |T_(j+1)| (mixed radix, last digit fastest): `elements` is
+    the lexicographic order of `group.elements()`, e_j sits at |T_(j+1)|,
+    and T_j is the prefix of |T_j| positions.  `index` inverts `elements`;
+    `add[i][j]` is the position of elements[i] + elements[j], one digit m at
+    a time: (s m + a) + (s' m + b) = add[s][s'] m + (a + b) mod m.  Cached;
+    read-only.
     """
     elements = tuple(group.elements())
+    add = [[0]]
+    for m in group.torsion:
+        add = [[s * m + (a + b) % m for s in row for b in range(m)]
+               for row in add for a in range(m)]
     index = {x: i for i, x in enumerate(elements)}
-    add = tuple(tuple(index[x + y] for y in elements) for x in elements)
-    return elements, types.MappingProxyType(index), add
+    return elements, types.MappingProxyType(index), tuple(map(tuple, add))
 
 
 class GroupHomomorphism:
@@ -526,11 +533,11 @@ def abstract_type(elements, add=None, modulo=()) -> AbelianGroup:
     o g_j in S_(j-1); the cosets of S_(j-1) in S_j are the k g_j, 0 <= k <
     o_j, so |S_j| = o_j |S_(j-1)|.  Each element x of S_j is kept with
     coordinates a on g_1, ..., g_j, x - sum a_i g_i in S_0; c are those of
-    o_j g_j in S_(j-1).  The relations o_j e_j - c, j = 1, ..., r, go to
-    `universal_abelian_group`.  Their matrix is triangular with diagonal
-    o_j, so the lattice L they span has index prod o_j = |G / S_0| in Z^r.
-    The map e_j -> g_j + S_0 is onto G / S_0, so its kernel has that index
-    too, and it contains L; so the kernel is L, and Z^r / L = G / S_0.
+    o_j g_j in S_(j-1).  The relations o_j e_j - c, j = 1, ..., r, form a
+    triangular matrix with diagonal o_j, whose rows span a lattice L of
+    index prod o_j = |G / S_0| in Z^r.  The map e_j -> g_j + S_0 is onto
+    G / S_0, so its kernel has that index too and contains L; so it is L,
+    and G / S_0 = Z^r / L = sum Z_(d_ii), d = u L v in Smith normal form.
     """
     items = list(elements)
     add = add or (lambda x, y: x + y)
@@ -547,7 +554,8 @@ def abstract_type(elements, add=None, modulo=()) -> AbelianGroup:
         span = {x: a + (0,) * counted for x, a in span.items()} | {  # S_0 adds no coordinate
             add(x, y): a + (k,) * counted for k, y in enumerate(steps, 1) for x, a in span.items()}
     r = len(relations)
-    return universal_abelian_group(range(r), [rel + (0,) * (r - len(rel)) for rel in relations])[0]
+    d, _ = smith_normal_form([rel + (0,) * (r - len(rel)) for rel in relations])
+    return AbelianGroup(0, tuple(d[i][i] for i in range(r) if d[i][i] > 1))
 
 
 def coset_rep(x: GroupElement, sub) -> GroupElement:
@@ -604,20 +612,19 @@ def automorphism_group(group: AbelianGroup, label=None, betas=()) -> tuple:
     `betas` has b.ids[p[x]][p[y]] == beta.ids[x][y] for all x, y; either
     way the p kept form a group.
 
-    T_j, on the coordinates j.., is the prefix 0..|T_j|-1 of positions, and
-    g_j sits at |T_(j+1)|.  U_j maps g_j to each point of its orbit under
-    W^(j+1), the p in W fixing T_(j+1), so |W^(j+1)| = |U_j| |W^(j)| (Sims;
-    base g_0, ..., g_(r-1)).  Level j starts from the identity on T_(j+1),
-    with the b it keeps; a candidate image of g_j not yet reached by closing
-    the orbit under the representatives found gets a search of g_(j-1), ...,
-    g_0 that stops at its first leaf.  A node tests what is new to its
-    prefix: injectivity and the label at the new positions, and each b at
-    the pairs (a, c) of `betas[0].generators` with a <= c and c new; a
-    failing b is dropped for the branch, cut when none is left.  Those
-    below |T_j| generate K n T_j (greedy in position order); (a, a) puts
-    p(a) in K (b is None off K x K), and b o (p x p) and beta are skew
-    bicharacters on K n T_j, equal once equal on generator pairs.  At a
-    leaf p is bijective, so p(K) = K.
+    T_j and g_j = e_j are placed as `support_table` lays T out.  U_j maps
+    g_j to each point of its orbit under W^(j+1), the p in W fixing T_(j+1),
+    so |W^(j+1)| = |U_j| |W^(j)| (Sims; base g_0, ..., g_(r-1)).  Level j
+    starts from the identity on T_(j+1), with the b it keeps; a candidate
+    image of g_j not yet reached by closing the orbit under the
+    representatives found gets a search of g_(j-1), ..., g_0 that stops at
+    its first leaf.  A node tests what is new to its prefix: injectivity and
+    the label at the new positions, and each b at the pairs (a, c) of
+    `betas[0].generators` with a <= c and c new; a failing b is dropped for
+    the branch, cut when none is left.  Those below |T_j| generate K n T_j
+    (greedy in position order); (a, a) puts p(a) in K (b is None off K x K),
+    and b o (p x p) and beta are skew bicharacters on K n T_j, equal once
+    equal on generator pairs.  At a leaf p is bijective, so p(K) = K.
     """
     candidates, (_, _, add) = _aut_candidates(group), support_table(group)
     torsion, identity = group.torsion, tuple(range(group.order()))

@@ -218,39 +218,34 @@ IDENTIFY_BOUND = 48  # identify_group answers other(n) for larger orders
 
 
 def identify_group(elements, mul) -> str:
-    """Name a finite group from order, abelianness, and element-order census:
-    '1', 'Z2', 'Z3', 'Z2^2', 'Z2^3', 'Sym(3)', 'Sym(4)', 'GL(2,3)', or
-    'other(n)' when the census is not decisive or n > IDENTIFY_BOUND."""
+    """Name a finite group: Sym(3), Sym(4) or GL(2,3) by its element-order
+    census, else an abelian group by `abstract_type` ('1', 'Z4', 'Z2 × Z4',
+    ...), else (and when n > IDENTIFY_BOUND) 'other(n)'.
+
+    No abelian group has one of the censuses, which need 3, 9 and 13
+    involutions: those of an abelian group and 0 are the elements killed by
+    2, 2^r of them with 2^r dividing n, so it has 1 at n = 6, at most 7 at
+    n = 24 and one of 1, 3, 7, 15 at n = 48.  Sym(3) is the only
+    non-abelian group of order 6; at 24, 8 elements of order 3 leave Sym(4),
+    SL(2,3) and Z2 × A4 (9, 1 and 7 involutions).  The GL(2,3) census is
+    not proved unique at n = 48.
+    """
     n = len(elements)
     if n > IDENTIFY_BOUND:
         return f"other({n})"
-    ident = next(x for x in elements if mul(x, x) == x)  # the only idempotent
-    abelian = all(mul(x, y) == mul(y, x) for x in elements for y in elements)
-    census = _order_census(elements, mul, ident)
-    if n <= 3:
-        return ("1", "Z2", "Z3")[n - 1]
-    if n == 4 and abelian and max(census) == 2:
-        return "Z2^2"
-    if n == 6 and not abelian:
-        return "Sym(3)"
-    if n == 8 and abelian and max(census) == 2:
-        return "Z2^3"
-    if n == 24 and not abelian and census == {1: 1, 2: 9, 3: 8, 4: 6}:
-        return "Sym(4)"
-    if n == 48 and not abelian and census == {1: 1, 2: 13, 3: 8, 4: 6, 6: 8, 8: 12}:
-        return "GL(2,3)"
-    return f"other({n})"
-
-
-def _order_census(items, op, identity) -> dict:
-    """{order: number of elements of that order} of a finite group."""
-    census: dict = {}
-    for x in items:
+    ident, census = next(x for x in elements if mul(x, x) == x), {}  # the only idempotent
+    for x in elements:  # census: {order: number of elements of that order}
         k, acc = 1, x
-        while acc != identity:
-            k, acc = k + 1, op(acc, x)
+        while acc != ident:
+            k, acc = k + 1, mul(acc, x)
         census[k] = census.get(k, 0) + 1
-    return census
+    for name, known in (("Sym(3)", {1: 1, 2: 3, 3: 2}), ("Sym(4)", {1: 1, 2: 9, 3: 8, 4: 6}),
+                        ("GL(2,3)", {1: 1, 2: 13, 3: 8, 4: 6, 6: 8, 8: 12})):
+        if census == known:
+            return name
+    if all(mul(x, y) == mul(y, x) for x, y in itertools.combinations(elements, 2)):
+        return abstract_type(elements, mul).pretty()
+    return f"other({n})"
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +268,9 @@ def weyl_division(d: GradedDivisionAlgebra):
     beta = commutation_bicharacter(d)
     if d.conj_elements:
         quadratic_form(d)  # a square off K that is not +-1 raises ValueError
-    sigma, add, real = d._sigma_ids, d._add, d.kind.family != "C"
+    sigma, add, conj, real = d._sigma_ids, d._add, d._conj, d.kind.family != "C"
     rad = set(beta.radical_elements())
-    label = [(sigma[i][i] if x in d.conj_elements or (real and add[i][i] == 0) else None,
+    label = [(sigma[i][i] if conj[i] or (real and add[i][i] == 0) else None,
               x in rad) for i, x in enumerate(d.elements())]
     betas = [beta, beta.conjugate()] if not real and not d.conj_elements else [beta]
     transversals = automorphism_group(d.support, label, betas)

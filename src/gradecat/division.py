@@ -24,7 +24,6 @@ from .abelian import (
     GroupElement,
     abstract_type,
     parse_group_string,
-    subgroup_generated,
     support_table,
 )
 from .scalars import Cyclotomic, RationalQuaternion, zeta
@@ -201,7 +200,8 @@ NON_FINE_DIVISION_TAGS = frozenset({"2-a", "2-b", "2-c", "2-d", "2-e", "3-a", "3
 
 class GradedDivisionAlgebra:
     """A crossed product over a finite abelian support, validated eagerly;
-    `sigma_ids[i][j]` is the id in `units` of sigma at support positions i, j."""
+    `sigma_ids[i][j]` is the id in `units` of sigma at support positions i, j,
+    and `_conj[i]` tells whether position i acts by conjugation."""
 
     def __init__(self, support: AbelianGroup, kind: CoefficientKind, conj_elements,
                  units: UnitInterner, sigma_ids, type_tag=None):
@@ -256,7 +256,7 @@ class GradedDivisionAlgebra:
             if g.group != self.support:
                 raise ValueError("action defined outside the support")
         gens = [self._index[g] for g in self.support.generators()] or [0]  # T = 0: its zero
-        conj = [t in self.conj_elements for t in elems]
+        self._conj = conj = [t in self.conj_elements for t in elems]
         for u in range(n):
             for g in gens:
                 if (conj[u] ^ conj[g]) != conj[add[u][g]]:
@@ -310,7 +310,7 @@ class GradedDivisionAlgebra:
 
     def centralizer_elements(self) -> tuple:
         """Support of the centralizer of the identity component (= ker of the action)."""
-        return tuple(t for t in self._elements if t not in self.conj_elements)
+        return tuple(t for t, c in zip(self._elements, self._conj) if not c)
 
     def __repr__(self):
         tag = f", type={self.type_tag}" if self.type_tag else ""
@@ -476,12 +476,13 @@ class Bicharacter:
         k = [x for x in range(n) if in_k[x]]
         self.group, self.units, self.ids, self.kind = group, units, ids, units.kind
         self.domain = tuple(elements[x] for x in k)
-        gens, span = [], {group.zero()}
+        gens, span = [], {0}
         for x in k:
-            if elements[x] not in span:
+            if x not in span:
                 gens.append(x)
-                span = subgroup_generated(group, [elements[j] for j in gens])
-        if span != set(self.domain):
+                while (grown := span | {add[y][x] for y in span}) != span:  # span + <x>
+                    span = grown
+        if span != set(k):
             raise ValueError("bicharacter domain is not a subgroup")
         self.generators = tuple(gens)
         one, mul = units.intern(self.kind.one()), units.mul
@@ -571,7 +572,7 @@ def commutation_bicharacter(d: GradedDivisionAlgebra) -> Bicharacter:
     if d._beta is not None:
         return d._beta
     sigma, values, n = d._sigma_ids, d._units.values, len(d._elements)
-    k = [d._index[u] for u in d.centralizer_elements()]
+    k = [i for i, c in enumerate(d._conj) if not c]
     units, quotients = UnitInterner(d.kind), {}
     ids = [[None] * n for _ in range(n)]
     for i in k:
@@ -674,8 +675,9 @@ def quad_forms(support: AbelianGroup, beta: Bicharacter) -> list[QuadraticData]:
     extension of the sign +1 on every generator and chi the character with
     chi(g_i) = -1 exactly for the coordinates i set in the mask, listed in
     mask order; `values` lists T in position order.  eta0 is built along the
-    support positions, eta0(x) = beta(x - g, g) eta0(x - g) with g = x & -x,
-    and checked once by `_polarization_failure`: since
+    positions, eta0(x) = beta(x - g, g) eta0(x - g) with g = x & -x, the
+    generator of x's last nonzero digit (`support_table`), and checked once
+    by `_polarization_failure`: since
     chi(u + v) = chi(u) chi(v), eta0 chi satisfies the identity iff eta0
     does.  A `Bicharacter` is alternating, and for every alternating beta
     Quad(T, beta) is a full torsor of 2^rank forms over Hom(T, {+-1}), so
@@ -689,7 +691,7 @@ def quad_forms(support: AbelianGroup, beta: Bicharacter) -> list[QuadraticData]:
     one, ids = beta.units.intern(beta.kind.one()), beta.ids
     eta0 = [1] * len(elements)
     for x in range(1, len(elements)):
-        g = x & -x  # the generator of the last nonzero coordinate of x
+        g = x & -x
         eta0[x] = eta0[x - g] if ids[x - g][g] == one else -eta0[x - g]
     if _polarization_failure(beta, eta0):
         return []
@@ -774,8 +776,8 @@ def _block_complex_pauli(order: int):
 
 def _assemble(blocks, kind_family, type_tag) -> GradedDivisionAlgebra:
     """The crossed product of `blocks`, each (orders, conjugation flags, sigma on
-    its own coordinates).  Support positions are lexicographic, so T's sigma
-    id table is the Kronecker product of the block tables under `units.mul`."""
+    its own coordinates).  In the layout of `support_table`, T's sigma id
+    table is the Kronecker product of the block tables under `units.mul`."""
     orders = tuple(m for block_orders, _, _ in blocks for m in block_orders)
     conj_flags = [flag for _, block_conj, _ in blocks for flag in block_conj]
     support = AbelianGroup(0, orders)
@@ -794,10 +796,8 @@ def _assemble(blocks, kind_family, type_tag) -> GradedDivisionAlgebra:
         block = [[units.intern(block_sigma(u, v)) for v in coords] for u in coords]
         sigma = [[mul(x, y) for x in row for y in block_row]
                  for row in sigma for block_row in block]
-    conj = {
-        t for t in support.elements()
-        if sum(c for c, flag in zip(t.coords, conj_flags) if flag) % 2 == 1
-    }
+    conj = {t for t in support.elements()
+            if sum(c for c, flag in zip(t.coords, conj_flags) if flag) % 2 == 1}
     return GradedDivisionAlgebra(support, kind, conj, units, sigma, type_tag)
 
 

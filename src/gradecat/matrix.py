@@ -462,7 +462,7 @@ def to_structure_constants(r: GradedMatrixAlgebra) -> StructureConstantAlgebra:
     coords = {}  # product id -> its nonzero (b3, c) on the Q-basis
     rows = []  # rows[t w + b1]: (s w + b2, [((t + s) w + b3, c), ...]) per column
     for t in range(len(elems)):
-        images = [units.conj(b) for b in basis] if elems[t] in d.conj_elements else basis
+        images = [units.conj(b) for b in basis] if d._conj[t] else basis
         for b1 in basis:
             row = []
             for s in range(len(elems)):

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .abelian import AbelianGroup, abstract_type, coset_rep, json_int, universal_abelian_group
+from .abelian import (AbelianGroup, abstract_type, coset_rep, json_int, support_table,
+                      universal_abelian_group)
 from .division import GradedDivisionAlgebra, canonical
 from .records import Record
 
@@ -656,14 +657,9 @@ def from_division(d: GradedDivisionAlgebra) -> StructureConstantAlgebra:
 
 def group_algebra(group: AbelianGroup) -> StructureConstantAlgebra:
     """The rational group algebra Q[T] with its tautological grading."""
-    elems = list(group.elements())
-    index = {t: i for i, t in enumerate(elems)}
-    labels = [f"g{t.coords}" for t in elems]
-    table = {
-        (index[t], index[s]): {index[t + s]: 1}
-        for t in elems for s in elems
-    }
-    return StructureConstantAlgebra(labels, elems, table, {index[group.zero()]: 1})
+    elems, _, add = support_table(group)
+    table = {(t, s): {ts: 1} for t, row in enumerate(add) for s, ts in enumerate(row)}
+    return StructureConstantAlgebra([f"g{t.coords}" for t in elems], elems, table, {0: 1})
 
 
 def direct_sum(a: StructureConstantAlgebra, b: StructureConstantAlgebra) -> StructureConstantAlgebra:

@@ -5,12 +5,14 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
+from gradecat import structconst
 from gradecat.abelian import (
     AbelianGroup,
     AutBoundError,
+    GroupElement,
     GroupMismatchError,
     abstract_type,
     automorphism_group,
@@ -328,6 +330,72 @@ def test_universal_ignores_relation_order_and_repeats(case, rnd):
     shuffled = rels + rnd.sample(rels, len(rels) // 2)
     rnd.shuffle(shuffled)
     assert universal_abelian_group(labels, shuffled) == universal_abelian_group(labels, rels)
+
+
+# ---------------------------------------------------------------------------
+# the support layout
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _cyclic_orders(draw, bound=256):
+    """Orders of cyclic factors, in any order, with product at most `bound`."""
+    orders = []
+    while 2 * math.prod(orders) <= bound and draw(st.booleans()):
+        orders.append(draw(st.integers(2, min(16, bound // math.prod(orders)))))
+    return orders
+
+
+def _reference_sums(group):
+    """The addition table of `group.elements()` by GroupElement sums."""
+    elements = tuple(group.elements())
+    index = {x: i for i, x in enumerate(elements)}
+    return tuple(tuple(index[x + y] for y in elements) for x in elements)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_cyclic_orders())
+@example([]).via("the trivial group")
+@example([2, 4, 8]).via("a mixed 2-chain")
+@example([3, 6]).via("a mixed chain with an odd factor")
+@example([5, 7]).via("odd order")
+@example([2] * 8).via("Z2^8")
+def test_support_table_is_the_sum_table_in_the_mixed_radix_layout(orders):
+    group = Z.from_cyclic_orders(orders)
+    elements, index, add = support_table(group)
+    assert elements == tuple(group.elements())
+    assert all(index[x] == i for i, x in enumerate(elements))
+    assert add == _reference_sums(group)
+    # the coordinate generator e_j sits at |T_(j+1)|
+    assert [index[g] for g in group.generators()] == [
+        math.prod(group.torsion[j + 1:]) for j in range(len(group.torsion))]
+
+
+def test_support_table_bicharacter_and_group_algebra_add_no_group_elements(monkeypatch):
+    group = Z(0, (2, 6, 6))
+    elements = tuple(group.elements())
+    sub = {elements.index(x) for x in subgroup_generated(group, [elements[7], elements[6]])}
+    assert 1 < len(sub) < len(elements)
+    support_table.cache_clear()  # the table is built under the patch, not read from the cache
+
+    def refuse(self, other):
+        raise AssertionError("a GroupElement was added")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GroupElement, "__add__", refuse)
+        with pytest.raises(AssertionError):
+            elements[1] + elements[1]
+        _, index, add = support_table(group)
+        beta = _alternating(group, sub, [[0, 1, 0], [0, 0, 1], [0, 0, 0]], _units(group))
+        # the algebra's own validation adds degrees: keep the arguments only
+        patch.setattr(structconst, "StructureConstantAlgebra", lambda *args: args)
+        labels, degrees, table, unity = structconst.group_algebra(group)
+    assert add == _reference_sums(group)
+    assert beta.domain == tuple(elements[x] for x in sorted(sub))
+    assert subgroup_generated(group, [elements[x] for x in beta.generators]) == set(beta.domain)
+    algebra = structconst.StructureConstantAlgebra(labels, degrees, table, unity)
+    assert algebra.degrees == elements and algebra.unity == {index[group.zero()]: 1}
+    assert algebra.table == {(index[x], index[y]): {index[x + y]: 1}
+                             for x in elements for y in elements}
 
 
 # ---------------------------------------------------------------------------

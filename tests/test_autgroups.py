@@ -89,9 +89,18 @@ def test_identify_small_groups():
     assert identify_group(*_cyclic_model(1)) == "1"
     assert identify_group(*_cyclic_model(2)) == "Z2"
     assert identify_group(*_cyclic_model(3)) == "Z3"
-    assert identify_group(*_cyclic_model(4)) == "other(4)"
+    assert identify_group(*_cyclic_model(4)) == "Z4"
+    assert identify_group(*_cyclic_model(6)) == "Z6"
     elements = [(a, b) for a in range(2) for b in range(2)]
     assert identify_group(elements, lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 2)) == "Z2^2"
+    elements = [(a, b) for a in range(2) for b in range(4)]
+    assert identify_group(elements, lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 4)) \
+        == "Z2 × Z4"
+    # the quaternion group: not abelian, and no census name
+    units = (RationalQuaternion.one(), RationalQuaternion.i(), RationalQuaternion.j(),
+             RationalQuaternion.k())
+    assert identify_group([s * u for s in (1, -1) for u in units], lambda x, y: x * y) \
+        == "other(8)"
     import itertools
     perms3 = list(itertools.permutations(range(3)))
     mul3 = lambda p, q: tuple(p[q[i]] for i in range(3))
@@ -104,6 +113,22 @@ def test_identify_small_groups():
 def test_identify_gl23_from_aut():
     auts = chain_elements(automorphism_group(AbelianGroup(0, (3, 3))))
     assert identify_group(auts, compose) == "GL(2,3)"
+
+
+def test_identify_reads_the_census_before_any_commutation_scan():
+    # the census costs one product per element and step of its order, about
+    # 5 n here; a scan of all pairs for commutation alone would cost n (n - 1)
+    perms4 = list(itertools.permutations(range(4)))
+    gl23 = chain_elements(automorphism_group(AbelianGroup(0, (3, 3))))
+    for elements, name in ((perms4, "Sym(4)"), (gl23, "GL(2,3)")):
+        calls = []
+
+        def mul(p, q):
+            calls.append(None)
+            return compose(p, q)
+
+        assert identify_group(elements, mul) == name
+        assert len(calls) <= 5 * len(elements)
 
 
 def _reference_census(elements, mul):
