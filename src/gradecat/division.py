@@ -7,30 +7,26 @@ a normalized 2-cocycle sigma, with the multiplication rule
 
     (c * X_u) (c' * X_v) = c * alpha_u(c') * sigma(u, v) * X_{u+v}.
 
-The module also carries the catalog of canonical real division gradings
-(type tags 1-a ... 3-d and 2-f) together with their invariants: the
-centralizer support K, the commutation bicharacter, quadratic sign data,
-and the Arf invariant.
+D is built from a presentation, and sigma is the cocycle of its normal
+words, proved one on O(rank^3) generator overlaps.  The module also carries
+the catalog of canonical real division gradings (type tags 1-a ... 3-d and
+2-f), each a presentation, with their invariants: the centralizer support
+K, the commutation bicharacter, quadratic sign data, the Arf invariant.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
-from .abelian import (
-    AbelianGroup,
-    GroupElement,
-    abstract_type,
-    parse_group_string,
-    support_table,
-)
+from .abelian import AbelianGroup, GroupElement, abstract_type, parse_group_string, support_table
 from .scalars import Cyclotomic, RationalQuaternion, zeta
 
 
 class CocycleError(ValueError):
-    """The given sigma is not a valid normalized 2-cocycle; carries a witness."""
+    """sigma, or a presentation, gives no crossed product; carries a witness."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)
@@ -156,9 +152,8 @@ class UnitInterner:
     A value is keyed on its coordinates on the Q-basis of the kind
     (`kind.to_vector`), so two ids are equal exactly when the values are.
     `values[i]` is the value with id i.  Products and conjugates are
-    memoized by id, so the Kronecker product of the catalog's block tables
-    and the cocycle identity (|T|^2 rank T triples) multiply each pair of
-    distinct values once and otherwise compare ints.
+    memoized by id: the normal-word collector, one product per pair of T,
+    multiplies each pair of distinct values once.
     """
 
     __slots__ = ("kind", "values", "_ids", "_products", "_conjugates")
@@ -199,92 +194,42 @@ NON_FINE_DIVISION_TAGS = frozenset({"2-a", "2-b", "2-c", "2-d", "2-e", "3-a", "3
 
 
 class GradedDivisionAlgebra:
-    """A crossed product over a finite abelian support, validated eagerly;
-    `sigma_ids[i][j]` is the id in `units` of sigma at support positions i, j,
-    and `_conj[i]` tells whether position i acts by conjugation."""
+    """A crossed product over a finite abelian support, presented by one X_j
+    per coordinate generator g_j of T: X_j c = alpha_j(c) X_j (conjugation
+    where `conj[j]`), X_j^o(g_j) = `powers[j]`, and X_j X_i = b_ji X_i X_j
+    for i < j, b_ji = `commutators[(j, i)]` or 1; X_t is the normal word.
+    `presentation` keeps the three; `_sigma_ids[i][j]` is the id in `_units`
+    of sigma at positions i, j, and `_conj[i]` tells if i acts by conjugation."""
 
-    def __init__(self, support: AbelianGroup, kind: CoefficientKind, conj_elements,
-                 units: UnitInterner, sigma_ids, type_tag=None):
+    def __init__(self, support: AbelianGroup, kind: CoefficientKind, conj, powers, commutators,
+                 type_tag=None):
         if not support.is_finite():
             raise ValueError("the support of a division grading must be finite")
-        self.support = support
-        self.kind = kind
-        self.conj_elements = frozenset(conj_elements)
-        self.type_tag = type_tag
+        orders, r = support.torsion, support.rank
+        if len(conj) != r or len(powers) != r or not all(0 <= i < j < r for j, i in commutators):
+            raise ValueError(f"a presentation of {support.pretty()} needs {r} action flags, "
+                             f"{r} powers, and commutators at (j, i) with i < j < {r}")
+        if any(conj) and kind.family != "C":
+            raise ValueError("the rationals admit no conjugation action" if kind.family == "R" else
+                             "quaternion conjugation is an anti-automorphism; "
+                             "quaternion coefficients only support the trivial action")
+        self.support, self.kind, self.type_tag = support, kind, type_tag
         self._elements, self._index, self._add = support_table(support)
-        n = len(self._elements)
-        if units.kind != kind or len(sigma_ids) != n or any(len(row) != n for row in sigma_ids):
-            raise ValueError(f"sigma must be a {n} x {n} table of ids interned for {kind!r}")
-        self._units = units
-        self._sigma_ids = sigma_ids
-        self._validate()
-        self._beta = None
-        self._quad = None
-        self._weyl = None
-
-    # -- construction-time checks ------------------------------------------
-
-    def _validate(self):
-        """Check the action and the cocycle with the middle argument in the
-        coordinate generators S of T only.
-
-        Action: phi(u + g) = phi(u) + phi(g) for all u and g in S gives
-        phi(0) = 0 (at u = 0), then additivity by induction on words in S.
-        Cocycle (Light's argument): with x = a X_u, y = b X_v, the set
-        M = {m : (x m) y = x (m y) for all x, y} is a subspace closed under
-        products: (x (m m')) y = ((x m) m') y = (x m) (m' y) = x (m (m' y))
-        = x ((m m') y).  D_e lies in M, as sigma is normalized and alpha_u is
-        a ring automorphism: (x c) y = a alpha_u(c) alpha_u(b) sigma(u, v)
-        X_(u+v) = x (c y).  sigma values commute with D_e (C is commutative;
-        R and H admit only +-1), so with alpha_(u+s) = alpha_u alpha_s, both
-        (x X_s) y and x (X_s y) are a alpha_(u+s)(b) X_(u+s+v) times, in turn,
-        sigma(u, s) sigma(u + s, v) and alpha_u(sigma(s, v)) sigma(u, s + v):
-        X_s is in M iff the identity holds at every (u, s, v).  D_e and X_S
-        generate A, so M = A: A is associative, and the identity holds on all
-        triples.  The checks before it establish the facts used.
-        """
-        elems, add, sigma, units = self._elements, self._add, self._sigma_ids, self._units
-        n = len(elems)
-        if self.conj_elements and self.kind.family == "R":
-            raise ValueError("the rationals admit no conjugation action")
-        if self.conj_elements and self.kind.family == "H":
-            raise ValueError(
-                "quaternion conjugation is an anti-automorphism; "
-                "quaternion coefficients only support the trivial action"
-            )
-        for g in self.conj_elements:
-            if g.group != self.support:
-                raise ValueError("action defined outside the support")
-        gens = [self._index[g] for g in self.support.generators()] or [0]  # T = 0: its zero
-        self._conj = conj = [t in self.conj_elements for t in elems]
-        for u in range(n):
-            for g in gens:
-                if (conj[u] ^ conj[g]) != conj[add[u][g]]:
-                    raise ValueError(
-                        f"action is not a group homomorphism at {elems[u]}, {elems[g]}")
-        allowed = {a: self.kind.is_allowed_cocycle_unit(units.values[a])
-                   for a in set().union(*sigma)}
-        if not all(allowed.values()):
-            u, v = next((u, v) for u in range(n) for v in range(n) if not allowed[sigma[u][v]])
-            raise CocycleError(f"sigma({elems[u]}, {elems[v]}) = "
-                               f"{units.values[sigma[u][v]]!r} is not an allowed unit")
-        one = units.intern(self.kind.one())
-        for u in range(n):  # position 0 is the zero of T
-            if sigma[0][u] != one or sigma[u][0] != one:
-                raise CocycleError(f"sigma is not normalized at {elems[u]}")
-        # sigma(u, g) sigma(u + g, w) = alpha_u(sigma(g, w)) sigma(u, g + w) on ids
-        mul, conjugate = units.mul, units.conj
-        for u in range(n):
-            s_u, add_u, conj_u = sigma[u], add[u], conj[u]
-            for g in gens:
-                s_ug, s_sum, s_g, add_g = s_u[g], sigma[add_u[g]], sigma[g], add[g]
-                for w in range(n):
-                    s_gw = conjugate(s_g[w]) if conj_u else s_g[w]
-                    if mul(s_ug, s_sum[w]) != mul(s_gw, s_u[add_g[w]]):
-                        raise CocycleError(
-                            f"cocycle identity fails at ({elems[u]}, {elems[g]}, {elems[w]})",
-                            witness=(elems[u], elems[g], elems[w]),
-                        )
+        self.presentation = (tuple(conj), tuple(map(kind.coerce, powers)),
+                             {key: kind.coerce(b) for key, b in commutators.items()})
+        for x in self.presentation[1] + tuple(self.presentation[2].values()):
+            if not kind.is_allowed_cocycle_unit(x):
+                raise CocycleError(f"presentation value {x!r} is not an allowed unit")
+        units = self._units = UnitInterner(kind)
+        p = [units.intern(x) for x in powers]
+        b = [[units.intern(commutators.get((j, i), 1)) for i in range(j)] for j in range(r)]
+        word = _overlap_failure(orders, conj, p, b, units, [f"X{g}" for g in support.generators()])
+        if word:
+            raise CocycleError(f"presentation is inconsistent at the overlap {word}", witness=word)
+        self._conj = [sum(c for c, f in zip(t.coords, conj) if f) % 2 == 1 for t in self._elements]
+        self.conj_elements = frozenset(t for t, c in zip(self._elements, self._conj) if c)
+        self._sigma_ids = _normal_words(orders, conj, p, b, units, self._add)
+        self._beta = self._quad = self._weyl = None
 
     # -- basic structure -----------------------------------------------------
 
@@ -549,20 +494,159 @@ class QuadraticData:
         return self.total == other.total and self.values == other.values
 
 
+def _overlap_failure(orders, conj, powers, comm, units, names):
+    """The first overlap word (in `names`) at which a presentation fails, or
+    None; `powers[j]` and `comm[j][i]` (i < j) are the ids of p_j and b_ji.
+
+    With i < j < k, m_j = o(g_j) and N_j(b) = prod_(l < m_j) alpha_j^l(b),
+    each check (1)-(5) below equates two reductions of the word it returns,
+    so each is necessary.  Together they are sufficient, by induction: let
+    B_j = <D_e, X_0 ... X_(j-1)> be free on its normal words, so presented
+    by their relations.  B_(j+1) = B_j[Y; theta]/(Y^m - p), m = m_j, p = p_j,
+    theta = alpha_j on D_e and theta(X_i) = b_ji X_i.  theta keeps B_j's
+    relations: X_i c = alpha_i(c) X_i (the actions commute, and the values,
+    allowed units, are central in D_e), X_i^m_i = p_i by (4), as (b_ji X_i)^m_i
+    = N_i(b_ji) p_i, and X_k X_i = b_ki X_i X_k by (5) on i < k < j; it scales
+    each normal word by a unit, so it is an automorphism.  By (2) theta(p) = p;
+    theta^m is conjugation by p, on D_e by (1) (alpha_j^m = 1) and on X_i by
+    (3) (N_j(b_ji) X_i = p alpha_i(p)^-1 X_i).  So (Y^m - p) r = p r p^-1
+    (Y^m - p) and Y (Y^m - p) = (Y^m - p) Y: Y^m - p, monic, spans a two-sided
+    ideal, and B_(j+1) is free over B_j on 1, Y, ..., Y^(m-1).  Hence D is
+    free on the s(t), s(u) s(v) = tau(u, v) s(u + v), and associative: tau
+    is a cocycle.
+    """
+    mul, one = units.mul, units.intern(1)
+
+    def alpha(j, a):
+        return units.conj(a) if conj[j] else a
+
+    def norm(j, a):
+        return functools.reduce(mul, (alpha(j, a) if l % 2 else a for l in range(orders[j])), one)
+
+    for j, (m, p) in enumerate(zip(orders, powers)):
+        if conj[j] and m % 2:  # (1) a conjugating X_j has even order
+            return f"{names[j]}^{m} c"
+        if alpha(j, p) != p:  # (2) alpha_j(p_j) = p_j
+            return f"{names[j]}^{m + 1}"
+        for i in range(j):
+            b = comm[j][i]
+            if p != mul(norm(j, b), alpha(i, p)):  # (3) p_j = N_j(b) alpha_i(p_j)
+                return f"{names[j]}^{m} {names[i]}"
+            if alpha(j, powers[i]) != mul(norm(i, b), powers[i]):  # (4) alpha_j(p_i) = N_i(b) p_i
+                return f"{names[j]} {names[i]}^{orders[i]}"
+            for k in range(j + 1, len(orders)):
+                # (5) with c = b_kj, d = b_ki: c alpha_j(d) b_ji = alpha_k(b_ji) d alpha_i(c)
+                c, d = comm[k][j], comm[k][i]
+                if mul(mul(c, alpha(j, d)), b) != mul(mul(alpha(k, b), d), alpha(i, c)):
+                    return f"{names[k]} {names[j]} {names[i]}"
+    return None
+
+
+def _digit_steps(orders):
+    """(v, v - g_j, j) for each nonzero position v of `support_table`, with
+    j its last nonzero digit (the first whose stride divides v): s(v) = s(v - g_j) X_j."""
+    strides = [math.prod(orders[j + 1:]) for j in range(len(orders))]
+    for v in range(1, math.prod(orders)):
+        j = next(j for j, s in enumerate(strides) if v % s == 0)
+        yield v, v - strides[j], j
+
+
+def _normal_words(orders, conj, powers, comm, units, add):
+    """The ids of tau, s(u) s(v) = tau(u, v) s(u + v) with s(t) = X_0^t_0 ...
+    X_(r-1)^t_(r-1), on the positions of `add`, for a consistent presentation
+    (ids as in `_overlap_failure`).  In s(w) X_j, X_j crosses X_k^w_k (k > j),
+    leaving prod_(l < w_k) alpha_k^l(b_kj) to cross w_0 ... w_(k-1); if
+    w_j = m_j - 1, p_j crosses w_0 ... w_(j-1).  Then s(v) = s(v') X_j
+    (`_digit_steps`) gives tau(u, v) = tau(u, v') tau(u + v', g_j).
+    """
+    mul, one, r = units.mul, units.intern(1), len(orders)
+
+    def alpha(odd, a):
+        return units.conj(a) if odd % 2 else a
+
+    runs = [[list(itertools.accumulate((alpha(l * conj[k], comm[k][j]) for l in range(m - 1)),
+                                       mul, initial=one)) for j in range(k)]
+            for k, m in enumerate(orders)]
+    col = []
+    for d in itertools.product(*(range(m) for m in orders)):
+        odd = list(itertools.accumulate((c * f for c, f in zip(d, conj)), initial=0))
+        col.append([functools.reduce(
+            mul, (alpha(odd[k], runs[k][j][d[k]]) for k in range(j + 1, r)),
+            alpha(odd[j], powers[j]) if d[j] == orders[j] - 1 else one) for j in range(r)])
+    steps, tau = list(_digit_steps(orders)), []
+    for add_u in add:
+        row = [one] * len(add)
+        for v, w, j in steps:
+            row[v] = mul(row[w], col[add_u[w]][j])
+        tau.append(row)
+    return tau
+
+
 def build_crossed_product(support, kind, action, cocycle, type_tag=None) -> GradedDivisionAlgebra:
-    """Validated crossed product.
+    """Validated crossed product with the given sigma.
 
     `action` is the collection of the elements that act by conjugation;
-    `cocycle` maps element pairs to coefficient units, and is turned here into
-    the sigma id table of `GradedDivisionAlgebra`.
+    `cocycle` maps element pairs to coefficient units.  Past the checks of
+    the action, the units and the normalization, a presentation is read off
+    sigma, with s(v) = lambda(v) X_v, lambda(v) = lambda(v') sigma(v', g_j)
+    (`_digit_steps`).  sigma is a cocycle iff it is consistent and
+    sigma(u, v) lambda(u) alpha_u(lambda(v)) = tau(u, v) lambda(u + v) at each
+    pair: a cocycle makes D associative, so both hold, and then
+    c X_t -> c lambda(t) X_t is a ring isomorphism from the tau algebra.
     """
-    elems = list(support.elements())
+    elems, index, add = support_table(support)
+    n = len(elems)
     missing = next(((u, v) for u in elems for v in elems if (u, v) not in cocycle), None)
     if missing:
         raise CocycleError("sigma undefined at ({}, {})".format(*missing))
     units = UnitInterner(kind)
     sigma = [[units.intern(cocycle[(u, v)]) for v in elems] for u in elems]
-    return GradedDivisionAlgebra(support, kind, action, units, sigma, type_tag)
+    action = frozenset(action)
+    if any(g.group != support for g in action):
+        raise ValueError("action defined outside the support")
+    gens, conj = [index[g] for g in support.generators()], [t in action for t in elems]
+    for u, g in itertools.product(range(n), gens or [0]):  # T = 0: its zero
+        if (conj[u] ^ conj[g]) != conj[add[u][g]]:
+            raise ValueError(f"action is not a group homomorphism at {elems[u]}, {elems[g]}")
+    allowed = {a: kind.is_allowed_cocycle_unit(units.values[a]) for a in set().union(*sigma)}
+    if not all(allowed.values()):
+        u, v = next((u, v) for u in range(n) for v in range(n) if not allowed[sigma[u][v]])
+        raise CocycleError(f"sigma({elems[u]}, {elems[v]}) = "
+                           f"{units.values[sigma[u][v]]!r} is not an allowed unit")
+    one, mul, bar, values = units.intern(1), units.mul, units.conj, units.values
+    for u in range(n):  # position 0 is the zero of T
+        if sigma[0][u] != one or sigma[u][0] != one:
+            raise CocycleError(f"sigma is not normalized at {elems[u]}")
+    lam = [one] * n
+    for v, w, j in _digit_steps(support.torsion):
+        lam[v] = mul(lam[w], sigma[w][gens[j]])
+    powers = [values[mul(lam[(m - 1) * g], sigma[(m - 1) * g][g])]
+              for m, g in zip(support.torsion, gens)]
+    comm = {(j, i): values[sigma[g][h]] / values[sigma[h][g]]
+            for j, g in enumerate(gens) for i, h in enumerate(gens[:j])}
+    try:
+        d = GradedDivisionAlgebra(support, kind, [conj[g] for g in gens], powers, comm, type_tag)
+    except CocycleError:
+        tau = None
+    else:
+        ids = [units.intern(x) for x in d._units.values]
+        tau = [[ids[a] for a in row] for row in d._sigma_ids]
+    if tau is not None and all(mul(mul(sigma[u][v], lam[u]), bar(lam[v]) if conj[u] else lam[v])
+                               == mul(tau[u][v], lam[add[u][v]])
+                               for u in range(n) for v in range(n)):
+        d._units, d._sigma_ids = units, sigma
+        return d
+    # Refused: name the first (u, g, w), g a coordinate generator, at which the
+    # identity fails.  One exists (Light): the m with (x m) y = x (m y) for all
+    # x, y form a subalgebra; it holds D_e (sigma is normalized, alpha_u a ring
+    # automorphism), and X_g iff the identity holds at every (u, g, w), as the
+    # values commute with D_e.  D_e and the X_g generate D, not associative.
+    for u, g, w in itertools.product(range(n), gens, range(n)):
+        if mul(sigma[u][g], sigma[add[u][g]][w]) != mul(
+                bar(sigma[g][w]) if conj[u] else sigma[g][w], sigma[u][add[g][w]]):
+            raise CocycleError(f"cocycle identity fails at ({elems[u]}, {elems[g]}, {elems[w]})",
+                               witness=(elems[u], elems[g], elems[w]))
+    raise AssertionError("a refused sigma passes the cocycle identity on every triple")
 
 
 def commutation_bicharacter(d: GradedDivisionAlgebra) -> Bicharacter:
@@ -601,31 +685,21 @@ def quadratic_form(d: GradedDivisionAlgebra) -> QuadraticData:
     For components of dimension 1 or 4 this is the total table t -> sign with
     X_t^2 = mu(t) X_{2t} in the defining basis; for dimension-2 components
     with a nontrivial action it is the partial map nu on T \\ K.  Squares
-    whose cocycle value is not +-1 indicate a non-catalog cocycle.
+    whose cocycle value is not +-1 indicate a non-catalog cocycle.  As D is
+    associative, mu(u + v) = beta(u, v) mu(u) mu(v) on an elementary T.
     """
-    if d._quad is not None:
-        return d._quad
+    if d._quad is None:
+        def sign_of(value):
+            if value == d.kind.one():
+                return 1
+            if value == -d.kind.one():
+                return -1
+            raise ValueError(f"normalized square {value!r} is not +-1")
 
-    def sign_of(value):
-        if value == d.kind.one():
-            return 1
-        if value == -d.kind.one():
-            return -1
-        raise ValueError(f"normalized square {value!r} is not +-1")
-
-    if d.kind.dim in (1, 4):
-        values = {t: sign_of(d.sigma(t, t)) for t in d.elements()}
-        quad = QuadraticData(True, values)
-        if d.support.is_elementary_two():
-            bad = _polarization_failure(commutation_bicharacter(d),
-                                        [values[t] for t in d.elements()])
-            if bad:
-                raise ValueError("polarization identity fails at ({}, {})".format(*bad))
-    else:
-        values = {t: sign_of(d.sigma(t, t)) for t in d.conj_elements}
-        quad = QuadraticData(False, values)
-    d._quad = quad
-    return quad
+        total = d.kind.dim in (1, 4)
+        d._quad = QuadraticData(total, {t: sign_of(d.sigma(t, t))
+                                        for t in (d.elements() if total else d.conj_elements)})
+    return d._quad
 
 
 def _polarization_failure(beta: Bicharacter, signs):
@@ -736,131 +810,70 @@ def is_fine_division(d: GradedDivisionAlgebra) -> bool:
 # canonical catalog
 # ---------------------------------------------------------------------------
 
-def _block_pauli():
-    # X_a, X_b the 2x2 real Pauli-type units: X_a X_b = -X_b X_a, squares +1
-    return (2, 2), (False, False), lambda u, v: (-1) ** (u[1] * v[0])
-
-
-def _block_quaternion():
-    # X_a = i, X_b = j inside the quaternions: anticommute, squares -1
-    return (2, 2), (False, False), \
-        lambda u, v: (-1) ** (u[1] * v[0] + u[0] * v[0] + u[1] * v[1])
-
-
-def _block_central_i():
-    # X_z central with X_z^2 = -1 (the complex unit viewed over the reals)
-    return (2,), (False,), lambda u, v: (-1) ** (u[0] * v[0])
-
-
-def _block_z2_z4():
-    # X_a of order 2, X_s of order 4 with X_s^2 central, X_s^4 = -1,
-    # X_a X_s = -X_s X_a; drives the 1-d family
-    return (2, 4), (False, False), \
-        lambda u, v: (-1) ** (u[1] * v[0] + (u[1] + v[1]) // 4)
-
-
-def _block_conj2(square_sign: int):
-    # X_g of order 2 acting on the coefficients by conjugation, X_g^2 = +-1
-    return (2,), (True,), lambda u, v: square_sign ** (u[0] * v[0])
-
-
-def _block_conj4():
-    # X_s of order 4 acting by conjugation, normalized so that X_s^4 = -1
-    return (4,), (True,), lambda u, v: (-1) ** ((u[0] + v[0]) // 4)
-
-
-def _block_complex_pauli(order: int):
-    # generalized clock and shift of size `order`: X_u X_v = zeta X_v X_u
-    return (order, order), (False, False), lambda u, v: zeta(order, u[0] * v[1] % order)
+# Each block presents D on its own coordinates: (orders, conjugation flags,
+# powers X_j^o(g_j), {(j, i): b_ji} with X_j X_i = b_ji X_i X_j).
+# X_a, X_b the 2x2 real Pauli-type units: X_a X_b = -X_b X_a, squares +1
+_PAULI = (2, 2), (False, False), (1, 1), {(1, 0): -1}
+# X_a = i, X_b = j inside the quaternions: anticommute, squares -1
+_QUATERNION = (2, 2), (False, False), (-1, -1), {(1, 0): -1}
+# X_z central with X_z^2 = -1 (the complex unit viewed over the reals)
+_CENTRAL_I = (2,), (False,), (-1,), {}
+# X_a of order 2, X_s of order 4 with X_s^4 = -1, X_a X_s = -X_s X_a: the 1-d family
+_Z2_Z4 = (2, 4), (False, False), (1, -1), {(1, 0): -1}
+# X_g of order 2 acting on the coefficients by conjugation, X_g^2 = +1 or -1
+_CONJ2 = {sign: ((2,), (True,), (sign,), {}) for sign in (1, -1)}
+# X_s of order 4 acting by conjugation, X_s^4 = -1
+_CONJ4 = (4,), (True,), (-1,), {}
 
 
 def _assemble(blocks, kind_family, type_tag) -> GradedDivisionAlgebra:
-    """The crossed product of `blocks`, each (orders, conjugation flags, sigma on
-    its own coordinates).  In the layout of `support_table`, T's sigma id
-    table is the Kronecker product of the block tables under `units.mul`."""
-    orders = tuple(m for block_orders, _, _ in blocks for m in block_orders)
-    conj_flags = [flag for _, block_conj, _ in blocks for flag in block_conj]
+    """The crossed product of `blocks` on consecutive coordinates; blocks commute."""
+    orders, conj, powers, comm = (), (), (), {}
+    for block_orders, block_conj, block_powers, block_comm in blocks:
+        at = len(orders)
+        comm.update({(j + at, i + at): b for (j, i), b in block_comm.items()})
+        orders, conj, powers = orders + block_orders, conj + block_conj, powers + block_powers
     support = AbelianGroup(0, orders)
-    if kind_family == "R":
-        kind = CoefficientKind.real()
-    elif kind_family == "H":
-        kind = CoefficientKind.quaternion()
-    else:
-        exp = support.exponent()
-        kind = CoefficientKind.complex(exp if exp > 2 else 4)
-    units = UnitInterner(kind)
-    mul = units.mul
-    sigma = [[units.intern(1)]]
-    for block_orders, _, block_sigma in blocks:
-        coords = list(itertools.product(*(range(m) for m in block_orders)))
-        block = [[units.intern(block_sigma(u, v)) for v in coords] for u in coords]
-        sigma = [[mul(x, y) for x in row for y in block_row]
-                 for row in sigma for block_row in block]
-    conj = {t for t in support.elements()
-            if sum(c for c, flag in zip(t.coords, conj_flags) if flag) % 2 == 1}
-    return GradedDivisionAlgebra(support, kind, conj, units, sigma, type_tag)
-
-
-def _require(condition, tag, support):
-    if not condition:
-        raise CatalogError(f"type {tag} is incompatible with support {support.pretty()}")
+    exp = support.exponent()
+    kind = CoefficientKind(kind_family, None if kind_family != "C" else exp if exp > 2 else 4)
+    return GradedDivisionAlgebra(support, kind, conj, powers, comm, type_tag)
 
 
 def canonical(type_tag: str, support) -> GradedDivisionAlgebra:
     """A concrete crossed-product representative of a catalog equivalence class.
 
     `support` may be an AbelianGroup or a string such as 'Z2xZ2' or 'Z3^2'.
-    Types other than those exercised by dimension-1 and 2-f gradings are
-    built at their minimal compatible sizes from the same blocks.
+    Each type is a list of blocks, which fits T when their orders are T's;
+    on 2-f the clock and shift give sigma(u, v) = zeta^(-u_1 v_0).
     """
     if isinstance(support, str):
         support = parse_group_string(support)
-    tag, real = type_tag, "R"
+    tag, family = type_tag, "C"
     if tag in ("3-a", "3-b", "3-c", "3-d"):  # the blocks of 1-a ... 1-d over H
-        tag, real = "1-" + tag[-1], "H"
-    _require(support.is_finite(), tag, support)
+        tag, family = "1-" + tag[-1], "H"
+    elif tag.startswith("1-"):
+        family = "R"
     tors = support.torsion
-    twos = sum(1 for m in tors if m == 2)
-    fours = sum(1 for m in tors if m == 4)
-
-    if tag == "1-a":
-        _require(support.is_elementary_two() and len(tors) % 2 == 0, tag, support)
-        return _assemble([_block_pauli()] * (len(tors) // 2), real, type_tag)
-    if tag == "1-b":
-        _require(support.is_elementary_two() and len(tors) % 2 == 0 and tors, tag, support)
-        blocks = [_block_quaternion()] + [_block_pauli()] * (len(tors) // 2 - 1)
-        return _assemble(blocks, real, type_tag)
-    if tag == "1-c":
-        _require(support.is_elementary_two() and len(tors) % 2 == 1, tag, support)
-        blocks = [_block_pauli()] * (len(tors) // 2) + [_block_central_i()]
-        return _assemble(blocks, real, type_tag)
-    if tag == "1-d":
-        _require(twos + fours == len(tors) and fours == 1 and twos % 2 == 1, tag, support)
-        return _assemble([_block_pauli()] * (twos // 2) + [_block_z2_z4()], real, type_tag)
-    if tag in ("2-a", "2-b"):
-        _require(support.is_elementary_two() and len(tors) % 2 == 1, tag, support)
-        sign = 1 if tag == "2-a" else -1
-        return _assemble([_block_conj2(sign)] + [_block_pauli()] * (len(tors) // 2), "C", tag)
-    if tag == "2-c":
-        _require(support.is_elementary_two() and len(tors) % 2 == 0 and tors, tag, support)
-        blocks = [_block_conj2(1), _block_central_i()] + [_block_pauli()] * (len(tors) // 2 - 1)
-        return _assemble(blocks, "C", tag)
-    if tag == "2-d":
-        _require(twos + fours == len(tors) and fours == 1 and twos % 2 == 0 and twos >= 2,
-                 tag, support)
-        blocks = [_block_conj2(1)] + [_block_pauli()] * ((twos - 2) // 2) + [_block_z2_z4()]
-        return _assemble(blocks, "C", tag)
-    if tag == "2-e":
-        _require(twos + fours == len(tors) and fours == 1 and twos % 2 == 0, tag, support)
-        return _assemble([_block_pauli()] * (twos // 2) + [_block_conj4()], "C", tag)
-    if tag == "2-f":
-        _require(len(tors) % 2 == 0, tag, support)
-        half = []
-        for i in range(0, len(tors), 2):
-            _require(tors[i] == tors[i + 1], tag, support)
-            half.append(tors[i])
-        return _assemble([_block_complex_pauli(m) for m in half], "C", tag)
-    raise CatalogError(f"unknown type tag {type_tag!r}")
+    half, twos = len(tors) // 2, tors.count(2)
+    blocks = {
+        "1-a": [_PAULI] * half,
+        "1-b": [_QUATERNION] + [_PAULI] * (half - 1),
+        "1-c": [_PAULI] * half + [_CENTRAL_I],
+        "1-d": [_PAULI] * (twos // 2) + [_Z2_Z4],
+        "2-a": [_CONJ2[1]] + [_PAULI] * half,
+        "2-b": [_CONJ2[-1]] + [_PAULI] * half,
+        "2-c": [_CONJ2[1], _CENTRAL_I] + [_PAULI] * (half - 1),
+        "2-d": [_CONJ2[1]] + [_PAULI] * (twos // 2 - 1) + [_Z2_Z4],
+        "2-e": [_PAULI] * (twos // 2) + [_CONJ4],
+        # generalized clock and shift of size m: X_b X_a = zeta^-1 X_a X_b
+        "2-f": [((m, m), (False, False), (1, 1), {(1, 0): zeta(m, m - 1)}) for m in tors[::2]],
+    }.get(tag)
+    if not support.is_finite() or blocks is not None and tors != tuple(
+            m for block in blocks for m in block[0]):
+        raise CatalogError(f"type {tag} is incompatible with support {support.pretty()}")
+    if blocks is None:
+        raise CatalogError(f"unknown type tag {type_tag!r}")
+    return _assemble(blocks, family, type_tag)
 
 
 def parse_catalog_ref(ref: str) -> GradedDivisionAlgebra:
@@ -875,29 +888,16 @@ def parse_catalog_ref(ref: str) -> GradedDivisionAlgebra:
 
 
 def underlying_algebra_name(d: GradedDivisionAlgebra) -> str:
-    """Name of the ungraded algebra of a catalog entry, e.g. 'M2(C)' or 'H'."""
-    tag = d.type_tag
-    order = d.support.order()
+    """Name of the ungraded algebra of a catalog entry, e.g. 'M2(C)' or 'H'; the
+    dimension-2 types at their minimal representatives, 3-a ... 3-d as H (x) 1-a ... 1-d."""
+    tag, order, root = d.type_tag, d.support.order(), math.isqrt
     if tag is None:
         raise CatalogError("underlying algebra names are catalog metadata")
-    if tag == "1-a":
-        n = math.isqrt(order)
-        return "R" if n == 1 else f"M{n}(R)"
-    if tag == "1-b":
-        n = math.isqrt(order) // 2
-        return "H" if n == 1 else f"M{n}(H)"
-    if tag in ("1-c", "1-d"):
-        n = math.isqrt(order // 2)
-        return "C" if n == 1 else f"M{n}(C)"
-    if tag == "2-f":
-        n = math.isqrt(order)
-        return "C" if n == 1 else f"M{n}(C)"
-    # dimension-2 and dimension-4 minimal representatives
-    if tag in ("2-a",):
-        return f"M{math.isqrt(2 * order)}(R)"
-    if tag in ("2-b",):
-        return f"M{math.isqrt(2 * order) // 2}(H)" if 2 * order > 4 else "H"
-    if tag in ("2-c", "2-d", "2-e"):
-        return f"M{math.isqrt(order)}(C)"
-    inner = {"3-a": "1-a", "3-b": "1-b", "3-c": "1-c", "3-d": "1-d"}[tag]
-    return f"H (x) {underlying_algebra_name(canonical(inner, d.support))}"
+    field, n = {
+        "1-a": ("R", root(order)), "1-b": ("H", root(order) // 2),
+        "1-c": ("C", root(order // 2)), "1-d": ("C", root(order // 2)), "2-f": ("C", root(order)),
+        "2-a": ("R", root(2 * order)), "2-b": ("H", root(2 * order) // 2),
+        "2-c": ("C", root(order)), "2-d": ("C", root(order)), "2-e": ("C", root(order)),
+    }["1-" + tag[2] if tag.startswith("3-") else tag]
+    name = field if n == 1 else f"M{n}({field})"
+    return f"H (x) {name}" if tag.startswith("3-") else name

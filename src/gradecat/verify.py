@@ -326,7 +326,7 @@ def suite_stab():
 
 def suite_properties():
     """Associativity (Light's test in `from_division`, independent of the
-    cocycle check), bicharacter laws, Quad torsor, Arf values."""
+    overlap check), bicharacter laws, Quad torsor, Arf values."""
     checks = []
     refs = [
         ("1-a", "Z2xZ2"), ("1-a", "Z2^4"), ("1-b", "Z2xZ2"), ("1-c", "Z2^3"),

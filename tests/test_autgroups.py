@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -43,7 +44,6 @@ from gradecat.division import (
     Bicharacter,
     CoefficientKind,
     GradedDivisionAlgebra,
-    UnitInterner,
     canonical,
     commutation_bicharacter,
 )
@@ -314,9 +314,8 @@ def test_weyl_1c_on_c_is_trivial():
 
 def _trivially_graded_z257():
     """Q graded trivially by Z257, one element past ELEMENT_BOUND."""
-    group, units = AbelianGroup(0, (257,)), UnitInterner(CoefficientKind.real())
-    one = units.intern(1)
-    return GradedDivisionAlgebra(group, units.kind, (), units, [[one] * 257] * 257)
+    real = CoefficientKind.real()
+    return GradedDivisionAlgebra(AbelianGroup(0, (257,)), real, (False,), (1,), {})
 
 
 def test_weyl_respects_bound():
@@ -730,11 +729,21 @@ def _reference_psi(d, phi, images):
     return psi
 
 
+@functools.lru_cache(maxsize=None)
+def _basis_products(d):
+    """The Q-basis b X_u of D, and the product x y of each pair of it, which
+    do not depend on psi: computed once per algebra."""
+    basis = [d.unit(u, b) for u in d.elements() for b in d.kind.basis()]
+    return basis, [[x * y for y in basis] for x in basis]
+
+
 def _reference_is_automorphism(d, phi, images):
     """psi(x y) = psi(x) psi(y) for every pair x, y of the Q-basis b X_u of D."""
     psi = _reference_psi(d, phi, images)
-    basis = [(x, psi(x)) for x in (d.unit(u, b) for u in d.elements() for b in d.kind.basis())]
-    return all(psi(x * y) == psi_x * psi_y for x, psi_x in basis for y, psi_y in basis)
+    basis, products = _basis_products(d)
+    psis = [psi(x) for x in basis]
+    return all(psi(xy) == psi_x * psi_y for row, psi_x in zip(products, psis)
+               for xy, psi_y in zip(row, psis))
 
 
 def _assert_generating_witness(d, phi, images, err):

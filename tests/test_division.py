@@ -701,21 +701,22 @@ def test_inverse_raises_when_only_one_side_inverts():
         d.unit(e[1]).inverse()
 
 
-def test_constructor_takes_a_checked_id_table():
+def test_constructor_takes_a_checked_presentation():
     z2 = AbelianGroup(0, (2,))
     e, x = z2.elements()
     real = CoefficientKind.real()
-    units = UnitInterner(real)
-    one, minus = units.intern(1), units.intern(-1)
-    d = GradedDivisionAlgebra(z2, real, (), units, [[one, one], [one, minus]])
+    d = GradedDivisionAlgebra(z2, real, (False,), (-1,), {})
     assert d.sigma(x, x) == -1 and d.sigma(e, x) == 1
+    assert d.presentation == ((False,), (-1,), {})
     assert not hasattr(d, "cocycle")
-    with pytest.raises(ValueError, match="a 2 x 2 table"):
-        GradedDivisionAlgebra(z2, real, (), units, [[one, one]])
-    with pytest.raises(ValueError, match="a 2 x 2 table"):
-        GradedDivisionAlgebra(z2, real, (), units, [[one, one], [one]])
-    with pytest.raises(ValueError, match="a 2 x 2 table"):
-        GradedDivisionAlgebra(z2, CoefficientKind.complex(4), (), units, [[one, one], [one, one]])
+    with pytest.raises(ValueError, match="a presentation of Z2 needs 1 action flags, 1 powers"):
+        GradedDivisionAlgebra(z2, real, (False,), (), {})
+    with pytest.raises(ValueError, match="a presentation of Z2 needs 1 action flags, 1 powers"):
+        GradedDivisionAlgebra(z2, real, (), (-1,), {})
+    with pytest.raises(ValueError, match=r"commutators at \(j, i\) with i < j < 1"):
+        GradedDivisionAlgebra(z2, real, (False,), (-1,), {(0, 0): 1})
+    with pytest.raises(TypeError, match="cannot coerce"):  # a value of another kind
+        GradedDivisionAlgebra(z2, real, (False,), (zeta(4),), {})
     with pytest.raises(CocycleError, match=r"sigma undefined at \(<1>, <1>\)"):
         build_crossed_product(z2, real, (), {(e, e): 1, (e, x): 1, (x, e): 1})
 
@@ -897,19 +898,39 @@ def test_coboundary_twist_validates_and_keeps_beta(ref, data):
                for u in beta.domain for v in beta.domain)
 
 
+def _former_sigma(block):
+    """The catalog's former sigma formula of a block, on its own coordinates."""
+    former = [
+        (division._PAULI, lambda u, v: (-1) ** (u[1] * v[0])),
+        (division._QUATERNION, lambda u, v: (-1) ** (u[1] * v[0] + u[0] * v[0] + u[1] * v[1])),
+        (division._CENTRAL_I, lambda u, v: (-1) ** (u[0] * v[0])),
+        (division._Z2_Z4, lambda u, v: (-1) ** (u[1] * v[0] + (u[1] + v[1]) // 4)),
+        (division._CONJ2[1], lambda u, v: 1),
+        (division._CONJ2[-1], lambda u, v: (-1) ** (u[0] * v[0])),
+        (division._CONJ4, lambda u, v: (-1) ** ((u[0] + v[0]) // 4)),
+    ]
+    for known, sigma in former:
+        if block is known:
+            return sigma
+    m = block[0][0]  # the clock and shift of 2-f
+    assert block == ((m, m), (False, False), (1, 1), {(1, 0): zeta(m, m - 1)})
+    return lambda u, v: zeta(m, u[0] * v[1] % m)
+
+
 def _per_pair_sigma(blocks, family):
     """sigma by the former per-pair construction: the product, over the
-    blocks, of each block's value on the pair's own coordinates.  Over H,
-    the values are those over R wrapped as quaternions."""
+    blocks, each (orders, sigma on its coordinates), of each block's value
+    on the pair's own coordinates.  Over H, the values are those over R
+    wrapped as quaternions."""
     if family == "H":
         return {pair: RationalQuaternion(value)
                 for pair, value in _per_pair_sigma(blocks, "R").items()}
-    group = AbelianGroup(0, tuple(m for orders, _, _ in blocks for m in orders))
+    group = AbelianGroup(0, tuple(m for orders, _ in blocks for m in orders))
     exp = group.exponent()
     kind = CoefficientKind.real() if family == "R" else CoefficientKind.complex(
         exp if exp > 2 else 4)
     spans, start = [], 0
-    for orders, _, block_sigma in blocks:
+    for orders, block_sigma in blocks:
         spans.append((start, start + len(orders), block_sigma))
         start += len(orders)
 
@@ -924,12 +945,15 @@ def _per_pair_sigma(blocks, family):
 
 
 def test_catalog_tables_match_the_per_pair_construction(monkeypatch):
+    # off 2-f the normal words are the former tables; on 2-f (zeta^(u_0 v_1)
+    # then, zeta^(-u_1 v_0) now) beta is the same and the table a cocycle
     built = {}
     assemble = division._assemble
 
     def recording(blocks, family, tag):
         d = assemble(blocks, family, tag)
-        built.setdefault((tag, d.support), (d, blocks, family))
+        former = [(block[0], _former_sigma(block)) for block in blocks]
+        built.setdefault((tag, d.support), (d, former, family))
         return d
 
     monkeypatch.setattr(division, "_assemble", recording)
@@ -943,8 +967,145 @@ def test_catalog_tables_match_the_per_pair_construction(monkeypatch):
     for (tag, support), (d, blocks, family) in built.items():
         expected = _per_pair_sigma(blocks, family)
         assert {(u, v) for u in d.elements() for v in d.elements()} == set(expected)
-        assert all(d.sigma(u, v) == value for (u, v), value in expected.items()), (tag, support)
+        if tag != "2-f":
+            assert all(d.sigma(u, v) == value
+                       for (u, v), value in expected.items()), (tag, support)
+            continue
+        beta = commutation_bicharacter(d)
+        assert all(beta.value(u, v) == value / expected[(v, u)]
+                   for (u, v), value in expected.items()), support
+        _reference_validate(d.support, d.kind, d.conj_elements, _cocycle(d))
     assert {"3-a", "3-b", "3-c", "3-d"} <= {tag for tag, _ in built}
+    assert "2-f" in {tag for tag, _ in built}
+
+
+# inconsistent presentations, each with the overlap whose two reductions differ
+INCONSISTENT = [
+    # 1-d's Z2xZ4 block in 2-d:Z2^2xZ4, its commutation sign -1 replaced by i.
+    # A sign alone cannot do it: with every value +-1 and every order even,
+    # each condition of `_overlap_failure` holds.  The conjugating X_0 sends
+    # i to -i, so X_s X_a X_0 has two reductions.
+    ("2-d:Z2^2xZ4", lambda conj, powers, comm: (conj, powers, {(2, 1): zeta(4)}),
+     "X<0,0,1> X<0,1,0> X<1,0,0>"),
+    # 2-a:Z2 with the square of its conjugating generator i, not real
+    ("2-a:Z2", lambda conj, powers, comm: (conj, (zeta(4),), comm), "X<1>^3"),
+    # 2-f:Z3^2 with b_10 = -1, a commutation factor that no skew bicharacter
+    # on Z3^2 takes: X_1^3 = 1 commutes with X_0, but b_10^3 = -1
+    ("2-f:Z3^2", lambda conj, powers, comm: (conj, powers, {(1, 0): -1}), "X<0,1>^3 X<1,0>"),
+    # 2-f:Z3^2 with X_0, of order 3, conjugating: X_0^3 is central, alpha^3 is not
+    ("2-f:Z3^2", lambda conj, powers, comm: ((True, False), powers, comm), "X<1,0>^3 c"),
+    # 2-e:Z2^2xZ4 with b_20 = i, the only failing check: X_s X_a^2 = X_s but
+    # N_a(i) = i^2 = -1
+    ("2-e:Z2^2xZ4", lambda conj, powers, comm: (conj, powers, {**comm, (2, 0): zeta(4)}),
+     "X<0,0,1> X<1,0,0>^2"),
+]
+
+
+@pytest.mark.parametrize("ref,mutate,overlap", INCONSISTENT, ids=[r for r, _, _ in INCONSISTENT])
+def test_inconsistent_presentation_names_its_overlap(ref, mutate, overlap):
+    d = parse_catalog_ref(ref)
+    GradedDivisionAlgebra(d.support, d.kind, *d.presentation)  # the catalog's is consistent
+    with pytest.raises(CocycleError) as err:
+        GradedDivisionAlgebra(d.support, d.kind, *mutate(*d.presentation))
+    assert str(err.value) == f"presentation is inconsistent at the overlap {overlap}"
+    assert err.value.witness == overlap
+
+
+def test_a_consistent_presentation_with_complex_values_gives_a_cocycle():
+    # 2-a:Z2^3 with X_1^2 = i and X_1 X_0 = i X_0 X_1 is consistent, X_0
+    # conjugating: collecting then conjugates p_1 and b_10 past X_0
+    d = parse_catalog_ref("2-a:Z2^3")
+    conj, powers, comm = d.presentation
+    e = GradedDivisionAlgebra(d.support, d.kind, conj, (powers[0], zeta(4), powers[2]),
+                              {**comm, (1, 0): zeta(4)})
+    _reference_validate(e.support, e.kind, e.conj_elements, _cocycle(e))
+    twin = build_crossed_product(e.support, e.kind, e.conj_elements, _cocycle(e))
+    assert twin.presentation[:2] == e.presentation[:2]
+    assert {key: b for key, b in twin.presentation[2].items() if b != 1} == e.presentation[2]
+
+
+def _allowed_units(kind):
+    """The values a presentation may take: +-1 over R and H, the roots of
+    unity of the conductor and their negatives over C."""
+    if kind.family != "C":
+        return [kind.coerce(1), kind.coerce(-1)]
+    return [s * zeta(kind.conductor, k) for s in (1, -1) for k in range(kind.conductor)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_REFS), st.data())
+def test_overlap_verdict_is_the_reference_verdict_of_the_normal_words(ref, data):
+    # a catalog presentation with p_j, b_ji and, over C, action flags redrawn:
+    # the constructor refuses it iff the collected tau fails the O(|T|^3) check
+    d = _catalog(ref)
+    kind, orders, elems = d.kind, d.support.torsion, d.elements()
+    conj, powers, comm = list(d.presentation[0]), list(d.presentation[1]), dict(d.presentation[2])
+    r, values = len(orders), _allowed_units(kind)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        j = data.draw(st.integers(0, r - 1), label="j")
+        target = data.draw(st.sampled_from(["p", "b"] + ["conj"] * (kind.family == "C")))
+        if target == "p":
+            powers[j] = data.draw(st.sampled_from(values))
+        elif target == "conj":
+            conj[j] = not conj[j]
+        elif j:
+            comm[(j, data.draw(st.integers(0, j - 1)))] = data.draw(st.sampled_from(values))
+    try:
+        GradedDivisionAlgebra(d.support, kind, conj, powers, comm)
+        refused = False
+    except CocycleError:
+        refused = True
+    units = UnitInterner(kind)
+    tau = division._normal_words(
+        orders, conj, [units.intern(x) for x in powers],
+        [[units.intern(comm.get((j, i), 1)) for i in range(j)] for j in range(r)],
+        units, d._add)
+    cocycle = {(u, v): units.values[tau[x][y]]
+               for x, u in enumerate(elems) for y, v in enumerate(elems)}
+    acting = {t for t in elems if sum(c for c, f in zip(t.coords, conj) if f) % 2}
+    expected = _outcome(lambda: _reference_validate(d.support, kind, acting, cocycle))
+    assert refused == (expected is not None)
+
+
+def _chains(order, least=2):
+    """The divisibility chains m_1 | m_2 | ... of cyclic orders >= least with
+    product `order`: the finite abelian groups of that order."""
+    if order == 1:
+        yield ()
+    for m in range(least, order + 1):
+        if order % m == 0:
+            yield from ((m,) + rest for rest in _chains(order // m, m)
+                        if not rest or rest[0] % m == 0)
+
+
+CATALOG_TAGS = ("1-a", "1-b", "1-c", "1-d", "2-a", "2-b", "2-c", "2-d", "2-e", "2-f",
+                "3-a", "3-b", "3-c", "3-d")
+
+
+def test_canonical_makes_at_most_three_products_per_pair(monkeypatch):
+    # the normal-word collector makes one product per pair of T, plus the
+    # rank^2 |T| of its column table; the former Kronecker product and
+    # cocycle check made (1 + rank T) per pair
+    calls, mul = [0], UnitInterner.mul
+
+    def counting(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(UnitInterner, "mul", counting)
+    built = []
+    for order in range(64, 257):
+        for torsion in _chains(order):
+            for tag in CATALOG_TAGS:
+                calls[0] = 0
+                try:
+                    canonical(tag, AbelianGroup(0, torsion))
+                except CatalogError:
+                    continue
+                assert calls[0] <= 3 * order ** 2, (tag, torsion, calls[0])
+                built.append((tag, torsion))
+    assert len(built) >= 30
+    assert {("1-b", (2,) * 8), ("1-d", (2,) * 5 + (4,)), ("2-f", (16, 16))} <= set(built)
 
 
 def _values(beta):
