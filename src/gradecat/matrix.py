@@ -465,10 +465,11 @@ def to_structure_constants(r: GradedMatrixAlgebra) -> StructureConstantAlgebra:
         images = [units.conj(b) for b in basis] if d._conj[t] else basis
         for b1 in basis:
             row = []
+            b1_images = [units.mul(b1, image) for image in images]  # b1 alpha_t(b2)
             for s in range(len(elems)):
                 at = add[t][s] * width
-                for b2, image in enumerate(images):
-                    p = units.mul(units.mul(b1, image), sigma[t][s])
+                for b2, b1_image in enumerate(b1_images):
+                    p = units.mul(b1_image, sigma[t][s])
                     if p not in coords:
                         coords[p] = [(b3, _exact(c)) for b3, c in
                                      enumerate(kind.to_vector(units.values[p])) if c]
@@ -478,9 +479,11 @@ def to_structure_constants(r: GradedMatrixAlgebra) -> StructureConstantAlgebra:
     for i in range(k):
         for j in range(k):
             for p, row in enumerate(rows):
-                t = elems[p // width]
-                labels.append(f"E[{i},{j}]X{t.coords}:{p % width}")
-                degrees.append(r.degree_of(i, j, t))
+                t, b = divmod(p, width)
+                if not b:  # one degree per block (i, j, t), shared by its w elements
+                    degree = r.degree_of(i, j, elems[t])
+                labels.append(f"E[{i},{j}]X{elems[t].coords}:{b}")
+                degrees.append(degree)
                 left = (i * k + j) * block + p
                 for l in range(k):
                     right, out = (j * k + l) * block, (i * k + l) * block

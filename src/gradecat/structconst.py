@@ -7,9 +7,11 @@ grading, and the quaternion-pair counterexample all run here with exact
 rational linear algebra.  Constants and coordinates are ints when integral
 (`_exact`), and every algebra is validated when it is built.  `_Rref` is the
 single elimination kernel: `solve_square`, `nullspace` and every span
-computation reduce through it.  It eliminates fraction-free, in ints, and
-a Fraction appears only where a solution or a basis vector is read out of
-it, divided by its pivot.
+computation reduce through it.  It eliminates fraction-free, in ints:
+`solve_square` returns its solution over one common denominator, and a
+Fraction appears only where `nullspace` reads a basis vector out, divided
+by its pivot, or where `invert` reads out the inverse that the one
+inversion kernel, `scaled_inverse`, returns over one denominator.
 """
 
 from __future__ import annotations
@@ -56,6 +58,13 @@ def _exact(c):
 # ---------------------------------------------------------------------------
 # exact linear algebra over Q
 # ---------------------------------------------------------------------------
+
+def _denominator(values) -> int:
+    """The lcm of the denominators of `values`, ints and Fractions."""
+    if set(map(type, values)) <= {int}:
+        return 1
+    return math.lcm(*(x.denominator for x in values))
+
 
 def _integral(vec) -> list:
     """The entries of the sequence `vec` times the lcm of their
@@ -131,17 +140,26 @@ class _Rref:
 
 
 def solve_square(matrix, rhs):
-    """Solve matrix * y = rhs exactly; returns None when singular."""
+    """Solve matrix * x = rhs over one common denominator: (y, D) with y a
+    list of ints and D a positive int, in lowest terms, such that
+    x = y / D; returns None when the matrix is singular.
+
+    rhs is scaled to ints by the lcm of its denominators.  Row r of the
+    reduced `_Rref` then has only its pivot p and its last entry nonzero,
+    so x_p = row[-1] / row[p], over the lcm of the pivots."""
     n = len(matrix)
+    scale = _denominator(rhs)
     rref = _Rref(n + 1)
     for row, b in zip(matrix, rhs):
-        rref.add(list(row) + [b])
+        rref.add(list(row) + [b * scale])
     if rref.rank < n or n in rref.pivots:
         return None
+    den = math.lcm(*(row[p] for row, p in zip(rref.rows, rref.pivots)))
     y = [0] * n
     for row, p in zip(rref.rows, rref.pivots):
-        y[p] = _exact(Fraction(row[n], row[p]))
-    return y
+        y[p] = row[n] * (den // row[p])
+    g = math.gcd(den * scale, *y)
+    return [c // g for c in y], den * scale // g
 
 
 def nullspace(rows, width):
@@ -170,6 +188,20 @@ def _nonzero(vec: dict) -> dict:
     return {k: c for k, c in vec.items() if c}
 
 
+def _raise_first_bad_index(table, unity, n):
+    """Name the first table entry, in table order, then the unity, with an
+    index that is not an int in range(n)."""
+    def index(x):
+        return type(x) is int and 0 <= x < n
+
+    for (i, j), entry in table.items():
+        if not all(index(x) for x in (i, j, *entry)):
+            raise ValueError(f"table entry {(i, j)}: {entry} has an index "
+                             f"that is not an int in range({n})")
+    if not all(index(x) for x in unity):
+        raise ValueError(f"unity {unity} has an index that is not an int in range({n})")
+
+
 class StructureConstantAlgebra:
     """Finite-dimensional graded unital algebra with exact structure constants.
 
@@ -190,24 +222,28 @@ class StructureConstantAlgebra:
                 raise ValueError("degrees must share one grading group")
         self.group = group
         unity = dict(unity)
-
-        def index(x):  # True and 1.0 pass `in range(n)`, but neither is an index
-            return type(x) is int and 0 <= x < n
-
-        for (i, j), entry in table.items():
-            if not all(index(x) for x in (i, j, *entry)):
-                raise ValueError(f"table entry {(i, j)}: {entry} has an index "
-                                 f"that is not an int in range({n})")
-        if not all(index(x) for x in unity):
-            raise ValueError(f"unity {unity} has an index that is not an int in range({n})")
+        # every index the table and the unity use, with the types of all
+        # occurrences: True and 1.0 pass `in range(n)` and hash as 1, so the
+        # set of indices alone would hide them
+        used = [x for (i, j), entry in table.items() for x in (i, j, *entry)]
+        used += unity
+        indices = set(used)
+        if not set(map(type, used)) <= {int} or indices and (min(indices) < 0
+                                                            or max(indices) >= n):
+            _raise_first_bad_index(table, unity, n)
         self.table = {
             key: {k: _exact(c) for k, c in entry.items() if c}
             for key, entry in table.items()
         }
         self.unity = {k: _exact(c) for k, c in unity.items() if c}
+        # the components, numbered in the order of `_by_degree`: `_component`
+        # gives the number of each basis index, `_numbered` the number of
+        # each degree's coordinates
         self._by_degree: dict = {}
         for i, d in enumerate(self.degrees):
             self._by_degree.setdefault(d, []).append(i)
+        self._numbered = {d.coords: c for c, d in enumerate(self._by_degree)}
+        self._component = [self._numbered[d.coords] for d in self.degrees]
         self._validate()
 
     @property
@@ -233,6 +269,14 @@ class StructureConstantAlgebra:
                         del out[k]
         return out
 
+    def _component_at(self, coords):
+        """The number of the component whose degree has the integer
+        coordinates `coords`, or None when no basis element has that degree.
+        Torsion coordinates are reduced here and free ones are not: the
+        grading group of M_k(D) is Z^(k-1) x T."""
+        r, torsion = self.group.free_rank, self.group.torsion
+        return self._numbered.get(coords[:r] + tuple(c % m for c, m in zip(coords[r:], torsion)))
+
     def _generating_set(self) -> list[int]:
         """Basis indices S that generate A together with the unity, greedily.
 
@@ -240,39 +284,58 @@ class StructureConstantAlgebra:
         joins S and V is closed under left and right multiplication by every
         element of S; each step adds at least e_i = e_i·1 to V, so it ends.
         The closing stops as soon as V = A: no product can enlarge V then,
-        and no further generator is chosen, so S is the same.
+        and no further generator is chosen, so S is the same.  `inside`
+        holds basis indices m with e_m known to lie in V: a product c·e_m
+        with m in it, or a zero product, cannot enlarge V and is not
+        reduced, and no index below the last generator is tested again.
         """
         n = self.dim
         span = _Rref(n)
         spanned: list[dict] = []
         generators: list[int] = []
         pending: list = []  # (s, v): v in V still to be multiplied by e_s
+        inside: set = set()
 
         def add(vec):
+            if len(vec) == 1:
+                m, = vec
+                if m in inside:
+                    return
+                inside.add(m)  # c·e_m lies in V once it has been added
+            elif not vec:
+                return
             if span.add([vec.get(k, 0) for k in range(n)]):
                 spanned.append(vec)
                 pending.extend((s, vec) for s in generators)
 
+        def outside(i):
+            if i in inside:
+                return False
+            if any(span.reduce([int(k == i) for k in range(n)])):
+                return True
+            inside.add(i)
+            return False
+
         add(self.unity)
+        s = 0
         while span.rank < n:
-            s = next(i for i in range(n)
-                     if any(span.reduce([int(k == i) for k in range(n)])))
+            s = next(i for i in range(s, n) if outside(i))
             generators.append(s)
             pending.extend((s, v) for v in spanned)
             while pending and span.rank < n:
-                s, v = pending.pop()
-                add(self.mul_vectors({s: 1}, v))
-                add(self.mul_vectors(v, {s: 1}))
+                g, v = pending.pop()
+                add(self.mul_vectors({g: 1}, v))
+                add(self.mul_vectors(v, {g: 1}))
         return generators
 
     def _validate(self):
         """Grading, unity, then associativity by Light's test; the generating
         set S of the test is kept as `generators`.
 
-        The grading is checked on every table entry, with deg e_i + deg e_j
-        computed once per pair of components: the components are numbered
-        in the order of `_by_degree`, and an entry passes when every index
-        of it lies in the component numbered for the sum.
+        The grading is checked on every table entry, with the target
+        component of deg e_i + deg e_j found once per pair of components by
+        adding their coordinates (`_component_at`); an entry passes when
+        every index of it lies in that component.
 
         Associativity is checked only on the triples (e_i, e_s, e_k) with s
         in the generating set S of `_generating_set`, and this proves it on
@@ -282,19 +345,26 @@ class StructureConstantAlgebra:
         M contains 1 once the unity check has passed, and the check below
         puts S in M.  Every element of V = A is a sum of products of 1 and
         elements of S, so M = A.  Both sides of a triple are read off the
-        table rows: (e_i e_s) e_k sums c (e_m e_k) over the terms c e_m of
-        e_i e_s, and e_i (e_s e_k) sums c (e_i e_m) over those of e_s e_k.
+        table rows, as tuples of (index, coefficient) terms: (e_i e_s) e_k
+        sums c (e_m e_k) over the terms c e_m of e_i e_s, and e_i (e_s e_k)
+        sums c (e_i e_m) over those of e_s e_k.  When both of those are one
+        term, each side is c times one entry, whose coefficients are all
+        nonzero; two such sides with at most one term each are equal iff
+        both are empty or their indices and products agree.
         """
         n, table = self.dim, self.table
-        # grading compatibility, one group addition per pair of components
-        number = {d: c for c, d in enumerate(self._by_degree)}
-        component = [number[d] for d in self.degrees]
-        sums: dict = {}
+        # grading compatibility, one coordinate sum per pair of components
+        component, count = self._component, len(self._numbered)
+        coords = list(self._numbered)
+        targets: dict = {}  # a * count + b -> the component of deg a + deg b
         for (i, j), entry in table.items():
-            pair = (component[i], component[j])
-            target = sums.get(pair)
-            if target is None:
-                target = sums[pair] = number.get(self.degrees[i] + self.degrees[j])
+            a, b = component[i], component[j]
+            pair = a * count + b
+            if pair in targets:
+                target = targets[pair]
+            else:
+                target = targets[pair] = self._component_at(
+                    tuple(x + y for x, y in zip(coords[a], coords[b])))
             for k in entry:
                 if component[k] != target:
                     raise ValueError(
@@ -306,25 +376,41 @@ class StructureConstantAlgebra:
             if self.mul_vectors(self.unity, b) != b or self.mul_vectors(b, self.unity) != b:
                 raise ValueError("unity fails on a basis element")
         # associativity by Light's test: the middle factor runs over S only;
-        # rows[i][j] is the entry of e_i e_j
-        empty: dict = {}
-        rows = [[table.get((i, j), empty) for j in range(n)] for i in range(n)]
+        # rows[i][j] holds the terms of e_i e_j
+        rows = [[()] * n for _ in range(n)]
+        for (i, j), entry in table.items():
+            rows[i][j] = tuple(entry.items())
         self.generators = self._generating_set()
         for s in self.generators:
             row_s = rows[s]
             for i in range(n):
                 row_i = rows[i]
-                i_s = row_i[s].items()
+                i_s = row_i[s]
+                if len(i_s) == 1:
+                    (m, c_is), = i_s
+                    row_m = rows[m]
+                else:
+                    row_m = None
                 for k in range(n):
-                    left: dict = {}
+                    s_k = row_s[k]
+                    if row_m is not None and len(s_k) == 1:
+                        (m, c_sk), = s_k
+                        left, right = row_m[k], row_i[m]
+                        if len(left) <= 1 and len(right) <= 1:
+                            if left == right == () or left and right and (
+                                    left[0][0] == right[0][0]
+                                    and c_is * left[0][1] == c_sk * right[0][1]):
+                                continue
+                            raise ValueError(f"associativity fails at triple ({i}, {s}, {k})")
+                    lhs: dict = {}
                     for m, c in i_s:
-                        for t, v in rows[m][k].items():
-                            left[t] = left.get(t, 0) + c * v
-                    right: dict = {}
-                    for m, c in row_s[k].items():
-                        for t, v in row_i[m].items():
-                            right[t] = right.get(t, 0) + c * v
-                    if left != right and _nonzero(left) != _nonzero(right):
+                        for t, v in rows[m][k]:
+                            lhs[t] = lhs.get(t, 0) + c * v
+                    rhs: dict = {}
+                    for m, c in s_k:
+                        for t, v in row_i[m]:
+                            rhs[t] = rhs.get(t, 0) + c * v
+                    if lhs != rhs and _nonzero(lhs) != _nonzero(rhs):
                         raise ValueError(f"associativity fails at triple ({i}, {s}, {k})")
 
     def element(self, coords) -> "AlgebraElement":
@@ -440,14 +526,35 @@ class AlgebraElement:
 # operations
 # ---------------------------------------------------------------------------
 
-def invert(x: AlgebraElement):
-    """Exact two-sided inverse, or None.  A homogeneous x of degree g can only
-    invert inside A_(-g), so only the block of L_x from A_(-g) to A_e is solved."""
+def _integral_coords(coords: dict):
+    """(coords times d, d) for the lcm d of the denominators of `coords`, so
+    the first has int values."""
+    den = _denominator(coords.values())
+    return (coords if den == 1 else {i: c.numerator * (den // c.denominator)
+                                     for i, c in coords.items()}), den
+
+
+def scaled_inverse(x: AlgebraElement):
+    """The inverse of x over one common denominator: (y, D) with y a dict of
+    nonzero int coordinates and D a positive int such that
+    x·y = y·x = D·1, or None when x has no two-sided inverse.
+
+    x is scaled to ints first, L_x y = D·1 is solved by `solve_square`, and
+    y·x = D·1 is checked, so no Fraction is built when the constants and the
+    unity are ints.  A homogeneous x of degree g can only invert inside
+    A_(-g), so only the block of L_x from A_(-g) to A_e is solved.  This is
+    the one inversion kernel: `invert` reads y/D out of it, and every
+    invertibility test and conjugation of the module uses (y, D) directly.
+    """
     a = x.algebra
-    degrees = {a.degrees[i] for i in x.coords}
-    if len(degrees) == 1:
-        g = degrees.pop()
-        rows, cols = a._by_degree.get(g - g, []), a._by_degree.get(-g, [])
+    xs, den = _integral_coords(x.coords)
+    parts = {a._component[i] for i in xs}
+    if len(parts) == 1:
+        g = a.degrees[next(iter(xs))].coords
+        zero, opposite = a._component_at((0,) * len(g)), a._component_at(tuple(-c for c in g))
+        indices = list(a._by_degree.values())
+        rows = [] if zero is None else indices[zero]
+        cols = [] if opposite is None else indices[opposite]
         if len(rows) != len(cols):
             return None
     else:
@@ -455,15 +562,30 @@ def invert(x: AlgebraElement):
     position = {i: r for r, i in enumerate(rows)}
     matrix = [[0] * len(cols) for _ in rows]
     for c, j in enumerate(cols):
-        for i, v in a.mul_vectors(x.coords, a._basis_vec(j)).items():
+        for i, v in a.mul_vectors(xs, {j: 1}).items():
             matrix[position[i]][c] = v
-    y = solve_square(matrix, [a.unity.get(i, 0) for i in rows])
-    if y is None:
+    solved = solve_square(matrix, [a.unity.get(i, 0) for i in rows])
+    if solved is None:
         return None
-    inv = a.element(dict(zip(cols, y)))
-    if (inv * x) != a.one():
+    # xs z = 1 has the solution z = ys / d, and x = xs / den, so x y = d·1
+    ys, d = solved
+    y = {j: den * c for j, c in zip(cols, ys) if c}
+    g = math.gcd(d, den)
+    if g > 1:
+        y, d = {j: c // g for j, c in y.items()}, d // g
+    # y xs = d den·1 iff y x = d·1
+    if a.mul_vectors(y, xs) != {i: c * d * den for i, c in a.unity.items()}:
         return None
-    return inv
+    return y, d
+
+
+def invert(x: AlgebraElement):
+    """Exact two-sided inverse, or None: `scaled_inverse` read out once."""
+    inverse = scaled_inverse(x)
+    if inverse is None:
+        return None
+    y, d = inverse
+    return AlgebraElement(x.algebra, {i: Fraction(c, d) for i, c in y.items()})
 
 
 def _commutant(a: StructureConstantAlgebra, degree) -> list[dict]:
@@ -542,7 +664,7 @@ def is_graded_simple(a: StructureConstantAlgebra) -> bool:
         p = (zz.get(j, 0) - q * one.coords.get(j, 0)) / Fraction(z.coords[j])
         d = p * p + 4 * q
         return d < 0 or any(math.isqrt(m) ** 2 != m for m in (d.numerator, d.denominator))
-    if any(invert(z) is None for z in centre):
+    if any(scaled_inverse(z) is None for z in centre):
         return False  # a central zero divisor of degree e
     raise NotImplementedError(
         f"Z(A)_e has dimension {len(centre)} and no basis vector is a zero divisor; "
@@ -561,12 +683,16 @@ def int_in_stabilizer(a: StructureConstantAlgebra, x: AlgebraElement) -> bool:
     S, which span A; that part is a combination of words of degree deg e_i,
     so Int(x)(e_i) lies in A_(deg e_i).
     """
-    xi = invert(x)
-    if xi is None:
+    inverse = scaled_inverse(x)
+    if inverse is None:
         raise NotInvertibleError("conjugating element is not invertible")
+    # x e_s x^-1 is a nonzero multiple of xs e_s y, with xs = x over ints
+    y, _ = inverse
+    xs, _ = _integral_coords(x.coords)
+    component = a._component
     for s in a.generators:
-        image = a.mul_vectors(a.mul_vectors(x.coords, {s: 1}), xi.coords)
-        if any(a.degrees[k] != a.degrees[s] for k in image):
+        image = a.mul_vectors(a.mul_vectors(xs, {s: 1}), y)
+        if any(component[k] != component[s] for k in image):
             return False
     return True
 
@@ -586,7 +712,7 @@ def homogeneous_witness(a: StructureConstantAlgebra, x: AlgebraElement):
         raise NotInStabilizerError("Int(x) does not stabilize the grading")
     components = sorted(x.homogeneous_components().items(), key=lambda kv: kv[0].coords)
     # a single component is x itself, inverted already
-    if len(components) > 1 and any(invert(comp) is None for _, comp in components):
+    if len(components) > 1 and any(scaled_inverse(comp) is None for _, comp in components):
         return NO_WITNESS
     return components
 
@@ -595,14 +721,14 @@ def _component_unit(a: StructureConstantAlgebra, indices, rng) -> AlgebraElement
     """Find an invertible element inside one homogeneous component."""
     for i in indices:
         candidate = a.basis_element(i)
-        if invert(candidate) is not None:
+        if scaled_inverse(candidate) is not None:
             return candidate
     ones = a.element({i: 1 for i in indices})
-    if invert(ones) is not None:
+    if scaled_inverse(ones) is not None:
         return ones
     for _ in range(8):
         candidate = a.element({i: rng.randint(-3, 3) for i in indices})
-        if not candidate.is_zero() and invert(candidate) is not None:
+        if not candidate.is_zero() and scaled_inverse(candidate) is not None:
             return candidate
     return None
 
@@ -635,7 +761,7 @@ def inner_stabilizer_quotient(a: StructureConstantAlgebra):
             continue
         for z in centre:
             comp = z.homogeneous_components().get(degree)
-            if comp is not None and invert(comp) is not None:
+            if comp is not None and scaled_inverse(comp) is not None:
                 central_degrees.add(degree)
                 break
     reps = {coset_rep(x, central_degrees) for x in degs}
@@ -729,6 +855,6 @@ def hxh_counterexample() -> HxHReport:
     # consist of zero divisors, since an invertible (l, m) needs l, m != 0
     e = a.group.zero()
     all_central = len(_commutant(a, e)) == len(a._by_degree[e]) and all(
-        invert(a.basis_element(i)) is None
+        scaled_inverse(a.basis_element(i)) is None
         for degree, indices in a._by_degree.items() if degree != e for i in indices)
     return HxHReport(simple, stabilizes, all_central, a)

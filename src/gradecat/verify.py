@@ -47,8 +47,8 @@ from .structconst import (
     hxh_counterexample,
     inner_stabilizer_quotient,
     int_in_stabilizer,
-    invert,
     is_graded_simple,
+    scaled_inverse,
 )
 from .records import Record
 
@@ -95,10 +95,10 @@ def _homogeneous_unit_pool(a):
     for degree, indices in a.basis_degrees_by_component().items():
         for i in indices:
             x = a.basis_element(i)
-            if invert(x) is not None:
+            if scaled_inverse(x) is not None:
                 pool.append(x)
-        ones = a.element({i: Fraction(1) for i in indices})
-        if invert(ones) is not None:
+        ones = a.element({i: 1 for i in indices})
+        if scaled_inverse(ones) is not None:
             pool.append(ones)
     return pool
 
@@ -117,7 +117,7 @@ def _central_unit_pool(a, rng):
             z = a.element({})
             for c, basis_el in zip(key, centre):
                 z = z + c * basis_el
-            units[key] = None if z.is_zero() or invert(z) is None else z
+            units[key] = None if z.is_zero() or scaled_inverse(z) is None else z
         if units[key] is not None:
             pool.append(units[key])
     return pool

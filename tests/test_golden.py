@@ -3,7 +3,8 @@
 
 The files under tests/golden/ pin the CLI output for the 7 covered algebras,
 for every catalog entry that `classify` and `verify` build, including the
-full sigma and beta tables, for `verify --suite all` at seed 7, and for
+full sigma and beta tables, for `verify --suite all` at seeds 0, 1 and 7
+(each seed draws different fractional conjugators), and for
 `universal --spec` on the specs of UNIVERSAL.  A change
 that must keep outputs identical passes this test unchanged; a change that
 alters an output on purpose regenerates the files and says why.
@@ -35,6 +36,8 @@ CATALOG = (
     "2-f:Z2^2", "2-f:Z3^2", "2-f:Z4^2", "3-b:Z2^2", "3-d:Z2xZ4",
 )
 
+VERIFY_SEEDS = (0, 1, 7)
+
 # `universal --spec` inputs, written to a temporary file for each run
 UNIVERSAL = {
     "1-c:Z2-k2": {"D": "1-c:Z2", "k": 2},
@@ -50,7 +53,9 @@ def _cases():
         yield f"classify-{name}", ["classify", "--algebra", name, "--format", "json"]
     for ref in CATALOG:
         yield f"catalog-{ref}", ["catalog", "--entry", ref, "--format", "json"]
-    yield "verify-all-seed7", ["verify", "--suite", "all", "--seed", "7", "--format", "json"]
+    for seed in VERIFY_SEEDS:
+        yield f"verify-all-seed{seed}", ["verify", "--suite", "all", "--seed", str(seed),
+                                         "--format", "json"]
     for name, spec in UNIVERSAL.items():
         yield f"universal-{name}", ["universal", "--format", "json", "--spec", spec]
 

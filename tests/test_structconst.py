@@ -31,13 +31,16 @@ from gradecat.structconst import (
     is_graded_simple,
     nullspace,
     quaternion_pair_algebra,
+    scaled_inverse,
     solve_square,
 )
 from gradecat.verify import graded_simple_fixtures
 
 
 def test_solve_square():
-    assert solve_square([[2, 0], [0, 4]], [1, 2]) == [Fraction(1, 2), Fraction(1, 2)]
+    # x = (1/2, 1/2) over the common denominator 2
+    assert solve_square([[2, 0], [0, 4]], [1, 2]) == ([1, 1], 2)
+    assert solve_square([[2, 0], [0, 4]], [Fraction(1, 3), 2]) == ([1, 3], 6)
     assert solve_square([[1, 1], [2, 2]], [1, 1]) is None
 
 
@@ -73,13 +76,16 @@ def _sympy_matrix(rows, width):
 def test_solve_square_agrees_with_sympy(system, rhs):
     matrix, n = system
     rhs = rhs[:n]
-    y = solve_square(matrix, rhs)
+    solved = solve_square(matrix, rhs)
     m = _sympy_matrix(matrix, n)
     if m.rank() < n:
-        assert y is None
+        assert solved is None
     else:
-        assert _rationals(y) == list(m.LUsolve(sympy.Matrix(_rationals(rhs))))
-        assert all(type(c) is int or c.denominator > 1 for c in y)
+        y, d = solved
+        assert all(type(c) is int for c in y) and type(d) is int and d > 0
+        assert math.gcd(d, *y) == 1
+        theirs = m.LUsolve(sympy.Matrix(_rationals(rhs)))
+        assert [sympy.Rational(c, d) for c in y] == list(theirs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -305,10 +311,11 @@ def test_homogeneous_witness_inverts_the_conjugator_once(monkeypatch):
     u_idx = next(i for i, deg in enumerate(a.degrees) if deg.coords == (1,) and i % 2 == 0)
     x = (a.one() + a.basis_element(s2_idx)) * a.basis_element(u_idx)
     calls = []
+    kernel = structconst.scaled_inverse
 
     def counting(y):
         calls.append(y)
-        return invert(y)
+        return kernel(y)
 
     products = []  # (u, v) of every product u v of coordinate dicts
     mul_vectors = a.mul_vectors
@@ -317,23 +324,26 @@ def test_homogeneous_witness_inverts_the_conjugator_once(monkeypatch):
         products.append((dict(u), dict(v)))
         return mul_vectors(u, v)
 
-    monkeypatch.setattr(structconst, "invert", counting)
+    monkeypatch.setattr(structconst, "scaled_inverse", counting)
     monkeypatch.setattr(a, "mul_vectors", counting_mul)
     wits = homogeneous_witness(a, x)
     assert len(wits) == 2
+    # the one inversion kernel sees x once, then each component once
     assert sum(1 for y in calls if y == x) == 1
-    assert len(calls) == 1 + len(wits)  # x, then each component
+    assert len(calls) == 1 + len(wits)
+    assert all(sum(1 for y in calls if y == comp) == 1 for _, comp in wits)
     # x e_s x^-1 is computed once for each s in the generating set S: one
-    # product by x^-1, whose left factor x e_s differs for each s
+    # product by the scaled inverse y, whose left factor x e_s differs for
+    # each s
     witnessed = list(products)
-    inverse = invert(x).coords
+    inverse, _ = kernel(x)
     lefts = [u for u, v in witnessed if v == inverse]
     assert len(lefts) == len(a.generators) < a.dim
     assert all(lefts.count(u) == 1 for u in lefts)
     # each component c is only inverted: no product c^-1 x and no
     # conjugation by c is computed
     for _, comp in wits:
-        inverse = invert(comp).coords
+        inverse, _ = kernel(comp)
         assert (inverse, x.coords) not in witnessed
         assert not any(v == inverse for u, v in witnessed)
     # the error behaviour is unchanged
@@ -364,7 +374,8 @@ def test_suite_inner_aut_inverts_each_conjugator_once(monkeypatch):
             return out
         return wrapper
 
-    monkeypatch.setattr(structconst, "invert", logged("invert", structconst.invert))
+    monkeypatch.setattr(structconst, "scaled_inverse",
+                        logged("invert", structconst.scaled_inverse))
     monkeypatch.setattr(verify, "_central_unit_pool",
                         logged("pools", verify._central_unit_pool))
     monkeypatch.setattr(verify, "homogeneous_witness",
@@ -536,6 +547,42 @@ def test_invert_agrees_with_sympy_on_random_elements(data):
         assert [_q(ours.coords.get(k, 0)) for k in range(n)] == list(theirs), label
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_scaled_inverse_agrees_with_sympy(data):
+    # the witness sources up to dimension 16: the fixtures, H x H and direct
+    # sums, whose one-sided elements are zero divisors
+    label, a = data.draw(st.sampled_from(
+        [(label, a) for label, a in _witness_sources() if a.dim <= 16]))
+    n = a.dim
+    kind = data.draw(st.sampled_from(["homogeneous", "mixed", "basis"]))
+    if kind == "basis":
+        x = a.basis_element(data.draw(st.integers(0, n - 1)))
+    else:
+        indices = (data.draw(st.sampled_from(list(a._by_degree.values()))) if kind == "homogeneous"
+                   else data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6)))
+        x = a.element({i: data.draw(st.one_of(_small_ints, _small_rationals)) for i in indices})
+    # the conjugator scale of `suite_inner_aut`
+    x = Fraction(data.draw(st.sampled_from([1, 2, -1, 3])),
+                 data.draw(st.sampled_from([1, 2]))) * x
+    left = sympy.Matrix(n, n, lambda i, j: _q(a.mul_vectors(x.coords, {j: 1}).get(i, 0)))
+    found = scaled_inverse(x)
+    if left.rank() < n:
+        assert found is None, (label, x)
+        assert invert(x) is None
+        return
+    y, d = found
+    assert type(d) is int and d > 0
+    assert all(type(c) is int and c for c in y.values())
+    assert math.gcd(d, *y.values()) == 1
+    unity = sympy.Matrix([_q(a.unity.get(i, 0)) for i in range(n)])
+    theirs = list(left.LUsolve(unity))
+    assert [sympy.Rational(y.get(k, 0), d) for k in range(n)] == theirs, (label, x)
+    assert [_q(invert(x).coords.get(k, 0)) for k in range(n)] == theirs
+    scaled_unity = {i: d * c for i, c in a.unity.items()}
+    assert a.mul_vectors(x.coords, y) == scaled_unity == a.mul_vectors(y, x.coords)
+
+
 def test_inverses_and_centre_solve_one_component_at_a_time(monkeypatch):
     widths = []
     init = _Rref.__init__
@@ -697,10 +744,35 @@ def _mutants(a, key):
             yield {**a.table, key: {**a.table[key], **change}}
 
 
+def _reference_generating_set(a):
+    """The former `_generating_set`: every product, and every test of a
+    basis vector, is reduced as a dense vector, from index 0 on."""
+    n = a.dim
+    span = _Rref(n)
+    spanned, generators, pending = [], [], []
+
+    def add(vec):
+        if span.add([vec.get(k, 0) for k in range(n)]):
+            spanned.append(vec)
+            pending.extend((s, vec) for s in generators)
+
+    add(a.unity)
+    while span.rank < n:
+        s = next(i for i in range(n) if any(span.reduce([int(k == i) for k in range(n)])))
+        generators.append(s)
+        pending.extend((s, v) for v in spanned)
+        while pending and span.rank < n:
+            s, v = pending.pop()
+            add(a.mul_vectors({s: 1}, v))
+            add(a.mul_vectors(v, {s: 1}))
+    return generators
+
+
 def _light_agrees_with_reference(a, table):
     """The validating constructor rejects the table iff some basis triple
     fails, and only ever names a failing triple; returns its verdict."""
     mutant = _Unvalidated(a.labels, a.degrees, table, a.unity)
+    assert mutant._generating_set() == _reference_generating_set(mutant)
     try:
         StructureConstantAlgebra(a.labels, a.degrees, table, a.unity)
     except ValueError as err:
@@ -831,19 +903,61 @@ def _verdict(validate):
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def _matrix_exports():
+    """(labels, degrees, table, unity) of M_2 and M_3 over 1-c:Z2, graded by
+    Z x Z2 and Z^2 x Z2: the free coordinates that `verify` never exports."""
+    from gradecat.matrix import matrix_algebra, to_structure_constants
+
+    exports = [to_structure_constants(matrix_algebra(canonical("1-c", "Z2"), k=k))
+               for k in (2, 3)]
+    return tuple((a.labels, a.degrees, a.table, a.unity) for a in exports)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_product_moved_by_a_free_coordinate_leaves_its_component(k):
+    labels, degrees, table, unity = _matrix_exports()[k - 2]
+    group = degrees[0].group
+    r = group.free_rank
+    assert r == k - 1 and group.torsion == (2,)
+    moved = 0
+    for key, entry in sorted(table.items()):
+        (m, c), = entry.items()
+        # every index whose degree differs from deg e_m in a free coordinate only
+        for other in range(len(labels)):
+            if (degrees[other].coords[r:] == degrees[m].coords[r:]
+                    and degrees[other].coords[:r] != degrees[m].coords[:r]):
+                mutant = {**table, key: {other: c}}
+                message = (f"product {labels[key[0]]}*{labels[key[1]]} "
+                           f"leaves its component")
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    StructureConstantAlgebra(labels, degrees, mutant, unity)
+                assert _verdict(lambda: _reference_validate(
+                    _Unvalidated(labels, degrees, mutant, unity))) == message
+                moved += 1
+                break
+        if moved >= 8:
+            break
+    assert moved == 8
+
+
 def test_verify_builds_pass_both_validations():
     builds = _verify_builds()
     assert len(builds) >= 17
     assert max(len(labels) for labels, *_ in builds) >= 32
-    for labels, degrees, table, unity in builds:
+    # 2-f:Z3^2 has products of two terms: zeta^2 = -1 - zeta
+    assert any(len(entry) > 1 for _, _, table, _ in builds for entry in table.values())
+    for labels, degrees, table, unity in builds + _matrix_exports():
         _reference_validate(_Unvalidated(labels, degrees, table, unity))
-        StructureConstantAlgebra(labels, degrees, table, unity)
+        a = StructureConstantAlgebra(labels, degrees, table, unity)
+        assert a.generators == _reference_generating_set(a)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_validate_agrees_with_the_reference_on_one_perturbed_constant(data):
-    labels, degrees, table, unity = data.draw(st.sampled_from(_verify_builds()))
+    labels, degrees, table, unity = data.draw(
+        st.sampled_from(_verify_builds() + _matrix_exports()))
     n = len(labels)
     table = {key: dict(entry) for key, entry in table.items()}
     unity = dict(unity)
@@ -1005,12 +1119,13 @@ def test_central_unit_pool_agrees_with_the_reference(seed, monkeypatch):
     import gradecat.verify as verify
 
     calls = []
+    kernel = verify.scaled_inverse
 
     def counting(y):
         calls.append(y)
-        return invert(y)
+        return kernel(y)
 
-    monkeypatch.setattr(verify, "invert", counting)
+    monkeypatch.setattr(verify, "scaled_inverse", counting)
     for label, a in _verify_fixtures():
         rng, reference_rng = random.Random(seed), random.Random(seed)
         calls.clear()
