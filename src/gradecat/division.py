@@ -229,7 +229,7 @@ class GradedDivisionAlgebra:
         self._conj = [sum(c for c, f in zip(t.coords, conj) if f) % 2 == 1 for t in self._elements]
         self.conj_elements = frozenset(t for t, c in zip(self._elements, self._conj) if c)
         self._sigma_ids = _normal_words(orders, conj, p, b, units, self._add)
-        self._beta = self._quad = self._weyl = None
+        self._beta = self._quad = self._weyl = self._export = None
 
     # -- basic structure -----------------------------------------------------
 
@@ -843,11 +843,18 @@ def canonical(type_tag: str, support) -> GradedDivisionAlgebra:
     """A concrete crossed-product representative of a catalog equivalence class.
 
     `support` may be an AbelianGroup or a string such as 'Z2xZ2' or 'Z3^2'.
-    Each type is a list of blocks, which fits T when their orders are T's;
-    on 2-f the clock and shift give sigma(u, v) = zeta^(-u_1 v_0).
+    Each (tag, support) is built once per process: every spelling of the
+    same group returns the same shared instance, to be read and not changed.
     """
     if isinstance(support, str):
         support = parse_group_string(support)
+    return _canonical_entry(type_tag, support)
+
+
+@functools.lru_cache(maxsize=64)
+def _canonical_entry(type_tag: str, support: AbelianGroup) -> GradedDivisionAlgebra:
+    """Each type is a list of blocks, which fits T when their orders are T's;
+    on 2-f the clock and shift give sigma(u, v) = zeta^(-u_1 v_0)."""
     tag, family = type_tag, "C"
     if tag in ("3-a", "3-b", "3-c", "3-d"):  # the blocks of 1-a ... 1-d over H
         tag, family = "1-" + tag[-1], "H"

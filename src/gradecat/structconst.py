@@ -775,10 +775,13 @@ def inner_stabilizer_quotient(a: StructureConstantAlgebra):
 # ---------------------------------------------------------------------------
 
 def from_division(d: GradedDivisionAlgebra) -> StructureConstantAlgebra:
-    """Lossless export of a crossed product to rational structure constants."""
+    """Lossless export of a crossed product to rational structure constants,
+    built once and kept on `d`."""
     from .matrix import matrix_algebra, to_structure_constants
 
-    return to_structure_constants(matrix_algebra(d, k=1))
+    if d._export is None:
+        d._export = to_structure_constants(matrix_algebra(d, k=1))
+    return d._export
 
 
 def group_algebra(group: AbelianGroup) -> StructureConstantAlgebra:

@@ -176,7 +176,7 @@ def suite_inner_aut(seed: int = 0):
         report.invertible_homogeneous_all_central))
 
     # hypothesis-class sanity: a generic unit may fall outside the stabilizer
-    a = to_structure_constants(matrix_algebra(_trivial_division(), k=2))
+    a = dict(fixtures)["M2R-split"]
     e12 = next(a.basis_element(i) for i in range(a.dim) if a.labels[i].startswith("E[0,1]"))
     x = a.one() + e12
     checks.append(CheckResult(

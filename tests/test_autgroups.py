@@ -486,7 +486,7 @@ def test_weyl_division_tables_hold_none_exactly_off_k(ref, monkeypatch):
     seen = []
     monkeypatch.setattr(autgroups, "automorphism_group", lambda group, label, betas:
                         seen.append(betas) or ())  # the chain of the trivial group
-    d = parse_catalog_ref(ref)  # a fresh algebra: the stub's answer is memoized on it
+    d = parse_catalog_ref(ref)  # fresh per test (conftest): the stub's answer is memoized on it
     in_k = [x not in d.conj_elements for x in d.elements()]
     weyl_division(d)
     beta, betas = commutation_bicharacter(d), seen[0]

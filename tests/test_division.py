@@ -607,6 +607,24 @@ def test_catalog_compatibility_errors():
         canonical("9-z", "Z2")
 
 
+def test_canonical_shares_one_entry_per_tag_and_support():
+    d = canonical("1-a", "Z2xZ2")
+    assert canonical("1-a", "Z2^2") is d
+    assert canonical("1-a", AbelianGroup(0, (2, 2))) is d
+    assert parse_catalog_ref("1-a:Z2^2") is d
+    assert canonical("1-b", "Z2^2") is not d
+    assert canonical("1-a", "Z2^4") is not d
+
+
+@pytest.mark.parametrize("tag, support", [("1-b", "Z2"), ("2-d", "Z4"), ("9-z", "Z2"),
+                                          ("2-f", "Z")])
+def test_canonical_refuses_a_bad_entry_on_every_call(tag, support):
+    for _ in range(3):
+        with pytest.raises(CatalogError):
+            canonical(tag, support)
+    assert division._canonical_entry.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("ref", [
     "2-f:Z", "1-d:ZxZ2xZ4", "2-d:ZxZ2^2xZ4", "2-e:ZxZ4", "3-d:ZxZ2xZ4",
 ])

@@ -10,6 +10,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from gradecat import division
 from gradecat.abelian import AbelianGroup
 from gradecat.division import canonical, parse_catalog_ref
 from gradecat.structconst import (
@@ -881,6 +882,7 @@ def _verify_builds():
 
     built = {}
     validate = StructureConstantAlgebra._validate
+    division._canonical_entry.cache_clear()  # exports kept on shared entries skip validation
 
     def recording(self):
         key = json.dumps(self.to_json(), sort_keys=True)
@@ -951,6 +953,44 @@ def test_verify_builds_pass_both_validations():
         _reference_validate(_Unvalidated(labels, degrees, table, unity))
         a = StructureConstantAlgebra(labels, degrees, table, unity)
         assert a.generators == _reference_generating_set(a)
+
+
+def test_verify_builds_each_entry_and_export_once(monkeypatch):
+    from gradecat.division import GradedDivisionAlgebra
+    from gradecat.verify import run_suite
+
+    built = []
+    for cls in (GradedDivisionAlgebra, StructureConstantAlgebra):
+        def recording(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            built.append(self)
+        monkeypatch.setattr(cls, "__init__", recording)
+    assert run_suite("all")["failed"] == 0
+    entries = [(d.type_tag, d.support) for d in built if isinstance(d, GradedDivisionAlgebra)]
+    assert len(entries) == len(set(entries)) == 16  # 67 builds when each call built anew
+    tables = [json.dumps(a.to_json(), sort_keys=True)
+              for a in built if isinstance(a, StructureConstantAlgebra)]
+    assert len(tables) == len(set(tables)) <= 18  # 27 builds of 17 tables
+
+
+def test_from_division_keeps_its_export_on_the_entry(monkeypatch):
+    from gradecat import matrix
+
+    d = canonical("2-f", "Z3^2")
+    a = from_division(d)
+    assert from_division(d) is a and from_division(canonical("2-f", "Z3xZ3")) is a
+    fresh = canonical("2-e", "Z4")
+    export = matrix.to_structure_constants
+
+    def refusing(algebra):
+        raise ValueError("associativity fails")
+
+    monkeypatch.setattr(matrix, "to_structure_constants", refusing)
+    for _ in range(2):  # a refused export is not kept
+        with pytest.raises(ValueError, match="associativity"):
+            from_division(fresh)
+    monkeypatch.setattr(matrix, "to_structure_constants", export)
+    assert from_division(fresh) is from_division(fresh)
 
 
 @settings(max_examples=150, deadline=None)
