@@ -12,10 +12,13 @@ read off the diagonal of `smith_normal_form`: from a grading's relations by
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
+import operator
 import types
+from collections.abc import Mapping
 
 
 class GroupMismatchError(ValueError):
@@ -429,75 +432,120 @@ def smith_normal_form(matrix):
     return d, u
 
 
+def _relation_rows(relations, n: int) -> list:
+    """The distinct nonzero relations, each as its sorted nonzero
+    (position, int) pairs, in sorted order, so that neither the order nor
+    the form of the input changes the result.  A relation is dense (a
+    sequence of n ints) or sparse (a mapping of positions in range(n) to
+    ints).  An entry or a position that is not an int is refused: `int()`
+    would truncate a float and read a bool as 0 or 1."""
+    relations, rows = list(relations), []
+    for rel in relations:
+        if isinstance(rel, Mapping):
+            rows.append(tuple(rel.items()))
+        else:
+            rows.append(tuple(enumerate(rel)))
+            if len(rows[-1]) != n:
+                raise ValueError("relation vector length does not match generators")
+    positions = [i for items in rows for i, _ in items]
+    entries = [c for items in rows for _, c in items]
+    if set(map(type, positions)) - {int} or positions and (min(positions) < 0
+                                                       or max(positions) >= n):
+        rel = next(rel for rel, items in zip(relations, rows)
+                   if not all(type(i) is int and 0 <= i < n for i, _ in items))
+        raise ValueError(f"relation positions must be integers in range({n}): {rel}")
+    if set(map(type, entries)) - {int}:
+        rel = next(rel for rel, items in zip(relations, rows)
+                   if not all(type(c) is int for _, c in items))
+        raise ValueError(f"relation entries must be integers: {rel}")
+    if 0 in entries:
+        rows = [tuple(pair for pair in items if pair[1]) for items in rows]
+    return sorted(set(map(tuple, map(sorted, rows))) - {()})
+
+
 def universal_abelian_group(labels, relations):
-    """Quotient of the free abelian group on `labels` by integer relation vectors.
+    """Quotient of the free abelian group on `labels` by integer relations.
 
-    Returns (group, projection) where projection maps each label to its image
-    in the normal-form quotient.  Empty relations yield a free group.
+    A relation is dense, one int per label, or sparse, a mapping of label
+    positions to ints; the two forms of one relation set give the same
+    result.  Returns (group, projection) where projection maps each label
+    to its image in the normal-form quotient.  Empty relations yield a free
+    group.
 
-    Labels with a +-1 coefficient are eliminated first, sparsely (Dumas,
-    Saunders and Villard, J. Symbolic Comput. 32, 2001); `smith_normal_form`
-    sees only the residual relations on the surviving labels.
+    Labels are eliminated first, sparsely, by a worklist (Dumas, Saunders
+    and Villard, J. Symbolic Comput. 32, 2001).  A label is open until it
+    survives or is eliminated; then it is final, with its expression on the
+    survivors.  A relation in which x is the only open label, with
+    coefficient +-1, eliminates x: x becomes the combination of final
+    labels that the relation gives, so its expression is final when it is
+    made and no expression is ever rewritten.  When no relation qualifies,
+    the lowest open label survives.  A relation not used so, once all its
+    labels are final, is rewritten on the survivors.  Each elimination is a
+    Tietze move, so the group is Z^survivors over these residual
+    relations, and `smith_normal_form` sees only them.
     """
     labels = list(labels)
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate degree labels")
     n = len(labels)
-    rows = set()
-    for rel in relations:
-        rel = tuple(rel)
-        if len(rel) != n:
-            raise ValueError("relation vector length does not match generators")
-        ints = tuple(map(int, rel))
-        if ints != rel:
-            raise ValueError(f"relation entries must be integers: {rel}")
-        if any(ints):
-            rows.add(ints)
-    # expr[x]: eliminated label x as a combination of the surviving labels,
-    # kept so by substituting each new elimination into the earlier ones
-    expr: dict[int, dict[int, int]] = {}
-    pending = [{i: c for i, c in enumerate(rel) if c} for rel in sorted(rows)]
-    changed = True
-    while changed:
-        changed = False
-        kept = []
-        for rel in pending:
-            reduced: dict[int, int] = {}
-            for i, c in rel.items():
-                for j, e in expr[i].items() if i in expr else ((i, 1),):
-                    reduced[j] = reduced.get(j, 0) + c * e
-            reduced = {i: c for i, c in reduced.items() if c}
-            x = min((i for i, c in reduced.items() if c in (1, -1)), default=None)
-            if x is None:
-                if reduced:
-                    kept.append(reduced)
+    rows = _relation_rows(relations, n)
+    expr: list = [None] * n  # final label -> {survivor number: coefficient}
+    open_count, used = [len(rel) for rel in rows], [False] * len(rows)
+    containing: list[list[int]] = [[] for _ in range(n)]
+    for r, rel in enumerate(rows):
+        for i, _ in rel:
+            containing[i].append(r)
+    queue = collections.deque(r for r, rel in enumerate(rows) if len(rel) == 1)
+    residual, s, lowest = [], 0, 0
+
+    def finalize(x: int, combination: dict):
+        expr[x] = combination
+        for r in containing[x]:
+            open_count[r] -= 1
+            if open_count[r] <= 1:
+                queue.append(r)
+
+    while True:
+        while queue:
+            r = queue.popleft()
+            if used[r]:
                 continue
-            eps = reduced.pop(x)
-            new = {i: -eps * c for i, c in reduced.items()}
-            for old in expr.values():
-                c = old.pop(x, 0)
-                if c:
-                    for j, e in new.items():
-                        old[j] = old.get(j, 0) + c * e
-                        if not old[j]:
-                            del old[j]
-            expr[x] = new
-            changed = True
-        pending = kept
-    survivors = [i for i in range(n) if i not in expr]
-    residual = sorted({tuple(rel.get(i, 0) for i in survivors) for rel in pending})
-    s, r = len(survivors), len(residual)
+            rel = rows[r]
+            pending = [(i, c) for i, c in rel if expr[i] is None]  # at most one
+            if not pending:
+                used[r] = True
+                residual.append(rel)
+            elif pending[0][1] in (1, -1):
+                used[r] = True
+                x, eps = pending[0]
+                combination: dict[int, int] = {}
+                for i, c in rel:
+                    if i != x:
+                        for j, e in expr[i].items():
+                            combination[j] = combination.get(j, 0) - eps * c * e
+                finalize(x, {j: c for j, c in combination.items() if c})
+        while lowest < n and expr[lowest] is not None:
+            lowest += 1
+        if lowest == n:
+            break
+        finalize(lowest, {s: 1})  # the survivor numbered s
+        s += 1
+    vectors = [tuple(map(e.get, range(s), [0] * s)) for e in expr]  # on the survivors
+
+    def on_survivors(rel) -> tuple:  # sum c vectors[i]
+        return tuple(map(sum, zip(*([c * y for y in vectors[i]] for i, c in rel))))
+
+    residual = sorted({on_survivors(rel) for rel in residual} - {(0,) * s})
+    r = len(residual)
     # the columns are the residual relations; quotient Z^s / (column span)
     d, u = smith_normal_form([[rel[p] for rel in residual] for p in range(s)])
     diag = [d[i][i] if i < r else 0 for i in range(s)]
     free_rows = [i for i in range(s) if diag[i] == 0]
     tors_rows = [i for i in range(s) if diag[i] >= 2]
     group = AbelianGroup(len(free_rows), tuple(diag[i] for i in tors_rows))
-    coords = {x: [u[i][p] for i in free_rows + tors_rows] for p, x in enumerate(survivors)}
-    for x, combination in expr.items():
-        coords[x] = [sum(c * coords[i][k] for i, c in combination.items())
-                     for k in range(group.rank)]
-    return group, {label: group.element(coords[x]) for x, label in enumerate(labels)}
+    images = [u[i] for i in free_rows + tors_rows]  # survivor p goes to column p
+    return group, {label: group.element([sum(map(operator.mul, row, vector)) for row in images])
+                   for label, vector in zip(labels, vectors)}
 
 
 # ---------------------------------------------------------------------------

@@ -396,18 +396,41 @@ class Bicharacter:
     read from the diagonal.  `domain` lists K in position order, and
     `generators` a generating set of K as positions, taken greedily in order.
 
-    Alternation is checked on all of K, and
-    beta(u + v, w) = beta(u, w) beta(v, w) for all u, w and for v in
-    `generators` only.  The set M of the v that pass for all u, w is closed
-    under +: for v1, v2 in M,
-    beta(u + v1 + v2, w) = beta(u + v1, w) beta(v2, w)
-    = beta(u, w) beta(v1, w) beta(v2, w) = beta(u, w) beta(v1 + v2, w).  K is
-    finite, so the sums of its generators exhaust it, and M = K.  Then
-    beta(u, g) beta(g, u) = 1 is checked for all u and the same g, so
-    beta(g, .) is the inverse of the character beta(., g), and beta(v, .) is
-    a product of those for every v (the values commute): beta is
-    multiplicative in its second argument too.  The first two checks do not
-    give this: on Z2, beta(1, 0) = -1 and 1 elsewhere passes them.
+    The table f is checked on the polycyclic presentation of K that the
+    generators give (Sims, Computation with Finitely Presented Groups,
+    ch. 9).  With g_1, ..., g_r the generators, S_j = <g_1, ..., g_j> and
+    o_j the least o with o g_j in S_(j-1), each u in K is sum a_j g_j with
+    0 <= a_j < o_j in exactly one way.  The tree step of u != 0 takes one
+    g_j off at its last nonzero a_j: u = u' + g_j.  The checks are:
+    (A) f(0, 0) = 1, and f(g, g) = 1 at each generator g;
+    (M) f(x + g, w) = f(x, w) f(g, w) for all w in K, at each tree step
+        (x, g) = (u', g_j), and at each relation step ((o_j - 1) g_j, g_j),
+        where x + g = o_j g_j lies in S_(j-1);
+    (S) f(u, g) f(g, u) = 1 for all u in K and each generator g;
+    (C) the values at generator pairs commute.
+    (M) and (S) make |K|^2 + (2r - 1)|K| products: they compare f on K x K
+    with the table that the tree steps build row by row, row(u) =
+    row(u') row(g_j), as `support_table` builds sums.
+
+    These accept exactly the alternating bicharacters.  One passes them
+    all: (C) because f(a + c, b + d) expands in two orders, as
+    f(a, b) f(a, d) f(c, b) f(c, d) and f(a, b) f(c, b) f(a, d) f(c, d).
+    Conversely, fix w and let chi_j = f(g_j, w).  The step (0, g_1) gives
+    f(0, w) = 1 (when K = 0, (A) does), as f(g_1, w) is a unit by (S).  The
+    tree steps then give f(u, w) = chi_1^a_1 ... chi_r^a_r for every u.
+    By (S) and this, chi_j = f(w, g_j)^-1 is a product of values at
+    generator pairs, so by (C) all values commute.  The relation step of
+    g_j says chi_j^o_j = f(o_j g_j, w) = prod_(i<j) chi_i^c_i, where
+    o_j g_j = sum c_i g_i in normal form.  The relations o_j e_j - sum c_i e_i
+    present K: as in `abstract_type`, they span a lattice of index
+    prod o_j = |K| in Z^r, inside the kernel of e_j -> g_j, which has that
+    index too.  So e_j -> chi_j defines a character of K, which is f(., w)
+    on every normal form: f is multiplicative in its first argument.  By
+    (S), f(g, .) = f(., g)^-1 is a character too, and so is each
+    f(u, .) = prod f(g_j, .)^a_j.  Last, f(u, u) is
+    prod_i f(g_i, g_i)^(a_i^2) prod_(i<j) (f(g_i, g_j) f(g_j, g_i))^(a_i a_j),
+    which is 1 by (A) and (S).  On Z2, beta(1, 0) = -1 and 1 elsewhere
+    passes (A) and (M) but not (S).
     """
 
     def __init__(self, group: AbelianGroup, units: UnitInterner, ids):
@@ -421,30 +444,43 @@ class Bicharacter:
         k = [x for x in range(n) if in_k[x]]
         self.group, self.units, self.ids, self.kind = group, units, ids, units.kind
         self.domain = tuple(elements[x] for x in k)
-        gens, span = [], {0}
+        gens, steps, span = [], [], {0}  # steps: (x, g, x + g), in tree order
         for x in k:
-            if x not in span:
-                gens.append(x)
-                while (grown := span | {add[y][x] for y in span}) != span:  # span + <x>
-                    span = grown
+            if x in span:
+                continue
+            gens.append(x)
+            coset = sorted(span)  # S_(j-1) + a g_j, from a = 0; 0 first
+            while (multiple := add[coset[0]][x]) not in span:
+                grown = [add[y][x] for y in coset]
+                steps += zip(coset, [x] * len(coset), grown)
+                span.update(grown)
+                coset = grown
+            steps.append((coset[0], x, multiple))  # the relation: o_j g_j in S_(j-1)
         if span != set(k):
             raise ValueError("bicharacter domain is not a subgroup")
         self.generators = tuple(gens)
         one, mul = units.intern(self.kind.one()), units.mul
-        for x in k:
+        for x in (0, *gens):
             if ids[x][x] != one:
                 raise ValueError(f"bicharacter is not alternating at {elements[x]}")
-            ids_u, sums = ids[x], add[x]
-            for g in gens:
-                ids_v, ids_sum = ids[g], ids[sums[g]]
-                for w in k:
-                    if ids_sum[w] != mul(ids_u[w], ids_v[w]):
-                        raise ValueError("bicharacter not multiplicative at "
-                                         f"({elements[x]},{elements[g]},{elements[w]})")
-        for x in k:
-            for g in gens:
-                if mul(ids[x][g], ids[g][x]) != one:
-                    raise ValueError(f"bicharacter is not skew at ({elements[x]},{elements[g]})")
+        rows = ids if len(k) == n else {x: [ids[x][w] for w in k] for x in k}  # f on K x K
+        for x, g, y in steps:
+            if rows[y] != list(map(mul, rows[x], rows[g])):
+                w = next(w for w, a, b, c in zip(k, rows[x], rows[g], rows[y]) if c != mul(a, b))
+                raise ValueError("bicharacter not multiplicative at "
+                                 f"({elements[x]},{elements[g]},{elements[w]})")
+        ones = [one] * len(k)
+        if any(list(map(mul, [ids[x][g] for x in k], rows[g])) != ones for g in gens):
+            x, g = next((x, g) for x in k for g in gens if mul(ids[x][g], ids[g][x]) != one)
+            raise ValueError(f"bicharacter is not skew at ({elements[x]},{elements[g]})")
+        pairs = {}  # a value at generator pairs -> the first pair with it
+        for g in gens:
+            for h in gens:
+                pairs.setdefault(ids[g][h], (elements[g], elements[h]))
+        for a, b in itertools.combinations(pairs, 2):
+            if mul(a, b) != mul(b, a):
+                raise ValueError("bicharacter values do not commute at "
+                                 "({},{}) and ({},{})".format(*pairs[a], *pairs[b]))
 
     def value(self, u, v):
         """beta(u, v); KeyError for a pair outside K x K."""

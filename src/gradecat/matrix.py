@@ -118,13 +118,32 @@ class GradedMatrixAlgebra:
     def basis_element(self, i: int, j: int, t: GroupElement, coeff=1) -> "GradedElement":
         return GradedElement(self, {(i, j): self.division.unit(t, coeff)})
 
+    def degree_labels(self):
+        """(labels, ids): the distinct degree coordinates of the basis
+        elements, in order of first appearance over (i, j, t), and
+        ids[i][j][t], the index in `labels` of deg(E_ij (x) X_t) for the
+        support position t.  Each degree is the sum of the coordinates of
+        g_i - g_j and of the embedded t, torsion coordinates reduced, so the
+        k^2 |T| degrees take k^2 + |T| GroupElement operations."""
+        mods = (0,) * self.ambient.free_rank + self.ambient.torsion
+        elements = self.division.elements()
+        # one coordinate at a time, over the support positions
+        columns = list(zip(*(self.params.embed(t).coords for t in elements)))
+        index = {}  # degree coordinates -> label index, in order of first appearance
+
+        def block(g):  # the label indices of the degrees g + t, over t
+            sums = [[(b + c) % m if m else b + c for c in col] if b else col
+                    for b, col, m in zip(g.coords, columns, mods)]
+            degrees = zip(*sums) if sums else [()] * len(elements)  # G = 0 has one degree
+            return [index.setdefault(d, len(index)) for d in degrees]
+
+        ids = [[block(gi - gj) for gj in self.gamma] for gi in self.gamma]
+        return list(index), ids
+
     def component_degrees(self) -> list:
-        degs = set()
-        for t in self.division.elements():
-            for i in range(self.k):
-                for j in range(self.k):
-                    degs.add(self.degree_of(i, j, t))
-        return sorted(degs, key=lambda d: d.coords)
+        """The degrees of the homogeneous components, sorted by coordinates."""
+        return sorted((self.ambient.element(d) for d in self.degree_labels()[0]),
+                      key=lambda d: d.coords)
 
     def __repr__(self):
         return f"GradedMatrixAlgebra(k={self.k}, D={self.division!r})"
@@ -388,40 +407,32 @@ def harvest_universal_group(r: GradedMatrixAlgebra):
     multiple of a word in G with nonzero prefixes (E_jl (x) X_s =
     E_j0 (E_00 (x) X_s) E_0l), so induction on the length of the word in y
     puts each r(x, y) in S.
+
+    The labels are those of `degree_labels`, and each r(x, y) goes to
+    `universal_abelian_group` as a sparse vector of at most three terms.
     """
-    elems = r.division.elements()
     _, at, add = support_table(r.division.support)
-    k, n = r.k, len(elems)
-    labels = []
-    index = {}
-    # ids[i][j][t]: label id of deg(E_ij (x) X_t), one degree_of per (i, j, t)
-    ids = [[[0] * n for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            for t, x in enumerate(elems):
-                d = r.degree_of(i, j, x).coords
-                if d not in index:
-                    index[d] = len(labels)
-                    labels.append(d)
-                ids[i][j][t] = index[d]
+    labels, ids = r.degree_labels()
+    k, n = r.k, r.division.support.order()
     # H as (j, l, s): y = E_jl (x) X_s, with s a support position
     right = [(0, 0, at[g]) for g in r.division.support.generators()] or [(0, 0, 0)]
     right += [(j, j + 1, 0) for j in range(k - 1)]
     # (E_ij (x) X_t)(E_jl (x) X_s) is never zero over D and relates the
     # label ids a, b, c of the two factors and the product
-    triples = {
-        (ids[i][j][t], ids[j][l][s], ids[i][l][add[t][s]])
-        for j, l, s in right for i in range(k) for t in range(n)
-    }
-    relations = set()
+    triples = set()
+    for j, l, s in right:
+        plus_s = [row[s] for row in add]  # t -> t + s
+        for i in range(k):
+            triples.update(zip(ids[i][j], [ids[j][l][s]] * n, map(ids[i][l].__getitem__, plus_s)))
+    # L_a + L_b - L_c once per distinct vector: e_(a + b - c) when c is a or b
+    relations, unit_vectors = {}, set()
     for a, b, c in triples:
-        vec = [0] * len(labels)
-        vec[a] += 1
-        vec[b] += 1
-        vec[c] -= 1
-        relations.add(tuple(vec))  # never zero: its entries sum to 1
-    group, projection = universal_abelian_group(labels, relations)
-    return group, {label: projection[label] for label in labels}
+        if c == a or c == b:
+            unit_vectors.add(a + b - c)
+        else:
+            relations[(a, b) if a < b else (b, a), c] = {a: 2, c: -1} if a == b else \
+                {a: 1, b: 1, c: -1}
+    return universal_abelian_group(labels, [*relations.values(), *({x: 1} for x in unit_vectors)])
 
 
 def expected_universal_group(r: GradedMatrixAlgebra) -> AbelianGroup:

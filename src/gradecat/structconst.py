@@ -802,7 +802,7 @@ def direct_sum(a: StructureConstantAlgebra, b: StructureConstantAlgebra) -> Stru
     ga, gb = a.group, b.group
     orders = ([0] * ga.free_rank + list(ga.torsion)
               + [0] * gb.free_rank + list(gb.torsion))
-    relations = [[m * (i == j) for i in range(len(orders))] for j, m in enumerate(orders) if m]
+    relations = [{j: m} for j, m in enumerate(orders) if m]
     group, projection = universal_abelian_group(range(len(orders)), relations)
 
     def lift(d, offset):

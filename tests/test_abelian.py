@@ -241,6 +241,24 @@ def test_universal_rejects_non_integral_entries():
         universal_abelian_group(["a", "b"], [(1.5, 0)])
 
 
+@pytest.mark.parametrize("relation, message", [
+    ([2.0], "relation entries must be integers"),  # int() would read Z2
+    ([True], "relation entries must be integers"),  # and Z1 here
+    ([0.0], "relation entries must be integers"),  # a zero entry is no exception
+    ({0: 2.0}, "relation entries must be integers"),
+    ({0: True}, "relation entries must be integers"),
+    ({1: 1}, r"relation positions must be integers in range\(1\)"),
+    ({-1: 1}, r"relation positions must be integers in range\(1\)"),
+    ({0.0: 1}, r"relation positions must be integers in range\(1\)"),
+    ({False: 1}, r"relation positions must be integers in range\(1\)"),
+], ids=["dense-float", "dense-bool", "dense-float-zero", "sparse-float", "sparse-bool",
+        "sparse-past-the-end", "sparse-negative", "sparse-float-position",
+        "sparse-bool-position"])
+def test_universal_rejects_what_int_would_misread(relation, message):
+    with pytest.raises(ValueError, match=message):
+        universal_abelian_group(["a"], [relation])
+
+
 def dense_universal_group(labels, relations):
     """Reference: Smith normal form of the whole label x relation matrix,
     without unit-pivot elimination."""
@@ -320,6 +338,43 @@ def test_universal_ternary_relations_against_dense_reference(case):
 @given(_relations_without_unit_entries())
 def test_universal_non_unit_relations_against_dense_reference(case):
     _check_presentation(*case)
+
+
+@st.composite
+def _harvest_shaped_relations(draw):
+    """Sparse relations L_a + L_b - L_c, as the harvest passes them, on
+    label blocks drawn apart.  a == b gives 2 L_a - L_c, where the only open
+    label can have coefficient 2; c == a or b gives a unit vector; and a
+    block with few relations, or none, leaves labels that must survive."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    rels, start = [], 0
+    for size in sizes:
+        block = st.integers(start, start + size - 1)
+        for a, b, c in draw(st.lists(st.tuples(block, block, block), max_size=2 * size)):
+            rel = {a: 1}
+            rel[b] = rel.get(b, 0) + 1
+            rel[c] = rel.get(c, 0) - 1
+            rels.append({x: e for x, e in rel.items() if e})
+        start += size
+    return start, rels
+
+
+@settings(max_examples=200, deadline=None)
+@given(_harvest_shaped_relations())
+@example((2, [{0: -1, 1: 2}])).via("label 1 is left open with coefficient 2, so it survives")
+@example((3, [{0: 1, 1: 1, 2: -1}, {0: 2}])).via("a + b - c with 2a = 0")
+@example((4, [{0: 1, 1: 1, 2: -1}])).via("label 3 has no relation")
+@example((5, [{0: 2, 1: -1}, {3: 1, 4: 1, 2: -1}, {1: 1}])).via("two blocks, a unit vector")
+@example((1, [])).via("no relation")
+def test_universal_sparse_relations_against_dense_reference(case):
+    """The same group as the dense Smith normal form, every relation zero
+    under the projection, and the dense form of the same relations gives
+    the same result."""
+    n, sparse = case
+    dense = [tuple(rel.get(i, 0) for i in range(n)) for rel in sparse]
+    labels = [f"x{i}" for i in range(n)]
+    assert universal_abelian_group(labels, sparse) == universal_abelian_group(labels, dense)
+    _check_presentation(n, dense)
 
 
 @settings(max_examples=100, deadline=None)

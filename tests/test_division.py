@@ -1218,6 +1218,136 @@ def test_bicharacter_checks_its_second_argument():
         _beta_from_values(group, values, CoefficientKind.real())
 
 
+def _is_alternating_bicharacter(domain, values, kind):
+    """The |K|^3 triple loop: values is alternating, and multiplicative in
+    each argument at every triple of the domain (ids through one interner)."""
+    units = UnitInterner(kind)
+    f = {pair: units.intern(value) for pair, value in values.items()}
+    one, mul = units.intern(kind.one()), units.mul
+    return all(f[(u, u)] == one for u in domain) and all(
+        f[(u + v, w)] == mul(f[(u, w)], f[(v, w)]) and f[(w, u + v)] == mul(f[(w, u)], f[(w, v)])
+        for u in domain for v in domain for w in domain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_REFS), st.sampled_from(["beta", "transpose", "conjugate", "square"]),
+       st.data())
+def test_bicharacter_verdict_is_the_triple_loop_verdict(ref, start, data):
+    """Each of the four starts is an alternating bicharacter; up to three
+    entries of K x K, the diagonal and the zero row included, are then
+    multiplied by units.  The checks on the presentation accept exactly
+    the tables that the |K|^3 loop accepts."""
+    d = _catalog(ref)
+    beta = commutation_bicharacter(d)
+    kind, values = d.kind, _values(beta)
+    table = {(u, v): {"beta": values[(u, v)], "transpose": values[(v, u)],
+                      "conjugate": kind.conjugate(values[(u, v)]),
+                      "square": values[(u, v)] * values[(u, v)]}[start] for u, v in values}
+    for _ in range(data.draw(st.integers(0, 3), label="corrupted")):
+        pair = data.draw(st.sampled_from(sorted(table, key=lambda p: (p[0].coords, p[1].coords))))
+        table[pair] = table[pair] * data.draw(st.sampled_from(_unit_multipliers(kind)))
+    try:
+        _beta_from_values(d.support, table, kind)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _is_alternating_bicharacter(beta.domain, table, kind)
+
+
+def test_bicharacter_checks_the_relation_of_each_generator():
+    # K = {0, (0,2), (1,1), (1,3)} in Z2 x Z4 is cyclic of order 4, but the
+    # greedy generators are g1 = (0,2) and g2 = (1,1), with relation
+    # 2 g2 = g1.  The table is the Kronecker build of the rows chi1 of g1
+    # (the character with chi1(g2) = -1) and chi2 = 1 of g2, so every tree
+    # step holds; only the relation row f(g1, w) = f(g2, w)^2 fails, at w = g2
+    group = AbelianGroup(0, (2, 4))
+    zero, g1, g2 = group.zero(), group.element((0, 2)), group.element((1, 1))
+    domain = [zero, g1, g2, g1 + g2]
+    chi1 = {zero: 1, g1: 1, g2: -1, g1 + g2: -1}
+    values = {(a * g1 + b * g2, w): chi1[w] ** a for a in (0, 1) for b in (0, 1) for w in domain}
+    assert _greedy_generators(domain) == [g1, g2]
+    assert values[(g1, g2)] != values[(g2, g2)] * values[(g2, g2)]
+    assert not _is_alternating_bicharacter(domain, values, CoefficientKind.real())
+    with pytest.raises(ValueError) as err:
+        _beta_from_values(group, values, CoefficientKind.real())
+    assert str(err.value) == f"bicharacter not multiplicative at ({g2},{g2},{g2})"
+
+
+def test_bicharacter_checks_that_its_values_commute():
+    # On K = Z4^3 with generators g1 = e3, g2 = e2, g3 = e1, the quaternion
+    # values b(g1, g2) = i and b(g1, g3) = j (inverses transposed, 1 on the
+    # rest) define rows chi_j(w) = (prod_i b(g_i, g_j)^(w_i))^-1, in Q8, and
+    # f(u, w) = chi_1(w)^(u_1) chi_2(w)^(u_2) chi_3(w)^(u_3).  This table is
+    # alternating at the generators, skew, and passes every tree and
+    # relation step (chi^4 = 1 on Q8), but it is no bicharacter: chi_1 and
+    # chi_2 do not commute.  Only the commutation check refuses it
+    q, kind = RationalQuaternion, CoefficientKind.quaternion()
+    group = AbelianGroup(0, (4, 4, 4))
+    elements = list(group.elements())
+    gens = [group.element(c) for c in ((0, 0, 1), (0, 1, 0), (1, 0, 0))]
+
+    def a(u):  # coordinates on g1, g2, g3
+        return u.coords[::-1]
+
+    b = [[q(1), q.i(), q.j()], [-q.i(), q(1), q(1)], [-q.j(), q(1), q(1)]]
+
+    def product(factors, exponents):  # prod factors[i]^exponents[i], in order
+        return functools.reduce(lambda y, x: y * x, (
+            x for x, e in zip(factors, exponents) for _ in range(e)), q(1))
+
+    chi = {w: [1 / product([b[i][j] for i in range(3)], a(w)) for j in range(3)]
+           for w in elements}
+    values = {(u, w): product(chi[w], a(u)) for u in elements for w in elements}
+    assert _greedy_generators(elements) == gens
+    g1, g2, w = gens[0], gens[1], gens[0] + gens[2]
+    assert values[(g2 + g1, w)] != values[(g2, w)] * values[(g1, w)]  # no bicharacter
+    with pytest.raises(ValueError) as err:
+        _beta_from_values(group, values, kind)
+    assert str(err.value) == (f"bicharacter values do not commute at ({gens[0]},{gens[1]}) "
+                              f"and ({gens[0]},{gens[2]})")
+
+
+def test_bicharacter_on_the_zero_subgroup_checks_its_one_value():
+    # K = 0 has no generator, so no tree, relation or skew step: only
+    # alternation at 0 sees beta(0, 0)
+    group = AbelianGroup(0, (2,))
+    zero = group.zero()
+    with pytest.raises(ValueError, match=r"^bicharacter is not alternating at <0>$"):
+        _beta_from_values(group, {(zero, zero): -1}, CoefficientKind.real())
+    assert _beta_from_values(group, {(zero, zero): 1}, CoefficientKind.real()).domain == (zero,)
+
+
+def test_bicharacter_check_makes_at_most_two_products_per_pair(monkeypatch):
+    # the tree, relation and skew rows make |K|^2 + (2 rank K - 1)|K|
+    # products, and the commutation check a few more; the former check
+    # made |K|^2 rank K
+    calls, mul = [0], UnitInterner.mul
+
+    def counting(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    entries = [(tag, torsion) for order in range(64, 257) for torsion in _chains(order)
+               for tag in CATALOG_TAGS]
+    entries += [("2-a", (2,) * 9), ("2-b", (2,) * 9)]  # |T| = 512 and |K| = 256
+    checked = []
+    for tag, torsion in entries:
+        try:
+            d = canonical(tag, AbelianGroup(0, torsion))
+        except CatalogError:
+            continue
+        monkeypatch.setattr(UnitInterner, "mul", counting)
+        calls[0] = 0
+        beta = commutation_bicharacter(d)  # the constructor's products only
+        monkeypatch.undo()
+        size, rank = len(beta.domain), len(beta.generators)
+        if 64 <= size <= 256:
+            assert calls[0] <= 2 * size ** 2 + 4 * size * rank, (tag, torsion, calls[0])
+            checked.append((tag, torsion))
+    assert len(checked) >= 30
+    assert {("1-b", (2,) * 8), ("2-a", (2,) * 9), ("2-f", (16, 16))} <= set(checked)
+
+
 @pytest.mark.parametrize("domain", [
     [(0,), (1,)],  # {0, 1} in Z4
     [(1,), (2,), (3,)],  # Z4 without its zero

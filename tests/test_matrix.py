@@ -216,9 +216,12 @@ def test_universal_group_formula():
     ("1-d", "Z2xZ4", 3),
     ("2-f", "Z4^2", 2),
     ("1-c", "Z2^5", 2),
+    ("1-b", "Z2^10", 1),
+    ("1-c", "Z2^9", 1),
 ])
 def test_universal_group_beyond_classify_coverage(ref, support, k):
-    # M(6,C) and M(8,C) sizes: up to 96 labels and 426 relations
+    # M(6,C) and M(8,C) sizes: up to 96 labels and 426 relations; M(16,H)
+    # and M(16,C) sizes: 1024 labels and 10 240 relations
     r = matrix_algebra(canonical(ref, support), k=k)
     group, _ = harvest_universal_group(r)
     assert group == expected_universal_group(r)
@@ -228,6 +231,33 @@ def test_component_count():
     for d, k in [(TRIVIAL_R, 3), (canonical("1-c", "Z2"), 2), (canonical("1-b", "Z2xZ2"), 2)]:
         r = matrix_algebra(d, k=k)
         assert component_count(r) == expected_component_count(r)
+
+
+def _explicit_ambient_algebras():
+    """Gradings whose degrees are not those of the canonical realization."""
+    d = canonical("1-c", "Z2")
+    g = AbelianGroup(1, (2,))  # kappa = (2, 1), as the universal golden spec
+    yield matrix_algebra(d, gamma=[g.zero(), g.element((1, 0))], ambient=g, kappa=[2, 1],
+                         embed=GroupHomomorphism(d.support, g, [g.element((0, 1))]))
+    g = AbelianGroup(1, (4,))  # torsion sums that wrap, and a negative free degree
+    yield matrix_algebra(d, gamma=[g.zero(), g.element((1, 3)), g.element((-2, 1))], ambient=g,
+                         embed=GroupHomomorphism(d.support, g, [g.element((0, 2))]))
+    d = canonical("1-a", "Z2xZ2")  # the gamma of test_fine_condition_2g_in_t
+    g = AbelianGroup(0, (2, 2, 4))
+    yield matrix_algebra(d, gamma=[g.zero(), g.element((0, 0, 1))], ambient=g, embed=(
+        GroupHomomorphism(d.support, g, [g.element((1, 0, 0)), g.element((0, 0, 2))])))
+
+
+def test_degree_labels_are_the_degrees_of_degree_of():
+    for r in [*_harvest_rows(), *_explicit_ambient_algebras()]:
+        labels, ids = r.degree_labels()
+        elems, k = r.division.elements(), r.k
+        assert len(set(labels)) == len(labels)
+        assert [[[labels[a] for a in row] for row in block] for block in ids] == [
+            [[r.degree_of(i, j, t).coords for t in elems] for j in range(k)] for i in range(k)]
+        assert r.component_degrees() == sorted(
+            {r.degree_of(i, j, t) for i in range(k) for j in range(k) for t in elems},
+            key=lambda d: d.coords)
 
 
 def reference_export(r):
@@ -402,6 +432,7 @@ def _harvest_rows():
             yield row.algebra
     for ref in ("1-b:Z2^6", "2-f:Z2^2xZ4^2"):
         yield matrix_algebra(parse_catalog_ref(ref), k=1)
+    yield from _explicit_ambient_algebras()
 
 
 def _right_factors(r):
@@ -415,14 +446,19 @@ def _right_factors(r):
 def test_harvest_matches_reference_on_classify_rows(monkeypatch):
     """The harvest keeps the relations whose right factor is E_(j,j+1) X_0
     or E_00 X_g, and they present the group of all products: every relation
-    of the reference vanishes under the harvested projection."""
+    of the reference vanishes under the harvested projection.  They arrive
+    sparse, at most three terms each, and each distinct vector once."""
     import gradecat.matrix as matrix
     from gradecat.abelian import universal_abelian_group
 
     seen = []
 
     def recording(labels, relations):
-        seen.append((list(labels), set(relations)))
+        labels = list(labels)
+        assert all(1 <= len(rel) <= 3 and 0 not in rel.values() for rel in relations)
+        dense = [tuple(rel.get(x, 0) for x in range(len(labels))) for rel in relations]
+        assert len(set(dense)) == len(dense)
+        seen.append((labels, set(dense)))
         return universal_abelian_group(labels, relations)
 
     for algebra in _harvest_rows():
