@@ -256,7 +256,7 @@ def weyl_division(d: GradedDivisionAlgebra):
     """Weyl group of a division grading, memoized on `d`: (transversals,
     descriptor), the stabilizer chain of the support automorphisms that keep
     the label of every position t and beta (so p(K) = K), found by one
-    `automorphism_group` search.  The label pairs the id of sigma(t, t)
+    `automorphism_group` search.  The label pairs the exponent of sigma(t, t)
     where the square of X_t is an invariant (on the 2-torsion over R and H,
     off K over C; else None) with t in rad beta, which such a p keeps.  Over
     C with the trivial action (2-f) beta may also go to its conjugate.

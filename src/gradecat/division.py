@@ -8,10 +8,14 @@ a normalized 2-cocycle sigma, with the multiplication rule
     (c * X_u) (c' * X_v) = c * alpha_u(c') * sigma(u, v) * X_{u+v}.
 
 D is built from a presentation, and sigma is the cocycle of its normal
-words, proved one on O(rank^3) generator overlaps.  The module also carries
-the catalog of canonical real division gradings (type tags 1-a ... 3-d and
-2-f), each a presentation, with their invariants: the centralizer support
-K, the commutation bicharacter, quadratic sign data, the Arf invariant.
+words, proved one on O(rank^3) generator overlaps.  The values of sigma,
+of the presentation and of the commutation bicharacter are roots of unity,
+kept as their exponents in the cyclic group `CoefficientKind.roots`, so
+the tables are computed in Z_N: a product is a sum mod N and conjugation
+a negation.  The module also carries the catalog of canonical real
+division gradings (type tags 1-a ... 3-d and 2-f), each a presentation,
+with their invariants: the centralizer support K, the commutation
+bicharacter, quadratic sign data, the Arf invariant.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .abelian import AbelianGroup, GroupElement, abstract_type, parse_group_string, support_table
@@ -38,9 +43,18 @@ class CatalogError(ValueError):
 
 
 class CoefficientKind:
-    """One of the three exact coefficient rings: R, C (with conductor), H."""
+    """One of the three exact coefficient rings: R, C (with conductor), H.
 
-    __slots__ = ("family", "conductor")
+    `roots[e]` = omega^e, e in range(N), lists the allowed cocycle units,
+    a cyclic group mu_N: N = 2 and omega = -1 over R and H; over C with
+    conductor n, N = lcm(2, n) and omega = zeta_n for an even n, while for
+    an odd n Q(zeta_n) also holds -1, and omega = -zeta_n^((n + 1) / 2),
+    a primitive 2n-th root with omega^2 = zeta_n.  Sigma, presentation and
+    beta tables hold such exponents e, so a product is a sum mod N and
+    conjugation, omega -> omega^-1, a negation.
+    """
+
+    __slots__ = ("family", "conductor", "roots", "_exponents")
 
     def __init__(self, family: str, conductor=None):
         if family not in ("R", "C", "H"):
@@ -52,6 +66,15 @@ class CoefficientKind:
             raise ValueError("conductor only applies to complex coefficients")
         self.family = family
         self.conductor = conductor
+        if family != "C":
+            self.roots = (self.coerce(1), self.coerce(-1))
+        elif conductor % 2:
+            half = (conductor + 1) // 2
+            self.roots = tuple(-zeta(conductor, e * half) if e % 2 else zeta(conductor, e * half)
+                               for e in range(2 * conductor))
+        else:
+            self.roots = tuple(zeta(conductor, e) for e in range(conductor))
+        self._exponents = {self.to_vector(x): e for e, x in enumerate(self.roots)}
 
     @classmethod
     def real(cls):
@@ -106,12 +129,19 @@ class CoefficientKind:
             return value
         return value.conjugate()
 
+    def exponent(self, value):
+        """The e with value = roots[e], or None for a value outside roots;
+        TypeError for a value that is no coefficient of this kind."""
+        return self._exponents.get(self.to_vector(self.coerce(value)))
+
     def is_allowed_cocycle_unit(self, value) -> bool:
-        """R and H admit +-1 only: with the trivial action on H, the product
-        c c' sigma(u, v) X_(u+v) is associative only for central sigma values."""
-        if self.family == "C":
-            return isinstance(value, Cyclotomic) and value.is_root_of_unity_or_zero()
-        return value in (1, -1)
+        """Is value in roots?  R and H admit +-1 only: with the trivial action
+        on H, the product c c' sigma(u, v) X_(u+v) is associative only for
+        central sigma values.  C admits every root of unity of Q(zeta_n)."""
+        try:
+            return self.exponent(value) is not None
+        except TypeError:
+            return False
 
     def basis(self):
         """Q-basis of the coefficient ring."""
@@ -146,49 +176,6 @@ class CoefficientKind:
         return f"CoefficientKind({self.family!r})"
 
 
-class UnitInterner:
-    """Exact int ids for the coefficient values of one kind.
-
-    A value is keyed on its coordinates on the Q-basis of the kind
-    (`kind.to_vector`), so two ids are equal exactly when the values are.
-    `values[i]` is the value with id i.  Products and conjugates are
-    memoized by id: the normal-word collector, one product per pair of T,
-    multiplies each pair of distinct values once.
-    """
-
-    __slots__ = ("kind", "values", "_ids", "_products", "_conjugates")
-
-    def __init__(self, kind: CoefficientKind):
-        self.kind = kind
-        self.values = []
-        self._ids = {}
-        self._products = {}
-        self._conjugates = {}
-
-    def intern(self, value) -> int:
-        value = self.kind.coerce(value)
-        key = self.kind.to_vector(value)
-        found = self._ids.get(key)
-        if found is None:
-            found = self._ids[key] = len(self.values)
-            self.values.append(value)
-        return found
-
-    def mul(self, a: int, b: int) -> int:
-        """Id of values[a] * values[b]."""
-        found = self._products.get((a, b))
-        if found is None:
-            found = self._products[(a, b)] = self.intern(self.values[a] * self.values[b])
-        return found
-
-    def conj(self, a: int) -> int:
-        """Id of kind.conjugate(values[a])."""
-        found = self._conjugates.get(a)
-        if found is None:
-            found = self._conjugates[a] = self.intern(self.kind.conjugate(self.values[a]))
-        return found
-
-
 FINE_DIVISION_TAGS = frozenset({"1-a", "1-b", "1-c", "1-d"})
 NON_FINE_DIVISION_TAGS = frozenset({"2-a", "2-b", "2-c", "2-d", "2-e", "3-a", "3-b", "3-c", "3-d"})
 
@@ -198,8 +185,9 @@ class GradedDivisionAlgebra:
     per coordinate generator g_j of T: X_j c = alpha_j(c) X_j (conjugation
     where `conj[j]`), X_j^o(g_j) = `powers[j]`, and X_j X_i = b_ji X_i X_j
     for i < j, b_ji = `commutators[(j, i)]` or 1; X_t is the normal word.
-    `presentation` keeps the three; `_sigma_ids[i][j]` is the id in `_units`
-    of sigma at positions i, j, and `_conj[i]` tells if i acts by conjugation."""
+    `presentation` keeps the three; `_sigma_ids[i][j]` is the exponent e
+    with sigma = kind.roots[e] at positions i, j, and `_conj[i]` tells if i
+    acts by conjugation."""
 
     def __init__(self, support: AbelianGroup, kind: CoefficientKind, conj, powers, commutators,
                  type_tag=None):
@@ -220,15 +208,15 @@ class GradedDivisionAlgebra:
         for x in self.presentation[1] + tuple(self.presentation[2].values()):
             if not kind.is_allowed_cocycle_unit(x):
                 raise CocycleError(f"presentation value {x!r} is not an allowed unit")
-        units = self._units = UnitInterner(kind)
-        p = [units.intern(x) for x in powers]
-        b = [[units.intern(commutators.get((j, i), 1)) for i in range(j)] for j in range(r)]
-        word = _overlap_failure(orders, conj, p, b, units, [f"X{g}" for g in support.generators()])
+        p = list(map(kind.exponent, self.presentation[1]))
+        b = [[kind.exponent(commutators.get((j, i), 1)) for i in range(j)] for j in range(r)]
+        modulus, names = len(kind.roots), [f"X{g}" for g in support.generators()]
+        word = _overlap_failure(orders, conj, p, b, modulus, names)
         if word:
             raise CocycleError(f"presentation is inconsistent at the overlap {word}", witness=word)
         self._conj = [sum(c for c, f in zip(t.coords, conj) if f) % 2 == 1 for t in self._elements]
         self.conj_elements = frozenset(t for t, c in zip(self._elements, self._conj) if c)
-        self._sigma_ids = _normal_words(orders, conj, p, b, units, self._add)
+        self._sigma_ids = _normal_words(orders, conj, p, b, modulus, self._add)
         self._beta = self._quad = self._weyl = self._export = None
 
     # -- basic structure -----------------------------------------------------
@@ -241,7 +229,7 @@ class GradedDivisionAlgebra:
         return self.kind.conjugate(value) if t in self.conj_elements else value
 
     def sigma(self, u: GroupElement, v: GroupElement):
-        return self._units.values[self._sigma_ids[self._index[u]][self._index[v]]]
+        return self.kind.roots[self._sigma_ids[self._index[u]][self._index[v]]]
 
     def one(self) -> "DivisionElement":
         return self.unit(self.support.zero())
@@ -389,60 +377,67 @@ class DivisionElement:
 
 class Bicharacter:
     """An alternating bimultiplicative pairing beta on a subgroup K of a
-    finite abelian group T, as one table of ids over T's support positions.
+    finite abelian group T, as one table of exponents over T's positions.
 
-    `ids[x][y]` is the id in `units` of beta at the `support_table(group)`
-    positions x and y, and None exactly when x or y lies outside K; K is
-    read from the diagonal.  `domain` lists K in position order, and
-    `generators` a generating set of K as positions, taken greedily in order.
+    `ids[x][y]` is the e in range(N), N = len(kind.roots), with beta =
+    kind.roots[e] at the `support_table(group)` positions x and y, and None
+    exactly when x or y lies outside K; K is read from the diagonal.
+    `domain` lists K in position order, and `generators` a generating set
+    of K as positions, taken greedily in order.
 
     The table f is checked on the polycyclic presentation of K that the
     generators give (Sims, Computation with Finitely Presented Groups,
     ch. 9).  With g_1, ..., g_r the generators, S_j = <g_1, ..., g_j> and
     o_j the least o with o g_j in S_(j-1), each u in K is sum a_j g_j with
     0 <= a_j < o_j in exactly one way.  The tree step of u != 0 takes one
-    g_j off at its last nonzero a_j: u = u' + g_j.  The checks are:
+    g_j off at its last nonzero a_j: u = u' + g_j.  The checks, products
+    being sums of exponents mod N, are:
     (A) f(0, 0) = 1, and f(g, g) = 1 at each generator g;
     (M) f(x + g, w) = f(x, w) f(g, w) for all w in K, at each tree step
         (x, g) = (u', g_j), and at each relation step ((o_j - 1) g_j, g_j),
         where x + g = o_j g_j lies in S_(j-1);
-    (S) f(u, g) f(g, u) = 1 for all u in K and each generator g;
-    (C) the values at generator pairs commute.
-    (M) and (S) make |K|^2 + (2r - 1)|K| products: they compare f on K x K
+    (S) f(u, g) f(g, u) = 1 for all u in K and each generator g.
+    (M) and (S) make |K|^2 + (2r - 1)|K| sums: they compare f on K x K
     with the table that the tree steps build row by row, row(u) =
-    row(u') row(g_j), as `support_table` builds sums.
+    row(u') + row(g_j), as `support_table` builds sums.
 
-    These accept exactly the alternating bicharacters.  One passes them
-    all: (C) because f(a + c, b + d) expands in two orders, as
-    f(a, b) f(a, d) f(c, b) f(c, d) and f(a, b) f(c, b) f(a, d) f(c, d).
-    Conversely, fix w and let chi_j = f(g_j, w).  The step (0, g_1) gives
-    f(0, w) = 1 (when K = 0, (A) does), as f(g_1, w) is a unit by (S).  The
-    tree steps then give f(u, w) = chi_1^a_1 ... chi_r^a_r for every u.
-    By (S) and this, chi_j = f(w, g_j)^-1 is a product of values at
-    generator pairs, so by (C) all values commute.  The relation step of
-    g_j says chi_j^o_j = f(o_j g_j, w) = prod_(i<j) chi_i^c_i, where
-    o_j g_j = sum c_i g_i in normal form.  The relations o_j e_j - sum c_i e_i
-    present K: as in `abstract_type`, they span a lattice of index
-    prod o_j = |K| in Z^r, inside the kernel of e_j -> g_j, which has that
-    index too.  So e_j -> chi_j defines a character of K, which is f(., w)
-    on every normal form: f is multiplicative in its first argument.  By
-    (S), f(g, .) = f(., g)^-1 is a character too, and so is each
-    f(u, .) = prod f(g_j, .)^a_j.  Last, f(u, u) is
+    These accept exactly the alternating bicharacters with values in
+    roots.  One passes them all.  Conversely, fix w and let chi_j =
+    f(g_j, w).  The step (0, g_1) gives f(0, w) = 1 (when K = 0, (A) does),
+    as f(g_1, w) is a unit.  The tree steps then give f(u, w) = chi_1^a_1
+    ... chi_r^a_r for every u.  The values lie in mu_N, which is abelian,
+    so they commute (over H a table of values would need a check of this).
+    The relation step of g_j says chi_j^o_j = f(o_j g_j, w) = prod_(i<j)
+    chi_i^c_i, where o_j g_j = sum c_i g_i in normal form.  The relations
+    o_j e_j - sum c_i e_i present K: as in `abstract_type`, they span a
+    lattice of index prod o_j = |K| in Z^r, inside the kernel of e_j ->
+    g_j, which has that index too.  So e_j -> chi_j defines a character of
+    K, which is f(., w) on every normal form: f is multiplicative in its
+    first argument.  By (S), f(g, .) = f(., g)^-1 is a character too, and
+    so is each f(u, .) = prod f(g_j, .)^a_j.  Last, f(u, u) is
     prod_i f(g_i, g_i)^(a_i^2) prod_(i<j) (f(g_i, g_j) f(g_j, g_i))^(a_i a_j),
     which is 1 by (A) and (S).  On Z2, beta(1, 0) = -1 and 1 elsewhere
     passes (A) and (M) but not (S).
     """
 
-    def __init__(self, group: AbelianGroup, units: UnitInterner, ids):
+    def __init__(self, group: AbelianGroup, kind: CoefficientKind, ids):
         elements, self._index, add = support_table(group)
-        n = len(elements)
+        n, order = len(elements), len(kind.roots)
         in_k = [x < len(row) and row[x] is not None for x, row in enumerate(ids)]
-        if len(ids) != n or [[a is not None for a in row] for row in ids] != [
-                [x and y for y in in_k] for x in in_k]:
+        outside = [False] * len(in_k)
+        if len(ids) != n or any(list(map(operator.is_not, row, itertools.repeat(None))) != (
+                in_k if x else outside) for x, row in zip(in_k, ids)):
             raise ValueError(f"bicharacter must be a {n} x {n} table of ids with a value "
                              "exactly on K x K, K read from its diagonal")
         k = [x for x in range(n) if in_k[x]]
-        self.group, self.units, self.ids, self.kind = group, units, ids, units.kind
+        rows = list(map(list, ids)) if len(k) == n else {  # f on K x K, as lists
+            x: list(map(ids[x].__getitem__, k)) for x in k}
+        on_k = [rows[x] for x in k]
+        if {*map(type, itertools.chain.from_iterable(on_k))} - {int} or \
+                not set().union(*on_k) <= set(range(order)):
+            raise ValueError(f"bicharacter ids must be ints in range({order}), "
+                             "the exponents of kind.roots")
+        self.group, self.kind, self.ids = group, kind, ids
         self.domain = tuple(elements[x] for x in k)
         gens, steps, span = [], [], {0}  # steps: (x, g, x + g), in tree order
         for x in k:
@@ -459,53 +454,44 @@ class Bicharacter:
         if span != set(k):
             raise ValueError("bicharacter domain is not a subgroup")
         self.generators = tuple(gens)
-        one, mul = units.intern(self.kind.one()), units.mul
         for x in (0, *gens):
-            if ids[x][x] != one:
+            if ids[x][x]:
                 raise ValueError(f"bicharacter is not alternating at {elements[x]}")
-        rows = ids if len(k) == n else {x: [ids[x][w] for w in k] for x in k}  # f on K x K
         for x, g, y in steps:
-            if rows[y] != list(map(mul, rows[x], rows[g])):
-                w = next(w for w, a, b, c in zip(k, rows[x], rows[g], rows[y]) if c != mul(a, b))
+            if rows[y] != [(a + b) % order for a, b in zip(rows[x], rows[g])]:
+                w = next(w for w, a, b, c in zip(k, rows[x], rows[g], rows[y])
+                         if (a + b - c) % order)
                 raise ValueError("bicharacter not multiplicative at "
                                  f"({elements[x]},{elements[g]},{elements[w]})")
-        ones = [one] * len(k)
-        if any(list(map(mul, [ids[x][g] for x in k], rows[g])) != ones for g in gens):
-            x, g = next((x, g) for x in k for g in gens if mul(ids[x][g], ids[g][x]) != one)
+        zeros = [0] * len(k)
+        if any([(ids[x][g] + a) % order for x, a in zip(k, rows[g])] != zeros for g in gens):
+            x, g = next((x, g) for x in k for g in gens if (ids[x][g] + ids[g][x]) % order)
             raise ValueError(f"bicharacter is not skew at ({elements[x]},{elements[g]})")
-        pairs = {}  # a value at generator pairs -> the first pair with it
-        for g in gens:
-            for h in gens:
-                pairs.setdefault(ids[g][h], (elements[g], elements[h]))
-        for a, b in itertools.combinations(pairs, 2):
-            if mul(a, b) != mul(b, a):
-                raise ValueError("bicharacter values do not commute at "
-                                 "({},{}) and ({},{})".format(*pairs[a], *pairs[b]))
 
     def value(self, u, v):
         """beta(u, v); KeyError for a pair outside K x K."""
         a = self.ids[self._index[u]][self._index[v]]
         if a is None:
             raise KeyError((u, v))
-        return self.units.values[a]
+        return self.kind.roots[a]
 
     def radical_elements(self) -> tuple:
         """The t in K with beta(t, g) = 1 at each of `generators`, so on K."""
-        one = self.units.intern(self.kind.one())
         return tuple(t for t in self.domain
-                     if all(self.ids[self._index[t]][g] == one for g in self.generators))
+                     if not any(self.ids[self._index[t]][g] for g in self.generators))
 
     def conjugate(self) -> "Bicharacter":
-        """beta-bar on the same interner, not checked again: conjugation is a
-        ring automorphism of the coefficients, so it keeps every law."""
+        """beta-bar, the negated exponents, not checked again: conjugation is
+        a ring automorphism of the coefficients, so it keeps every law."""
+        order = len(self.kind.roots)
         other = object.__new__(Bicharacter)
-        other.__dict__.update(vars(self), ids=[[None if a is None else self.units.conj(a)
-                                                for a in row] for row in self.ids])
+        other.__dict__.update(vars(self), ids=[[None if a is None else -a % order for a in row]
+                                                for row in self.ids])
         return other
 
     def is_self_conjugate(self) -> bool:
-        conj = self.units.conj
-        return all(conj(a) == a for a in set().union(*self.ids) - {None})
+        order = len(self.kind.roots)
+        return all(2 * a % order == 0 for a in set().union(*self.ids) - {None})
 
     def __eq__(self, other):
         if not isinstance(other, Bicharacter):
@@ -530,15 +516,19 @@ class QuadraticData:
         return self.total == other.total and self.values == other.values
 
 
-def _overlap_failure(orders, conj, powers, comm, units, names):
+def _overlap_failure(orders, conj, powers, comm, modulus, names):
     """The first overlap word (in `names`) at which a presentation fails, or
-    None; `powers[j]` and `comm[j][i]` (i < j) are the ids of p_j and b_ji.
+    None; `powers[j]` and `comm[j][i]` (i < j) are the exponents of p_j and
+    b_ji in `CoefficientKind.roots`, a cyclic group of order `modulus`: a
+    product is a sum, and alpha_j a negation where X_j conjugates.
 
     With i < j < k, m_j = o(g_j) and N_j(b) = prod_(l < m_j) alpha_j^l(b),
-    each check (1)-(5) below equates two reductions of the word it returns,
-    so each is necessary.  Together they are sufficient, by induction: let
-    B_j = <D_e, X_0 ... X_(j-1)> be free on its normal words, so presented
-    by their relations.  B_(j+1) = B_j[Y; theta]/(Y^m - p), m = m_j, p = p_j,
+    which is m_j b, or 0 for a conjugating X_j (b and -b alternate, and m_j
+    is even by (1)), each check (1)-(5) below equates two reductions of the
+    word it returns, so each is necessary.  Together they are sufficient, by
+    induction: let B_j = <D_e, X_0 ... X_(j-1)> be free on its normal
+    words, so presented by their relations.  B_(j+1) =
+    B_j[Y; theta]/(Y^m - p), m = m_j, p = p_j,
     theta = alpha_j on D_e and theta(X_i) = b_ji X_i.  theta keeps B_j's
     relations: X_i c = alpha_i(c) X_i (the actions commute, and the values,
     allowed units, are central in D_e), X_i^m_i = p_i by (4), as (b_ji X_i)^m_i
@@ -551,29 +541,27 @@ def _overlap_failure(orders, conj, powers, comm, units, names):
     free on the s(t), s(u) s(v) = tau(u, v) s(u + v), and associative: tau
     is a cocycle.
     """
-    mul, one = units.mul, units.intern(1)
-
     def alpha(j, a):
-        return units.conj(a) if conj[j] else a
+        return -a if conj[j] else a
 
     def norm(j, a):
-        return functools.reduce(mul, (alpha(j, a) if l % 2 else a for l in range(orders[j])), one)
+        return 0 if conj[j] else orders[j] * a
 
     for j, (m, p) in enumerate(zip(orders, powers)):
         if conj[j] and m % 2:  # (1) a conjugating X_j has even order
             return f"{names[j]}^{m} c"
-        if alpha(j, p) != p:  # (2) alpha_j(p_j) = p_j
+        if (alpha(j, p) - p) % modulus:  # (2) alpha_j(p_j) = p_j
             return f"{names[j]}^{m + 1}"
         for i in range(j):
             b = comm[j][i]
-            if p != mul(norm(j, b), alpha(i, p)):  # (3) p_j = N_j(b) alpha_i(p_j)
+            if (norm(j, b) + alpha(i, p) - p) % modulus:  # (3) p_j = N_j(b) alpha_i(p_j)
                 return f"{names[j]}^{m} {names[i]}"
-            if alpha(j, powers[i]) != mul(norm(i, b), powers[i]):  # (4) alpha_j(p_i) = N_i(b) p_i
-                return f"{names[j]} {names[i]}^{orders[i]}"
+            if (alpha(j, powers[i]) - norm(i, b) - powers[i]) % modulus:
+                return f"{names[j]} {names[i]}^{orders[i]}"  # (4) alpha_j(p_i) = N_i(b) p_i
             for k in range(j + 1, len(orders)):
                 # (5) with c = b_kj, d = b_ki: c alpha_j(d) b_ji = alpha_k(b_ji) d alpha_i(c)
                 c, d = comm[k][j], comm[k][i]
-                if mul(mul(c, alpha(j, d)), b) != mul(mul(alpha(k, b), d), alpha(i, c)):
+                if (c + alpha(j, d) + b - alpha(k, b) - d - alpha(i, c)) % modulus:
                     return f"{names[k]} {names[j]} {names[i]}"
     return None
 
@@ -587,56 +575,51 @@ def _digit_steps(orders):
         yield v, v - strides[j], j
 
 
-def _normal_words(orders, conj, powers, comm, units, add):
-    """The ids of tau, s(u) s(v) = tau(u, v) s(u + v) with s(t) = X_0^t_0 ...
-    X_(r-1)^t_(r-1), on the positions of `add`, for a consistent presentation
-    (ids as in `_overlap_failure`).  In s(w) X_j, X_j crosses X_k^w_k (k > j),
-    leaving prod_(l < w_k) alpha_k^l(b_kj) to cross w_0 ... w_(k-1); if
-    w_j = m_j - 1, p_j crosses w_0 ... w_(j-1).  Then s(v) = s(v') X_j
-    (`_digit_steps`) gives tau(u, v) = tau(u, v') tau(u + v', g_j).
+def _normal_words(orders, conj, powers, comm, modulus, add):
+    """The exponents of tau, s(u) s(v) = tau(u, v) s(u + v) with s(t) =
+    X_0^t_0 ... X_(r-1)^t_(r-1), on the positions of `add`, for a consistent
+    presentation (exponents as in `_overlap_failure`).  In s(w) X_j, X_j
+    crosses X_k^w_k (k > j), leaving prod_(l < w_k) alpha_k^l(b_kj), which is
+    w_k b_kj, or (w_k mod 2) b_kj where X_k conjugates, to cross w_0 ...
+    w_(k-1), which conjugate it when their conjugating digits sum to an odd
+    number; if w_j = m_j - 1, p_j crosses w_0 ... w_(j-1).  Then s(v) =
+    s(v') X_j (`_digit_steps`) gives tau(u, v) = tau(u, v') tau(u + v', g_j),
+    one column v of tau at a time (T is abelian, so `add[w]` is a column).
     """
-    mul, one, r = units.mul, units.intern(1), len(orders)
-
-    def alpha(odd, a):
-        return units.conj(a) if odd % 2 else a
-
-    runs = [[list(itertools.accumulate((alpha(l * conj[k], comm[k][j]) for l in range(m - 1)),
-                                       mul, initial=one)) for j in range(k)]
-            for k, m in enumerate(orders)]
-    col = []
+    r, col = len(orders), []
+    below = [[comm[k][j] for k in range(j + 1, r)] for j in range(r)]  # the b_kj, k > j
     for d in itertools.product(*(range(m) for m in orders)):
-        odd = list(itertools.accumulate((c * f for c, f in zip(d, conj)), initial=0))
-        col.append([functools.reduce(
-            mul, (alpha(odd[k], runs[k][j][d[k]]) for k in range(j + 1, r)),
-            alpha(odd[j], powers[j]) if d[j] == orders[j] - 1 else one) for j in range(r)])
-    steps, tau = list(_digit_steps(orders)), []
-    for add_u in add:
-        row = [one] * len(add)
-        for v, w, j in steps:
-            row[v] = mul(row[w], col[add_u[w]][j])
-        tau.append(row)
-    return tau
+        odd = itertools.accumulate(map(operator.mul, d, conj), initial=0)  # conjugating digits
+        sign = [(-1) ** o for o in odd]
+        runs = [s * (w % 2 if f else w) for s, w, f in zip(sign, d, conj)]
+        last = [s * p if w == m - 1 else 0 for s, p, w, m in zip(sign, powers, d, orders)]
+        col.append([(sum(map(operator.mul, runs[j + 1:], below[j])) + last[j]) % modulus
+                    for j in range(r)])
+    tau = [[0] * len(add)]  # tau[v][u] = tau(u, v), transposed at the end
+    for v, w, j in _digit_steps(orders):
+        tau.append([(a + col[x][j]) % modulus for a, x in zip(tau[w], add[w])])
+    return [list(row) for row in zip(*tau)]
 
 
 def build_crossed_product(support, kind, action, cocycle, type_tag=None) -> GradedDivisionAlgebra:
     """Validated crossed product with the given sigma.
 
     `action` is the collection of the elements that act by conjugation;
-    `cocycle` maps element pairs to coefficient units.  Past the checks of
-    the action, the units and the normalization, a presentation is read off
-    sigma, with s(v) = lambda(v) X_v, lambda(v) = lambda(v') sigma(v', g_j)
-    (`_digit_steps`).  sigma is a cocycle iff it is consistent and
-    sigma(u, v) lambda(u) alpha_u(lambda(v)) = tau(u, v) lambda(u + v) at each
-    pair: a cocycle makes D associative, so both hold, and then
-    c X_t -> c lambda(t) X_t is a ring isomorphism from the tau algebra.
+    `cocycle` maps element pairs to coefficient units, read once as their
+    exponents in `kind.roots`.  Past the checks of the action, the units
+    and the normalization, a presentation is read off sigma, with s(v) =
+    lambda(v) X_v, lambda(v) = lambda(v') sigma(v', g_j) (`_digit_steps`).
+    sigma is a cocycle iff it is consistent and sigma(u, v) lambda(u)
+    alpha_u(lambda(v)) = tau(u, v) lambda(u + v) at each pair: a cocycle
+    makes D associative, so both hold, and then c X_t -> c lambda(t) X_t is
+    a ring isomorphism from the tau algebra.
     """
     elems, index, add = support_table(support)
-    n = len(elems)
+    n, order = len(elems), len(kind.roots)
     missing = next(((u, v) for u in elems for v in elems if (u, v) not in cocycle), None)
     if missing:
         raise CocycleError("sigma undefined at ({}, {})".format(*missing))
-    units = UnitInterner(kind)
-    sigma = [[units.intern(cocycle[(u, v)]) for v in elems] for u in elems]
+    sigma = [[kind.exponent(cocycle[(u, v)]) for v in elems] for u in elems]
     action = frozenset(action)
     if any(g.group != support for g in action):
         raise ValueError("action defined outside the support")
@@ -644,33 +627,30 @@ def build_crossed_product(support, kind, action, cocycle, type_tag=None) -> Grad
     for u, g in itertools.product(range(n), gens or [0]):  # T = 0: its zero
         if (conj[u] ^ conj[g]) != conj[add[u][g]]:
             raise ValueError(f"action is not a group homomorphism at {elems[u]}, {elems[g]}")
-    allowed = {a: kind.is_allowed_cocycle_unit(units.values[a]) for a in set().union(*sigma)}
-    if not all(allowed.values()):
-        u, v = next((u, v) for u in range(n) for v in range(n) if not allowed[sigma[u][v]])
-        raise CocycleError(f"sigma({elems[u]}, {elems[v]}) = "
-                           f"{units.values[sigma[u][v]]!r} is not an allowed unit")
-    one, mul, bar, values = units.intern(1), units.mul, units.conj, units.values
+    if any(None in row for row in sigma):
+        u, v = next((u, v) for u in elems for v in elems if sigma[index[u]][index[v]] is None)
+        raise CocycleError(f"sigma({u}, {v}) = {kind.coerce(cocycle[(u, v)])!r} "
+                           "is not an allowed unit")
     for u in range(n):  # position 0 is the zero of T
-        if sigma[0][u] != one or sigma[u][0] != one:
+        if sigma[0][u] or sigma[u][0]:
             raise CocycleError(f"sigma is not normalized at {elems[u]}")
-    lam = [one] * n
+    lam = [0] * n
     for v, w, j in _digit_steps(support.torsion):
-        lam[v] = mul(lam[w], sigma[w][gens[j]])
-    powers = [values[mul(lam[(m - 1) * g], sigma[(m - 1) * g][g])]
+        lam[v] = (lam[w] + sigma[w][gens[j]]) % order
+    powers = [kind.roots[(lam[(m - 1) * g] + sigma[(m - 1) * g][g]) % order]
               for m, g in zip(support.torsion, gens)]
-    comm = {(j, i): values[sigma[g][h]] / values[sigma[h][g]]
+    comm = {(j, i): kind.roots[(sigma[g][h] - sigma[h][g]) % order]
             for j, g in enumerate(gens) for i, h in enumerate(gens[:j])}
     try:
         d = GradedDivisionAlgebra(support, kind, [conj[g] for g in gens], powers, comm, type_tag)
     except CocycleError:
         tau = None
     else:
-        ids = [units.intern(x) for x in d._units.values]
-        tau = [[ids[a] for a in row] for row in d._sigma_ids]
-    if tau is not None and all(mul(mul(sigma[u][v], lam[u]), bar(lam[v]) if conj[u] else lam[v])
-                               == mul(tau[u][v], lam[add[u][v]])
-                               for u in range(n) for v in range(n)):
-        d._units, d._sigma_ids = units, sigma
+        tau = d._sigma_ids
+    if tau is not None and not any(
+            (sigma[u][v] + lam[u] + (-lam[v] if conj[u] else lam[v]) - tau[u][v] - lam[add[u][v]])
+            % order for u in range(n) for v in range(n)):
+        d._sigma_ids = sigma
         return d
     # Refused: name the first (u, g, w), g a coordinate generator, at which the
     # identity fails.  One exists (Light): the m with (x m) y = x (m y) for all
@@ -678,8 +658,8 @@ def build_crossed_product(support, kind, action, cocycle, type_tag=None) -> Grad
     # automorphism), and X_g iff the identity holds at every (u, g, w), as the
     # values commute with D_e.  D_e and the X_g generate D, not associative.
     for u, g, w in itertools.product(range(n), gens, range(n)):
-        if mul(sigma[u][g], sigma[add[u][g]][w]) != mul(
-                bar(sigma[g][w]) if conj[u] else sigma[g][w], sigma[u][add[g][w]]):
+        if (sigma[u][g] + sigma[add[u][g]][w] - (-sigma[g][w] if conj[u] else sigma[g][w])
+                - sigma[u][add[g][w]]) % order:
             raise CocycleError(f"cocycle identity fails at ({elems[u]}, {elems[g]}, {elems[w]})",
                                witness=(elems[u], elems[g], elems[w]))
     raise AssertionError("a refused sigma passes the cocycle identity on every triple")
@@ -687,22 +667,15 @@ def build_crossed_product(support, kind, action, cocycle, type_tag=None) -> Grad
 
 def commutation_bicharacter(d: GradedDivisionAlgebra) -> Bicharacter:
     """beta(u, v) = sigma(u, v) * sigma(v, u)^(-1) on the centralizer support K,
-    memoized on d: the whole-support id table of `Bicharacter`, filled on
-    K x K with one division and one intern per distinct pair of sigma ids."""
+    memoized on d: the whole-support table of `Bicharacter`, the exponent
+    difference of the two sigma exponents mod N on K x K and None elsewhere."""
     if d._beta is not None:
         return d._beta
-    sigma, values, n = d._sigma_ids, d._units.values, len(d._elements)
-    k = [i for i, c in enumerate(d._conj) if not c]
-    units, quotients = UnitInterner(d.kind), {}
-    ids = [[None] * n for _ in range(n)]
-    for i in k:
-        for j in k:
-            key = (sigma[i][j], sigma[j][i])
-            found = quotients.get(key)
-            if found is None:
-                found = quotients[key] = units.intern(values[key[0]] / values[key[1]])
-            ids[i][j] = found
-    d._beta = Bicharacter(d.support, units, ids)
+    sigma, n, order = d._sigma_ids, len(d._elements), len(d.kind.roots)
+    in_k = [not c for c in d._conj]
+    ids = [[(a - b) % order if y else None for y, a, b in zip(in_k, row, col)] if x
+           else [None] * n for x, row, col in zip(in_k, sigma, zip(*sigma))]
+    d._beta = Bicharacter(d.support, d.kind, ids)
     return d._beta
 
 
@@ -755,12 +728,12 @@ def _polarization_failure(beta: Bicharacter, signs):
     Z2: psi is a character of T, and mu = eta0 psi passes every pair.
     """
     elems, index, add = support_table(beta.group)
-    values, ids = beta.units.values, beta.ids
+    ids, exponent = beta.ids, {1: 0, -1: beta.kind.exponent(-1)}  # a sign in roots
     gens = [index[g] for g in beta.group.generators()]
     gens = gens[:-1] or gens  # rank 1 keeps its one generator
     for u, sums in enumerate(add):
         for g in gens:
-            if values[ids[u][g]] != signs[sums[g]] * signs[u] * signs[g]:
+            if ids[u][g] != exponent[signs[sums[g]] * signs[u] * signs[g]]:
                 return elems[u], elems[g]
     return None
 
@@ -798,11 +771,11 @@ def quad_forms(support: AbelianGroup, beta: Bicharacter) -> list[QuadraticData]:
     elements = support_table(support)[0]
     if beta.group != support or len(beta.domain) != len(elements):
         raise ValueError("Quad(T, beta) needs beta on all of T")
-    one, ids = beta.units.intern(beta.kind.one()), beta.ids
+    ids = beta.ids
     eta0 = [1] * len(elements)
     for x in range(1, len(elements)):
         g = x & -x
-        eta0[x] = eta0[x - g] if ids[x - g][g] == one else -eta0[x - g]
+        eta0[x] = eta0[x - g] if ids[x - g][g] == 0 else -eta0[x - g]  # 0: the exponent of 1
     if _polarization_failure(beta, eta0):
         return []
     masks = [sum(c << i for i, c in enumerate(t.coords)) for t in elements]

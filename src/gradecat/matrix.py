@@ -456,35 +456,37 @@ def expected_component_count(r: GradedMatrixAlgebra) -> int:
 def to_structure_constants(r: GradedMatrixAlgebra) -> StructureConstantAlgebra:
     """Lossless rational structure constants for M_k(D) = M_k(Q) (x) D.
 
-    D's table is read once from the validated sigma ids: with b, b' on the
-    Q-basis of the coefficients, (b X_t)(b' X_s) = b alpha_t(b') sigma(t, s)
-    X_(t+s), a unit and so never zero.  It is placed in every block
-    (i, j, l) by E_ij E_jl = E_il.  Basis element (i, j, t, b) has index
-    ((i k + j) |T| + t) w + b, with t a support position and w the width
-    of the coefficient basis.  Each distinct coefficient is converted once,
-    to an int when it is integral.
+    D's table is read once from the validated sigma exponents: with b, b'
+    on the Q-basis of the coefficients, (b X_t)(b' X_s) = b alpha_t(b')
+    sigma(t, s) X_(t+s), a unit and so never zero.  It is placed in every
+    block (i, j, l) by E_ij E_jl = E_il.  Basis element (i, j, t, b) has
+    index ((i k + j) |T| + t) w + b, with t a support position and w the
+    width of the coefficient basis.  The basis is not in the roots of unity
+    (H's i, j, k are not central), so the products are values, each
+    b alpha_t(b') sigma(t, s) multiplied and converted once, to ints where
+    integral, per (alpha_t, b, b', exponent of sigma(t, s)).
     """
     d = r.division
-    kind, units, sigma, add = d.kind, d._units, d._sigma_ids, d._add
-    elems = d.elements()
-    basis = [units.intern(b) for b in kind.basis()]
+    kind, sigma, add = d.kind, d._sigma_ids, d._add
+    elems, basis = d.elements(), kind.basis()
     width, k = len(basis), r.k
     block = len(elems) * width
-    coords = {}  # product id -> its nonzero (b3, c) on the Q-basis
+    images = {c: [kind.conjugate(b) for b in basis] if c else basis for c in (False, True)}
+    coords = {}  # (conjugating, b1, b2, sigma exponent) -> nonzero (b3, c) of the product
     rows = []  # rows[t w + b1]: (s w + b2, [((t + s) w + b3, c), ...]) per column
     for t in range(len(elems)):
-        images = [units.conj(b) for b in basis] if d._conj[t] else basis
-        for b1 in basis:
+        conj = d._conj[t]
+        for b1 in range(width):
             row = []
-            b1_images = [units.mul(b1, image) for image in images]  # b1 alpha_t(b2)
             for s in range(len(elems)):
-                at = add[t][s] * width
-                for b2, b1_image in enumerate(b1_images):
-                    p = units.mul(b1_image, sigma[t][s])
-                    if p not in coords:
-                        coords[p] = [(b3, _exact(c)) for b3, c in
-                                     enumerate(kind.to_vector(units.values[p])) if c]
-                    row.append((s * width + b2, [(at + b3, c) for b3, c in coords[p]]))
+                at, e = add[t][s] * width, sigma[t][s]
+                for b2 in range(width):
+                    entry = coords.get((conj, b1, b2, e))
+                    if entry is None:
+                        value = basis[b1] * images[conj][b2] * kind.roots[e]
+                        entry = coords[(conj, b1, b2, e)] = [
+                            (b3, _exact(c)) for b3, c in enumerate(kind.to_vector(value)) if c]
+                    row.append((s * width + b2, [(at + b3, c) for b3, c in entry]))
             rows.append(row)
     labels, degrees, table = [], [], {}
     for i in range(k):

@@ -225,11 +225,6 @@ class Cyclotomic:
             raise ValueError("value is not rational")
         return self.coeffs[0]
 
-    def is_root_of_unity_or_zero(self) -> bool:
-        if not self:
-            return False
-        return (self ** (2 * self.conductor)) == 1
-
     def __repr__(self):
         return f"Cyclotomic({self.conductor}, {[str(c) for c in self.coeffs]})"
 

@@ -27,7 +27,7 @@ from gradecat.abelian import (
     support_table,
     universal_abelian_group,
 )
-from gradecat.division import Bicharacter, CoefficientKind, UnitInterner
+from gradecat.division import Bicharacter, CoefficientKind
 from gradecat.scalars import zeta
 
 Z = AbelianGroup
@@ -440,7 +440,7 @@ def test_support_table_bicharacter_and_group_algebra_add_no_group_elements(monke
         with pytest.raises(AssertionError):
             elements[1] + elements[1]
         _, index, add = support_table(group)
-        beta = _alternating(group, sub, [[0, 1, 0], [0, 0, 1], [0, 0, 0]], _units(group))
+        beta = _alternating(group, sub, [[0, 1, 0], [0, 0, 1], [0, 0, 0]], _kind(group))
         # the algebra's own validation adds degrees: keep the arguments only
         patch.setattr(structconst, "StructureConstantAlgebra", lambda *args: args)
         labels, degrees, table, unity = structconst.group_algebra(group)
@@ -727,25 +727,25 @@ def test_label_search_is_the_filter_of_aut(data):
     assert _aut_elements(group, label) == _filtered(group, label)
 
 
-def _alternating(group, sub, skew, units):
+def _alternating(group, sub, skew, kind):
     """beta(u, v) = prod zeta_gcd(m_i, m_j)^(skew[i][j] u_i v_j) on the
-    subgroup with the positions `sub`, as a Bicharacter on `units`; skew[i][j]
+    subgroup with the positions `sub`, as a Bicharacter of `kind`; skew[i][j]
     is read for i < j, and skew[j][i] is its negative."""
-    n, m = units.kind.conductor, group.torsion
+    n, m = kind.conductor, group.torsion
 
     def power(u, v):  # the exponent of zeta_n
         return sum(skew[i][j] * (u[i] * v[j] - u[j] * v[i]) * (n // math.gcd(m[i], m[j]))
                    for i, j in itertools.combinations(range(len(m)), 2))
 
     elements = support_table(group)[0]
-    return Bicharacter(group, units, [
-        [units.intern(zeta(n, power(u.coords, v.coords))) if x in sub and y in sub else None
+    return Bicharacter(group, kind, [
+        [kind.exponent(zeta(n, power(u.coords, v.coords))) if x in sub and y in sub else None
          for y, v in enumerate(elements)] for x, u in enumerate(elements)])
 
 
-def _units(group):
-    """One interner for the values of `_alternating` on `group`."""
-    return UnitInterner(CoefficientKind.complex(math.lcm(group.exponent(), 4)))
+def _kind(group):
+    """The coefficients of the values of `_alternating` on `group`."""
+    return CoefficientKind.complex(math.lcm(group.exponent(), 4))
 
 
 def test_table_search_tests_every_pair():
@@ -760,7 +760,7 @@ def test_table_search_tests_every_pair():
         for i, j in itertools.combinations(range(r), 2):
             marks.append([[int((a, b) == (i, j)) for b in range(r)] for a in range(r)])
         for sub, skew in itertools.product(sorted(subgroups, key=sorted), marks):
-            beta = _alternating(group, sub, skew, _units(group))
+            beta = _alternating(group, sub, skew, _kind(group))
             assert _aut_elements(group, None, [beta]) == \
                 _filtered(group, None, [beta.ids]), (group, sorted(sub), skew)
 
@@ -772,7 +772,7 @@ def test_the_conjugate_must_hold_on_the_fixed_prefix():
     # the identity on g1, g2 must drop the conjugate before its search
     group = Z(0, (3, 3, 3))
     beta = _alternating(group, set(range(group.order())),
-                        [[0, 1, 0], [0, 0, 1], [0, 0, 0]], _units(group))
+                        [[0, 1, 0], [0, 0, 1], [0, 0, 0]], _kind(group))
     kept = _aut_elements(group, None, [beta, beta.conjugate()])
     assert kept == _filtered(group, None, [beta.ids, beta.conjugate().ids])
     elements, index, _ = support_table(group)
@@ -788,10 +788,10 @@ def test_table_search_on_a_subgroup_is_the_filter_of_aut(data):
     elements, index, _ = support_table(group)
     gens = data.draw(st.lists(st.sampled_from(elements), max_size=2))
     sub = {index[x] for x in subgroup_generated(group, gens)}
-    r, units = len(group.torsion), _units(group)
+    r, kind = len(group.torsion), _kind(group)
     skew = data.draw(st.lists(st.lists(st.integers(0, group.exponent() - 1), min_size=r,
                                        max_size=r), min_size=r, max_size=r))
-    beta = _alternating(group, sub, skew, units)
+    beta = _alternating(group, sub, skew, kind)
     # beta alone, or with its conjugate: either way the kept p form a group
     betas = [beta, beta.conjugate()] if data.draw(st.booleans()) else [beta]
     # without a label only beta keeps the subgroup

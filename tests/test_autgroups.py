@@ -397,25 +397,19 @@ def test_weyl_division_matches_reference_filter(ref):
 
 def _enumerate_then_filter_kept(d):
     """The int-table filter of weyl_division before its search was pruned,
-    as an oracle: all of Aut(T) first, then the label and the ids of
-    sigma(u, v) / sigma(v, u), interned afresh, on K at every position."""
-    from gradecat.division import UnitInterner
-
+    as an oracle: all of Aut(T) first, then the label and the exponents of
+    sigma(u, v) / sigma(v, u), looked up afresh, on K at every position."""
     elems, sigma, add, real = d.elements(), d._sigma_ids, d._add, d.kind.family != "C"
     in_k = [x not in d.conj_elements for x in elems]
     label = [(k, sigma[i][i] if not k or (real and add[i][i] == 0) else None)
              for i, k in enumerate(in_k)]
     k_at = [i for i, k in enumerate(in_k) if k]
-    units = UnitInterner(d.kind)
-    rows = [(i, [units.intern(d.sigma(elems[i], elems[j]) / d.sigma(elems[j], elems[i]))
-                 for j in k_at]) for i in k_at]
-    table = [[None] * len(in_k) for _ in in_k]
-    for i, row in rows:
-        for j, a in zip(k_at, row):
-            table[i][j] = a
-    tables = [table]
-    if not real and not d.conj_elements:
-        tables.append([[units.conj(a) for a in r] for r in table])
+    quotients = {(i, j): d.sigma(elems[i], elems[j]) / d.sigma(elems[j], elems[i])
+                 for i in k_at for j in k_at}
+    images = [lambda q: q] + [d.kind.conjugate] * (not real and not d.conj_elements)
+    tables = [[[d.kind.exponent(image(quotients[(i, j)])) if (i, j) in quotients else None
+                for j in range(len(elems))] for i in range(len(elems))] for image in images]
+    rows = [(i, [tables[0][i][j] for j in k_at]) for i in k_at]
     return [p for p in chain_elements(automorphism_group(d.support))
             if [label[x] for x in p] == label
             and any(all([t[p[i]][p[j]] for j in k_at] == row for i, row in rows)
@@ -492,12 +486,12 @@ def test_weyl_division_tables_hold_none_exactly_off_k(ref, monkeypatch):
     beta, betas = commutation_bicharacter(d), seen[0]
     assert betas[0] is beta
     if ref.startswith("2-f"):  # beta may also go to its conjugate
-        assert [b.ids for b in betas[1:]] == [[[beta.units.conj(a) for a in row]
+        assert [b.ids for b in betas[1:]] == [[[-a % len(beta.kind.roots) for a in row]
                                                for row in beta.ids]]
     else:
         assert len(betas) == 1
     for b in betas:
-        assert isinstance(b, Bicharacter) and b.units is beta.units
+        assert isinstance(b, Bicharacter) and b.kind is beta.kind
         assert b.domain == d.centralizer_elements()
         assert [[a is not None for a in row] for row in b.ids] == \
             [[i and j for j in in_k] for i in in_k]

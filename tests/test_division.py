@@ -2,6 +2,8 @@ import functools
 import itertools
 import math
 import random
+import re
+import sys
 import types
 from fractions import Fraction
 
@@ -18,7 +20,6 @@ from gradecat.division import (
     CoefficientKind,
     GradedDivisionAlgebra,
     QuadraticData,
-    UnitInterner,
     _polarization_failure,
     build_crossed_product,
     canonical,
@@ -713,10 +714,49 @@ def test_inverse_raises_when_only_one_side_inverts():
     cocycle = {(u, v): Fraction(1) for u in e for v in e}
     d = build_crossed_product(z3, CoefficientKind.real(), (), cocycle)
     # construction validated the trivial cocycle; break it afterwards
-    d._sigma_ids[2][1] = d._units.intern(-1)  # sigma(1, 2) = 1 but sigma(2, 1) = -1
+    d._sigma_ids[2][1] = d.kind.exponent(-1)  # sigma(1, 2) = 1 but sigma(2, 1) = -1
     assert d.sigma(e[2], e[1]) == -1 and d.sigma(e[1], e[2]) == 1
     with pytest.raises(ArithmeticError):
         d.unit(e[1]).inverse()
+
+
+def test_roots_of_unity_are_the_allowed_units():
+    # the oracle of the former Cyclotomic.is_root_of_unity_or_zero
+    assert CoefficientKind.complex(8).is_allowed_cocycle_unit(zeta(8, 3))
+    assert CoefficientKind.complex(3).is_allowed_cocycle_unit(-zeta(3))
+    assert not CoefficientKind.complex(4).is_allowed_cocycle_unit(1 + zeta(4))
+    # membership after coercion: zeta_8 lies outside Q(zeta_4), zeta_3 inside Q(zeta_12)
+    assert not CoefficientKind.complex(4).is_allowed_cocycle_unit(zeta(8))
+    assert CoefficientKind.complex(12).is_allowed_cocycle_unit(zeta(3))
+    kinds = [CoefficientKind.complex(n) for n in range(3, 17)]
+    for kind in [CoefficientKind.real(), CoefficientKind.quaternion()] + kinds:
+        n = kind.conductor
+        roots, order = kind.roots, 2 if n is None else math.lcm(2, n)
+        assert len(roots) == order == len({kind.to_vector(x) for x in roots}), kind
+        power = kind.one()  # roots[e] = omega^e, and omega^N = 1: omega has order N
+        for e, x in enumerate(roots):
+            assert x == power and kind.exponent(x) == e, (kind, e)
+            power = power * roots[1]
+        assert power == kind.one(), kind
+        if n is None:
+            q = RationalQuaternion
+            others = [0, 2, -2, Fraction(1, 2)] + [q.i(), -q.j(), q.k(), q(1, 1)] * (
+                kind.family == "H")
+            assert [kind.is_allowed_cocycle_unit(v) for v in [1, -1] + others] == \
+                [True, True] + [False] * len(others), kind
+            continue
+        for v in [s * zeta(n, k) for s in (1, -1) for k in range(n)] + [0 * zeta(n), 2 * zeta(n)]:
+            assert kind.is_allowed_cocycle_unit(v) == (v ** (2 * n) == 1), (kind, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 16), st.data())
+def test_allowed_units_are_the_roots_of_unity_of_the_conductor(n, data):
+    kind = CoefficientKind.complex(n)
+    degree = len(kind.basis())
+    # small coefficients: +-zeta_n^k, sums of two roots, and non-units all occur
+    v = Cyclotomic(n, data.draw(st.lists(st.integers(-1, 1), min_size=degree, max_size=degree)))
+    assert kind.is_allowed_cocycle_unit(v) == (v ** (2 * n) == 1)
 
 
 def test_constructor_takes_a_checked_presentation():
@@ -1042,6 +1082,18 @@ def test_a_consistent_presentation_with_complex_values_gives_a_cocycle():
     assert {key: b for key, b in twin.presentation[2].items() if b != 1} == e.presentation[2]
 
 
+def test_a_conjugating_generator_of_order_four_crosses_a_commutator():
+    # On Z4^2 over Q(zeta_4), X_1 conjugates and X_1 X_0 = i X_0 X_1: in
+    # s(w) X_0, X_0 crosses X_1^w_1 and leaves i, -i, i, ... alternating,
+    # whose product is i for an odd w_1 and 1 for an even one, not i^w_1
+    group, kind = AbelianGroup(0, (4, 4)), CoefficientKind.complex(4)
+    d = GradedDivisionAlgebra(group, kind, (False, True), (1, 1), {(1, 0): zeta(4)})
+    _reference_validate(d.support, d.kind, d.conj_elements, _cocycle(d))
+    x0, x1 = group.generators()
+    assert d.sigma(x1, x0) == zeta(4) and d.sigma(2 * x1, x0) == 1
+    assert d.sigma(3 * x1, x0) == zeta(4)
+
+
 def _allowed_units(kind):
     """The values a presentation may take: +-1 over R and H, the roots of
     unity of the conductor and their negatives over C."""
@@ -1073,57 +1125,49 @@ def test_overlap_verdict_is_the_reference_verdict_of_the_normal_words(ref, data)
         refused = False
     except CocycleError:
         refused = True
-    units = UnitInterner(kind)
     tau = division._normal_words(
-        orders, conj, [units.intern(x) for x in powers],
-        [[units.intern(comm.get((j, i), 1)) for i in range(j)] for j in range(r)],
-        units, d._add)
-    cocycle = {(u, v): units.values[tau[x][y]]
+        orders, conj, [kind.exponent(x) for x in powers],
+        [[kind.exponent(comm.get((j, i), 1)) for i in range(j)] for j in range(r)],
+        len(kind.roots), d._add)
+    cocycle = {(u, v): kind.roots[tau[x][y]]
                for x, u in enumerate(elems) for y, v in enumerate(elems)}
     acting = {t for t in elems if sum(c for c, f in zip(t.coords, conj) if f) % 2}
     expected = _outcome(lambda: _reference_validate(d.support, kind, acting, cocycle))
     assert refused == (expected is not None)
 
 
-def _chains(order, least=2):
-    """The divisibility chains m_1 | m_2 | ... of cyclic orders >= least with
-    product `order`: the finite abelian groups of that order."""
-    if order == 1:
-        yield ()
-    for m in range(least, order + 1):
-        if order % m == 0:
-            yield from ((m,) + rest for rest in _chains(order // m, m)
-                        if not rest or rest[0] % m == 0)
+def _division_line_events(call):
+    """call() and the line events in `gradecat/division.py` frames while it
+    runs: each loop iteration there, in a comprehension too, makes at least
+    one, so the count is a deterministic measure of the work done there."""
+    events = [0]
+
+    def local(frame, event, arg):
+        events[0] += event == "line"
+        return local
+
+    def enter(frame, event, arg):
+        return local if frame.f_code.co_filename == division.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, events[0]
 
 
-CATALOG_TAGS = ("1-a", "1-b", "1-c", "1-d", "2-a", "2-b", "2-c", "2-d", "2-e", "2-f",
-                "3-a", "3-b", "3-c", "3-d")
-
-
-def test_canonical_makes_at_most_three_products_per_pair(monkeypatch):
-    # the normal-word collector makes one product per pair of T, plus the
-    # rank^2 |T| of its column table; the former Kronecker product and
-    # cocycle check made (1 + rank T) per pair
-    calls, mul = [0], UnitInterner.mul
-
-    def counting(self, a, b):
-        calls[0] += 1
-        return mul(self, a, b)
-
-    monkeypatch.setattr(UnitInterner, "mul", counting)
-    built = []
-    for order in range(64, 257):
-        for torsion in _chains(order):
-            for tag in CATALOG_TAGS:
-                calls[0] = 0
-                try:
-                    canonical(tag, AbelianGroup(0, torsion))
-                except CatalogError:
-                    continue
-                assert calls[0] <= 3 * order ** 2, (tag, torsion, calls[0])
-                built.append((tag, torsion))
-    assert len(built) >= 30
-    assert {("1-b", (2,) * 8), ("1-d", (2,) * 5 + (4,)), ("2-f", (16, 16))} <= set(built)
+def test_canonical_makes_at_most_three_products_per_pair():
+    # the normal-word collector makes one sum per pair of T, plus about
+    # rank^2 |T| / 2 for its column table; the former Kronecker product and
+    # cocycle check made (1 + rank T) products per pair.  Z2^6 has the
+    # largest share of column work in 64 <= |T| <= 256
+    for tag, torsion in [("1-a", (2,) * 6), ("2-e", (2,) * 4 + (4,)), ("2-f", (9, 9)),
+                         ("1-d", (2,) * 5 + (4,)), ("1-b", (2,) * 8), ("2-f", (16, 16))]:
+        group = AbelianGroup(0, torsion)
+        d, events = _division_line_events(lambda: canonical(tag, group))
+        assert d.support == group and events <= 3 * group.order() ** 2, (tag, torsion, events)
 
 
 def _values(beta):
@@ -1131,14 +1175,23 @@ def _values(beta):
     return {(u, v): beta.value(u, v) for u in beta.domain for v in beta.domain}
 
 
+IDS_MESSAGE = "bicharacter ids must be ints in range({}), the exponents of kind.roots"
+
+
+def _exponent_or_value(kind, value):
+    """The exponent of value in kind.roots, or the value itself outside them."""
+    e = kind.exponent(value)
+    return value if e is None else e
+
+
 def _beta_from_values(group, values, kind):
-    """The Bicharacter on `group` with `values`, a map of element pairs,
-    interned in row-major order over the support positions, and None at
-    every pair that `values` does not hold."""
-    units, elements = UnitInterner(kind), list(group.elements())
-    return Bicharacter(group, units, [
-        [units.intern(values[(u, v)]) if (u, v) in values else None for v in elements]
-        for u in elements])
+    """The Bicharacter on `group` with `values`, a map of element pairs, each
+    given as its exponent in kind.roots (a value outside them as itself),
+    and None at every pair that `values` does not hold."""
+    elements = list(group.elements())
+    return Bicharacter(group, kind, [
+        [_exponent_or_value(kind, values[(u, v)]) if (u, v) in values else None
+         for v in elements] for u in elements])
 
 
 def _first_non_multiplicative(domain, values):
@@ -1166,7 +1219,7 @@ def _greedy_generators(domain):
 def test_corrupted_bicharacter_names_first_bad_triple(ref, data):
     """A corrupted beta is refused exactly when the |K|^3 loop finds a bad
     triple, and the triple named fails there too, with a generator of K in
-    the middle."""
+    the middle; a value outside kind.roots (quaternion i, j, k) has no id."""
     d = _catalog(ref)
     beta = commutation_bicharacter(d)
     u = data.draw(st.sampled_from(beta.domain), label="u")
@@ -1177,6 +1230,9 @@ def test_corrupted_bicharacter_names_first_bad_triple(ref, data):
     assert _first_non_multiplicative(beta.domain, values) is not None  # |K| >= 4
     with pytest.raises(ValueError) as err:
         _beta_from_values(d.support, values, d.kind)
+    if not d.kind.is_allowed_cocycle_unit(values[(u, v)]):
+        assert str(err.value) == IDS_MESSAGE.format(len(d.kind.roots))
+        return
     triples = {"bicharacter not multiplicative at ({},{},{})".format(*t): t
                for t in itertools.product(beta.domain, repeat=3)}
     x, g, w = triples[str(err.value)]
@@ -1193,15 +1249,15 @@ def test_bicharacter_on_every_catalog_beta_matches_the_triple_loop():
 def test_bicharacter_checks_its_last_generator():
     # on Z2^2, with e2 = (0, 1) the first generator taken and e1 = (1, 0) the
     # last: f(u + e2, w) = f(u, w) f(e2, w) holds everywhere, while
-    # f(e1 + e1, e2) = 1 is not f(e1, e2)^2 = 4
+    # f(e1 + e1, e2) = 1 is not f(e1, e2)^2 = -1
     group = AbelianGroup(0, (2, 2))
     zero, e2, e1, e12 = group.elements()
-    rows = {e1: {e1: 1, e2: 2, e12: -1}, e2: {e1: -1, e2: 1, e12: -1}}
+    rows = {e1: {e1: 1, e2: zeta(4), e12: -1}, e2: {e1: -1, e2: 1, e12: -1}}
     rows[e12] = {w: rows[e1][w] * rows[e2][w] for w in (e1, e2, e12)}
     values = {(u, w): rows[u][w] if u != zero and w != zero else 1
               for u in group.elements() for w in group.elements()}
     with pytest.raises(ValueError) as err:
-        _beta_from_values(group, values, CoefficientKind.real())
+        _beta_from_values(group, values, CoefficientKind.complex(4))
     assert str(err.value) == f"bicharacter not multiplicative at ({e1},{e1},{e2})"
 
 
@@ -1219,13 +1275,12 @@ def test_bicharacter_checks_its_second_argument():
 
 
 def _is_alternating_bicharacter(domain, values, kind):
-    """The |K|^3 triple loop: values is alternating, and multiplicative in
-    each argument at every triple of the domain (ids through one interner)."""
-    units = UnitInterner(kind)
-    f = {pair: units.intern(value) for pair, value in values.items()}
-    one, mul = units.intern(kind.one()), units.mul
+    """The |K|^3 triple loop on the values: values is alternating, and
+    multiplicative in each argument at every triple of the domain."""
+    f = {pair: kind.coerce(value) for pair, value in values.items()}
+    one = kind.one()
     return all(f[(u, u)] == one for u in domain) and all(
-        f[(u + v, w)] == mul(f[(u, w)], f[(v, w)]) and f[(w, u + v)] == mul(f[(w, u)], f[(w, v)])
+        f[(u + v, w)] == f[(u, w)] * f[(v, w)] and f[(w, u + v)] == f[(w, u)] * f[(w, v)]
         for u in domain for v in domain for w in domain)
 
 
@@ -1273,38 +1328,23 @@ def test_bicharacter_checks_the_relation_of_each_generator():
     assert str(err.value) == f"bicharacter not multiplicative at ({g2},{g2},{g2})"
 
 
-def test_bicharacter_checks_that_its_values_commute():
-    # On K = Z4^3 with generators g1 = e3, g2 = e2, g3 = e1, the quaternion
-    # values b(g1, g2) = i and b(g1, g3) = j (inverses transposed, 1 on the
-    # rest) define rows chi_j(w) = (prod_i b(g_i, g_j)^(w_i))^-1, in Q8, and
-    # f(u, w) = chi_1(w)^(u_1) chi_2(w)^(u_2) chi_3(w)^(u_3).  This table is
-    # alternating at the generators, skew, and passes every tree and
-    # relation step (chi^4 = 1 on Q8), but it is no bicharacter: chi_1 and
-    # chi_2 do not commute.  Only the commutation check refuses it
-    q, kind = RationalQuaternion, CoefficientKind.quaternion()
-    group = AbelianGroup(0, (4, 4, 4))
-    elements = list(group.elements())
-    gens = [group.element(c) for c in ((0, 0, 1), (0, 1, 0), (1, 0, 0))]
-
-    def a(u):  # coordinates on g1, g2, g3
-        return u.coords[::-1]
-
-    b = [[q(1), q.i(), q.j()], [-q.i(), q(1), q(1)], [-q.j(), q(1), q(1)]]
-
-    def product(factors, exponents):  # prod factors[i]^exponents[i], in order
-        return functools.reduce(lambda y, x: y * x, (
-            x for x, e in zip(factors, exponents) for _ in range(e)), q(1))
-
-    chi = {w: [1 / product([b[i][j] for i in range(3)], a(w)) for j in range(3)]
-           for w in elements}
-    values = {(u, w): product(chi[w], a(u)) for u in elements for w in elements}
-    assert _greedy_generators(elements) == gens
-    g1, g2, w = gens[0], gens[1], gens[0] + gens[2]
-    assert values[(g2 + g1, w)] != values[(g2, w)] * values[(g1, w)]  # no bicharacter
-    with pytest.raises(ValueError) as err:
-        _beta_from_values(group, values, kind)
-    assert str(err.value) == (f"bicharacter values do not commute at ({gens[0]},{gens[1]}) "
-                              f"and ({gens[0]},{gens[2]})")
+def test_bicharacter_refuses_what_is_no_exponent():
+    # the ids are exponents in range(N), N = len(kind.roots): the values lie
+    # in the cyclic group mu_N, so they commute and need no check; an id of
+    # another type or out of range, or a value outside roots (quaternion i,
+    # 1 + zeta_4), is refused before any law is checked
+    for ref, outside in (("2-f:Z4^2", 1 + zeta(4)), ("3-b:Z2xZ2", RationalQuaternion.i())):
+        beta = commutation_bicharacter(_catalog(ref))
+        order, x, y = len(beta.kind.roots), 0, beta.ids[0].index(0, 1)  # y != 0 in K
+        message = "^" + re.escape(IDS_MESSAGE.format(order)) + "$"
+        for bad in (order, -1, float(beta.ids[x][y]), True, Fraction(1), outside):
+            with pytest.raises(ValueError, match=message):
+                Bicharacter(beta.group, beta.kind, _with(beta.ids, x, y, bad))
+        values = _values(beta)
+        values[(beta.domain[1], beta.domain[2])] = outside
+        with pytest.raises(ValueError, match=message):
+            _beta_from_values(beta.group, values, beta.kind)
+        assert not beta.kind.is_allowed_cocycle_unit(outside)
 
 
 def test_bicharacter_on_the_zero_subgroup_checks_its_one_value():
@@ -1317,35 +1357,18 @@ def test_bicharacter_on_the_zero_subgroup_checks_its_one_value():
     assert _beta_from_values(group, {(zero, zero): 1}, CoefficientKind.real()).domain == (zero,)
 
 
-def test_bicharacter_check_makes_at_most_two_products_per_pair(monkeypatch):
-    # the tree, relation and skew rows make |K|^2 + (2 rank K - 1)|K|
-    # products, and the commutation check a few more; the former check
-    # made |K|^2 rank K
-    calls, mul = [0], UnitInterner.mul
-
-    def counting(self, a, b):
-        calls[0] += 1
-        return mul(self, a, b)
-
-    entries = [(tag, torsion) for order in range(64, 257) for torsion in _chains(order)
-               for tag in CATALOG_TAGS]
-    entries += [("2-a", (2,) * 9), ("2-b", (2,) * 9)]  # |T| = 512 and |K| = 256
-    checked = []
-    for tag, torsion in entries:
-        try:
-            d = canonical(tag, AbelianGroup(0, torsion))
-        except CatalogError:
-            continue
-        monkeypatch.setattr(UnitInterner, "mul", counting)
-        calls[0] = 0
-        beta = commutation_bicharacter(d)  # the constructor's products only
-        monkeypatch.undo()
+def test_bicharacter_check_makes_at_most_two_products_per_pair():
+    # the tree, relation and skew rows make |K|^2 + (2 rank K - 1)|K| sums;
+    # the former check made |K|^2 rank K products.  2-a on Z2^9 has |T| = 512
+    # and |K| = 256, so its table checks must not cost |T|^2
+    for tag, torsion in [("2-a", (2,) * 7), ("2-f", (9, 9)), ("1-d", (2,) * 5 + (4,)),
+                         ("1-b", (2,) * 8), ("2-a", (2,) * 9), ("2-f", (16, 16))]:
+        beta = commutation_bicharacter(canonical(tag, AbelianGroup(0, torsion)))
         size, rank = len(beta.domain), len(beta.generators)
-        if 64 <= size <= 256:
-            assert calls[0] <= 2 * size ** 2 + 4 * size * rank, (tag, torsion, calls[0])
-            checked.append((tag, torsion))
-    assert len(checked) >= 30
-    assert {("1-b", (2,) * 8), ("2-a", (2,) * 9), ("2-f", (16, 16))} <= set(checked)
+        rebuilt, events = _division_line_events(
+            lambda: Bicharacter(beta.group, beta.kind, beta.ids))  # the constructor only
+        assert rebuilt.generators == beta.generators and 64 <= size <= 256
+        assert events <= 2 * size ** 2 + 4 * size * rank, (tag, torsion, events)
 
 
 @pytest.mark.parametrize("domain", [
@@ -1360,12 +1383,13 @@ def test_bicharacter_domain_that_is_not_a_subgroup(domain):
         _beta_from_values(group, values, CoefficientKind.real())
 
 
-def _reference_beta_ids(beta):
-    """Each value of beta interned anew, in row-major order over the support
-    positions, and None off K x K."""
-    units, domain = UnitInterner(beta.kind), set(beta.domain)
-    return [[units.intern(beta.value(u, v)) if u in domain and v in domain else None
-             for v in beta.group.elements()] for u in beta.group.elements()]
+def _reference_beta_ids(d):
+    """Each sigma(u, v) / sigma(v, u), divided as values and looked up anew in
+    kind.roots, in row-major order over the support positions, and None off
+    K x K."""
+    domain = set(d.centralizer_elements())
+    return [[d.kind.exponent(d.sigma(u, v) / d.sigma(v, u)) if u in domain and v in domain
+             else None for v in d.elements()] for u in d.elements()]
 
 
 def _reference_radical_elements(beta):
@@ -1383,9 +1407,7 @@ def test_beta_ids_interned_per_sigma_pair_match_a_per_value_intern():
         d = parse_catalog_ref(ref)
         beta = commutation_bicharacter(d)  # a fresh beta
         assert beta.domain == d.centralizer_elements(), ref
-        assert beta.ids == _reference_beta_ids(beta), ref
-        assert all(beta.value(u, v) == d.sigma(u, v) / d.sigma(v, u)
-                   for u in beta.domain for v in beta.domain), ref
+        assert beta.ids == _reference_beta_ids(d), ref
         rebuilt = _beta_from_values(d.support, _values(beta), beta.kind)
         assert rebuilt.ids == beta.ids and rebuilt == beta, ref
         for b in (beta, rebuilt):
@@ -1453,8 +1475,10 @@ def test_bicharacter_table_has_a_value_exactly_on_k_x_k():
     ]
     for ids in bad:
         with pytest.raises(ValueError, match="table of ids with a value exactly on K x K"):
-            Bicharacter(beta.group, beta.units, ids)
-    assert Bicharacter(beta.group, beta.units, [list(row) for row in beta.ids]) == beta
+            Bicharacter(beta.group, beta.kind, ids)
+    assert Bicharacter(beta.group, beta.kind, [list(row) for row in beta.ids]) == beta
+    for b in (beta, commutation_bicharacter(_catalog("1-a:Z2xZ2"))):  # K < T and K = T
+        assert Bicharacter(b.group, b.kind, [tuple(row) for row in b.ids]) == b
 
 
 def test_bicharacter_value_raises_key_error_off_k_x_k():

@@ -89,12 +89,6 @@ def test_conj_fixes_exactly_rationals_at_quadratic_conductors():
             assert (a.conjugate() == a) == a.is_rational()
 
 
-def test_root_of_unity_detection():
-    assert zeta(8, 3).is_root_of_unity_or_zero()
-    assert (-zeta(3)).is_root_of_unity_or_zero()
-    assert not (1 + zeta(4)).is_root_of_unity_or_zero()
-
-
 GALOIS_CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15)
 
 
