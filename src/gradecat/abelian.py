@@ -606,11 +606,6 @@ def abstract_type(elements, add=None, modulo=()) -> AbelianGroup:
     return AbelianGroup(0, tuple(d[i][i] for i in range(r) if d[i][i] > 1))
 
 
-def coset_rep(x: GroupElement, sub) -> GroupElement:
-    """The element of the coset x + sub with the least coordinates."""
-    return min((x + s for s in sub), key=lambda e: e.coords)
-
-
 def quotient_type(group: AbelianGroup, subgroup_elements) -> AbelianGroup:
     """Isomorphism type of group / <subgroup_elements> for a finite group."""
     return abstract_type(group.elements(), modulo=subgroup_elements)

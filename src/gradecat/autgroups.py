@@ -519,7 +519,8 @@ class DivisionAutomorphism:
             raise AutomorphismError("phi(e) must equal 1")
         if self.map_coefficient(kind.one()) != kind.one():
             raise AutomorphismError("coefficient map does not fix 1")
-        if nullspace([kind.to_vector(img) for img in self.coeff_images], len(basis)):
+        if nullspace([dict(enumerate(kind.to_vector(img))) for img in self.coeff_images],
+                     len(basis)):
             raise AutomorphismError("coefficient map is not invertible")
         s = [alg.unit(zero, b) for b in basis] + [alg.unit(g) for g in alg.support.generators()]
         images = [self.apply(y) for y in s]

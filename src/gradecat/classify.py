@@ -115,7 +115,8 @@ class ClassificationRow(Record):
     """One row of the classification.  `division` is a GradedDivisionAlgebra,
     `algebra` a GradedMatrixAlgebra, `universal` an AbelianGroup,
     `weyl`, `stabilizer` and `diagonal` GroupDescriptors,
-    `weyl_finite_order` an int or None and `weyl_identified` a str or None."""
+    `weyl_finite_order` an int (W(Gamma) is finite) and
+    `weyl_identified` a str or None."""
 
     __slots__ = ("k", "division", "algebra", "description", "universal", "weyl",
                  "weyl_finite_order", "weyl_identified", "stabilizer", "diagonal", "flags")
@@ -172,7 +173,7 @@ def _build_row(k: int, tag: str, support: AbelianGroup) -> ClassificationRow:
     weyl = weyl_descriptor(algebra)
     order = weyl.finite_part_order()
     identified = None
-    if order is not None and order <= IDENTIFY_BOUND:
+    if order <= IDENTIFY_BOUND:
         model = WeylModel(algebra)
         if model.order() != order:
             raise AssertionError("explicit Weyl model disagrees with the descriptor")

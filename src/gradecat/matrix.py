@@ -17,7 +17,6 @@ from .abelian import (
     AbelianGroup,
     GroupElement,
     GroupHomomorphism,
-    coset_rep,
     support_table,
     universal_abelian_group,
 )
@@ -48,7 +47,12 @@ class FineConditionResult:
 
 
 class GradingParams:
-    """Multiplicities, degrees, ambient group, and the embedding of the support."""
+    """Multiplicities, degrees, ambient group, and the embedding of the support.
+
+    The embedded support is kept as integer columns, one per coordinate of
+    G, each over the support positions of `support_table`: `_coset(g)` adds
+    g to them, so a coset g + T is read with no GroupElement operation.
+    """
 
     def __init__(self, ambient: AbelianGroup, gamma, kappa, embed: GroupHomomorphism):
         self.ambient = ambient
@@ -66,16 +70,27 @@ class GradingParams:
                 raise GradingError("degrees must lie in the ambient group")
         if embed.target != ambient:
             raise GradingError("support embedding must land in the ambient group")
-        self._support_image = frozenset(embed(t) for t in embed.source.elements())
-        if len(self._support_image) != embed.source.order():
+        elements = support_table(embed.source)[0]
+        self._mods = (0,) * ambient.free_rank + ambient.torsion
+        self._columns = list(zip(*(embed(t).coords for t in elements)))
+        self._size = len(elements)
+        if len(set(self._coset(ambient.zero()))) != self._size:
             raise GradingError("support embedding must be injective")
         # distinct isotypic supports: g_i and g_j must differ mod T for i != j
         classes = [self._coset_key(g) for g in self.gamma]
         if len(set(classes)) != len(classes):
             raise GradingError("isotypic degrees must be distinct modulo T")
 
-    def _coset_key(self, g: GroupElement):
-        return coset_rep(g, self._support_image).coords
+    def _coset(self, g: GroupElement) -> list:
+        """The coordinates of g + embed(t) over the support positions t,
+        torsion coordinates reduced."""
+        sums = [[(b + c) % m if m else b + c for c in col] if b else col
+                for b, col, m in zip(g.coords, self._columns, self._mods)]
+        return list(zip(*sums)) if sums else [()] * self._size  # G = 0 has one degree
+
+    def _coset_key(self, g: GroupElement) -> tuple:
+        """The least coordinates in the coset g + T."""
+        return min(self._coset(g))
 
 
 class GradedMatrixAlgebra:
@@ -122,22 +137,12 @@ class GradedMatrixAlgebra:
         """(labels, ids): the distinct degree coordinates of the basis
         elements, in order of first appearance over (i, j, t), and
         ids[i][j][t], the index in `labels` of deg(E_ij (x) X_t) for the
-        support position t.  Each degree is the sum of the coordinates of
-        g_i - g_j and of the embedded t, torsion coordinates reduced, so the
-        k^2 |T| degrees take k^2 + |T| GroupElement operations."""
-        mods = (0,) * self.ambient.free_rank + self.ambient.torsion
-        elements = self.division.elements()
-        # one coordinate at a time, over the support positions
-        columns = list(zip(*(self.params.embed(t).coords for t in elements)))
+        support position t.  Block (i, j) is the coset g_i - g_j + T, read
+        off `GradingParams._coset`, so the k^2 |T| degrees take k^2
+        GroupElement operations."""
         index = {}  # degree coordinates -> label index, in order of first appearance
-
-        def block(g):  # the label indices of the degrees g + t, over t
-            sums = [[(b + c) % m if m else b + c for c in col] if b else col
-                    for b, col, m in zip(g.coords, columns, mods)]
-            degrees = zip(*sums) if sums else [()] * len(elements)  # G = 0 has one degree
-            return [index.setdefault(d, len(index)) for d in degrees]
-
-        ids = [[block(gi - gj) for gj in self.gamma] for gi in self.gamma]
+        ids = [[[index.setdefault(d, len(index)) for d in self.params._coset(gi - gj)]
+                for gj in self.gamma] for gi in self.gamma]
         return list(index), ids
 
     def component_degrees(self) -> list:
@@ -464,7 +469,8 @@ def to_structure_constants(r: GradedMatrixAlgebra) -> StructureConstantAlgebra:
     width of the coefficient basis.  The basis is not in the roots of unity
     (H's i, j, k are not central), so the products are values, each
     b alpha_t(b') sigma(t, s) multiplied and converted once, to ints where
-    integral, per (alpha_t, b, b', exponent of sigma(t, s)).
+    integral, per (alpha_t, b, b', exponent of sigma(t, s)).  The degrees
+    are those of `degree_labels`, one GroupElement per distinct degree.
     """
     d = r.division
     kind, sigma, add = d.kind, d._sigma_ids, d._add
@@ -488,15 +494,15 @@ def to_structure_constants(r: GradedMatrixAlgebra) -> StructureConstantAlgebra:
                             (b3, _exact(c)) for b3, c in enumerate(kind.to_vector(value)) if c]
                     row.append((s * width + b2, [(at + b3, c) for b3, c in entry]))
             rows.append(row)
+    degree_coords, ids = r.degree_labels()
+    points = [r.ambient.element(c) for c in degree_coords]
     labels, degrees, table = [], [], {}
     for i in range(k):
         for j in range(k):
             for p, row in enumerate(rows):
                 t, b = divmod(p, width)
-                if not b:  # one degree per block (i, j, t), shared by its w elements
-                    degree = r.degree_of(i, j, elems[t])
                 labels.append(f"E[{i},{j}]X{elems[t].coords}:{b}")
-                degrees.append(degree)
+                degrees.append(points[ids[i][j][t]])
                 left = (i * k + j) * block + p
                 for l in range(k):
                     right, out = (j * k + l) * block, (i * k + l) * block

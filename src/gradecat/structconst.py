@@ -7,7 +7,8 @@ grading, and the quaternion-pair counterexample all run here with exact
 rational linear algebra.  Constants and coordinates are ints when integral
 (`_exact`), and every algebra is validated when it is built.  `_Rref` is the
 single elimination kernel: `solve_square`, `nullspace` and every span
-computation reduce through it.  It eliminates fraction-free, in ints:
+computation reduce through it, on sparse {column: entry} rows, the
+vectors the algebra itself uses.  It eliminates fraction-free, in ints:
 `solve_square` returns its solution over one common denominator, and a
 Fraction appears only where `nullspace` reads a basis vector out, divided
 by its pivot, or where `invert` reads out the inverse that the one
@@ -19,8 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .abelian import (AbelianGroup, abstract_type, coset_rep, json_int, support_table,
-                      universal_abelian_group)
+from .abelian import AbelianGroup, abstract_type, json_int, support_table, universal_abelian_group
 from .division import GradedDivisionAlgebra, canonical
 from .records import Record
 
@@ -59,123 +59,129 @@ def _exact(c):
 # exact linear algebra over Q
 # ---------------------------------------------------------------------------
 
-def _denominator(values) -> int:
-    """The lcm of the denominators of `values`, ints and Fractions."""
-    if set(map(type, values)) <= {int}:
-        return 1
-    return math.lcm(*(x.denominator for x in values))
+def _integral(coords: dict):
+    """(v, d): the nonzero entries of `coords` times the lcm d of their
+    denominators, as a new dict of ints, and d."""
+    v = {k: c for k, c in coords.items() if c}
+    if set(map(type, v.values())) <= {int}:
+        return v, 1
+    den = math.lcm(*(c.denominator for c in v.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in v.items()}, den
 
 
-def _integral(vec) -> list:
-    """The entries of the sequence `vec` times the lcm of their
-    denominators, as a list of ints."""
-    if set(map(type, vec)) <= {int}:
-        return list(vec)
-    den = math.lcm(*(x.denominator for x in vec))
-    return [x.numerator * (den // x.denominator) for x in vec]
+def _primitive(v: dict) -> dict:
+    """`v` divided by the gcd of its entries."""
+    g = math.gcd(*v.values())
+    return v if g <= 1 else {k: x // g for k, x in v.items()}
 
 
-def _primitive(v: list) -> list:
-    """`v` divided by the gcd of its entries (a zero `v` as it is)."""
-    g = math.gcd(*v)
-    return v if g <= 1 else [x // g for x in v]
+def _eliminate(v: dict, a: int, c: int, row: dict) -> dict:
+    """a v - c row, without its zero entries; `v` is changed in place when a is 1."""
+    if a != 1:
+        v = {k: a * x for k, x in v.items()}
+    for k, y in row.items():
+        x = v.get(k, 0) - c * y
+        if x:
+            v[k] = x
+        else:
+            del v[k]
+    return v
 
 
 class _Rref:
-    """Incremental row-reduced span, fraction-free in ints.
+    """Incremental row-reduced span of sparse vectors, fraction-free in ints.
 
-    Each row is a primitive integer vector with a positive pivot entry, and
-    every other row is zero at that pivot: row r is a positive multiple of
-    row r of the reduced row echelon form, which is unique, so a reader
-    divides by `row[pivot]` to get it.  A vector with Fraction entries is
-    scaled by the lcm of its denominators on the way in, which keeps its
-    span.  Eliminating by a row cross-multiplies (a v - c row, as in
-    Bareiss's fraction-free elimination) and divides by the gcd of the
-    entries, so no Fraction is built.
+    A vector is a dict {column: entry}.  `rows` maps each pivot column p to
+    its row, a primitive integer vector with a positive entry at p, its
+    least column, and zero (absent) at every other pivot: row p is a
+    positive multiple of a row of the reduced row echelon form, which is
+    unique, so a reader divides by `row[p]` to get it.  A vector with
+    Fraction entries is scaled by the lcm of its denominators on the way in,
+    which keeps its span, and its zero entries are dropped.  Eliminating by
+    a row cross-multiplies (a v - c row, as in Bareiss's fraction-free
+    elimination) and divides by the gcd of the entries, so no Fraction is
+    built.
     """
 
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: list[list] = []
-        self.pivots: list[int] = []
+    def __init__(self):
+        self.rows: dict[int, dict] = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec) -> list:
+    def reduce(self, vec: dict) -> dict:
         """A nonzero integer multiple of the remainder of `vec` modulo the
-        span, or zero when `vec` lies in the span.  The remainder itself is
-        not returned: `_generating_set`, the one caller outside this class,
-        only tests whether it is zero."""
-        v = _integral(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                a = row[p]
-                if a == 1:  # no entry grows
-                    v = [x - c * y for x, y in zip(v, row)]
-                else:
-                    v = _primitive([a * x - c * y for x, y in zip(v, row)])
+        span, or {} when `vec` lies in the span.  One pass clears the pivots
+        of `vec`: eliminating by row p changes no other pivot entry, since
+        row p is zero there."""
+        v, _ = _integral(vec)
+        rows = self.rows
+        for p in [p for p in v if p in rows]:
+            row = rows[p]
+            a = row[p]
+            v = _eliminate(v, a, v[p], row)
+            if a != 1:  # a v has the gcd of v times a; no entry grows when a is 1
+                v = _primitive(v)
         return v
 
-    def add(self, vec) -> bool:
+    def add(self, vec: dict) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
         v = self.reduce(vec)
-        lead = next(filter(None, v), 0)
-        if not lead:
+        if not v:
             return False
-        pivot = v.index(lead)  # the entries before the first nonzero one are 0
+        pivot = min(v)
         v = _primitive(v)
         if v[pivot] < 0:
-            v = [-x for x in v]
+            v = {k: -x for k, x in v.items()}
         a = v[pivot]
-        for r, row in enumerate(self.rows):
-            c = row[pivot]
-            if c:
-                self.rows[r] = _primitive([a * x - c * y for x, y in zip(row, v)])
-        self.rows.append(v)
-        self.pivots.append(pivot)
+        rows = self.rows
+        for p, row in rows.items():
+            c = row.get(pivot)
+            if c:  # a row - c v need not be primitive even when a is 1
+                rows[p] = _primitive(_eliminate(dict(row) if a == 1 else row, a, c, v))
+        rows[pivot] = v
         return True
 
 
-def solve_square(matrix, rhs):
-    """Solve matrix * x = rhs over one common denominator: (y, D) with y a
-    list of ints and D a positive int, in lowest terms, such that
-    x = y / D; returns None when the matrix is singular.
+def solve_square(rows, rhs):
+    """Solve A x = rhs for the square matrix A with the sparse rows `rows`
+    over one common denominator: (y, D) with y a list of ints and D a
+    positive int, in lowest terms, such that x = y / D; returns None when A
+    is singular.
 
-    rhs is scaled to ints by the lcm of its denominators.  Row r of the
-    reduced `_Rref` then has only its pivot p and its last entry nonzero,
-    so x_p = row[-1] / row[p], over the lcm of the pivots."""
-    n = len(matrix)
-    scale = _denominator(rhs)
-    rref = _Rref(n + 1)
-    for row, b in zip(matrix, rhs):
-        rref.add(list(row) + [b * scale])
-    if rref.rank < n or n in rref.pivots:
+    rhs is appended as column n.  Row p of the reduced `_Rref` then has only
+    its pivot p and column n nonzero, so x_p = row[n] / row[p], over the lcm
+    of the pivots."""
+    n = len(rows)
+    rref = _Rref()
+    for row, b in zip(rows, rhs):
+        rref.add({**row, n: b})
+    if rref.rank < n or n in rref.rows:
         return None
-    den = math.lcm(*(row[p] for row, p in zip(rref.rows, rref.pivots)))
+    den = math.lcm(*(row[p] for p, row in rref.rows.items()))
     y = [0] * n
-    for row, p in zip(rref.rows, rref.pivots):
-        y[p] = row[n] * (den // row[p])
-    g = math.gcd(den * scale, *y)
-    return [c // g for c in y], den * scale // g
+    for p, row in rref.rows.items():
+        y[p] = row.get(n, 0) * (den // row[p])
+    g = math.gcd(den, *y)
+    return [c // g for c in y], den // g
 
 
 def nullspace(rows, width):
-    """Basis of the right nullspace of the given rational matrix."""
-    rref = _Rref(width)
+    """Basis of the right nullspace of the rational matrix with the sparse
+    rows `rows` and columns range(width), as sparse vectors: one per free
+    column f, 1 at f and nonzero elsewhere only at pivot columns left of f."""
+    rref = _Rref()
     for row in rows:
         rref.add(row)
-    pivot_cols = set(rref.pivots)
     basis = []
     for free in range(width):
-        if free in pivot_cols:
+        if free in rref.rows:
             continue
-        vec = [0] * width
-        vec[free] = 1
-        for row, p in zip(rref.rows, rref.pivots):
-            vec[p] = _exact(Fraction(-row[free], row[p]))
+        vec = {free: 1}
+        for p, row in rref.rows.items():
+            if free in row:
+                vec[p] = _exact(Fraction(-row[free], row[p]))
         basis.append(vec)
     return basis
 
@@ -284,42 +290,25 @@ class StructureConstantAlgebra:
         joins S and V is closed under left and right multiplication by every
         element of S; each step adds at least e_i = e_i·1 to V, so it ends.
         The closing stops as soon as V = A: no product can enlarge V then,
-        and no further generator is chosen, so S is the same.  `inside`
-        holds basis indices m with e_m known to lie in V: a product c·e_m
-        with m in it, or a zero product, cannot enlarge V and is not
-        reduced, and no index below the last generator is tested again.
+        and no further generator is chosen, so S is the same.  Each product
+        goes into the span as the sparse vector it is, and no index below
+        the last generator is tested again.
         """
         n = self.dim
-        span = _Rref(n)
+        span = _Rref()
         spanned: list[dict] = []
         generators: list[int] = []
         pending: list = []  # (s, v): v in V still to be multiplied by e_s
-        inside: set = set()
 
         def add(vec):
-            if len(vec) == 1:
-                m, = vec
-                if m in inside:
-                    return
-                inside.add(m)  # c·e_m lies in V once it has been added
-            elif not vec:
-                return
-            if span.add([vec.get(k, 0) for k in range(n)]):
+            if span.add(vec):
                 spanned.append(vec)
                 pending.extend((s, vec) for s in generators)
-
-        def outside(i):
-            if i in inside:
-                return False
-            if any(span.reduce([int(k == i) for k in range(n)])):
-                return True
-            inside.add(i)
-            return False
 
         add(self.unity)
         s = 0
         while span.rank < n:
-            s = next(i for i in range(s, n) if outside(i))
+            s = next(i for i in range(s, n) if span.reduce({i: 1}))
             generators.append(s)
             pending.extend((s, v) for v in spanned)
             while pending and span.rank < n:
@@ -526,14 +515,6 @@ class AlgebraElement:
 # operations
 # ---------------------------------------------------------------------------
 
-def _integral_coords(coords: dict):
-    """(coords times d, d) for the lcm d of the denominators of `coords`, so
-    the first has int values."""
-    den = _denominator(coords.values())
-    return (coords if den == 1 else {i: c.numerator * (den // c.denominator)
-                                     for i, c in coords.items()}), den
-
-
 def scaled_inverse(x: AlgebraElement):
     """The inverse of x over one common denominator: (y, D) with y a dict of
     nonzero int coordinates and D a positive int such that
@@ -547,7 +528,7 @@ def scaled_inverse(x: AlgebraElement):
     invertibility test and conjugation of the module uses (y, D) directly.
     """
     a = x.algebra
-    xs, den = _integral_coords(x.coords)
+    xs, den = _integral(x.coords)
     parts = {a._component[i] for i in xs}
     if len(parts) == 1:
         g = a.degrees[next(iter(xs))].coords
@@ -560,7 +541,7 @@ def scaled_inverse(x: AlgebraElement):
     else:
         rows = cols = range(a.dim)
     position = {i: r for r, i in enumerate(rows)}
-    matrix = [[0] * len(cols) for _ in rows]
+    matrix = [{} for _ in rows]
     for c, j in enumerate(cols):
         for i, v in a.mul_vectors(xs, {j: 1}).items():
             matrix[position[i]][c] = v
@@ -609,9 +590,9 @@ def _commutant(a: StructureConstantAlgebra, degree) -> list[dict]:
                 diff[k] = diff.get(k, 0) - v
             for k, v in diff.items():
                 if v:
-                    block.setdefault(k, [0] * len(cols))[c] = v
+                    block.setdefault(k, {})[c] = v
         rows.extend(block.values())
-    return [{j: c for j, c in zip(cols, v) if c} for v in nullspace(rows, len(cols))]
+    return [{cols[c]: v for c, v in vec.items()} for vec in nullspace(rows, len(cols))]
 
 
 def center_basis(a: StructureConstantAlgebra):
@@ -630,10 +611,10 @@ def _trace_form_rank(a: StructureConstantAlgebra) -> int:
     rank = 0
     for g, rows in a._by_degree.items():
         cols = a._by_degree.get(-g, [])
-        span = _Rref(len(cols))
+        span = _Rref()
         for i in rows:
-            span.add([sum(c * trace[k] for k, c in a.table.get((i, j), {}).items())
-                      for j in cols])
+            span.add({c: x for c, j in enumerate(cols)
+                      if (x := sum(v * trace[k] for k, v in a.table.get((i, j), {}).items()))})
         rank += span.rank
     return rank
 
@@ -688,7 +669,7 @@ def int_in_stabilizer(a: StructureConstantAlgebra, x: AlgebraElement) -> bool:
         raise NotInvertibleError("conjugating element is not invertible")
     # x e_s x^-1 is a nonzero multiple of xs e_s y, with xs = x over ints
     y, _ = inverse
-    xs, _ = _integral_coords(x.coords)
+    xs, _ = _integral(x.coords)
     component = a._component
     for s in a.generators:
         image = a.mul_vectors(a.mul_vectors(xs, {s: 1}), y)
@@ -764,9 +745,13 @@ def inner_stabilizer_quotient(a: StructureConstantAlgebra):
             if comp is not None and scaled_inverse(comp) is not None:
                 central_degrees.add(degree)
                 break
-    reps = {coset_rep(x, central_degrees) for x in degs}
-    zero = coset_rep(a.group.zero(), central_degrees)
-    generators = [(d, unit_degrees[d]) for d in sorted(reps, key=lambda e: e.coords) if d != zero]
+    # the least element of each coset d + C other than C itself, C the
+    # central degrees: walking up in coordinate order, an uncovered d is one
+    generators, covered = [], set(central_degrees)
+    for d in sorted(degs, key=lambda e: e.coords):
+        if d not in covered:
+            generators.append((d, unit_degrees[d]))
+            covered.update(d + c for c in central_degrees)
     return abstract_type(degs, modulo=central_degrees), generators
 
 

@@ -1,13 +1,17 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gradecat.abelian import AbelianGroup, GroupHomomorphism
+from gradecat import cli
+from gradecat.abelian import AbelianGroup, GroupHomomorphism, support_table
 from gradecat.division import canonical, parse_catalog_ref
 from gradecat.matrix import (
     GradedElement,
     GradingError,
+    GradingParams,
     NONZERO_SQUARES,
     ZERO_SQUARES,
     component_count,
@@ -258,6 +262,91 @@ def test_degree_labels_are_the_degrees_of_degree_of():
         assert r.component_degrees() == sorted(
             {r.degree_of(i, j, t) for i in range(k) for j in range(k) for t in elems},
             key=lambda d: d.coords)
+
+
+def _reference_coset_key(params, g):
+    """The former `abelian.coset_rep`: the least of the GroupElement sums
+    g + embed(t), by coordinates."""
+    return min((g + params.embed(t) for t in params.embed.source.elements()),
+               key=lambda e: e.coords).coords
+
+
+_TORSION = [(), (2,), (3,), (4,), (6,), (2, 2), (2, 4), (2, 2, 4)]
+
+
+@st.composite
+def _embeddings(draw):
+    """(T, G, embed): a finite T, an ambient G with free and torsion
+    coordinates, and a homomorphism T -> G, often not injective."""
+    t = AbelianGroup(0, draw(st.sampled_from(_TORSION[:6])))
+    g = AbelianGroup(draw(st.integers(0, 2)), draw(st.sampled_from(_TORSION)))
+    images = []
+    for m in t.torsion:  # m·image = 0: free coordinates 0, torsion ones in (n/gcd(m, n))Z
+        images.append(g.element([0] * g.free_rank + [
+            draw(st.integers(0, n)) * (n // math.gcd(m, n)) for n in g.torsion]))
+    return t, g, GroupHomomorphism(t, g, images)
+
+
+def _elements_of(g):
+    return st.lists(st.integers(-3, 7), min_size=g.rank, max_size=g.rank).map(g.element)
+
+
+@settings(max_examples=300, deadline=None)  # about a fifth embed T injectively
+@given(_embeddings(), st.data())
+def test_coset_key_is_the_least_groupelement_sum(embedding, data):
+    t, g, embed = embedding
+    gamma = data.draw(st.lists(_elements_of(g), min_size=1, max_size=3))
+    image = {embed(x) for x in t.elements()}
+    try:
+        params = GradingParams(g, gamma, [1] * len(gamma), embed)
+    except GradingError as err:
+        if len(image) < t.order():
+            assert "injective" in str(err)
+        else:
+            # the constructor refuses only degrees that meet modulo T
+            assert "distinct modulo T" in str(err)
+            keys = [min((x + y).coords for y in image) for x in gamma]
+            assert len(set(keys)) < len(keys)
+        return
+    assert len(image) == t.order()
+    for x in gamma + [g.zero(), *data.draw(st.lists(_elements_of(g), max_size=4))]:
+        assert params._coset(x) == [(x + embed(y)).coords for y in support_table(t)[0]]
+        assert params._coset_key(x) == _reference_coset_key(params, x)
+
+
+def test_coset_keys_of_the_trivial_ambient():
+    zero = AbelianGroup.trivial()
+    params = GradingParams(zero, [zero.zero()], [1], GroupHomomorphism(zero, zero, []))
+    assert params._coset(zero.zero()) == [()]
+    assert params._coset_key(zero.zero()) == () == _reference_coset_key(params, zero.zero())
+    z2 = AbelianGroup(0, (2,))
+    with pytest.raises(GradingError, match="injective"):
+        GradingParams(zero, [zero.zero()], [1], GroupHomomorphism(z2, zero, [zero.zero()]))
+
+
+# the specs of the `universal-*` goldens in tests/test_golden.py
+_UNIVERSAL_SPECS = [
+    {"D": "1-c:Z2", "k": 2},
+    {"D": "1-c:Z2", "G": {"free_rank": 1, "torsion": [2]}, "embed": [[0, 1]],
+     "gamma": [[0, 0], [1, 0]], "kappa": [2, 1]},
+    {"D": "2-f:Z4^2", "k": 1},
+    {"D": "1-d:Z2^3xZ4", "k": 1},
+]
+
+
+def test_export_degrees_are_those_of_degree_of():
+    from gradecat.verify import matrix_fixtures
+
+    algebras = [r for _, r in matrix_fixtures()]
+    for spec in _UNIVERSAL_SPECS:
+        d = parse_catalog_ref(spec["D"])
+        algebras.append(matrix_algebra(d, **cli._matrix_shape(spec, d.support)))
+    assert any(r.params.kappa != (1,) * len(r.params.kappa) for r in algebras)
+    for r in algebras:
+        a = to_structure_constants(r)
+        elems, k, width = r.division.elements(), r.k, len(r.division.kind.basis())
+        assert list(a.degrees) == [r.degree_of(i, j, t) for i in range(k) for j in range(k)
+                                   for t in elems for _ in range(width)]
 
 
 def reference_export(r):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradecat import division
 from gradecat.abelian import AbelianGroup
@@ -38,11 +38,16 @@ from gradecat.structconst import (
 from gradecat.verify import graded_simple_fixtures
 
 
+def _sparse(rows):
+    """Dense rows as the kernel's {column: entry} rows, zero entries kept."""
+    return [dict(enumerate(row)) for row in rows]
+
+
 def test_solve_square():
     # x = (1/2, 1/2) over the common denominator 2
-    assert solve_square([[2, 0], [0, 4]], [1, 2]) == ([1, 1], 2)
-    assert solve_square([[2, 0], [0, 4]], [Fraction(1, 3), 2]) == ([1, 3], 6)
-    assert solve_square([[1, 1], [2, 2]], [1, 1]) is None
+    assert solve_square(_sparse([[2, 0], [0, 4]]), [1, 2]) == ([1, 1], 2)
+    assert solve_square(_sparse([[2, 0], [0, 4]]), [Fraction(1, 3), 2]) == ([1, 3], 6)
+    assert solve_square(_sparse([[1, 1], [2, 2]]), [1, 1]) is None
 
 
 _small_ints = st.integers(-3, 3)
@@ -77,7 +82,7 @@ def _sympy_matrix(rows, width):
 def test_solve_square_agrees_with_sympy(system, rhs):
     matrix, n = system
     rhs = rhs[:n]
-    solved = solve_square(matrix, rhs)
+    solved = solve_square(_sparse(matrix), rhs)
     m = _sympy_matrix(matrix, n)
     if m.rank() < n:
         assert solved is None
@@ -93,24 +98,49 @@ def test_solve_square_agrees_with_sympy(system, rhs):
 @given(st.one_of(_matrices(_small_ints), _matrices(_small_rationals)))
 def test_rref_rank_agrees_with_sympy(system):
     rows, width = system
-    rref = _Rref(width)
-    grew = [rref.add(row) for row in rows]
+    rref = _Rref()
+    grew = [rref.add(row) for row in _sparse(rows)]
     m = _sympy_matrix(rows, width)
     assert rref.rank == sum(grew) == m.rank()
-    # primitive int rows with a positive pivot, zero at every other pivot
-    for row, p in zip(rref.rows, rref.pivots):
-        assert all(type(x) is int for x in row)
-        assert row[p] > 0 and math.gcd(*row) == 1
-        assert all(row[q] == 0 for q in rref.pivots if q != p)
-    for row in rows:
-        assert not any(rref.reduce(row))
+    _assert_reduced(rref)
+    for row in _sparse(rows):
+        assert rref.reduce(row) == {}
+
+
+def _assert_reduced(rref):
+    """Each row is primitive, ints with no zero entry, positive at its
+    pivot, which is its least column, and zero at every other pivot."""
+    for p, row in rref.rows.items():
+        assert all(type(x) is int and x for x in row.values())
+        assert p == min(row) and row[p] > 0 and math.gcd(*row.values()) == 1
+        assert not any(q in row for q in rref.rows if q != p)
+
+
+_entries = st.one_of(_small_ints, _small_rationals)
+
+
+# the pivot-1 trap: v = e_1 + 3 e_2 clears row 0 to 2 e_0 - 2 e_2, not primitive;
+# and a zero entry at column 0 that must not become the pivot
+@example([{0: 2, 1: 1, 2: 1}, {1: 1, 2: 3}])
+@example([{0: 0, 1: Fraction(2, 3)}, {0: 3, 1: 0, 2: 0}])
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 5), _entries, max_size=6), max_size=6))
+def test_rref_rows_stay_reduced_after_every_add(vectors):
+    rref = _Rref()
+    grew = 0
+    for vec in vectors:
+        grew += rref.add(vec)
+        _assert_reduced(rref)
+    m = _sympy_matrix([[v.get(j, 0) for j in range(6)] for v in vectors], 6)
+    assert rref.rank == grew == m.rank()
+    assert all(rref.reduce(vec) == {} for vec in vectors)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_matrices(_small_ints), _matrices(_small_rationals)))
 def test_nullspace_agrees_with_sympy(system):
     rows, width = system
-    basis = nullspace(rows, width)
+    basis = [[v.get(j, 0) for j in range(width)] for v in nullspace(_sparse(rows), width)]
     m = _sympy_matrix(rows, width)
     assert len(basis) == width - m.rank() == len(m.nullspace())
     for vec in basis:
@@ -585,14 +615,14 @@ def test_scaled_inverse_agrees_with_sympy(data):
 
 
 def test_inverses_and_centre_solve_one_component_at_a_time(monkeypatch):
-    widths = []
-    init = _Rref.__init__
+    widths = []  # the largest column + 1 of each vector handed to the kernel
+    add = _Rref.add
 
-    def recording(self, width):
-        widths.append(width)
-        init(self, width)
+    def recording(self, vec):
+        widths.append(max(vec, default=-1) + 1)
+        return add(self, vec)
 
-    monkeypatch.setattr(_Rref, "__init__", recording)
+    monkeypatch.setattr(_Rref, "add", recording)
     for label, a in _verify_fixtures():
         widths.clear()
         for i in range(a.dim):
@@ -616,8 +646,7 @@ def test_center_basis_keeps_the_full_width_order():
             for k in range(n):
                 rows.append([a.mul_vectors({j: 1}, {g: 1}).get(k, 0)
                              - a.mul_vectors({g: 1}, {j: 1}).get(k, 0) for j in range(n)])
-        ours = [[z.coords.get(i, 0) for i in range(n)] for z in center_basis(a)]
-        assert ours == nullspace(rows, n), label
+        assert [z.coords for z in center_basis(a)] == nullspace(_sparse(rows), n), label
 
 
 # ---------------------------------------------------------------------------
@@ -746,23 +775,38 @@ def _mutants(a, key):
 
 
 def _reference_generating_set(a):
-    """The former `_generating_set`: every product, and every test of a
-    basis vector, is reduced as a dense vector, from index 0 on."""
+    """The greedy generating set with sympy `Matrix.rank` as the span test:
+    the least i with e_i outside V joins S, from index 0 on, and V is closed
+    under products by S on both sides.  The unity and every product of
+    basis vectors are homogeneous, so V is the sum of its parts V_g, and a
+    vector of degree g lies in V iff the rank of V_g, on the columns of
+    A_g, does not grow when it joins."""
     n = a.dim
-    span = _Rref(n)
+    columns = a.basis_degrees_by_component()
+    parts = {d: [] for d in columns}  # d -> independent rows spanning V_d
     spanned, generators, pending = [], [], []
 
+    def part(vec):  # the rows of V_g and vec on the columns of A_g
+        degree, = {a.degrees[k] for k in vec}
+        return parts[degree], _rationals([vec.get(k, 0) for k in columns[degree]])
+
+    def outside(vec):
+        rows, row = part(vec)
+        return len(rows) < len(row) and sympy.Matrix(rows + [row]).rank() > len(rows)
+
     def add(vec):
-        if span.add([vec.get(k, 0) for k in range(n)]):
+        if vec and outside(vec):
+            rows, row = part(vec)
+            rows.append(row)
             spanned.append(vec)
             pending.extend((s, vec) for s in generators)
 
     add(a.unity)
-    while span.rank < n:
-        s = next(i for i in range(n) if any(span.reduce([int(k == i) for k in range(n)])))
+    while len(spanned) < n:
+        s = next(i for i in range(n) if outside({i: 1}))
         generators.append(s)
         pending.extend((s, v) for v in spanned)
-        while pending and span.rank < n:
+        while pending and len(spanned) < n:
             s, v = pending.pop()
             add(a.mul_vectors({s: 1}, v))
             add(a.mul_vectors(v, {s: 1}))
@@ -1065,9 +1109,9 @@ def reference_commutant(a, degree):
                 diff[k] = diff.get(k, 0) - v
             for k, v in diff.items():
                 if v:
-                    block.setdefault(k, [0] * len(cols))[c] = v
+                    block.setdefault(k, {})[c] = v
         rows.extend(block.values())
-    return [{j: c for j, c in zip(cols, v) if c} for v in nullspace(rows, len(cols))]
+    return [{cols[c]: v for c, v in vec.items()} for vec in nullspace(rows, len(cols))]
 
 
 def _witness_verdict(witness, a, x):
