@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import json
 import sys
+from functools import cache
 
 from .abelian import AbelianGroup, GroupHomomorphism, json_int, parse_group_string
 from .classify import CoverageError, classify, rows_to_json, rows_to_table
@@ -213,7 +214,10 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parse_args fills a fresh Namespace on
+    each call, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="gradecat",
         description="fine gradings on real matrix algebras: tables, universal "

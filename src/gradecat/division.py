@@ -106,7 +106,7 @@ class CoefficientKind:
             if isinstance(value, int):
                 return Fraction(value)
             if isinstance(value, Cyclotomic) and value.is_rational():
-                return value.rational_value()
+                return Fraction(value.rational_value())
             raise TypeError(f"cannot coerce {value!r} into rational coefficients")
         if self.family == "C":
             if isinstance(value, Cyclotomic):

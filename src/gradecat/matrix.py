@@ -57,7 +57,10 @@ class GradingParams:
     def __init__(self, ambient: AbelianGroup, gamma, kappa, embed: GroupHomomorphism):
         self.ambient = ambient
         self.gamma = tuple(gamma)
-        self.kappa = tuple(int(k) for k in kappa)
+        self.kappa = tuple(kappa)
+        for i, k in enumerate(self.kappa):
+            if type(k) is not int:  # int() would truncate 1.7 and read True as 1
+                raise GradingError(f"multiplicity kappa[{i}] = {k!r} is not an int")
         self.embed = embed
         if len(self.gamma) != len(self.kappa):
             raise GradingError("kappa and gamma must have equal length")

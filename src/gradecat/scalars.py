@@ -1,10 +1,13 @@
 """Exact scalar arithmetic: cyclotomic numbers and rational quaternions.
 
 Rationals are plain fractions.Fraction values.  A Cyclotomic is a residue
-modulo the N-th cyclotomic polynomial with Fraction coefficients, i.e. an
+modulo the N-th cyclotomic polynomial with rational coefficients, i.e. an
 element of Q(zeta_N); complex conjugation sends zeta_N to zeta_N^(N-1).
-A RationalQuaternion has four Fraction components on the 1, i, j, k basis.
-No floating point is used anywhere.
+A RationalQuaternion has four rational components on the 1, i, j, k basis.
+Every coefficient and component is kept in one normal form: an int when
+it is integral, a Fraction only when it has a denominator, so integral
+arithmetic runs on ints.  Every division goes through Fraction, and a float
+or bool input is refused, so no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -12,6 +15,25 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+
+def _rational(c):
+    """The exact rational c in normal form: an int when it is integral, else a
+    Fraction with denominator > 1.  A float or bool is refused, because
+    Fraction() would read 0.5 as 1/2 and True as 1."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if isinstance(c, (bool, float)):
+            raise TypeError(f"{c!r} is not an exact rational")
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _quotient(a, b):
+    """a / b exactly, in normal form; int / int never makes a float."""
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _divisors(n: int) -> list[int]:
@@ -51,7 +73,9 @@ def _phi_degree(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-def _reduce_mod_phi(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+def _reduce_mod_phi(n: int, coeffs: list) -> list:
+    """The residue of sum coeffs[i] x^i mod Phi_n: deg Phi_n coefficients in
+    normal form."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     coeffs = list(coeffs)
@@ -61,18 +85,18 @@ def _reduce_mod_phi(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
             shift = top - deg
             for i, p in enumerate(phi):
                 coeffs[shift + i] -= c * p
-    coeffs = coeffs[:deg]
-    coeffs += [Fraction(0)] * (deg - len(coeffs))
-    return tuple(coeffs)
+    coeffs = [_rational(c) for c in coeffs[:deg]]
+    coeffs += [0] * (deg - len(coeffs))
+    return coeffs
 
 
 @lru_cache(maxsize=None)
-def _zeta_power(n: int, k: int) -> tuple[Fraction, ...]:
+def _zeta_power(n: int, k: int) -> tuple[int, ...]:
     """zeta_n^k as a residue vector mod Phi_n."""
     k %= n
-    mono = [Fraction(0)] * (k + 1)
-    mono[k] = Fraction(1)
-    return _reduce_mod_phi(n, mono)
+    mono = [0] * (k + 1)
+    mono[k] = 1
+    return tuple(_reduce_mod_phi(n, mono))
 
 
 class Cyclotomic:
@@ -82,17 +106,16 @@ class Cyclotomic:
 
     def __init__(self, conductor: int, coeffs):
         deg = _phi_degree(conductor)
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [_rational(c) for c in coeffs]
         if len(coeffs) > deg:
-            coeffs = list(_reduce_mod_phi(conductor, coeffs))
-        coeffs += [Fraction(0)] * (deg - len(coeffs))
+            coeffs = _reduce_mod_phi(conductor, coeffs)
+        coeffs += [0] * (deg - len(coeffs))
         self.conductor = conductor
         self.coeffs = tuple(coeffs)
 
     @classmethod
     def from_rational(cls, value, conductor: int = 1) -> "Cyclotomic":
-        c = [Fraction(value)] + [Fraction(0)] * (_phi_degree(conductor) - 1)
-        return cls(conductor, c)
+        return cls(conductor, [value])
 
     def promoted(self, conductor: int) -> "Cyclotomic":
         """The same value inside Q(zeta_conductor); self.conductor must divide it."""
@@ -109,7 +132,7 @@ class Cyclotomic:
         automorphism zeta_N -> zeta_N^power of Q(zeta_N); with
         conductor = N * power it is the embedding into Q(zeta_conductor).
         """
-        acc = [Fraction(0)] * _phi_degree(conductor)
+        acc = [0] * _phi_degree(conductor)
         for j, c in enumerate(self.coeffs):
             if c:
                 for i, x in enumerate(_zeta_power(conductor, j * power)):
@@ -151,7 +174,7 @@ class Cyclotomic:
         if pair is None:
             return NotImplemented
         a, b = pair
-        conv = [Fraction(0)] * (2 * len(a.coeffs) - 1)
+        conv = [0] * (2 * len(a.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
             if x:
                 for j, y in enumerate(b.coeffs):
@@ -215,12 +238,13 @@ class Cyclotomic:
             if math.gcd(k, n) == 1:
                 others = others * self._substituted(n, k)
         norm = (self * others).coeffs[0]
-        return Cyclotomic(n, [c / norm for c in others.coeffs])
+        return Cyclotomic(n, [_quotient(c, norm) for c in others.coeffs])
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self):
+        """The value as an int or a Fraction; ValueError when it is irrational."""
         if not self.is_rational():
             raise ValueError("value is not rational")
         return self.coeffs[0]
@@ -242,15 +266,16 @@ def zeta(n: int, k: int = 1) -> Cyclotomic:
 
 
 class RationalQuaternion:
-    """A quaternion with Fraction components on the (1, i, j, k) basis."""
+    """A quaternion with rational components on the (1, i, j, k) basis, each an
+    int or a Fraction in normal form."""
 
     __slots__ = ("w", "x", "y", "z")
 
     def __init__(self, w=0, x=0, y=0, z=0):
-        self.w = Fraction(w)
-        self.x = Fraction(x)
-        self.y = Fraction(y)
-        self.z = Fraction(z)
+        self.w = _rational(w)
+        self.x = _rational(x)
+        self.y = _rational(y)
+        self.z = _rational(z)
 
     @classmethod
     def one(cls):
@@ -332,15 +357,16 @@ class RationalQuaternion:
     def conjugate(self) -> "RationalQuaternion":
         return RationalQuaternion(self.w, -self.x, -self.y, -self.z)
 
-    def norm(self) -> Fraction:
-        return self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
+    def norm(self):
+        """w^2 + x^2 + y^2 + z^2 as an int or a Fraction in normal form."""
+        return _rational(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
 
     def inverse(self) -> "RationalQuaternion":
         n = self.norm()
         if not n:
             raise ZeroDivisionError("inversion of zero quaternion")
-        c = self.conjugate()
-        return RationalQuaternion(c.w / n, c.x / n, c.y / n, c.z / n)
+        return RationalQuaternion(_quotient(self.w, n), _quotient(-self.x, n),
+                                  _quotient(-self.y, n), _quotient(-self.z, n))
 
     def __bool__(self):
         return bool(self.w or self.x or self.y or self.z)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from gradecat import cli
 from gradecat.abelian import AbelianGroup
 from gradecat.classify import (
     _COVERED,
@@ -492,3 +493,28 @@ def test_cli_internal_errors_propagate(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_suite", broken_check)
     with pytest.raises(ValueError):
         main(["verify", "--suite", "squares"])
+
+
+def test_one_parser_per_process_prints_what_a_fresh_parser_prints(capsys):
+    # build_parser is cached; parse_args fills a fresh Namespace on each call
+    calls = (["classify", "--algebra", "M2R", "--format", "json"],
+             ["verify", "--suite", "nonsense"],
+             ["classify"],  # argparse's own usage error: --algebra is required
+             ["verify", "--suite", "squares", "--format", "json"])
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        return code, capsys.readouterr()
+
+    cli.build_parser.cache_clear()
+    fresh = []
+    for argv in calls:
+        fresh.append(run(argv))
+        cli.build_parser.cache_clear()
+    assert [code for code, _ in fresh] == [0, 2, 2, 0]
+    parser = cli.build_parser()
+    assert [run(argv) for argv in calls] == fresh
+    assert cli.build_parser() is parser

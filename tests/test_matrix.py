@@ -60,6 +60,16 @@ def test_degree_errors():
         r.degree_of(0, 0, AbelianGroup(0, (2,)).element((1,)))
 
 
+@pytest.mark.parametrize("kappa, index, shown", [([1.7, True], 0, "1.7"),
+                                                 ([2.0, 1], 0, "2.0"),
+                                                 ([1, True], 1, "True")])
+def test_multiplicities_must_be_ints(kappa, index, shown):
+    # int() would read kappa = [1.7, True] as (1, 1)
+    with pytest.raises(GradingError, match=rf"kappa\[{index}\] = {shown} is not an int"):
+        matrix_algebra(canonical("1-c", "Z2"), k=2, kappa=kappa)
+    assert matrix_algebra(canonical("1-c", "Z2"), k=2, kappa=[2, 1]).params.kappa == (2, 1)
+
+
 def test_fine_condition_multiplicity_witness():
     ambient = AbelianGroup(1, ())
     embed = GroupHomomorphism(AbelianGroup.trivial(), ambient, [])

@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from gradecat.division import CoefficientKind, _scalar_json
 from gradecat.scalars import (
     Cyclotomic,
     RationalQuaternion,
@@ -205,3 +206,117 @@ def test_quaternion_zero_inverse_raises():
         RationalQuaternion().inverse()
     with pytest.raises(ZeroDivisionError):
         Cyclotomic.from_rational(0, 4).inverse()
+
+
+# ---------------------------------------------------------------------------
+# the normal form: an int when integral, a Fraction only with a denominator
+# ---------------------------------------------------------------------------
+
+def is_normal(c) -> bool:
+    """Never a float, a bool or Fraction(n, 1)."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def rationals():
+    """Ints and Fractions, Fraction(n, 1) included, as a caller may pass them."""
+    return st.one_of(st.integers(-4, 4),
+                     st.fractions(min_value=-4, max_value=4, max_denominator=3))
+
+
+def mixed_cyclotomics(n):
+    deg = len(cyclotomic_polynomial(n)) - 1
+    return st.lists(rationals(), min_size=deg, max_size=deg).map(lambda c: Cyclotomic(n, c))
+
+
+def quaternions():
+    return st.lists(rationals(), min_size=4, max_size=4).map(lambda c: RationalQuaternion(*c))
+
+
+def to_fraction(r) -> Fraction:
+    return Fraction(int(r.p), int(r.q))
+
+
+@pytest.mark.parametrize("n", (1, 3, 4, 8, 12))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cyclotomic_results_are_in_normal_form(n, data):
+    x, y = data.draw(mixed_cyclotomics(n), label="x"), data.draw(mixed_cyclotomics(n), label="y")
+    r = data.draw(rationals(), label="r")
+    results = [x + y, x - y, x * y, x + r, r - x, x * r, -x, x.conjugate(),
+               x.promoted(2 * n), x * zeta(5)]
+    if y:
+        results += [x / y, r / y, y ** -2, y.inverse()]
+    for value in results:
+        assert all(map(is_normal, value.coeffs)), value
+    if x.is_rational():
+        assert is_normal(x.rational_value())
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=quaternions(), q=quaternions(), r=rationals())
+def test_quaternion_results_are_in_normal_form(p, q, r):
+    results = [p + q, p - q, p * q, p + r, r - p, r * p, -p, p.conjugate()]
+    if q:
+        results += [p / q, r / q, q.inverse(), q.inverse() * q]
+    for value in results:
+        assert all(map(is_normal, value.components())), value
+    assert is_normal(p.norm())
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (4, 1), (5, 1), (8, 1), (12, 1), (4, 2), (3, 4)])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_cyclotomic_products_agree_with_sympy(n, m, data):
+    # y lives in Q(zeta_n) and x in Q(zeta_(n m)); the product is promoted
+    x, y = data.draw(mixed_cyclotomics(n * m), label="x"), data.draw(mixed_cyclotomics(n), label="y")
+    var = sympy.Symbol("x")
+    big = n * m
+
+    def poly(c, step):
+        return sum(sympy.Rational(a.numerator, a.denominator) * var ** (i * step)
+                   for i, a in enumerate(c.coeffs))
+
+    theirs = sympy.Poly(sympy.rem(sympy.expand(poly(x, 1) * poly(y, m)),
+                                  sympy.cyclotomic_poly(big, var), var), var)
+    coeffs = [to_fraction(c) for c in reversed(theirs.all_coeffs())]
+    ours = x * y
+    assert ours.conductor == big
+    assert ours.coeffs == tuple(coeffs + [0] * (len(ours.coeffs) - len(coeffs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=quaternions(), q=quaternions())
+def test_quaternion_products_agree_with_sympy(p, q):
+    def theirs(a):
+        return sympy.Quaternion(*(sympy.Rational(c.numerator, c.denominator)
+                                  for c in a.components()))
+
+    prod = theirs(p) * theirs(q)
+    assert (p * q).components() == tuple(to_fraction(c) for c in (prod.a, prod.b, prod.c, prod.d))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True])
+def test_float_and_bool_components_are_refused(bad):
+    # Fraction() would read 0.5 as 1/2, 1.0 as 1 and True as 1
+    for make in (lambda: Cyclotomic(4, [bad, 1]), lambda: Cyclotomic(4, [0, bad]),
+                 lambda: Cyclotomic.from_rational(bad, 3),
+                 lambda: RationalQuaternion(bad), lambda: RationalQuaternion(0, 0, 0, bad)):
+        with pytest.raises(TypeError, match="is not an exact rational"):
+            make()
+
+
+def test_integral_values_are_ints_and_others_fractions():
+    assert Cyclotomic(4, [Fraction(4, 2), Fraction(1, 2)]).coeffs == (2, Fraction(1, 2))
+    assert type(Cyclotomic(4, [Fraction(4, 2), 0]).coeffs[0]) is int
+    assert type((zeta(3) ** 3).coeffs[0]) is int
+    assert RationalQuaternion(Fraction(6, 3), 1).components() == (2, 1, 0, 0)
+    assert type(RationalQuaternion(1, 1).norm()) is int
+    assert RationalQuaternion(1, 1).inverse().components() == (Fraction(1, 2), Fraction(-1, 2), 0, 0)
+    assert Cyclotomic(4, [Fraction(3), 1]).to_json() == {"conductor": 4, "coeffs": ["3", "1"]}
+
+
+def test_real_coefficients_stay_fractions():
+    # the R family keeps Fraction values, so `_scalar_json` still prints 3/1
+    value = CoefficientKind.real().coerce(Cyclotomic.from_rational(3, 4))
+    assert type(value) is Fraction and value == 3
+    assert _scalar_json(value) == "3/1"
