@@ -45,11 +45,21 @@ def _factor(n: int) -> dict[int, int]:
     return out
 
 
+def exact_ints(values, what: str) -> tuple:
+    """`values` as a tuple when every one is an int.  Anything else, a float
+    or a bool included, which int() would truncate or read as 0 or 1, is a
+    TypeError naming `what`."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"{what} {v!r} is not an int")
+    return values
+
+
 def invariant_factors(orders) -> tuple[int, ...]:
     """Invariant-factor chain of a direct sum of cyclic groups of the given orders."""
     by_prime: dict[int, list[int]] = {}
-    for m in orders:
-        m = int(m)
+    for m in exact_ints(orders, "cyclic order"):
         if m < 1:
             raise ValueError(f"cyclic order must be positive, got {m}")
         for p, e in _factor(m).items():
@@ -72,8 +82,8 @@ class AbelianGroup:
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int = 0, torsion=()):
-        free_rank = int(free_rank)
-        torsion = tuple(int(m) for m in torsion)
+        (free_rank,) = exact_ints((free_rank,), "free rank")
+        torsion = exact_ints(torsion, "torsion order")
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         for m in torsion:
@@ -172,16 +182,7 @@ class AbelianGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> "AbelianGroup":
-        return cls(json_int(data.get("free_rank", 0)),
-                   [json_int(m) for m in data.get("torsion", ())])
-
-
-def json_int(value) -> int:
-    """`value`, read from JSON, if it is an int.  A float or a bool, which
-    `int()` would truncate or read as 0 or 1, is a ValueError."""
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
+        return cls(data.get("free_rank", 0), data.get("torsion", ()))
 
 
 def parse_group_string(text: str) -> AbelianGroup:
@@ -212,7 +213,7 @@ class GroupElement:
     __slots__ = ("group", "coords")
 
     def __init__(self, group: AbelianGroup, coords):
-        coords = tuple(int(c) for c in coords)
+        coords = exact_ints(coords, "coordinate")
         if len(coords) != group.rank:
             raise ValueError(f"expected {group.rank} coordinates, got {len(coords)}")
         r = group.free_rank
@@ -238,7 +239,7 @@ class GroupElement:
         return GroupElement(self.group, tuple(-a for a in self.coords))
 
     def __mul__(self, n):
-        if not isinstance(n, int):
+        if type(n) is not int:  # a bool is no multiplier
             return NotImplemented
         return GroupElement(self.group, tuple(n * a for a in self.coords))
 
@@ -348,7 +349,7 @@ def smith_normal_form(matrix):
     not built: u is unimodular and d is diagonal with nonnegative entries
     forming a divisibility chain.
     """
-    a = [[int(x) for x in row] for row in matrix]
+    a = [list(exact_ints(row, "matrix entry")) for row in matrix]
     m = len(a)
     n = len(a[0]) if m else 0
     for row in a:

@@ -19,7 +19,7 @@ import json
 import sys
 from functools import cache
 
-from .abelian import AbelianGroup, GroupHomomorphism, json_int, parse_group_string
+from .abelian import AbelianGroup, GroupHomomorphism, exact_ints
 from .classify import CoverageError, classify, rows_to_json, rows_to_table
 from .division import CatalogError, CocycleError, canonical, parse_catalog_ref
 from .matrix import GradingError, harvest_universal_group, component_count, matrix_algebra
@@ -35,18 +35,8 @@ from .verify import SUITES, CheckResult, checks_report, run_suite
 
 
 class UsageError(ValueError):
-    """Bad input at the command line: an unknown suite, a malformed spec or
-    fixture file, or a bad group string."""
-
-
-def _catalog_entry(ref: str):
-    """The catalog algebra named by `ref`; a bad group string is a usage error."""
-    _, _, spec = ref.partition(":")
-    try:
-        parse_group_string(spec)
-    except ValueError as err:
-        raise UsageError(f"bad group string {spec.strip()!r}: {err}") from err
-    return parse_catalog_ref(ref)
+    """Bad input at the command line: an unknown suite, or a malformed spec
+    or fixture file."""
 
 
 def _cmd_classify(args) -> int:
@@ -163,13 +153,14 @@ def _matrix_shape(spec, support: AbelianGroup) -> dict:
             raise UsageError("a spec with an explicit G on a nontrivial support needs "
                              "explicit embed images")
         embed_spec = []
-    images = [ambient.element([json_int(c) for c in coords]) for coords in embed_spec]
+    images = [ambient.element(coords) for coords in embed_spec]
     kappa = spec.get("kappa")
     return {
-        "gamma": [ambient.element([json_int(c) for c in coords]) for coords in gamma_spec],
+        "gamma": [ambient.element(coords) for coords in gamma_spec],
         "ambient": ambient,
         "embed": GroupHomomorphism(support, ambient, images),
-        "kappa": None if kappa is None else [json_int(m) for m in kappa],
+        # checked here too, so that a bad multiplicity reads as a malformed spec
+        "kappa": None if kappa is None else exact_ints(kappa, "multiplicity"),
     }
 
 
@@ -179,7 +170,7 @@ def _cmd_universal(args) -> int:
         dref = spec["D"]
         if not isinstance(dref, str):
             tag, support = dref["type"], AbelianGroup.from_json(dref["support"])
-    division = _catalog_entry(dref) if isinstance(dref, str) else canonical(tag, support)
+    division = parse_catalog_ref(dref) if isinstance(dref, str) else canonical(tag, support)
     with _spec_values("spec", args.spec):
         shape = _matrix_shape(spec, division.support)
     algebra = matrix_algebra(division, **shape)
@@ -199,7 +190,7 @@ def _cmd_universal(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    division = _catalog_entry(args.entry)
+    division = parse_catalog_ref(args.entry)
     data = division.to_json()
     if args.format == "json":
         print(json.dumps(data, indent=2, ensure_ascii=False))

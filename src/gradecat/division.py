@@ -27,7 +27,7 @@ import operator
 from fractions import Fraction
 
 from .abelian import AbelianGroup, GroupElement, abstract_type, parse_group_string, support_table
-from .scalars import Cyclotomic, RationalQuaternion, zeta
+from .scalars import Cyclotomic, RationalQuaternion, _rational, zeta
 
 
 class CocycleError(ValueError):
@@ -101,12 +101,11 @@ class CoefficientKind:
 
     def coerce(self, value):
         if self.family == "R":
-            if isinstance(value, Fraction):
-                return value
-            if isinstance(value, int):
-                return Fraction(value)
             if isinstance(value, Cyclotomic) and value.is_rational():
-                return Fraction(value.rational_value())
+                value = value.rational_value()
+            if isinstance(value, (int, Fraction)):
+                value = _rational(value)  # a bool is refused
+                return value if type(value) is Fraction else Fraction(value)
             raise TypeError(f"cannot coerce {value!r} into rational coefficients")
         if self.family == "C":
             if isinstance(value, Cyclotomic):
@@ -304,7 +303,7 @@ class DivisionElement:
         self._check(other)
         out = dict(self.terms)
         for t, c in other.terms.items():
-            out[t] = out.get(t, self.algebra.kind.zero()) + c
+            out[t] = out[t] + c if t in out else c
         return DivisionElement(self.algebra, out)
 
     def __neg__(self):
@@ -322,7 +321,7 @@ class DivisionElement:
                 for v, d in other.terms.items():
                     target = u + v
                     val = c * alg.alpha(u, d) * alg.sigma(u, v)
-                    out[target] = out.get(target, alg.kind.zero()) + val
+                    out[target] = out[target] + val if target in out else val
             return DivisionElement(alg, out)
         # scalar on the right: x * c = x * (c X_e), which twists c by the action
         return self * self.algebra.unit(self.algebra.support.zero(), other)
@@ -896,11 +895,15 @@ def parse_catalog_ref(ref: str) -> GradedDivisionAlgebra:
     """Parse a catalog reference such as '2-f:Z3xZ3' or '1-b:Z2^2'."""
     tag, _, spec = ref.partition(":")
     tag = tag.strip()
+    try:
+        support = parse_group_string(spec)
+    except ValueError as err:  # only the parse: an incompatible request passes as it is
+        raise CatalogError(f"bad group string {spec.strip()!r}: {err}") from err
     if tag == "trivial" or (tag == "1-a" and not spec.strip()):
         return canonical("1-a", AbelianGroup.trivial())
     if not spec:
         raise CatalogError(f"catalog reference {ref!r} needs a support, e.g. '1-b:Z2xZ2'")
-    return canonical(tag, spec.strip())
+    return canonical(tag, support)
 
 
 def underlying_algebra_name(d: GradedDivisionAlgebra) -> str:

@@ -21,9 +21,9 @@ from .abelian import (
     universal_abelian_group,
 )
 from .division import GradedDivisionAlgebra, is_fine_division, equivalent
-from .scalars import RationalQuaternion, zeta
+from .scalars import RationalQuaternion, _rational, zeta
 # is_graded_simple is re-exported: perfbench/tracer.py wraps it by this name
-from .structconst import StructureConstantAlgebra, _exact, is_graded_simple  # noqa: F401
+from .structconst import StructureConstantAlgebra, is_graded_simple  # noqa: F401
 
 
 class GradingError(ValueError):
@@ -494,7 +494,7 @@ def to_structure_constants(r: GradedMatrixAlgebra) -> StructureConstantAlgebra:
                     if entry is None:
                         value = basis[b1] * images[conj][b2] * kind.roots[e]
                         entry = coords[(conj, b1, b2, e)] = [
-                            (b3, _exact(c)) for b3, c in enumerate(kind.to_vector(value)) if c]
+                            (b3, _rational(c)) for b3, c in enumerate(kind.to_vector(value)) if c]
                     row.append((s * width + b2, [(at + b3, c) for b3, c in entry]))
             rows.append(row)
     degree_coords, ids = r.degree_labels()

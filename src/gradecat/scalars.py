@@ -257,7 +257,9 @@ class Cyclotomic:
 
     @classmethod
     def from_json(cls, data: dict) -> "Cyclotomic":
-        return cls(data["conductor"], [Fraction(c) for c in data["coeffs"]])
+        # a "p/q" string is parsed; any other coefficient meets the constructor's gate
+        return cls(data["conductor"],
+                   [Fraction(c) if type(c) is str else c for c in data["coeffs"]])
 
 
 def zeta(n: int, k: int = 1) -> Cyclotomic:

@@ -4,8 +4,9 @@ This is the brute-force substrate: any crossed product or graded matrix
 algebra in the package exports losslessly to a StructureConstantAlgebra,
 and the checks for graded-simplicity, inner automorphisms stabilizing a
 grading, and the quaternion-pair counterexample all run here with exact
-rational linear algebra.  Constants and coordinates are ints when integral
-(`_exact`), and every algebra is validated when it is built.  `_Rref` is the
+rational linear algebra.  Constants and coordinates pass the one rational
+gate, `scalars._rational`: ints when integral, a float or a bool refused;
+every algebra is validated when it is built.  `_Rref` is the
 single elimination kernel: `solve_square`, `nullspace` and every span
 computation reduce through it, on sparse {column: entry} rows, the
 vectors the algebra itself uses.  It eliminates fraction-free, in ints:
@@ -20,9 +21,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .abelian import AbelianGroup, abstract_type, json_int, support_table, universal_abelian_group
+from .abelian import AbelianGroup, abstract_type, support_table, universal_abelian_group
 from .division import GradedDivisionAlgebra, canonical
 from .records import Record
+from .scalars import _quotient, _rational
 
 
 class NotInvertibleError(ValueError):
@@ -42,17 +44,6 @@ class _NoWitness:
 
 
 NO_WITNESS = _NoWitness()
-
-
-def _exact(c):
-    """`c` as an int when it is integral, else as an exact Fraction; an int
-    or a Fraction is returned as it is, or as its numerator."""
-    if type(c) is not int:
-        if type(c) is not Fraction:
-            c = Fraction(c)
-        if c.denominator == 1:
-            return c.numerator
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +172,7 @@ def nullspace(rows, width):
         vec = {free: 1}
         for p, row in rref.rows.items():
             if free in row:
-                vec[p] = _exact(Fraction(-row[free], row[p]))
+                vec[p] = _quotient(-row[free], row[p])
         basis.append(vec)
     return basis
 
@@ -192,6 +183,12 @@ def nullspace(rows, width):
 
 def _nonzero(vec: dict) -> dict:
     return {k: c for k, c in vec.items() if c}
+
+
+def _nonzero_rationals(vec: dict) -> dict:
+    """The nonzero entries of `vec`, each through the rational gate, zeros
+    included: a 0.0 or a False is refused, not dropped."""
+    return {k: r for k, c in vec.items() if (r := _rational(c))}
 
 
 def _raise_first_bad_index(table, unity, n):
@@ -237,11 +234,8 @@ class StructureConstantAlgebra:
         if not set(map(type, used)) <= {int} or indices and (min(indices) < 0
                                                             or max(indices) >= n):
             _raise_first_bad_index(table, unity, n)
-        self.table = {
-            key: {k: _exact(c) for k, c in entry.items() if c}
-            for key, entry in table.items()
-        }
-        self.unity = {k: _exact(c) for k, c in unity.items() if c}
+        self.table = {key: _nonzero_rationals(entry) for key, entry in table.items()}
+        self.unity = _nonzero_rationals(unity)
         # the components, numbered in the order of `_by_degree`: `_component`
         # gives the number of each basis index, `_numbered` the number of
         # each degree's coordinates
@@ -405,7 +399,7 @@ class StructureConstantAlgebra:
     def element(self, coords) -> "AlgebraElement":
         if isinstance(coords, dict):
             return AlgebraElement(self, coords)
-        return AlgebraElement(self, {i: c for i, c in enumerate(coords) if c})
+        return AlgebraElement(self, dict(enumerate(coords)))
 
     def basis_element(self, i) -> "AlgebraElement":
         return AlgebraElement(self, self._basis_vec(i))
@@ -430,10 +424,10 @@ class StructureConstantAlgebra:
 
     @classmethod
     def from_json(cls, data: dict) -> "StructureConstantAlgebra":
-        def constant(value):  # Fraction() would read true as 1 and 1.0 as 1
-            if type(value) is int:
+        def constant(value):  # text is "p/q"; a number meets the constructor's gate
+            if type(value) is not str:
                 return value
-            if type(value) is not str or "/" not in value:
+            if "/" not in value:
                 raise ValueError(f"constant {value!r} is neither an int nor a 'p/q' string")
             return Fraction(value)
 
@@ -443,7 +437,7 @@ class StructureConstantAlgebra:
             return int(key)
 
         group = AbelianGroup.from_json(data["group"])
-        degrees = [group.element([json_int(c) for c in coords]) for coords in data["degrees"]]
+        degrees = [group.element(coords) for coords in data["degrees"]]
         table = {}
         for i, j, entry in data["table"]:
             if (i, j) in table:
@@ -458,7 +452,7 @@ class AlgebraElement:
 
     def __init__(self, algebra: StructureConstantAlgebra, coords: dict):
         self.algebra = algebra
-        self.coords = {i: _exact(c) for i, c in coords.items() if c}
+        self.coords = _nonzero_rationals(coords)
 
     def _check(self, other):
         if not isinstance(other, AlgebraElement) or other.algebra is not self.algebra:
@@ -481,7 +475,7 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             self._check(other)
             return AlgebraElement(self.algebra, self.algebra.mul_vectors(self.coords, other.coords))
-        s = _exact(other)
+        s = _rational(other)
         return AlgebraElement(self.algebra, {i: c * s for i, c in self.coords.items()})
 
     __rmul__ = __mul__  # only reached for scalars, which commute
@@ -698,15 +692,25 @@ def homogeneous_witness(a: StructureConstantAlgebra, x: AlgebraElement):
     return components
 
 
-def _component_unit(a: StructureConstantAlgebra, indices, rng) -> AlgebraElement | None:
-    """Find an invertible element inside one homogeneous component."""
+def _component_units(a: StructureConstantAlgebra, indices):
+    """The units of one homogeneous component found by the scan, in order:
+    each basis element with an inverse, then the sum of them all if it has
+    one.  Lazy, so a reader that needs one unit inverts no more."""
     for i in indices:
         candidate = a.basis_element(i)
         if scaled_inverse(candidate) is not None:
-            return candidate
+            yield candidate
     ones = a.element({i: 1 for i in indices})
     if scaled_inverse(ones) is not None:
-        return ones
+        yield ones
+
+
+def _component_unit(a: StructureConstantAlgebra, indices, rng) -> AlgebraElement | None:
+    """Find an invertible element inside one homogeneous component: the
+    first of the scan, else one of 8 seeded random integer combinations."""
+    unit = next(_component_units(a, indices), None)
+    if unit is not None:
+        return unit
     for _ in range(8):
         candidate = a.element({i: rng.randint(-3, 3) for i in indices})
         if not candidate.is_zero() and scaled_inverse(candidate) is not None:

@@ -40,6 +40,7 @@ from .matrix import (
 from .structconst import (
     NO_WITNESS,
     NotInStabilizerError,
+    _component_units,
     center_basis,
     from_division,
     group_algebra,
@@ -91,16 +92,8 @@ def graded_simple_fixtures():
 
 
 def _homogeneous_unit_pool(a):
-    pool = []
-    for degree, indices in a.basis_degrees_by_component().items():
-        for i in indices:
-            x = a.basis_element(i)
-            if scaled_inverse(x) is not None:
-                pool.append(x)
-        ones = a.element({i: 1 for i in indices})
-        if scaled_inverse(ones) is not None:
-            pool.append(ones)
-    return pool
+    return [x for indices in a.basis_degrees_by_component().values()
+            for x in _component_units(a, indices)]
 
 
 def _central_unit_pool(a, rng):

@@ -636,6 +636,12 @@ def test_catalog_rejects_a_free_rank(ref):
         parse_catalog_ref(ref)
 
 
+@pytest.mark.parametrize("ref", ["1-a:Q2", "2-f:Z0^2", "1-c:Zx"])
+def test_catalog_ref_refuses_a_bad_group_string(ref):
+    with pytest.raises(CatalogError, match="bad group string"):
+        parse_catalog_ref(ref)
+
+
 def test_every_catalog_entry_is_associative_and_division():
     rng = random.Random(17)
     refs = [

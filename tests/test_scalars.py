@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from gradecat.abelian import AbelianGroup, invariant_factors, smith_normal_form
 from gradecat.division import CoefficientKind, _scalar_json
 from gradecat.scalars import (
     Cyclotomic,
@@ -13,6 +14,7 @@ from gradecat.scalars import (
     cyclotomic_polynomial,
     zeta,
 )
+from gradecat.structconst import AlgebraElement, StructureConstantAlgebra
 
 
 def test_cyclotomic_polynomials():
@@ -320,3 +322,51 @@ def test_real_coefficients_stay_fractions():
     value = CoefficientKind.real().coerce(Cyclotomic.from_rational(3, 4))
     assert type(value) is Fraction and value == 3
     assert _scalar_json(value) == "3/1"
+
+
+def _z2_algebra(square, unit=1):
+    """Q[x] / (x^2 - square) graded by Z2, with the unity unit * e_0."""
+    g = AbelianGroup(0, (2,))
+    table = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: square}}
+    return StructureConstantAlgebra(["1", "x"], [g.zero(), g.element((1,))], table, {0: unit})
+
+
+# (build, exact, value): each place an input number becomes part of a value;
+# build(exact) == value, and an inexact number in place of `exact` is refused
+_GATES = {
+    "free rank": (lambda x: AbelianGroup(x, (2,)).free_rank, 1, 1),
+    "torsion": (lambda x: AbelianGroup(0, (x,)).torsion, 2, (2,)),
+    "coordinates": (lambda x: AbelianGroup(1, (2,)).element((x, 3)).coords, 5, (5, 1)),
+    "multiplier": (lambda x: (AbelianGroup(1, (2,)).element((1, 1)) * x).coords, 3, (3, 1)),
+    "invariant_factors": (lambda x: invariant_factors([2, x]), 4, (2, 4)),
+    "smith_normal_form": (lambda x: smith_normal_form([[x, 0], [0, 4]])[0], 6,
+                          [[2, 0], [0, 12]]),
+    "table": (lambda x: _z2_algebra(x).table[(1, 1)], Fraction(1, 2), {0: Fraction(1, 2)}),
+    "unity": (lambda x: _z2_algebra(1, x).unity, Fraction(1), {0: 1}),
+    "element": (lambda x: AlgebraElement(_z2_algebra(1), {0: 1, 1: x}).coords,
+                Fraction(4, 2), {0: 1, 1: 2}),
+    "scalar": (lambda x: (_z2_algebra(1).element([1, 3]) * x).coords,
+               Fraction(1, 3), {0: Fraction(1, 3), 1: 1}),
+    "real coerce": (CoefficientKind.real().coerce, 2, Fraction(2)),
+    "Cyclotomic.from_json": (lambda x: Cyclotomic.from_json({"conductor": 4,
+                                                              "coeffs": ["1/2", x]}).coeffs,
+                             Fraction(3), (Fraction(1, 2), 3)),
+}
+
+
+@pytest.mark.parametrize("gate", list(_GATES))
+def test_inexact_numbers_are_refused_where_values_are_built(gate):
+    # int() would truncate 1.5 and read True as 1; Fraction() would read
+    # 1.5 as 3/2 and 2.0 as 2
+    build, exact, value = _GATES[gate]
+    assert repr(build(exact)) == repr(value)  # the same numbers, of the same types
+    for bad in (1.5, 2.0, True):
+        with pytest.raises(TypeError):
+            build(bad)
+
+
+def test_true_is_no_cocycle_unit_of_any_kind():
+    for kind in (CoefficientKind.real(), CoefficientKind.complex(4),
+                 CoefficientKind.quaternion()):
+        assert kind.is_allowed_cocycle_unit(1) and kind.is_allowed_cocycle_unit(-1)
+        assert not kind.is_allowed_cocycle_unit(True)
