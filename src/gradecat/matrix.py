@@ -395,17 +395,35 @@ def squares_profile(r: GradedMatrixAlgebra) -> dict:
 
 def harvest_universal_group(r: GradedMatrixAlgebra):
     """Present the universal abelian group by the relations
-    r(x, y) = L(x) + L(y) - L(xy) on the degree labels L, for every basis
-    element x = E_ij (x) X_t and every y = E_jl (x) X_s in the set H of
-    right factors: u_j = E_(j,j+1) (x) X_0 for j < k - 1, and E_00 (x) X_g
-    for the coordinate generators g of T (E_00 (x) X_0 if T = 0).  Here xy
-    stands for the basis element that the product is a multiple of.
+    r(x, y) = L(x) + L(y) - L(xy) on the degree labels L, for the y =
+    E_jl (x) X_s in the set H of right factors and the basis elements
+    x = E_ij (x) X_t paired with them.  H holds u_j = E_(j,j+1) (x) X_0 for
+    j < k - 1, paired with every x, and E_00 (x) X_(e_j) for the coordinate
+    generators e_j of T, paired with the x = E_i0 (x) X_t for t in
+    T_j = <e_j, ..., e_(r-1)> (E_00 (x) X_0, with every x, if T = 0).  Here
+    xy stands for the basis element that the product is a multiple of.
+    That is k(k - 1)|T| + k sum_j |T_j| products (k(k - 1) + k if T = 0),
+    and |T_j| <= |T| / 2^j bounds the second term by 2k|T| whatever the
+    rank of T.
+
+    The pairs left out add nothing.  Fix i and write
+    p(t, s) = r(E_i0 (x) X_t, E_00 (x) X_s).  Each side of
+    p(a + e_m, e_j) = p(a, e_j) - p(a, e_m) + p(a + e_j, e_m) is
+    L(E_i0 X_(a+e_m)) + L(E_00 X_(e_j)) - L(E_i0 X_(a+e_m+e_j)), so the
+    identity holds formally.  Let t be outside T_j, m < j its first nonzero
+    coordinate and a = t - e_m.  Then a and a + e_j are zero below m, so
+    they lie in T_m and p(a, e_m), p(a + e_j, e_m) are passed.  The
+    coordinates of a below j, each read as its least nonnegative residue,
+    sum to one less than those of t, so induction on that sum puts
+    p(a, e_j), and so p(t, e_j), in the span of the relations passed,
+    which is therefore the span of all nonzero r(x, y) with y in H.
 
     These relations span the lattice S of all of them, so the group is
     that of all nonzero products.  First, L(0) is in S: it is
-    r(E_00 (x) X_0, E_00 (x) X_g), or r(E_00 (x) X_0, E_00 (x) X_0) when
-    T = 0.  Next, with f_j = E_(j+1,j) (x) X_0 and x f_j != 0, x f_j u_j is
-    a multiple of x and f_j u_j one of E_(j+1,j+1) (x) X_0, of degree 0, so
+    r(E_00 (x) X_0, E_00 (x) X_(e_j)), passed as 0 lies in every T_j, or
+    r(E_00 (x) X_0, E_00 (x) X_0) when T = 0.  Next, with
+    f_j = E_(j+1,j) (x) X_0 and x f_j != 0, x f_j u_j is a multiple of x
+    and f_j u_j one of E_(j+1,j+1) (x) X_0, of degree 0, so
     r(x, f_j) = r(f_j, u_j) - r(x f_j, u_j) + L(0) is in S as well.  So S
     holds r(x, g) for every g in G = H + {f_j}, which generates the basis
     monoid.  A product of basis elements is 0 or a nonzero multiple of a
@@ -419,19 +437,23 @@ def harvest_universal_group(r: GradedMatrixAlgebra):
     The labels are those of `degree_labels`, and each r(x, y) goes to
     `universal_abelian_group` as a sparse vector of at most three terms.
     """
-    _, at, add = support_table(r.division.support)
+    support = r.division.support
+    _, at, add = support_table(support)
     labels, ids = r.degree_labels()
-    k, n = r.k, r.division.support.order()
-    # H as (j, l, s): y = E_jl (x) X_s, with s a support position
-    right = [(0, 0, at[g]) for g in r.division.support.generators()] or [(0, 0, 0)]
-    right += [(j, j + 1, 0) for j in range(k - 1)]
+    k, n = r.k, support.order()
+    # H as (j, l, s, size): y = E_jl (x) X_s, with s a support position,
+    # paired with the x = E_ij (x) X_t for the first `size` positions t;
+    # e_j sits at |T_(j+1)|, so T_j is the prefix of m_j |T_(j+1)| positions
+    right = [(0, 0, at[g], at[g] * m) for g, m in zip(support.generators(), support.torsion)]
+    right = (right or [(0, 0, 0, 1)]) + [(j, j + 1, 0, n) for j in range(k - 1)]
     # (E_ij (x) X_t)(E_jl (x) X_s) is never zero over D and relates the
     # label ids a, b, c of the two factors and the product
     triples = set()
-    for j, l, s in right:
-        plus_s = [row[s] for row in add]  # t -> t + s
+    for j, l, s, size in right:
+        plus_s = [row[s] for row in add[:size]]  # t -> t + s
         for i in range(k):
-            triples.update(zip(ids[i][j], [ids[j][l][s]] * n, map(ids[i][l].__getitem__, plus_s)))
+            triples.update(zip(ids[i][j][:size], [ids[j][l][s]] * size,
+                               map(ids[i][l].__getitem__, plus_s)))
     # L_a + L_b - L_c once per distinct vector: e_(a + b - c) when c is a or b
     relations, unit_vectors = {}, set()
     for a, b, c in triples:

@@ -19,14 +19,13 @@ from functools import lru_cache
 
 def _rational(c):
     """The exact rational c in normal form: an int when it is integral, else a
-    Fraction with denominator > 1.  A float or bool is refused, because
-    Fraction() would read 0.5 as 1/2 and True as 1."""
+    Fraction with denominator > 1.  Only an int or a Fraction is taken:
+    Fraction() would read the float 0.5 as 1/2, True as 1 and the text
+    "1e-1" as 1/10, so anything else is a TypeError."""
     if type(c) is int:
         return c
     if type(c) is not Fraction:
-        if isinstance(c, (bool, float)):
-            raise TypeError(f"{c!r} is not an exact rational")
-        c = Fraction(c)
+        raise TypeError(f"{c!r} is not an exact rational")
     return c.numerator if c.denominator == 1 else c
 
 
@@ -105,6 +104,8 @@ class Cyclotomic:
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs):
+        if type(conductor) is not int:  # a cached Phi_n would take 4.0 for 4, True for 1
+            raise TypeError(f"conductor {conductor!r} is not an int")
         deg = _phi_degree(conductor)
         coeffs = [_rational(c) for c in coeffs]
         if len(coeffs) > deg:

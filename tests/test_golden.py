@@ -11,7 +11,10 @@ alters an output on purpose regenerates the files and says why.
 
 Regenerate from the checkout's own sources with
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write [CASE ...]
+
+which writes the named cases only (ids as pytest prints them, such as
+`universal-1-b:Z2^10-k1`), or every case when none is named.
 """
 
 import contextlib
@@ -45,6 +48,9 @@ UNIVERSAL = {
                        "embed": [[0, 1]], "gamma": [[0, 0], [1, 0]], "kappa": [2, 1]},
     "2-f:Z4^2-k1": {"D": "2-f:Z4^2", "k": 1},
     "1-d:Z2^3xZ4-k1": {"D": "1-d:Z2^3xZ4", "k": 1},
+    # n = 16 sizes: the M(16,H) and M(16,C) harvests, 1024 and 512 labels per block
+    "1-b:Z2^10-k1": {"D": "1-b:Z2^10", "k": 1},
+    "1-c:Z2^5-k2": {"D": "1-c:Z2^5", "k": 2},
 }
 
 
@@ -90,9 +96,14 @@ def test_output_matches_golden(case_id, argv):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
+    if sys.argv[1:2] != ["--write"]:
         sys.exit(__doc__)
+    cases = dict(_cases())
+    names = sys.argv[2:] or list(cases)
+    unknown = [name for name in names if name not in cases]
+    if unknown:
+        sys.exit(f"unknown case(s): {' '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for case_id, argv in _cases():
-        _path(case_id).write_text(_run(argv), encoding="utf-8")
+    for case_id in names:
+        _path(case_id).write_text(_run(cases[case_id]), encoding="utf-8")
         print(f"wrote {_path(case_id).name}")

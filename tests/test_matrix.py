@@ -1,9 +1,10 @@
+import collections
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gradecat import cli
 from gradecat.abelian import AbelianGroup, GroupHomomorphism, support_table
@@ -234,8 +235,8 @@ def test_universal_group_formula():
     ("1-c", "Z2^9", 1),
 ])
 def test_universal_group_beyond_classify_coverage(ref, support, k):
-    # M(6,C) and M(8,C) sizes: up to 96 labels and 426 relations; M(16,H)
-    # and M(16,C) sizes: 1024 labels and 10 240 relations
+    # M(6,C) and M(8,C) sizes: up to 96 labels and 183 relations; M(16,H)
+    # and M(16,C) sizes: 1024 labels and 2037 relations
     r = matrix_algebra(canonical(ref, support), k=k)
     group, _ = harvest_universal_group(r)
     assert group == expected_universal_group(r)
@@ -497,29 +498,26 @@ def test_eight_matrix_refinements():
 
 
 def _reference_harvest(r, right=None):
-    """Labels and relations from the former loop, three degree_of calls per
-    product; with `right`, only for the right factors E_jl (x) X_s with
-    (j, l, s) in it."""
-    labels, index = [], {}
-    for i in range(r.k):
-        for j in range(r.k):
-            for t in r.division.elements():
-                d = r.degree_of(i, j, t).coords
-                if d not in index:
-                    index[d] = len(labels)
-                    labels.append(d)
+    """Labels and relations of every nonzero product of basis elements, from
+    degree_of, each relation as its sorted nonzero (label, coefficient)
+    pairs; with `right`, a mapping (j, l, s) -> set of t, only the products
+    of E_ij (x) X_t by E_jl (x) X_s with t in right[(j, l, s)]."""
+    elems = list(r.division.elements())
+    degree = {(i, j, t): r.degree_of(i, j, t).coords
+              for i, j, t in itertools.product(range(r.k), range(r.k), elems)}
+    labels = list(dict.fromkeys(degree.values()))
+    index = {d: n for n, d in enumerate(labels)}
+    plus = {(t, s): t + s for t in elems for s in elems}
     relations = set()
     for i, j, l in itertools.product(range(r.k), repeat=3):
-        for t in r.division.elements():
-            for s in r.division.elements():
-                if right is not None and (j, l, s) not in right:
+        for t in elems:
+            for s in elems:
+                if right is not None and t not in right.get((j, l, s), ()):
                     continue
-                vec = [0] * len(labels)
-                vec[index[r.degree_of(i, j, t).coords]] += 1
-                vec[index[r.degree_of(j, l, s).coords]] += 1
-                vec[index[r.degree_of(i, l, t + s).coords]] -= 1
-                if any(vec):
-                    relations.add(tuple(vec))
+                vec = collections.Counter([index[degree[i, j, t]], index[degree[j, l, s]]])
+                vec[index[degree[i, l, plus[t, s]]]] -= 1
+                if any(vec.values()):
+                    relations.add(tuple(sorted((x, c) for x, c in vec.items() if c)))
     return labels, relations
 
 
@@ -535,18 +533,22 @@ def _harvest_rows():
 
 
 def _right_factors(r):
-    """E_(j,j+1) times X_0, and E_00 times X_g for the generators g of T
-    (E_00 X_0 when T = 0), as (j, l, g)."""
-    zero, k = r.division.support.zero(), r.k
-    gens = {(0, 0, g) for g in r.division.support.generators()} or {(0, 0, zero)}
-    return gens | {(j, j + 1, zero) for j in range(k - 1)}
+    """The products the harvest keeps, as (j, l, g) -> the t of the left
+    factors E_ij (x) X_t: E_(j,j+1) X_0 with every t, and E_00 X_(e_j) with
+    t in T_j = <e_j, ...>, the elements zero on the coordinates below j
+    (E_00 X_0 with every t when T = 0)."""
+    support, k = r.division.support, r.k
+    elems = set(support.elements())
+    right = {(0, 0, g): {t for t in elems if not any(t.coords[:j])}
+             for j, g in enumerate(support.generators())} or {(0, 0, support.zero()): elems}
+    return right | {(j, j + 1, support.zero()): elems for j in range(k - 1)}
 
 
-def test_harvest_matches_reference_on_classify_rows(monkeypatch):
-    """The harvest keeps the relations whose right factor is E_(j,j+1) X_0
-    or E_00 X_g, and they present the group of all products: every relation
-    of the reference vanishes under the harvested projection.  They arrive
-    sparse, at most three terms each, and each distinct vector once."""
+def _recorded_harvest(monkeypatch, algebra):
+    """(group, projection, labels, relations): the harvest of `algebra`
+    with the labels and the relations it hands to `universal_abelian_group`,
+    which must arrive sparse, at most three terms each, each vector once;
+    the relations as `_reference_harvest` writes them."""
     import gradecat.matrix as matrix
     from gradecat.abelian import universal_abelian_group
 
@@ -555,29 +557,105 @@ def test_harvest_matches_reference_on_classify_rows(monkeypatch):
     def recording(labels, relations):
         labels = list(labels)
         assert all(1 <= len(rel) <= 3 and 0 not in rel.values() for rel in relations)
-        dense = [tuple(rel.get(x, 0) for x in range(len(labels))) for rel in relations]
-        assert len(set(dense)) == len(dense)
-        seen.append((labels, set(dense)))
+        sparse = [tuple(sorted(rel.items())) for rel in relations]
+        assert len(set(sparse)) == len(sparse)
+        seen.append((labels, sparse))
         return universal_abelian_group(labels, relations)
 
-    for algebra in _harvest_rows():
-        monkeypatch.setattr(matrix, "universal_abelian_group", recording)
+    monkeypatch.setattr(matrix, "universal_abelian_group", recording)
+    try:
         group, projection = harvest_universal_group(algebra)
+    finally:
         monkeypatch.undo()
-        labels, relations = _reference_harvest(algebra)
-        got_labels, got_relations = seen.pop()
-        assert got_labels == labels
-        assert got_relations <= relations
-        assert got_relations == _reference_harvest(algebra, _right_factors(algebra))[1]
-        assert group == universal_abelian_group(labels, relations)[0]
-        assert list(projection) == labels
-        images = [projection[x] for x in labels]
-        for rel in relations:
-            total = group.zero()
-            for c, image in zip(rel, images):
-                if c:
-                    total = total + c * image
-            assert total.is_zero()
+    (labels, relations), = seen
+    return group, projection, labels, relations
+
+
+def _assert_presents_all_products(r, group, projection):
+    """The harvested group is that of every nonzero product, and every
+    relation of every product vanishes under the harvested projection."""
+    from gradecat.abelian import universal_abelian_group
+
+    labels, relations = _reference_harvest(r)
+    assert group == universal_abelian_group(labels, map(dict, relations))[0]
+    assert list(projection) == labels
+    images = [projection[x] for x in labels]
+    for rel in relations:
+        total = group.zero()
+        for x, c in rel:
+            total = total + c * images[x]
+        assert total.is_zero()
+
+
+def test_harvest_matches_reference_on_classify_rows(monkeypatch):
+    """The harvest keeps the relations whose right factor is E_(j,j+1) X_0,
+    or E_00 X_(e_j) with a left factor of degree in T_j, and they present
+    the group of all products."""
+    for algebra in _harvest_rows():
+        group, projection, labels, relations = _recorded_harvest(monkeypatch, algebra)
+        assert labels == _reference_harvest(algebra)[0]
+        assert set(relations) == _reference_harvest(algebra, _right_factors(algebra))[1]
+        _assert_presents_all_products(algebra, group, projection)
+
+
+# every catalog entry with |T| <= 32
+_REFS_UP_TO_32 = (
+    "1-a:1", "2-f:1", "3-a:1", "1-c:Z2", "2-a:Z2", "2-b:Z2", "3-c:Z2",
+    "1-a:Z2^2", "1-b:Z2^2", "2-c:Z2^2", "2-f:Z2^2", "3-a:Z2^2", "3-b:Z2^2",
+    "1-c:Z2^3", "2-a:Z2^3", "2-b:Z2^3", "3-c:Z2^3",
+    "1-a:Z2^4", "1-b:Z2^4", "2-c:Z2^4", "2-f:Z2^4", "3-a:Z2^4", "3-b:Z2^4",
+    "1-c:Z2^5", "2-a:Z2^5", "2-b:Z2^5", "3-c:Z2^5",
+    "1-d:Z2^3xZ4", "3-d:Z2^3xZ4", "2-d:Z2^2xZ4", "2-e:Z2^2xZ4", "1-d:Z2xZ4", "3-d:Z2xZ4",
+    "2-f:Z3^2", "2-e:Z4", "2-f:Z4^2", "2-f:Z5^2",
+)
+
+
+@st.composite
+def _gradings(draw):
+    """M_k(D) for a catalog D with |T| <= 32 and k <= 3: the universal
+    realization, or an explicit ambient Z^f x cT with T embedded by
+    e_j -> c e_j, degrees drawn in it and multiplicities kappa."""
+    d = parse_catalog_ref(draw(st.sampled_from(_REFS_UP_TO_32)))
+    if draw(st.booleans()):
+        return matrix_algebra(d, k=draw(st.integers(1, 3)))
+    c, free = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    g = AbelianGroup(free, tuple(c * m for m in d.support.torsion))
+    embed = GroupHomomorphism(d.support, g, [
+        g.element([0] * free + [c if i == j else 0 for i in range(len(g.torsion))])
+        for j in range(len(g.torsion))])
+    kappa = draw(st.sampled_from([[1], [2], [3], [1, 1], [2, 1], [1, 2], [1, 1, 1]]))
+    gamma = [g.zero(), *(g.element([draw(st.integers(-2, 2)) for _ in range(free)]
+                                   + [draw(st.integers(0, n - 1)) for n in g.torsion])
+                         for _ in kappa[1:])]
+    try:
+        return matrix_algebra(d, gamma=gamma, ambient=g, embed=embed, kappa=kappa)
+    except GradingError as err:
+        assert "distinct modulo T" in str(err)
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_gradings())
+def test_harvest_presents_the_group_of_all_products(r):
+    group, projection = harvest_universal_group(r)
+    _assert_presents_all_products(r, group, projection)
+
+
+def _work_bound(r):
+    """k sum_j |T_j| + k(k - 1)|T|, with the one factor E_00 X_0 when T = 0."""
+    torsion, k = r.division.support.torsion, r.k
+    prefixes = [math.prod(torsion[j:]) for j in range(len(torsion))] or [1]
+    return k * sum(prefixes) + k * (k - 1) * math.prod(torsion)
+
+
+def test_harvest_hands_over_at_most_the_prefix_relations(monkeypatch):
+    """The E_00 X_(e_j) factors meet only the left factors over T_j, so the
+    relation count grows with |T|, not with |T| rank T."""
+    big = matrix_algebra(parse_catalog_ref("1-b:Z2^10"), k=1)
+    assert _work_bound(big) == 2046
+    for algebra in [*_harvest_rows(), big]:
+        relations = _recorded_harvest(monkeypatch, algebra)[3]
+        assert len(relations) <= _work_bound(algebra)
 
 
 def _reference_homogeneous_idempotents(r):

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -363,6 +364,27 @@ def test_inexact_numbers_are_refused_where_values_are_built(gate):
     for bad in (1.5, 2.0, True):
         with pytest.raises(TypeError):
             build(bad)
+
+
+@pytest.mark.parametrize("bad", ["2", "0.1", "1e-1", "1/2", Decimal("0.1"), 1j, None])
+def test_only_ints_and_fractions_are_rationals(bad):
+    # Fraction() would read the text "0.1" and "1e-1" as 1/10, and Decimal 0.1 too
+    a = _z2_algebra(1)
+    for make in (lambda: a.element({0: bad, 1: 1}), lambda: a.one() * bad,
+                 lambda: Cyclotomic(4, [0, bad]), lambda: Cyclotomic.from_rational(bad, 3),
+                 lambda: RationalQuaternion(bad), lambda: RationalQuaternion(0, bad)):
+        with pytest.raises(TypeError, match="is not an exact rational"):
+            make()
+
+
+@pytest.mark.parametrize("conductor, error", [
+    (True, TypeError), (4.0, TypeError), ("4", TypeError), (0, ValueError), (-3, ValueError),
+])
+def test_conductor_is_a_positive_int(conductor, error):
+    with pytest.raises(error, match="conductor"):
+        Cyclotomic(conductor, [Fraction(1, 2)])
+    with pytest.raises(error, match="conductor"):
+        Cyclotomic.from_json({"conductor": conductor, "coeffs": ["1/2"]})
 
 
 def test_true_is_no_cocycle_unit_of_any_kind():
