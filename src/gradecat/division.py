@@ -854,6 +854,8 @@ def canonical(type_tag: str, support) -> GradedDivisionAlgebra:
     Each (tag, support) is built once per process: every spelling of the
     same group returns the same shared instance, to be read and not changed.
     """
+    if not isinstance(type_tag, str):  # before the cache, which would hash it
+        raise CatalogError(f"type tag {type_tag!r} is not a string")
     if isinstance(support, str):
         support = parse_group_string(support)
     return _canonical_entry(type_tag, support)

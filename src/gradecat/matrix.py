@@ -21,6 +21,7 @@ from .abelian import (
     universal_abelian_group,
 )
 from .division import GradedDivisionAlgebra, is_fine_division, equivalent
+from .records import FrozenRecord
 from .scalars import RationalQuaternion, _rational, zeta
 # is_graded_simple is re-exported: perfbench/tracer.py wraps it by this name
 from .structconst import StructureConstantAlgebra, is_graded_simple  # noqa: F401
@@ -30,59 +31,59 @@ class GradingError(ValueError):
     pass
 
 
-class FineConditionResult:
+class FineConditionResult(FrozenRecord):
     """Outcome of the fine-condition test, with a violation witness on failure."""
 
     __slots__ = ("ok", "witness")
-
-    def __init__(self, ok: bool, witness=None):
-        self.ok = ok
-        self.witness = witness
+    _defaults = {"witness": None}
 
     def __bool__(self):
         return self.ok
 
-    def __repr__(self):
-        return f"FineConditionResult({self.ok}, witness={self.witness})"
 
+class GradedMatrixAlgebra:
+    """M_k(D) with its elementary grading refined by the division grading on D.
 
-class GradingParams:
-    """Multiplicities, degrees, ambient group, and the embedding of the support.
-
+    The grading is an ambient group G, an embedding of the support T of D
+    into G, and isotypic degrees g_i with multiplicities kappa_i, distinct
+    modulo T; `gamma` is the row degrees, each g_i repeated kappa_i times.
     The embedded support is kept as integer columns, one per coordinate of
     G, each over the support positions of `support_table`: `_coset(g)` adds
     g to them, so a coset g + T is read with no GroupElement operation.
     """
 
-    def __init__(self, ambient: AbelianGroup, gamma, kappa, embed: GroupHomomorphism):
-        self.ambient = ambient
-        self.gamma = tuple(gamma)
-        self.kappa = tuple(kappa)
-        for i, k in enumerate(self.kappa):
-            if type(k) is not int:  # int() would truncate 1.7 and read True as 1
-                raise GradingError(f"multiplicity kappa[{i}] = {k!r} is not an int")
-        self.embed = embed
-        if len(self.gamma) != len(self.kappa):
+    def __init__(self, division: GradedDivisionAlgebra, ambient: AbelianGroup, gamma, kappa,
+                 embed: GroupHomomorphism):
+        gamma, kappa = tuple(gamma), tuple(kappa)
+        for i, m in enumerate(kappa):
+            if type(m) is not int:  # int() would truncate 1.7 and read True as 1
+                raise GradingError(f"multiplicity kappa[{i}] = {m!r} is not an int")
+        if len(gamma) != len(kappa):
             raise GradingError("kappa and gamma must have equal length")
-        if not self.gamma:
+        if not gamma:
             raise GradingError("the module V must be nonzero (k >= 1)")
-        if any(k < 1 for k in self.kappa):
+        if any(m < 1 for m in kappa):
             raise GradingError("multiplicities must be positive")
-        for g in self.gamma:
-            if g.group != ambient:
-                raise GradingError("degrees must lie in the ambient group")
+        if any(g.group != ambient for g in gamma):
+            raise GradingError("degrees must lie in the ambient group")
         if embed.target != ambient:
             raise GradingError("support embedding must land in the ambient group")
+        if embed.source != division.support:
+            raise GradingError("support embedding must start at the support of D")
+        self.division, self.ambient, self.kappa, self.embed = division, ambient, kappa, embed
         elements = support_table(embed.source)[0]
         self._mods = (0,) * ambient.free_rank + ambient.torsion
         self._columns = list(zip(*(embed(t).coords for t in elements)))
         self._size = len(elements)
         if len(set(self._coset(ambient.zero()))) != self._size:
             raise GradingError("support embedding must be injective")
-        # distinct isotypic supports: g_i and g_j must differ mod T for i != j
-        classes = [self._coset_key(g) for g in self.gamma]
-        if len(set(classes)) != len(classes):
+        if len({self._coset_key(g) for g in gamma}) != len(gamma):
             raise GradingError("isotypic degrees must be distinct modulo T")
+        self.gamma = tuple(g for g, m in zip(gamma, kappa) for _ in range(m))
+
+    @property
+    def k(self) -> int:
+        return len(self.gamma)
 
     def _coset(self, g: GroupElement) -> list:
         """The coordinates of g + embed(t) over the support positions t,
@@ -95,36 +96,13 @@ class GradingParams:
         """The least coordinates in the coset g + T."""
         return min(self._coset(g))
 
-
-class GradedMatrixAlgebra:
-    """M_k(D) with its elementary grading refined by the division grading on D."""
-
-    def __init__(self, division: GradedDivisionAlgebra, params: GradingParams):
-        if params.embed.source != division.support:
-            raise GradingError("params embed a different support than D carries")
-        self.division = division
-        self.params = params
-        # expanded degree list: one degree per row/column of the matrix
-        expanded = []
-        for g, mult in zip(params.gamma, params.kappa):
-            expanded.extend([g] * mult)
-        self.gamma = tuple(expanded)
-
-    @property
-    def k(self) -> int:
-        return len(self.gamma)
-
-    @property
-    def ambient(self) -> AbelianGroup:
-        return self.params.ambient
-
     def degree_of(self, i: int, j: int, t: GroupElement) -> GroupElement:
         """deg(E_ij (x) d) = g_i - g_j + deg d, 0-based indices."""
         if not (0 <= i < self.k and 0 <= j < self.k):
             raise GradingError(f"index pair ({i}, {j}) out of range for k = {self.k}")
         if t.group != self.division.support:
             raise GradingError("degree must lie in the support of D")
-        return self.gamma[i] - self.gamma[j] + self.params.embed(t)
+        return self.gamma[i] - self.gamma[j] + self.embed(t)
 
     def zero_element(self) -> "GradedElement":
         return GradedElement(self, {})
@@ -141,10 +119,10 @@ class GradedMatrixAlgebra:
         elements, in order of first appearance over (i, j, t), and
         ids[i][j][t], the index in `labels` of deg(E_ij (x) X_t) for the
         support position t.  Block (i, j) is the coset g_i - g_j + T, read
-        off `GradingParams._coset`, so the k^2 |T| degrees take k^2
-        GroupElement operations."""
+        off `_coset`, so the k^2 |T| degrees take k^2 GroupElement
+        operations."""
         index = {}  # degree coordinates -> label index, in order of first appearance
-        ids = [[[index.setdefault(d, len(index)) for d in self.params._coset(gi - gj)]
+        ids = [[[index.setdefault(d, len(index)) for d in self._coset(gi - gj)]
                 for gj in self.gamma] for gi in self.gamma]
         return list(index), ids
 
@@ -227,67 +205,48 @@ class GradedElement:
 # construction helpers
 # ---------------------------------------------------------------------------
 
-def canonical_ambient(division: GradedDivisionAlgebra, k: int):
-    """The universal-shape ambient Z^(k-1) x T with the obvious embedding."""
-    t = division.support
-    ambient = AbelianGroup(k - 1, t.torsion)
-    images = []
-    for i in range(len(t.torsion)):
-        coords = [0] * ambient.rank
-        coords[k - 1 + i] = 1
-        images.append(ambient.element(coords))
-    embed = GroupHomomorphism(t, ambient, images)
-    gamma = [ambient.zero()]
-    for i in range(k - 1):
-        coords = [0] * ambient.rank
-        coords[i] = 1
-        gamma.append(ambient.element(coords))
-    return ambient, gamma, embed
-
-
 def matrix_algebra(division: GradedDivisionAlgebra, k: int = None, gamma=None,
                    ambient: AbelianGroup = None, embed: GroupHomomorphism = None,
                    kappa=None) -> GradedMatrixAlgebra:
-    """Build M_k(D).  With no ambient given, degrees live in Z^(k-1) x T with
-    gamma = (0, e_1, ..., e_{k-1}), the universal realization."""
+    """Build M_k(D).  With no ambient given, degrees live in Z^(k-1) x T, T
+    on the last coordinates, with gamma = (0, e_1, ..., e_{k-1}), the
+    universal realization."""
     if ambient is None:
         if k is None:
             k = len(gamma) if gamma is not None else 1
-        ambient, default_gamma, embed = canonical_ambient(division, k)
+        ambient = AbelianGroup(k - 1, division.support.torsion)
+        generators = ambient.generators()
+        embed = GroupHomomorphism(division.support, ambient, generators[k - 1:])
         if gamma is None:
-            gamma = default_gamma
-    else:
-        if gamma is None:
-            raise GradingError("explicit ambient groups need explicit degrees")
-        if embed is None:
-            if division.support.is_trivial():
-                embed = GroupHomomorphism(division.support, ambient, [])
-            else:
-                raise GradingError("an embedding of the support is required")
+            gamma = [ambient.zero(), *generators[:k - 1]]
+    elif gamma is None:
+        raise GradingError("explicit ambient groups need explicit degrees")
+    elif embed is None:
+        if not division.support.is_trivial():
+            raise GradingError("an embedding of the support is required")
+        embed = GroupHomomorphism(division.support, ambient, [])
     gamma = list(gamma)
-    if kappa is None:
-        kappa = [1] * len(gamma)
-    params = GradingParams(ambient, gamma, kappa, embed)
-    return GradedMatrixAlgebra(division, params)
+    kappa = [1] * len(gamma) if kappa is None else kappa
+    return GradedMatrixAlgebra(division, ambient, gamma, kappa, embed)
 
 
 # ---------------------------------------------------------------------------
 # the fine condition and fineness
 # ---------------------------------------------------------------------------
 
-def fine_condition(params: GradingParams) -> FineConditionResult:
+def fine_condition(r: GradedMatrixAlgebra) -> FineConditionResult:
     """k_i = 1 for all i, and the difference classes g_i - g_j (i != j) are
-    pairwise distinct modulo T."""
-    for idx, mult in enumerate(params.kappa):
+    pairwise distinct modulo T; with every k_i = 1 the row degrees are the
+    isotypic ones."""
+    for idx, mult in enumerate(r.kappa):
         if mult != 1:
             return FineConditionResult(False, ("multiplicity", idx, mult))
     seen = {}
-    k = len(params.gamma)
-    for i in range(k):
-        for j in range(k):
+    for i, gi in enumerate(r.gamma):
+        for j, gj in enumerate(r.gamma):
             if i == j:
                 continue
-            key = params._coset_key(params.gamma[i] - params.gamma[j])
+            key = r._coset_key(gi - gj)
             if key in seen:
                 return FineConditionResult(False, ("difference", seen[key], (i, j)))
             seen[key] = (i, j)
@@ -296,12 +255,12 @@ def fine_condition(params: GradingParams) -> FineConditionResult:
 
 def is_fine(r: GradedMatrixAlgebra) -> bool:
     """Fineness of the whole grading: fine condition plus a fine division grading."""
-    return bool(fine_condition(r.params)) and is_fine_division(r.division)
+    return bool(fine_condition(r)) and is_fine_division(r.division)
 
 
 def equivalent_gradings(r1: GradedMatrixAlgebra, r2: GradedMatrixAlgebra) -> bool:
     """Under the fine condition: equivalent iff k = k' and D ~ D'."""
-    if not fine_condition(r1.params) or not fine_condition(r2.params):
+    if not fine_condition(r1) or not fine_condition(r2):
         raise GradingError("the equivalence criterion assumes the fine condition")
     return r1.k == r2.k and equivalent(r1.division, r2.division)
 
@@ -324,7 +283,7 @@ def homogeneous_idempotents(r: GradedMatrixAlgebra):
     decomposition gives eps delta = (delta + mu) delta = delta, and
     delta eps = delta likewise.
     """
-    if not fine_condition(r.params):
+    if not fine_condition(r):
         raise GradingError("idempotent counting assumes the fine condition")
     k = r.k
     one = r.division.one()
@@ -356,7 +315,7 @@ def squares_profile(r: GradedMatrixAlgebra) -> dict:
     """Classify each support class g + T by whether nonzero elements of R_g square
     to zero; the outcome must match membership of the class in the diagonal
     classes (i = j), and a mismatch raises."""
-    if not fine_condition(r.params):
+    if not fine_condition(r):
         raise GradingError("the squares dichotomy assumes the fine condition")
     coeff_samples = [1]
     if r.division.kind.family == "C":
@@ -368,7 +327,7 @@ def squares_profile(r: GradedMatrixAlgebra) -> dict:
     profile: dict = {}
     for i in range(r.k):
         for j in range(r.k):
-            key = r.params._coset_key(r.gamma[i] - r.gamma[j])
+            key = r._coset_key(r.gamma[i] - r.gamma[j])
             for t in r.division.elements():
                 outcomes = set()
                 for c in coeff_samples:

@@ -917,7 +917,7 @@ def test_triple_degree_transformation():
     (deg_x,) = x.support_degrees()
     (deg_y,) = y.support_degrees()
     # deg(E_12) picks up deg(d_1) - deg(d_2) = -t
-    assert deg_y == deg_x - r.params.embed(t)
+    assert deg_y == deg_x - r.embed(t)
     # and homogeneity is preserved on every basis element
     for i in range(2):
         for j in range(2):

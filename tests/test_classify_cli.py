@@ -430,6 +430,12 @@ def test_cli_g_spec_is_valid(tmp_path, capsys):
     # G without embed on a nontrivial support
     ({"D": "1-c:Z2", "G": {"free_rank": 1, "torsion": [2]}, "gamma": [[0, 0], [1, 0]]},
      "explicit embed"),
+    # a catalog tag that is not a string
+    ({"D": {"type": 5, "support": {"torsion": [2, 2]}}, "k": 1}, "type tag 5 is not a string"),
+    ({"D": {"type": ["1-a"], "support": {"torsion": [2, 2]}}, "k": 1},
+     "type tag ['1-a'] is not a string"),
+    ({"D": {"type": None, "support": {"torsion": [2, 2]}}, "k": 1},
+     "type tag None is not a string"),
 ])
 def test_cli_malformed_spec_exit_2(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"

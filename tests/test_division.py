@@ -608,6 +608,14 @@ def test_catalog_compatibility_errors():
         canonical("9-z", "Z2")
 
 
+@pytest.mark.parametrize("tag", [5, ["1-a"], None])
+def test_canonical_refuses_a_tag_that_is_not_a_string(tag):
+    # refused before the cache, which would raise TypeError on the list
+    with pytest.raises(CatalogError, match="is not a string"):
+        canonical(tag, "Z2^2")
+    assert division._canonical_entry.cache_info().currsize == 0
+
+
 def test_canonical_shares_one_entry_per_tag_and_support():
     d = canonical("1-a", "Z2xZ2")
     assert canonical("1-a", "Z2^2") is d

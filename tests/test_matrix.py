@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gradecat import cli
 from gradecat.abelian import AbelianGroup, GroupHomomorphism, support_table
-from gradecat.division import canonical, parse_catalog_ref
+from gradecat.division import (
+    CoefficientKind,
+    GradedDivisionAlgebra,
+    canonical,
+    parse_catalog_ref,
+)
 from gradecat.matrix import (
     GradedElement,
+    GradedMatrixAlgebra,
     GradingError,
-    GradingParams,
     NONZERO_SQUARES,
     ZERO_SQUARES,
     component_count,
@@ -68,7 +74,34 @@ def test_multiplicities_must_be_ints(kappa, index, shown):
     # int() would read kappa = [1.7, True] as (1, 1)
     with pytest.raises(GradingError, match=rf"kappa\[{index}\] = {shown} is not an int"):
         matrix_algebra(canonical("1-c", "Z2"), k=2, kappa=kappa)
-    assert matrix_algebra(canonical("1-c", "Z2"), k=2, kappa=[2, 1]).params.kappa == (2, 1)
+    assert matrix_algebra(canonical("1-c", "Z2"), k=2, kappa=[2, 1]).kappa == (2, 1)
+
+
+# a valid explicit grading on M_2(1-c:Z2), spoiled one argument at a time below
+_D = canonical("1-c", "Z2")
+_G = AbelianGroup(1, (2,))
+_EMBED = GroupHomomorphism(_D.support, _G, [_G.element((0, 1))])
+_GAMMA = [_G.zero(), _G.element((1, 0))]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: matrix_algebra(_D, k=2, kappa=[1]), "kappa and gamma must have equal length"),
+    (lambda: GradedMatrixAlgebra(_D, _G, [], [], _EMBED), "the module V must be nonzero (k >= 1)"),
+    (lambda: GradedMatrixAlgebra(_D, _G, _GAMMA, [1, 0], _EMBED), "multiplicities must be positive"),
+    (lambda: GradedMatrixAlgebra(_D, _G, [_G.zero(), AbelianGroup(1, ()).element((1,))], [1, 1],
+                                 _EMBED), "degrees must lie in the ambient group"),
+    (lambda: GradedMatrixAlgebra(_D, _G, _GAMMA, [1, 1], GroupHomomorphism(
+        _D.support, _D.support, _D.support.generators())),
+     "support embedding must land in the ambient group"),
+    (lambda: GradedMatrixAlgebra(TRIVIAL_R, _G, _GAMMA, [1, 1], _EMBED),
+     "support embedding must start at the support of D"),
+    (lambda: matrix_algebra(_D, ambient=_G), "explicit ambient groups need explicit degrees"),
+    (lambda: matrix_algebra(_D, gamma=_GAMMA, ambient=_G), "an embedding of the support is required"),
+])
+def test_grading_errors(build, message):
+    assert GradedMatrixAlgebra(_D, _G, _GAMMA, [1, 1], _EMBED).k == 2
+    with pytest.raises(GradingError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_fine_condition_multiplicity_witness():
@@ -76,13 +109,13 @@ def test_fine_condition_multiplicity_witness():
     embed = GroupHomomorphism(AbelianGroup.trivial(), ambient, [])
     r = matrix_algebra(TRIVIAL_R, gamma=[ambient.zero()], ambient=ambient,
                        embed=embed, kappa=[2])
-    res = fine_condition(r.params)
+    res = fine_condition(r)
     assert not res
     assert res.witness[0] == "multiplicity"
 
 
 def test_fine_condition_holds_for_canonical_gamma():
-    assert fine_condition(m2_over_z().params)
+    assert fine_condition(m2_over_z())
 
 
 def test_fine_condition_difference_witness():
@@ -91,7 +124,7 @@ def test_fine_condition_difference_witness():
     embed = GroupHomomorphism(AbelianGroup.trivial(), ambient, [])
     r = matrix_algebra(TRIVIAL_R, gamma=[ambient.zero(), ambient.element((1,))],
                        ambient=ambient, embed=embed)
-    res = fine_condition(r.params)
+    res = fine_condition(r)
     assert not res
     assert res.witness[0] == "difference"
 
@@ -105,7 +138,7 @@ def test_fine_condition_2g_in_t():
     embed = GroupHomomorphism(t, ambient, images)
     gamma = [ambient.zero(), ambient.element((0, 0, 1))]
     r = matrix_algebra(d, gamma=gamma, ambient=ambient, embed=embed)
-    res = fine_condition(r.params)
+    res = fine_condition(r)
     assert not res and res.witness[0] == "difference"
 
 
@@ -185,9 +218,9 @@ def test_squares_profile():
     d = canonical("1-c", "Z2")
     r = matrix_algebra(d, k=2)
     profile = squares_profile(r)
-    diag = r.params._coset_key(r.ambient.zero())
+    diag = r._coset_key(r.ambient.zero())
     assert profile[diag] == NONZERO_SQUARES
-    off = r.params._coset_key(r.gamma[0] - r.gamma[1])
+    off = r._coset_key(r.gamma[0] - r.gamma[1])
     assert profile[off] == ZERO_SQUARES
     values = list(profile.values())
     assert values.count(NONZERO_SQUARES) == 1
@@ -275,11 +308,16 @@ def test_degree_labels_are_the_degrees_of_degree_of():
             key=lambda d: d.coords)
 
 
-def _reference_coset_key(params, g):
+def _reference_coset_key(r, g):
     """The former `abelian.coset_rep`: the least of the GroupElement sums
     g + embed(t), by coordinates."""
-    return min((g + params.embed(t) for t in params.embed.source.elements()),
+    return min((g + r.embed(t) for t in r.embed.source.elements()),
                key=lambda e: e.coords).coords
+
+
+def _real_group_algebra(t):
+    """R[T]: the crossed product over T with trivial action and cocycle."""
+    return GradedDivisionAlgebra(t, CoefficientKind.real(), [False] * t.rank, [1] * t.rank, {})
 
 
 _TORSION = [(), (2,), (3,), (4,), (6,), (2, 2), (2, 4), (2, 2, 4)]
@@ -309,7 +347,7 @@ def test_coset_key_is_the_least_groupelement_sum(embedding, data):
     gamma = data.draw(st.lists(_elements_of(g), min_size=1, max_size=3))
     image = {embed(x) for x in t.elements()}
     try:
-        params = GradingParams(g, gamma, [1] * len(gamma), embed)
+        r = GradedMatrixAlgebra(_real_group_algebra(t), g, gamma, [1] * len(gamma), embed)
     except GradingError as err:
         if len(image) < t.order():
             assert "injective" in str(err)
@@ -321,18 +359,20 @@ def test_coset_key_is_the_least_groupelement_sum(embedding, data):
         return
     assert len(image) == t.order()
     for x in gamma + [g.zero(), *data.draw(st.lists(_elements_of(g), max_size=4))]:
-        assert params._coset(x) == [(x + embed(y)).coords for y in support_table(t)[0]]
-        assert params._coset_key(x) == _reference_coset_key(params, x)
+        assert r._coset(x) == [(x + embed(y)).coords for y in support_table(t)[0]]
+        assert r._coset_key(x) == _reference_coset_key(r, x)
 
 
 def test_coset_keys_of_the_trivial_ambient():
     zero = AbelianGroup.trivial()
-    params = GradingParams(zero, [zero.zero()], [1], GroupHomomorphism(zero, zero, []))
-    assert params._coset(zero.zero()) == [()]
-    assert params._coset_key(zero.zero()) == () == _reference_coset_key(params, zero.zero())
+    r = GradedMatrixAlgebra(_real_group_algebra(zero), zero, [zero.zero()], [1],
+                            GroupHomomorphism(zero, zero, []))
+    assert r._coset(zero.zero()) == [()]
+    assert r._coset_key(zero.zero()) == () == _reference_coset_key(r, zero.zero())
     z2 = AbelianGroup(0, (2,))
     with pytest.raises(GradingError, match="injective"):
-        GradingParams(zero, [zero.zero()], [1], GroupHomomorphism(z2, zero, [zero.zero()]))
+        GradedMatrixAlgebra(_real_group_algebra(z2), zero, [zero.zero()], [1],
+                            GroupHomomorphism(z2, zero, [zero.zero()]))
 
 
 # the specs of the `universal-*` goldens in tests/test_golden.py
@@ -352,7 +392,7 @@ def test_export_degrees_are_those_of_degree_of():
     for spec in _UNIVERSAL_SPECS:
         d = parse_catalog_ref(spec["D"])
         algebras.append(matrix_algebra(d, **cli._matrix_shape(spec, d.support)))
-    assert any(r.params.kappa != (1,) * len(r.params.kappa) for r in algebras)
+    assert any(r.kappa != (1,) * len(r.kappa) for r in algebras)
     for r in algebras:
         a = to_structure_constants(r)
         elems, k, width = r.division.elements(), r.k, len(r.division.kind.basis())

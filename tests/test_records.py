@@ -18,6 +18,7 @@ from gradecat.autgroups import (
     Torus,
 )
 from gradecat.classify import ClassificationRow
+from gradecat.matrix import FineConditionResult
 from gradecat.structconst import HxHReport
 from gradecat.verify import CheckResult
 
@@ -67,6 +68,8 @@ CASES = [
     (SemidirectProduct, (Torus("Cx"), Symmetric(3), "swap"),
      (Torus("Cx"), Symmetric(3), "conjugation"),
      "SemidirectProduct(normal=Torus(kind='Cx'), acting=Symmetric(k=3), action_note='swap')"),
+    (FineConditionResult, (False, ("multiplicity", 0, 2)), (True, None),
+     "FineConditionResult(ok=False, witness=('multiplicity', 0, 2))"),
 ]
 
 
