@@ -210,7 +210,14 @@ def matrix_algebra(division: GradedDivisionAlgebra, k: int = None, gamma=None,
                    kappa=None) -> GradedMatrixAlgebra:
     """Build M_k(D).  With no ambient given, degrees live in Z^(k-1) x T, T
     on the last coordinates, with gamma = (0, e_1, ..., e_{k-1}), the
-    universal realization."""
+    universal realization.  A k that differs from the length of a given
+    gamma, or an embed with no ambient to embed into, is refused."""
+    if gamma is not None:
+        gamma = list(gamma)
+        if k is not None and k != len(gamma):
+            raise GradingError(f"k = {k} differs from the {len(gamma)} degrees of gamma")
+    if embed is not None and ambient is None:
+        raise GradingError("an embedding of the support needs an explicit ambient group")
     if ambient is None:
         if k is None:
             k = len(gamma) if gamma is not None else 1
@@ -225,7 +232,6 @@ def matrix_algebra(division: GradedDivisionAlgebra, k: int = None, gamma=None,
         if not division.support.is_trivial():
             raise GradingError("an embedding of the support is required")
         embed = GroupHomomorphism(division.support, ambient, [])
-    gamma = list(gamma)
     kappa = [1] * len(gamma) if kappa is None else kappa
     return GradedMatrixAlgebra(division, ambient, gamma, kappa, embed)
 

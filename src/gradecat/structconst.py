@@ -14,6 +14,14 @@ vectors the algebra itself uses.  It eliminates fraction-free, in ints:
 Fraction appears only where `nullspace` reads a basis vector out, divided
 by its pivot, or where `invert` reads out the inverse that the one
 inversion kernel, `scaled_inverse`, returns over one denominator.
+
+An algebra is not changed once it is built, so it keeps what these
+operations find: `scaled_inverse` solves each element once, all its
+rational multiples with it, since the inverse of the primitive integer
+vector of x is kept under that vector's coordinates; `_commutant` keeps
+the central elements of each degree and `_trace_form_rank` its rank.
+`is_graded_simple`, `center_basis`, `inner_stabilizer_quotient` and
+`hxh_counterexample` share them.  Each memo lives as long as its algebra.
 """
 
 from __future__ import annotations
@@ -245,6 +253,12 @@ class StructureConstantAlgebra:
         self._numbered = {d.coords: c for c, d in enumerate(self._by_degree)}
         self._component = [self._numbered[d.coords] for d in self.degrees]
         self._validate()
+        # what the operations below compute once per algebra, which is not
+        # changed once built: `scaled_inverse` by primitive coordinates,
+        # `_commutant` by degree, and `_trace_form_rank`
+        self._inverses: dict = {}
+        self._commutants: dict = {}
+        self._trace_rank = None
 
     @property
     def dim(self) -> int:
@@ -509,23 +523,15 @@ class AlgebraElement:
 # operations
 # ---------------------------------------------------------------------------
 
-def scaled_inverse(x: AlgebraElement):
-    """The inverse of x over one common denominator: (y, D) with y a dict of
-    nonzero int coordinates and D a positive int such that
-    x·y = y·x = D·1, or None when x has no two-sided inverse.
-
-    x is scaled to ints first, L_x y = D·1 is solved by `solve_square`, and
-    y·x = D·1 is checked, so no Fraction is built when the constants and the
-    unity are ints.  A homogeneous x of degree g can only invert inside
-    A_(-g), so only the block of L_x from A_(-g) to A_e is solved.  This is
-    the one inversion kernel: `invert` reads y/D out of it, and every
-    invertibility test and conjugation of the module uses (y, D) directly.
-    """
-    a = x.algebra
-    xs, den = _integral(x.coords)
-    parts = {a._component[i] for i in xs}
+def _primitive_inverse(a: StructureConstantAlgebra, p: dict):
+    """(y, d) in lowest terms with p·y = y·p = d·1 for the int vector p, or
+    None.  L_p z = 1 is solved by `solve_square` and y·p = d·1 is checked,
+    so no Fraction is built when the constants and the unity are ints.  A
+    homogeneous p of degree g can only invert inside A_(-g), so only the
+    block of L_p from A_(-g) to A_e is solved."""
+    parts = {a._component[i] for i in p}
     if len(parts) == 1:
-        g = a.degrees[next(iter(xs))].coords
+        g = a.degrees[next(iter(p))].coords
         zero, opposite = a._component_at((0,) * len(g)), a._component_at(tuple(-c for c in g))
         indices = list(a._by_degree.values())
         rows = [] if zero is None else indices[zero]
@@ -537,20 +543,59 @@ def scaled_inverse(x: AlgebraElement):
     position = {i: r for r, i in enumerate(rows)}
     matrix = [{} for _ in rows]
     for c, j in enumerate(cols):
-        for i, v in a.mul_vectors(xs, {j: 1}).items():
+        for i, v in a.mul_vectors(p, {j: 1}).items():
             matrix[position[i]][c] = v
     solved = solve_square(matrix, [a.unity.get(i, 0) for i in rows])
     if solved is None:
         return None
-    # xs z = 1 has the solution z = ys / d, and x = xs / den, so x y = d·1
     ys, d = solved
-    y = {j: den * c for j, c in zip(cols, ys) if c}
-    g = math.gcd(d, den)
+    y = {j: c for j, c in zip(cols, ys) if c}
+    if a.mul_vectors(y, p) != {i: c * d for i, c in a.unity.items()}:
+        return None
+    return y, d
+
+
+def scaled_inverse(x: AlgebraElement):
+    """The inverse of x over one common denominator: (y, D) with y a dict of
+    nonzero int coordinates and D a positive int, in lowest terms, such that
+    x·y = y·x = D·1, or None when x has no two-sided inverse.
+
+    x is scaled to ints, xs = den·x, and written xs = q·p with p primitive
+    and positive at its least index (p = {} and q = 1 for x = 0).  The
+    inverse of p is solved once per algebra, by `_primitive_inverse`, which
+    checks p·y_p = y_p·p = d_p·1 before the pair is kept in `_inverses`
+    under the coordinates of p, or None when p has no inverse.  Since
+    x = (q/den)·p with q/den rational and nonzero, bilinearity gives
+    x·(den·y_p) = (den·y_p)·x = q·d_p·1: x is invertible exactly when p
+    is, and then den·y_p / (q·d_p) is its two-sided inverse, which is
+    unique.  So is the pair (y, D) with y/D = x^-1, D > 0 and gcd 1: it does
+    not depend on which multiple of p was inverted first.  This is the one
+    inversion kernel: `invert` reads y/D out of it, and every invertibility
+    test and conjugation of the module uses (y, D) directly.
+    """
+    a = x.algebra
+    xs, den = _integral(x.coords)
+    key = tuple(sorted(xs.items()))
+    q = math.gcd(*xs.values()) or 1
+    if key and key[0][1] < 0:
+        q = -q
+    if q != 1:
+        key = tuple((i, c // q) for i, c in key)
+    if key not in a._inverses:
+        a._inverses[key] = _primitive_inverse(a, dict(key))
+    found = a._inverses[key]
+    if found is None:
+        return None
+    y_p, d = found
+    if den == 1 and q == 1:
+        return dict(y_p), d
+    # x (den y_p) = q d_p·1: the signs of both flip when q < 0
+    if q < 0:
+        den, q = -den, -q
+    y, d = {j: den * c for j, c in y_p.items()}, q * d
+    g = math.gcd(d, *y.values())
     if g > 1:
         y, d = {j: c // g for j, c in y.items()}, d // g
-    # y xs = d den·1 iff y x = d·1
-    if a.mul_vectors(y, xs) != {i: c * d * den for i, c in a.unity.items()}:
-        return None
     return y, d
 
 
@@ -572,8 +617,11 @@ def _commutant(a: StructureConstantAlgebra, degree) -> list[dict]:
     basis have the same solutions, so the same row space, whose reduced
     row echelon form is unique; `nullspace` returns the same vectors from
     either.  Row (s, k) of the commutator equations only touches the
-    unknowns of degree deg k - deg s.
+    unknowns of degree deg k - deg s.  The basis is found once per degree
+    and kept on the algebra.
     """
+    if degree in a._commutants:
+        return a._commutants[degree]
     cols = a._by_degree.get(degree, [])
     rows = []
     for g in a.generators:
@@ -586,7 +634,9 @@ def _commutant(a: StructureConstantAlgebra, degree) -> list[dict]:
                 if v:
                     block.setdefault(k, {})[c] = v
         rows.extend(block.values())
-    return [{cols[c]: v for c, v in vec.items()} for vec in nullspace(rows, len(cols))]
+    basis = [{cols[c]: v for c, v in vec.items()} for vec in nullspace(rows, len(cols))]
+    a._commutants[degree] = basis
+    return basis
 
 
 def center_basis(a: StructureConstantAlgebra):
@@ -598,7 +648,10 @@ def center_basis(a: StructureConstantAlgebra):
 
 def _trace_form_rank(a: StructureConstantAlgebra) -> int:
     """Rank of the trace form (x, y) -> Tr(L_xy); Tr(L_b) vanishes off degree
-    e, so the form pairs A_g with A_(-g) only and the block ranks add up."""
+    e, so the form pairs A_g with A_(-g) only and the block ranks add up.
+    The rank is found once and kept on the algebra."""
+    if a._trace_rank is not None:
+        return a._trace_rank
     e = a.group.zero()
     trace = {k: sum(a.table.get((k, i), {}).get(i, 0) for i in range(a.dim))
              for k in a._by_degree.get(e, [])}
@@ -610,6 +663,7 @@ def _trace_form_rank(a: StructureConstantAlgebra) -> int:
             span.add({c: x for c, j in enumerate(cols)
                       if (x := sum(v * trace[k] for k, v in a.table.get((i, j), {}).items()))})
         rank += span.rank
+    a._trace_rank = rank
     return rank
 
 

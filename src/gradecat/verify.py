@@ -98,21 +98,19 @@ def _homogeneous_unit_pool(a):
 
 def _central_unit_pool(a, rng):
     """The unity, then every invertible one of 30 random integer combinations
-    of the centre basis, in the order drawn.  A combination drawn again is
-    looked up by its coordinates over the centre basis, not inverted again:
-    a 1-dimensional centre gives at most 7 distinct ones."""
+    of the centre basis, in the order drawn.  A combination that is a
+    rational multiple of one drawn before, a repeat included, is not solved
+    again: `scaled_inverse` keeps each inverse on the algebra under its
+    primitive coordinates, so a 1-dimensional centre costs at most one
+    solve."""
     centre = center_basis(a)
     pool = [a.one()]
-    units: dict = {}  # coordinates -> the unit, or None
     for _ in range(30):
-        key = tuple(rng.randint(-3, 3) for _ in centre)
-        if key not in units:
-            z = a.element({})
-            for c, basis_el in zip(key, centre):
-                z = z + c * basis_el
-            units[key] = None if z.is_zero() or scaled_inverse(z) is None else z
-        if units[key] is not None:
-            pool.append(units[key])
+        z = a.element({})
+        for basis_el in centre:
+            z = z + rng.randint(-3, 3) * basis_el
+        if not z.is_zero() and scaled_inverse(z) is not None:
+            pool.append(z)
     return pool
 
 

@@ -97,6 +97,11 @@ _GAMMA = [_G.zero(), _G.element((1, 0))]
      "support embedding must start at the support of D"),
     (lambda: matrix_algebra(_D, ambient=_G), "explicit ambient groups need explicit degrees"),
     (lambda: matrix_algebra(_D, gamma=_GAMMA, ambient=_G), "an embedding of the support is required"),
+    (lambda: matrix_algebra(_D, k=3, gamma=_GAMMA, ambient=_G, embed=_EMBED),
+     "k = 3 differs from the 2 degrees of gamma"),
+    (lambda: matrix_algebra(_D, k=2, embed=GroupHomomorphism(
+        _D.support, _D.support, _D.support.generators())),
+     "an embedding of the support needs an explicit ambient group"),
 ])
 def test_grading_errors(build, message):
     assert GradedMatrixAlgebra(_D, _G, _GAMMA, [1, 1], _EMBED).k == 2
