@@ -1,7 +1,8 @@
 """Command-line front end.
 
     gradecat classify --algebra M4C [--format json|table]
-    gradecat verify --suite all [--seed N] [--fixture dump.json] [--format text|json]
+    gradecat verify [--suite all] [--seed N] [--format text|json]
+    gradecat verify --fixture dump.json [--format text|json]
     gradecat universal --spec spec.json [--format json|table]
     gradecat catalog --entry 2-f:Z3xZ3 [--format json|table]
 
@@ -34,6 +35,9 @@ from .structconst import (
 from .verify import SUITES, CheckResult, checks_report, run_suite
 
 
+_SUITE_NAMES = (*SUITES, "all")
+
+
 class UsageError(ValueError):
     """Bad input at the command line: an unknown suite, or a malformed spec
     or fixture file."""
@@ -49,13 +53,16 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.fixture and args.suite is not None:
+        raise UsageError("--suite and --fixture exclude each other: a fixture "
+                         "file gets its own checks")
+    suite = "all" if args.suite is None else args.suite
     if args.fixture:
         report = _verify_fixture(args)
-    elif args.suite != "all" and args.suite not in SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}; pick from "
-                         + ", ".join(list(SUITES) + ["all"]))
+    elif suite not in _SUITE_NAMES:
+        raise UsageError(f"unknown suite {suite!r}; pick from " + ", ".join(_SUITE_NAMES))
     else:
-        report = run_suite(args.suite, seed=args.seed)
+        report = run_suite(suite, seed=args.seed)
     if args.format == "json":
         print(json.dumps(report, indent=2, ensure_ascii=False))
     else:
@@ -223,9 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.set_defaults(func=_cmd_classify)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument("--suite", default="all",
-                          help="inner-aut | idempotents | squares | universal | "
-                               "weyl | stab | properties | all")
+    p_verify.add_argument("--suite", help=" | ".join(_SUITE_NAMES) + " (default all)")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--fixture", help="JSON structure-constant dump to check instead")

@@ -26,6 +26,7 @@ the central elements of each degree and `_trace_form_rank` its rank.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -878,11 +879,14 @@ class HxHReport(Record):
         )
 
 
+@functools.cache
 def quaternion_pair_algebra() -> StructureConstantAlgebra:
     """H x H graded by Z2^4: each factor carries the sign grading of H.
 
     The basis is 1, X_(0,1) = j, X_(1,0) = i, X_(1,1) = k of the left
     factor, then the same of the right one (`canonical("1-b", "Z2xZ2")`).
+    Built once per process and shared, so it keeps its inverses and centre;
+    it must not be changed.
     """
     h = from_division(canonical("1-b", "Z2xZ2"))
     return direct_sum(h, h)

@@ -3,11 +3,14 @@
 Each suite returns a list of CheckResult values; `run_suite` wraps them in a
 machine-readable report (schema 1), built by `checks_report`, which also
 reports `gradecat verify --fixture`.  The same functions back the
-acceptance tests and the `gradecat verify` command.
+acceptance tests and the `gradecat verify` command.  Each algebra the suites
+check is built once per process by `fixture`, so a later pass reads the
+inverses and centres that an earlier one found.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -59,36 +62,41 @@ class CheckResult(Record):
     _defaults = {"detail": ""}
 
 
-def _trivial_division():
-    return canonical("1-a", AbelianGroup.trivial())
+# label -> (catalog tag, support, k) of M_k(D), or (None, torsion, None) of Q[T]
+_FIXTURES = {
+    **{f"M{k}R-split": ("1-a", "1", k) for k in range(1, 6)},
+    "M2R-1a": ("1-a", "Z2xZ2", 1), "H-1b": ("1-b", "Z2xZ2", 1),
+    "M2C-k2-1c": ("1-c", "Z2", 2), "M3C-k3-1c": ("1-c", "Z2", 3), "M2C-1c": ("1-c", "Z2^3", 1),
+    "M2C-1d": ("1-d", "Z2xZ4", 1), "M2C-2e": ("2-e", "Z4", 1), "M3C-2f": ("2-f", "Z3^2", 1),
+    "M2C-2f-coarse": ("2-f", "Z2^2", 1), "M4C-k2-2f-coarse": ("2-f", "Z2^2", 2),
+    "Q[Z4]": (None, (4,), None), "Q[Z2^2]": (None, (2, 2), None),
+}
+
+
+@functools.cache
+def fixture(label: str, *, exact: bool = False):
+    """The M_k(D) of a label, or with `exact` its structure constants (the
+    export kept on D when k = 1), built once per process and not changed."""
+    tag, support, k = _FIXTURES[label]
+    if not exact:
+        return matrix_algebra(canonical(tag, support), k=k)
+    if tag is None:
+        return group_algebra(AbelianGroup(0, support))
+    return from_division(canonical(tag, support)) if k == 1 \
+        else to_structure_constants(fixture(label))
 
 
 def matrix_fixtures():
     """Matrix gradings satisfying the fine condition, used across suites."""
-    return [
-        ("M2R-split", matrix_algebra(_trivial_division(), k=2)),
-        ("M2R-1a", matrix_algebra(canonical("1-a", "Z2xZ2"), k=1)),
-        ("H-1b", matrix_algebra(canonical("1-b", "Z2xZ2"), k=1)),
-        ("M2C-k2-1c", matrix_algebra(canonical("1-c", "Z2"), k=2)),
-        ("M2C-1d", matrix_algebra(canonical("1-d", "Z2xZ4"), k=1)),
-        ("M3C-k3-1c", matrix_algebra(canonical("1-c", "Z2"), k=3)),
-        ("M3C-2f", matrix_algebra(canonical("2-f", "Z3^2"), k=1)),
-        ("M2C-2f-coarse", matrix_algebra(canonical("2-f", "Z2^2"), k=1)),
-    ]
+    return [(label, fixture(label)) for label in (
+        "M2R-split", "M2R-1a", "H-1b", "M2C-k2-1c", "M2C-1d", "M3C-k3-1c", "M3C-2f",
+        "M2C-2f-coarse")]
 
 
 def graded_simple_fixtures():
     """Exact graded-simple algebras for the inner-automorphism theorem."""
-    return [
-        ("M2R-1a", from_division(canonical("1-a", "Z2xZ2"))),
-        ("H-1b", from_division(canonical("1-b", "Z2xZ2"))),
-        ("M2C-1d", from_division(canonical("1-d", "Z2xZ4"))),
-        ("M2C-2e", from_division(canonical("2-e", "Z4"))),
-        ("M3C-2f", from_division(canonical("2-f", "Z3^2"))),
-        ("M2R-split", to_structure_constants(matrix_algebra(_trivial_division(), k=2))),
-        ("Q[Z4]", group_algebra(AbelianGroup(0, (4,)))),
-        ("Q[Z2^2]", group_algebra(AbelianGroup(0, (2, 2)))),
-    ]
+    return [(label, fixture(label, exact=True)) for label in (
+        "M2R-1a", "H-1b", "M2C-1d", "M2C-2e", "M3C-2f", "M2R-split", "Q[Z4]", "Q[Z2^2]")]
 
 
 def _homogeneous_unit_pool(a):
@@ -179,14 +187,12 @@ def suite_inner_aut(seed: int = 0):
 def suite_idempotents():
     checks = []
     for k in range(1, 6):
-        r = matrix_algebra(_trivial_division(), k=k)
-        all_idem, primitive = homogeneous_idempotents(r)
+        all_idem, primitive = homogeneous_idempotents(fixture(f"M{k}R-split"))
         checks.append(CheckResult(
             f"idempotents/k={k}",
             len(all_idem) == 2 ** k and len(primitive) == k,
             f"{len(all_idem)} idempotents, {len(primitive)} primitive"))
-    r = matrix_algebra(canonical("2-f", "Z2^2"), k=2)
-    all_idem, primitive = homogeneous_idempotents(r)
+    all_idem, primitive = homogeneous_idempotents(fixture("M4C-k2-2f-coarse"))
     checks.append(CheckResult(
         "idempotents/complex-coefficients",
         len(all_idem) == 4 and len(primitive) == 2,
@@ -243,12 +249,10 @@ def suite_weyl():
             f"weyl/division/{tag}:{support}",
             len(elems) == order and got == name,
             f"order {len(elems)}, identified {got}"))
-    matrix_cases = [
-        ("M2R-split", matrix_algebra(_trivial_division(), k=2), 2, "Z2"),
-        ("M2C-k2-1c", matrix_algebra(canonical("1-c", "Z2"), k=2), 4, "Z2^2"),
-        ("M3C-k3-1c", matrix_algebra(canonical("1-c", "Z2"), k=3), 24, "Sym(4)"),
-    ]
-    for label, r, order, name in matrix_cases:
+    for label, order, name in [
+        ("M2R-split", 2, "Z2"), ("M2C-k2-1c", 4, "Z2^2"), ("M3C-k3-1c", 24, "Sym(4)"),
+    ]:
+        r = fixture(label)
         model = WeylModel(r)
         descriptor_order = weyl_descriptor(r).finite_part_order()
         w0 = chain_elements(weyl_division(r.division)[0])
@@ -266,21 +270,15 @@ def suite_stab():
     checks = []
     z2 = AbelianGroup(0, (2,))
     z2xz2 = AbelianGroup(0, (2, 2))
-    cases = [
-        ("M2R-split", matrix_algebra(_trivial_division(), k=2), Torus("Rx")),
-        ("M2R-1a", matrix_algebra(canonical("1-a", "Z2xZ2"), k=1), FiniteAbelian(z2xz2)),
-        ("H-1b", matrix_algebra(canonical("1-b", "Z2xZ2"), k=1), FiniteAbelian(z2xz2)),
-        ("M2C-k2-1c", matrix_algebra(canonical("1-c", "Z2"), k=2),
-         DirectProduct((Torus("Rx"), FiniteAbelian(z2)))),
-        ("M2C-1c", matrix_algebra(canonical("1-c", "Z2^3"), k=1),
-         FiniteAbelian(AbelianGroup(0, (2, 2, 2)))),
-        ("M2C-1d", matrix_algebra(canonical("1-d", "Z2xZ4"), k=1), FiniteAbelian(z2xz2)),
-        ("M3C-k3-1c", matrix_algebra(canonical("1-c", "Z2"), k=3),
-         DirectProduct((Torus("Rx"), Torus("Rx"), FiniteAbelian(z2)))),
-        ("M3C-2f", matrix_algebra(canonical("2-f", "Z3^2"), k=1),
-         FiniteAbelian(AbelianGroup(0, (3, 3)))),
-    ]
-    for label, r, expected in cases:
+    for label, expected in [
+        ("M2R-split", Torus("Rx")), ("M2R-1a", FiniteAbelian(z2xz2)),
+        ("H-1b", FiniteAbelian(z2xz2)),
+        ("M2C-k2-1c", DirectProduct((Torus("Rx"), FiniteAbelian(z2)))),
+        ("M2C-1c", FiniteAbelian(AbelianGroup(0, (2, 2, 2)))), ("M2C-1d", FiniteAbelian(z2xz2)),
+        ("M3C-k3-1c", DirectProduct((Torus("Rx"), Torus("Rx"), FiniteAbelian(z2)))),
+        ("M3C-2f", FiniteAbelian(AbelianGroup(0, (3, 3)))),
+    ]:
+        r = fixture(label)
         got = stab_descriptor(r)
         checks.append(CheckResult(
             f"stab/{label}", descriptors_equal(got, expected),

@@ -1,10 +1,13 @@
 import pytest
 
-from gradecat import division
+from gradecat import division, structconst, verify
 
 
 @pytest.fixture(autouse=True)
 def fresh_catalog():
-    """Each test starts from an empty `canonical` cache: a shared entry keeps
-    what a test memoized on it (beta, the Weyl chain, the export), stubs included."""
+    """Each test starts from empty `canonical`, `verify.fixture` and H x H
+    caches: a shared entry or fixture keeps what a test memoized on it (beta,
+    the Weyl chain, the export, inverses and centres), stubs included."""
     division._canonical_entry.cache_clear()
+    verify.fixture.cache_clear()
+    structconst.quaternion_pair_algebra.cache_clear()

@@ -26,6 +26,7 @@ from gradecat.structconst import (
     group_algebra,
     quaternion_pair_algebra,
 )
+from gradecat.verify import SUITES
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -312,6 +313,28 @@ def _z2_dump(**changes):
                                     {0: 1}).to_json()
     dump.update(changes)
     return dump
+
+
+def test_cli_verify_suite_and_fixture_exclude_each_other(tmp_path, capsys):
+    # a fixture file gets its own checks: an explicit --suite would be ignored
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(_z2_dump()))
+    for suite in ("weyl", "all"):
+        assert main(["verify", "--suite", suite, "--seed", "5", "--fixture", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --suite and --fixture exclude each other: "
+                                "a fixture file gets its own checks\n")
+    assert main(["verify", "--seed", "5", "--fixture", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["suite"] == "fixture"
+
+
+def test_cli_verify_help_names_every_suite(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse would break "inner-aut" at its hyphen
+    with pytest.raises(SystemExit) as stop:
+        main(["verify", "--help"])
+    assert stop.value.code == 0
+    assert " | ".join([*SUITES, "all"]) + " (default all)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("dump", [

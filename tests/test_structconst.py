@@ -1007,7 +1007,10 @@ def _verify_builds():
 
     built = {}
     validate = StructureConstantAlgebra._validate
-    division._canonical_entry.cache_clear()  # exports kept on shared entries skip validation
+    # exports kept on shared entries and shared fixtures skip validation
+    division._canonical_entry.cache_clear()
+    verify.fixture.cache_clear()
+    quaternion_pair_algebra.cache_clear()
 
     def recording(self):
         key = json.dumps(self.to_json(), sort_keys=True)
@@ -1096,6 +1099,65 @@ def test_verify_builds_each_entry_and_export_once(monkeypatch):
     tables = [json.dumps(a.to_json(), sort_keys=True)
               for a in built if isinstance(a, StructureConstantAlgebra)]
     assert len(tables) == len(set(tables)) <= 18  # 27 builds of 17 tables
+
+
+def test_a_second_verify_pass_builds_and_solves_nothing(monkeypatch):
+    import gradecat.autgroups as autgroups
+    import gradecat.structconst as structconst
+    from gradecat.division import GradedDivisionAlgebra
+    from gradecat.matrix import GradedMatrixAlgebra
+    from gradecat.verify import run_suite
+
+    calls = []
+    for module, name in ((structconst, "solve_square"), (structconst, "nullspace"),
+                         (autgroups, "nullspace")):
+        def counting(*args, _fn=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counting)
+    for cls in (GradedDivisionAlgebra, GradedMatrixAlgebra, StructureConstantAlgebra):
+        def recording(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            calls.append(_name)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", recording)
+    for seed in (1, 0, 7):
+        calls.clear()
+        first = run_suite("all", seed=seed)
+        if seed == 1:  # the caches start empty
+            assert (calls.count("solve_square"), calls.count("nullspace")) == (218, 65)
+            assert {"StructureConstantAlgebra", "GradedDivisionAlgebra",
+                    "GradedMatrixAlgebra"} <= set(calls)
+        calls.clear()
+        assert run_suite("all", seed=seed) == first
+        assert calls == []
+
+
+def test_a_verify_run_changes_no_shared_fixture():
+    import gradecat.verify as verify
+    from gradecat.matrix import to_structure_constants
+
+    def shared():
+        exact = dict(graded_simple_fixtures(), HxH=quaternion_pair_algebra())
+        matrices = {label: verify.fixture(label)
+                    for label, (tag, _, _) in verify._FIXTURES.items() if tag is not None}
+        return exact, matrices
+
+    assert verify.run_suite("all")["failed"] == 0
+    exact, matrices = shared()
+    again = shared()
+    assert all(again[0][label] is a for label, a in exact.items())
+    assert all(again[1][label] is r for label, r in matrices.items())
+    division._canonical_entry.cache_clear()
+    verify.fixture.cache_clear()
+    quaternion_pair_algebra.cache_clear()
+    fresh_exact, fresh_matrices = shared()
+    for label, a in exact.items():
+        assert fresh_exact[label] is not a
+        assert a.to_json() == fresh_exact[label].to_json(), label
+    for label, r in matrices.items():
+        assert fresh_matrices[label] is not r
+        assert to_structure_constants(r).to_json() \
+            == to_structure_constants(fresh_matrices[label]).to_json(), label
 
 
 def test_from_division_keeps_its_export_on_the_entry(monkeypatch):
