@@ -58,8 +58,15 @@ def exact_ints(values, what: str) -> tuple:
 
 def invariant_factors(orders) -> tuple[int, ...]:
     """Invariant-factor chain of a direct sum of cyclic groups of the given orders."""
+    return _invariant_chain(exact_ints(orders, "cyclic order"))
+
+
+@functools.lru_cache(maxsize=256)
+def _invariant_chain(orders: tuple) -> tuple[int, ...]:
+    """`invariant_factors` of orders already gated to ints, cached: keyed by
+    the gated tuple, so 2.0 or True never reach it in place of 2 or 1."""
     by_prime: dict[int, list[int]] = {}
-    for m in exact_ints(orders, "cyclic order"):
+    for m in orders:
         if m < 1:
             raise ValueError(f"cyclic order must be positive, got {m}")
         for p, e in _factor(m).items():
@@ -469,9 +476,10 @@ def universal_abelian_group(labels, relations):
 
     A relation is dense, one int per label, or sparse, a mapping of label
     positions to ints; the two forms of one relation set give the same
-    result.  Returns (group, projection) where projection maps each label
-    to its image in the normal-form quotient.  Empty relations yield a free
-    group.
+    result.  Returns (group, projection) where projection, a read-only
+    Mapping in label order, maps each label to its image in the normal-form
+    quotient; an image is built when its label is first read.  Empty
+    relations yield a free group.
 
     Labels are eliminated first, sparsely, by a worklist (Dumas, Saunders
     and Villard, J. Symbolic Comput. 32, 2001).  A label is open until it
@@ -545,8 +553,35 @@ def universal_abelian_group(labels, relations):
     tors_rows = [i for i in range(s) if diag[i] >= 2]
     group = AbelianGroup(len(free_rows), tuple(diag[i] for i in tors_rows))
     images = [u[i] for i in free_rows + tors_rows]  # survivor p goes to column p
-    return group, {label: group.element([sum(map(operator.mul, row, vector)) for row in images])
-                   for label, vector in zip(labels, vectors)}
+    return group, _Projection(group, images, dict(zip(labels, vectors)))
+
+
+class _Projection(Mapping):
+    """The label projection of `universal_abelian_group`, read-only, in label
+    order.  A label's image, row p of `images` dotted with its vector on the
+    survivors, is built when the label is first read and kept."""
+
+    __slots__ = ("_group", "_images", "_vectors", "_built")
+
+    def __init__(self, group: AbelianGroup, images: list, vectors: dict):
+        self._group, self._images, self._vectors, self._built = group, images, vectors, {}
+
+    def __getitem__(self, label) -> GroupElement:
+        image = self._built.get(label)
+        if image is None:
+            vector = self._vectors[label]
+            image = self._built[label] = self._group.element(
+                [sum(map(operator.mul, row, vector)) for row in self._images])
+        return image
+
+    def __iter__(self):
+        return iter(self._vectors)
+
+    def __len__(self) -> int:
+        return len(self._vectors)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(self)!r})"
 
 
 # ---------------------------------------------------------------------------

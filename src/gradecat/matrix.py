@@ -71,15 +71,24 @@ class GradedMatrixAlgebra:
         if embed.source != division.support:
             raise GradingError("support embedding must start at the support of D")
         self.division, self.ambient, self.kappa, self.embed = division, ambient, kappa, embed
-        elements = support_table(embed.source)[0]
         self._mods = (0,) * ambient.free_rank + ambient.torsion
-        self._columns = list(zip(*(embed(t).coords for t in elements)))
-        self._size = len(elements)
+        self._columns = [self._support_column(p, m) for p, m in enumerate(self._mods)]
+        self._size = embed.source.order()
         if len(set(self._coset(ambient.zero()))) != self._size:
             raise GradingError("support embedding must be injective")
         if len({self._coset_key(g) for g in gamma}) != len(gamma):
             raise GradingError("isotypic degrees must be distinct modulo T")
         self.gamma = tuple(g for g, m in zip(gamma, kappa) for _ in range(m))
+
+    def _support_column(self, p: int, m: int) -> tuple:
+        """Coordinate p of embed(t) over the support positions t, built one
+        cyclic factor of T at a time in the mixed-radix layout of
+        `support_table` (last digit fastest), reduced mod m if m."""
+        column = [0]
+        for image, order in zip(self.embed.images, self.embed.source.torsion):
+            step = image.coords[p]
+            column = [x + a * step for x in column for a in range(order)]
+        return tuple(x % m for x in column) if m else tuple(column)
 
     @property
     def k(self) -> int:

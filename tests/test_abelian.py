@@ -1,14 +1,16 @@
 import functools
 import itertools
 import math
+import operator
 import random
+from collections.abc import Mapping
 
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
-from gradecat import structconst
+from gradecat import abelian, structconst
 from gradecat.abelian import (
     AbelianGroup,
     AutBoundError,
@@ -27,7 +29,9 @@ from gradecat.abelian import (
     support_table,
     universal_abelian_group,
 )
+from gradecat.classify import classify
 from gradecat.division import Bicharacter, CoefficientKind
+from gradecat.matrix import harvest_universal_group
 from gradecat.scalars import zeta
 
 Z = AbelianGroup
@@ -385,6 +389,64 @@ def test_universal_ignores_relation_order_and_repeats(case, rnd):
     shuffled = rels + rnd.sample(rels, len(rels) // 2)
     rnd.shuffle(shuffled)
     assert universal_abelian_group(labels, shuffled) == universal_abelian_group(labels, rels)
+
+
+def eager_projection(group, projection) -> dict:
+    """The oracle of the lazy projection: every label's image built at once,
+    the kept rows of u dotted with the label's vector on the survivors."""
+    return {label: group.element([sum(map(operator.mul, row, vector))
+                                  for row in projection._images])
+            for label, vector in projection._vectors.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_harvest_shaped_relations(), _ternary_relations(),
+                 _relations_without_unit_entries()),
+       st.randoms(use_true_random=False))
+def test_lazy_projection_equals_the_eager_one(case, rnd):
+    """Read in any order, sparse or dense relations: the images are those
+    the eager build gives."""
+    n, rels = case
+    labels = [f"x{i}" for i in range(n)]
+    group, projection = universal_abelian_group(labels, rels)
+    for label in rnd.sample(labels, rnd.randint(0, n)):
+        projection[label]
+    assert dict(projection) == eager_projection(group, projection)
+
+
+def test_lazy_projection_equals_the_eager_one_on_every_classify_row():
+    for name in ("M1R", "M2R", "H", "M1C", "M2C", "M3C", "M4C"):
+        for row in classify(name):
+            group, projection = harvest_universal_group(row.algebra)
+            assert list(projection) == row.algebra.degree_labels()[0]
+            assert dict(projection) == eager_projection(group, projection), name
+
+
+def test_projection_is_a_read_only_mapping_in_label_order():
+    labels, rels = ["z", "a", "m", "b"], [[2, 0, 0, 0], [0, 3, -1, 0], [0, 1, 1, -1]]
+    group, projection = universal_abelian_group(labels, rels)
+    assert isinstance(projection, Mapping) and not isinstance(projection, dict)
+    assert list(projection) == labels and len(projection) == 4
+    assert "a" in projection and "y" not in projection
+    with pytest.raises(KeyError, match="'y'"):
+        projection["y"]
+    first = projection["m"]
+    assert projection["m"] is first and projection.get("m") is first
+    with pytest.raises(TypeError):
+        projection["m"] = group.zero()
+    fresh = universal_abelian_group(labels, rels)
+    assert fresh == (group, projection) and fresh[1] == dict(projection)
+    assert list(projection.items()) == list(eager_projection(group, projection).items())
+
+
+def test_invariant_factors_gates_every_call_behind_its_cache():
+    assert abelian.invariant_factors([2, 4]) == abelian.invariant_factors((2, 4)) == (2, 4)
+    for orders in ([2.0, 4], [True, 2]):  # equal and of equal hash to a cached key
+        with pytest.raises(TypeError, match="cyclic order"):
+            abelian.invariant_factors(orders)
+    with pytest.raises(ValueError, match="must be positive, got 0"):
+        abelian.invariant_factors([0, 2])
+    assert abelian.invariant_factors([3, 2, 4]) == (2, 12)
 
 
 # ---------------------------------------------------------------------------

@@ -325,8 +325,24 @@ def test_cli_verify_suite_and_fixture_exclude_each_other(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == ("error: --suite and --fixture exclude each other: "
                                 "a fixture file gets its own checks\n")
-    assert main(["verify", "--seed", "5", "--fixture", str(path), "--format", "json"]) == 0
+    assert main(["verify", "--fixture", str(path), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["suite"] == "fixture"
+
+
+def test_cli_verify_seed_and_fixture_exclude_each_other(tmp_path, capsys):
+    # a fixture file's checks draw nothing at random: a --seed would be ignored
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(_z2_dump()))
+    for seed in ("0", "5"):
+        assert main(["verify", "--seed", seed, "--fixture", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --seed and --fixture exclude each other: "
+                                "a fixture file's checks draw nothing at random\n")
+    assert main(["verify", "--suite", "universal", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+    assert main(["verify", "--suite", "universal", "--seed", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 3
 
 
 def test_cli_verify_help_names_every_suite(monkeypatch, capsys):
