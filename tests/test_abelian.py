@@ -311,12 +311,18 @@ def _relations_without_unit_entries(draw):
 
 
 def _check_presentation(n, rels):
+    labels = [f"x{i}" for i in range(n)]
+    _assert_presents(labels, rels, *universal_abelian_group(labels, rels))
+
+
+def _assert_presents(labels, rels, group, proj):
     """Same group as the dense reference, every relation maps to zero, and the
     labels generate the group.  A surjection from Z^n / <rels> onto an
     isomorphic finitely generated abelian group is injective, so the kernel
-    of the projection is exactly the relation span."""
-    labels = [f"x{i}" for i in range(n)]
-    group, proj = universal_abelian_group(labels, rels)
+    of the projection is exactly the relation span.  Sparse relations are
+    read in their dense form."""
+    rels = [tuple(rel.get(i, 0) for i in range(len(labels))) if isinstance(rel, Mapping)
+            else rel for rel in rels]
     assert group == dense_universal_group(labels, rels)[0]
     for rel in rels:
         acc = group.zero()
@@ -393,7 +399,10 @@ def test_universal_ignores_relation_order_and_repeats(case, rnd):
 
 def eager_projection(group, projection) -> dict:
     """The oracle of the lazy projection: every label's image built at once,
-    the kept rows of u dotted with the label's vector on the survivors."""
+    the kept rows of u dotted with the label's vector on the survivors.  It
+    reads those rows and vectors off the projection, so it checks only that
+    deferring the build keeps each image; `_assert_presents`, which reads
+    nothing inside `universal_abelian_group`, checks the images themselves."""
     return {label: group.element([sum(map(operator.mul, row, vector))
                                   for row in projection._images])
             for label, vector in projection._vectors.items()}
@@ -405,21 +414,34 @@ def eager_projection(group, projection) -> dict:
        st.randoms(use_true_random=False))
 def test_lazy_projection_equals_the_eager_one(case, rnd):
     """Read in any order, sparse or dense relations: the images are those
-    the eager build gives."""
+    the eager build gives, and they present the group."""
     n, rels = case
     labels = [f"x{i}" for i in range(n)]
     group, projection = universal_abelian_group(labels, rels)
     for label in rnd.sample(labels, rnd.randint(0, n)):
         projection[label]
     assert dict(projection) == eager_projection(group, projection)
+    _assert_presents(labels, rels, group, projection)
 
 
-def test_lazy_projection_equals_the_eager_one_on_every_classify_row():
+def test_lazy_projection_equals_the_eager_one_on_every_classify_row(monkeypatch):
+    import gradecat.matrix as matrix
+
+    handed = []
+
+    def recording(labels, relations):
+        handed.append((list(labels), list(relations)))
+        return universal_abelian_group(*handed[-1])
+
+    monkeypatch.setattr(matrix, "universal_abelian_group", recording)
     for name in ("M1R", "M2R", "H", "M1C", "M2C", "M3C", "M4C"):
         for row in classify(name):
+            handed.clear()
             group, projection = harvest_universal_group(row.algebra)
-            assert list(projection) == row.algebra.degree_labels()[0]
+            (labels, relations), = handed
+            assert list(projection) == labels == row.algebra.degree_labels()[0]
             assert dict(projection) == eager_projection(group, projection), name
+            _assert_presents(labels, relations, group, projection)
 
 
 def test_projection_is_a_read_only_mapping_in_label_order():
