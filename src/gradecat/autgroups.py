@@ -20,7 +20,6 @@ from .abelian import (
     chain_elements,
     character_group,
     compose,
-    support_table,
 )
 from .division import (
     CatalogError,
@@ -366,45 +365,36 @@ def weyl_descriptor(r: GradedMatrixAlgebra) -> GroupDescriptor:
 # ---------------------------------------------------------------------------
 
 class WeylModel:
-    """Explicit finite model of W(Gamma) = T^(k-1) >| (Sym(k) x W0).
-
-    Elements are (tbar, pi, w): tbar a T^k/T coset normalized to first entry
-    e, as the support positions of the other k-1 entries; pi a permutation
-    tuple; w an element of W0 as a position tuple (see `automorphism_group`).
+    """W(Gamma) = T^(k-1) >| (Sym(k) x W0) as the permutations it induces on
+    the homogeneous components, so `compose` multiplies it.  Under the fine
+    condition these are T, shared by the diagonal blocks, and one coset
+    g_i - g_j + T per ordered pair i != j: component (i, j, t) is t when
+    i = j and |T| c + t for the c-th off-diagonal block (from 1, row-major).
+    (tbar, pi, w), tbar in T^k with tbar_0 = 0 and w in W0, sends the
+    component of E_ij (x) X_t to that of E_pi(i)pi(j) (x) X_(w(t) + tbar_pi(i) - tbar_pi(j)).
     """
 
     def __init__(self, r: GradedMatrixAlgebra):
-        self.support = r.division.support
-        self.k = r.k
-        self.w0 = chain_elements(weyl_division(r.division)[0])
-        _, _, self._add = support_table(self.support)
-        self._neg = [row.index(0) for row in self._add]
-        perms = list(itertools.permutations(range(self.k)))
-        self.elements = [
-            (tbar, pi, w)
-            for tbar in itertools.product(range(len(self._add)), repeat=self.k - 1)
-            for pi in perms
-            for w in self.w0
-        ]
+        n, k, add = r.division.support.order(), r.k, r.division._add
+        w0 = chain_elements(weyl_division(r.division)[0])
+        off = [(i, j) for i, j in itertools.product(range(k), repeat=2) if i != j]
+        start = {(i, i): 0 for i in range(k)} | {b: n * c for c, b in enumerate(off, 1)}
+        components = [(i, j, t) for i, j in [(0, 0), *off] for t in range(n)]
+        images = {}  # each distinct permutation once, the identity first
+        for tbar in itertools.product([0], *[range(n)] * (k - 1)):
+            # block (a, b) moves x + tbar_b to x + tbar_a
+            shift = {(a, b): dict(zip(add[tbar[b]], add[tbar[a]])) for a, b in start}
+            for pi in itertools.permutations(range(k)):
+                moves = [(start[pi[i], pi[j]], shift[pi[i], pi[j]], t) for i, j, t in components]
+                for w in w0:
+                    images[tuple(c + moved[w[t]] for c, moved, t in moves)] = None
+        self.elements = list(images)
 
     def order(self) -> int:
         return len(self.elements)
 
-    def identity(self):
-        return ((0,) * (self.k - 1), tuple(range(self.k)), tuple(range(len(self._add))))
-
     def mul(self, a, b):
-        t1, p1, w1 = a
-        t2, p2, w2 = b
-        add = self._add
-        full2 = (0,) + t2
-        inv1 = [0] * self.k
-        for i, v in enumerate(p1):
-            inv1[v] = i
-        total = [add[x][w1[full2[inv1[i]]]] for i, x in enumerate((0,) + t1)]
-        base = self._neg[total[0]]
-        tbar = tuple(add[x][base] for x in total[1:])
-        return (tbar, compose(p1, p2), compose(w1, w2))
+        return compose(a, b)
 
     def identify(self) -> str:
         return identify_group(self.elements, self.mul)

@@ -11,13 +11,13 @@ universal abelian group of the grading.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .abelian import (
     AbelianGroup,
     GroupElement,
     GroupHomomorphism,
-    support_table,
     universal_abelian_group,
 )
 from .division import GradedDivisionAlgebra, is_fine_division, equivalent
@@ -411,20 +411,22 @@ def harvest_universal_group(r: GradedMatrixAlgebra):
     The labels are those of `degree_labels`, and each r(x, y) goes to
     `universal_abelian_group` as a sparse vector of at most three terms.
     """
-    support = r.division.support
-    _, at, add = support_table(support)
+    support, k = r.division.support, r.k
     labels, ids = r.degree_labels()
-    k, n = r.k, support.order()
+    torsion, n = support.torsion, support.order()
     # H as (j, l, s, size): y = E_jl (x) X_s, with s a support position,
     # paired with the x = E_ij (x) X_t for the first `size` positions t;
     # e_j sits at |T_(j+1)|, so T_j is the prefix of m_j |T_(j+1)| positions
-    right = [(0, 0, at[g], at[g] * m) for g, m in zip(support.generators(), support.torsion)]
+    right = [(0, 0, math.prod(torsion[j + 1:]), math.prod(torsion[j:]))
+             for j in range(len(torsion))]
     right = (right or [(0, 0, 0, 1)]) + [(j, j + 1, 0, n) for j in range(k - 1)]
     # (E_ij (x) X_t)(E_jl (x) X_s) is never zero over D and relates the
     # label ids a, b, c of the two factors and the product
     triples = set()
     for j, l, s, size in right:
-        plus_s = [row[s] for row in add[:size]]  # t -> t + s
+        # t -> t + s: s is 0 or an e_j, whose digit leads in the prefix T_j,
+        # so the sum wraps mod |T_j|
+        plus_s = [(t + s) % size for t in range(size)]
         for i in range(k):
             triples.update(zip(ids[i][j][:size], [ids[j][l][s]] * size,
                                map(ids[i][l].__getitem__, plus_s)))

@@ -649,40 +649,77 @@ def test_semidirect_pretty_brackets_product_factors():
     assert w.pretty() == "Z2^3 ⋊ Sym(4)"
 
 
-def _reference_weyl_mul(model, a, b):
+def _reference_weyl_mul(support, k, a, b):
     """The product of T^(k-1) >| (Sym(k) x W0) by GroupElement arithmetic:
     (t, pi, w)(t', pi', w') = (t + w(t' o pi^-1), pi pi', w w'), modulo T."""
-    elems = list(model.support.elements())
+    elems = list(support.elements())
     index = {x: i for i, x in enumerate(elems)}
     (t1, p1, w1), (t2, p2, w2) = a, b
     full1 = [elems[0]] + [elems[i] for i in t1]
     full2 = [elems[0]] + [elems[i] for i in t2]
-    acted = [elems[w1[index[full2[p1.index(i)]]]] for i in range(model.k)]
+    acted = [elems[w1[index[full2[p1.index(i)]]]] for i in range(k)]
     total = [x + y for x, y in zip(full1, acted)]
     tbar = tuple(index[x - total[0]] for x in total[1:])
     return tbar, tuple(p1[i] for i in p2), tuple(w1[i] for i in w2)
 
 
+def _induced_permutation(r, triple):
+    """The permutation of the `degree_labels` ids, the grading's actual
+    degrees, that (tbar, pi, w) induces: E_ij (x) X_t goes to
+    E_pi(i)pi(j) (x) X_(w(t) + tbar_pi(i) - tbar_pi(j)), by GroupElement
+    arithmetic."""
+    (tbar, pi, w), elems = triple, list(r.division.support.elements())
+    index = {x: i for i, x in enumerate(elems)}
+    full = [elems[0]] + [elems[i] for i in tbar]
+    labels, ids = r.degree_labels()
+    image = {}
+    for i, j, t in itertools.product(range(r.k), range(r.k), range(len(elems))):
+        s = index[elems[w[t]] + full[pi[i]] - full[pi[j]]]
+        assert image.setdefault(ids[i][j][t], ids[pi[i]][pi[j]][s]) == ids[pi[i]][pi[j]][s]
+    return tuple(image[x] for x in range(len(labels)))
+
+
 def test_weyl_model_is_a_group():
+    """The model lists the permutations that the triples induce on the
+    components, the triple law becomes `compose`, and the action is
+    faithful."""
     from gradecat.division import parse_catalog_ref
 
-    for ref, k, order, w0_order in (
-        ("1-c:Z2", 2, 4, 1),
-        ("1-d:Z2xZ4", 2, 64, 4),  # order-4 elements in T and a nontrivial W0
+    for ref, k, order in (
+        ("1-c:Z2", 2, 4), ("1-c:Z2", 3, 24),
+        ("1-d:Z2xZ4", 2, 64),  # order-4 elements in T and a nontrivial W0
+        ("1-b:Z2xZ2", 2, 48),
     ):
-        model = WeylModel(matrix_algebra(parse_catalog_ref(ref), k=k))
-        assert model.order() == order and len(model.w0) == w0_order
-        elems = set(model.elements)
-        ident = model.identity()
-        assert ident in elems
-        rng = random.Random(0)
+        d = parse_catalog_ref(ref)
+        r, n = matrix_algebra(d, k=k), d.support.order()
+        w0 = chain_elements(weyl_division(d)[0])
+        assert order == n ** (k - 1) * math.factorial(k) * len(w0)
+        perm = {x: _induced_permutation(r, x)
+                for x in itertools.product(itertools.product(range(n), repeat=k - 1),
+                                           itertools.permutations(range(k)), w0)}
+        rng, triples = random.Random(0), list(perm)
         for _ in range(60):
-            a, b, c = (rng.choice(model.elements) for _ in range(3))
-            assert model.mul(a, ident) == a and model.mul(ident, a) == a
-            assert model.mul(model.mul(a, b), c) == model.mul(a, model.mul(b, c))
-            assert model.mul(a, b) in elems
-            assert model.mul(a, b) == _reference_weyl_mul(model, a, b)
-            assert any(model.mul(a, x) == ident == model.mul(x, a) for x in model.elements)
+            a, b = rng.choice(triples), rng.choice(triples)
+            assert perm[_reference_weyl_mul(d.support, k, a, b)] == compose(perm[a], perm[b])
+        # component (i, j, t) is t on the diagonal and n c + t in the c-th
+        # off-diagonal block, counted from 1 in row-major order
+        labels, ids = r.degree_labels()
+        off = [(i, j) for i in range(k) for j in range(k) if i != j]
+        relabel = [ids[0][0][t] for t in range(n)] + [ids[i][j][t] for i, j in off for t in range(n)]
+        assert sorted(relabel) == list(range(len(labels)))
+        model, relabelled = WeylModel(r), set()
+        for p in model.elements:
+            image = [None] * len(p)
+            for x, y in enumerate(p):
+                image[relabel[x]] = relabel[y]
+            relabelled.add(tuple(image))
+        assert model.order() == len(relabelled) == len(set(perm.values())) == order
+        assert relabelled == set(perm.values())
+        elems, ident = set(model.elements), tuple(range(len(labels)))
+        assert ident in elems
+        for a in model.elements:
+            assert all(model.mul(a, b) in elems for b in model.elements)
+            assert tuple(sorted(range(len(a)), key=a.__getitem__)) in elems  # a^-1
 
 
 # ---------------------------------------------------------------------------
