@@ -217,6 +217,7 @@ class GradedDivisionAlgebra:
         self.conj_elements = frozenset(t for t, c in zip(self._elements, self._conj) if c)
         self._sigma_ids = _normal_words(orders, conj, p, b, modulus, self._add)
         self._beta = self._quad = self._weyl = self._export = None
+        self._matrices = {}  # k -> M_k(D) in its universal realization, see matrix_algebra
 
     # -- basic structure -----------------------------------------------------
 

@@ -79,6 +79,7 @@ class GradedMatrixAlgebra:
         if len({self._coset_key(g) for g in gamma}) != len(gamma):
             raise GradingError("isotypic degrees must be distinct modulo T")
         self.gamma = tuple(g for g, m in zip(gamma, kappa) for _ in range(m))
+        self._universal = None  # (group, projection), kept by harvest_universal_group
 
     def _support_column(self, p: int, m: int) -> tuple:
         """Coordinate p of embed(t) over the support positions t, built one
@@ -219,8 +220,18 @@ def matrix_algebra(division: GradedDivisionAlgebra, k: int = None, gamma=None,
                    kappa=None) -> GradedMatrixAlgebra:
     """Build M_k(D).  With no ambient given, degrees live in Z^(k-1) x T, T
     on the last coordinates, with gamma = (0, e_1, ..., e_{k-1}), the
-    universal realization.  A k that differs from the length of a given
-    gamma, or an embed with no ambient to embed into, is refused."""
+    universal realization.  Asked for by k alone (1 if omitted), that is
+    the M_k(D) kept on `division`: built on first request, shared by every
+    caller, and to be read, not changed.  A k that is not an int >= 1 or
+    differs from the length of a given gamma, or an embed with no ambient
+    to embed into, is refused."""
+    if k is not None and (type(k) is not int or k < 1):  # before the lookup: True == 1
+        raise GradingError(f"k must be an int >= 1, got {k!r}")
+    if gamma is None and ambient is None and embed is None and kappa is None:
+        k = 1 if k is None else k
+        if k not in division._matrices:  # an explicit kappa builds an unshared one
+            division._matrices[k] = matrix_algebra(division, k, kappa=[1] * k)
+        return division._matrices[k]
     if gamma is not None:
         gamma = list(gamma)
         if k is not None and k != len(gamma):
@@ -410,7 +421,11 @@ def harvest_universal_group(r: GradedMatrixAlgebra):
 
     The labels are those of `degree_labels`, and each r(x, y) goes to
     `universal_abelian_group` as a sparse vector of at most three terms.
+    The result is kept on r: every call returns the same (group,
+    projection), to be read and not changed.
     """
+    if r._universal is not None:
+        return r._universal
     support, k = r.division.support, r.k
     labels, ids = r.degree_labels()
     torsion, n = support.torsion, support.order()
@@ -438,7 +453,9 @@ def harvest_universal_group(r: GradedMatrixAlgebra):
         else:
             relations[(a, b) if a < b else (b, a), c] = {a: 2, c: -1} if a == b else \
                 {a: 1, b: 1, c: -1}
-    return universal_abelian_group(labels, [*relations.values(), *({x: 1} for x in unit_vectors)])
+    r._universal = universal_abelian_group(
+        labels, [*relations.values(), *({x: 1} for x in unit_vectors)])
+    return r._universal
 
 
 def expected_universal_group(r: GradedMatrixAlgebra) -> AbelianGroup:

@@ -5,7 +5,9 @@ machine-readable report (schema 1), built by `checks_report`, which also
 reports `gradecat verify --fixture`.  The same functions back the
 acceptance tests and the `gradecat verify` command.  Each algebra the suites
 check is built once per process by `fixture`, so a later pass reads the
-inverses and centres that an earlier one found.
+inverses and centres that an earlier one found.  An M_k(D) fixture is the
+one `matrix_algebra` keeps on its catalog entry, the instance that
+`classify` and `from_division` read as well.
 """
 
 from __future__ import annotations
@@ -75,8 +77,9 @@ _FIXTURES = {
 
 @functools.cache
 def fixture(label: str, *, exact: bool = False):
-    """The M_k(D) of a label, or with `exact` its structure constants (the
-    export kept on D when k = 1), built once per process and not changed."""
+    """The M_k(D) of a label, the one kept on its catalog entry, or with
+    `exact` its structure constants (the export kept on D when k = 1),
+    built once per process and not changed."""
     tag, support, k = _FIXTURES[label]
     if not exact:
         return matrix_algebra(canonical(tag, support), k=k)

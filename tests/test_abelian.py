@@ -437,7 +437,11 @@ def test_lazy_projection_equals_the_eager_one_on_every_classify_row(monkeypatch)
     for name in ("M1R", "M2R", "H", "M1C", "M2C", "M3C", "M4C"):
         for row in classify(name):
             handed.clear()
-            group, projection = harvest_universal_group(row.algebra)
+            # row.algebra is kept on its D, harvested already: harvest a copy
+            r = row.algebra
+            unshared = matrix.matrix_algebra(r.division, gamma=r.gamma, ambient=r.ambient,
+                                             embed=r.embed)
+            group, projection = harvest_universal_group(unshared)
             (labels, relations), = handed
             assert list(projection) == labels == row.algebra.degree_labels()[0]
             assert dict(projection) == eager_projection(group, projection), name

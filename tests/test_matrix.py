@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gradecat import cli
+from gradecat import cli, division
 from gradecat.abelian import AbelianGroup, GroupHomomorphism, support_table
 from gradecat.classify import _abelian_groups_of_order
 from gradecat.division import (
@@ -77,6 +77,32 @@ def test_multiplicities_must_be_ints(kappa, index, shown):
     with pytest.raises(GradingError, match=rf"kappa\[{index}\] = {shown} is not an int"):
         matrix_algebra(canonical("1-c", "Z2"), k=2, kappa=kappa)
     assert matrix_algebra(canonical("1-c", "Z2"), k=2, kappa=[2, 1]).kappa == (2, 1)
+
+
+@pytest.mark.parametrize("k", [True, 1.0, 2.0, 0, -1, "2"])
+def test_k_must_be_a_positive_int(k):
+    # True and 1.0 equal, and hash as, the key of the kept M_1(D): the check
+    # comes before the lookup
+    d = canonical("1-c", "Z2")
+    matrix_algebra(d, k=1), matrix_algebra(d, k=2)
+    with pytest.raises(GradingError, match=f"^k must be an int >= 1, got {re.escape(repr(k))}$"):
+        matrix_algebra(d, k=k)
+
+
+def test_matrix_algebra_keeps_the_universal_realization_on_d():
+    d = canonical("1-c", "Z2")
+    r = matrix_algebra(d, k=2)
+    assert matrix_algebra(d, k=2) is r and matrix_algebra(canonical("1-c", AbelianGroup(0, (2,))), k=2) is r
+    assert matrix_algebra(d) is matrix_algebra(d, k=1) is not r
+    for other in (_unshared(r), matrix_algebra(d, k=2, kappa=[1, 1])):  # an explicit shape
+        assert other is not r and other.gamma == r.gamma and other._columns == r._columns
+        assert harvest_universal_group(other) == harvest_universal_group(r)
+        assert harvest_universal_group(other)[0] is not harvest_universal_group(r)[0]
+    group, projection = harvest_universal_group(r)
+    assert all(x is y for x, y in zip(harvest_universal_group(r), (group, projection)))
+    division._canonical_entry.cache_clear()  # drops the entry and what is kept on it
+    fresh = matrix_algebra(canonical("1-c", "Z2"), k=2)
+    assert fresh is not r and harvest_universal_group(fresh)[0] is not group
 
 
 # a valid explicit grading on M_2(1-c:Z2), spoiled one argument at a time below
@@ -241,7 +267,7 @@ def test_squares_profile_division_algebra():
 
 def test_equivalent_gradings():
     a = matrix_algebra(canonical("1-c", "Z2"), k=2)
-    b = matrix_algebra(canonical("1-c", "Z2"), k=2)
+    b = _unshared(a)  # matrix_algebra(canonical("1-c", "Z2"), k=2) is a itself
     c = matrix_algebra(canonical("1-c", "Z2^3"), k=1)
     assert equivalent_gradings(a, b)
     assert equivalent_gradings(a, a)
@@ -591,11 +617,20 @@ def _right_factors(r):
     return right | {(j, j + 1, support.zero()): elems for j in range(k - 1)}
 
 
+def _unshared(r):
+    """r rebuilt from its explicit ambient, isotypic degrees, embedding and
+    multiplicities: never the M_k(D) kept on D, so not harvested yet."""
+    return matrix_algebra(r.division, gamma=list(dict.fromkeys(r.gamma)), ambient=r.ambient,
+                          embed=r.embed, kappa=r.kappa)
+
+
 def _recorded_harvest(monkeypatch, algebra):
-    """(group, projection, labels, relations): the harvest of `algebra`
-    with the labels and the relations it hands to `universal_abelian_group`,
-    which must arrive sparse, at most three terms each, each vector once;
-    the relations as `_reference_harvest` writes them."""
+    """(group, projection, labels, relations): the harvest of an unshared
+    copy of `algebra` with the labels and the relations it hands to
+    `universal_abelian_group`, which must arrive sparse, at most three
+    terms each, each vector once; the relations as `_reference_harvest`
+    writes them.  The copy, since `algebra` may be kept on its D and
+    harvested already, which hands nothing over."""
     import gradecat.matrix as matrix
     from gradecat.abelian import universal_abelian_group
 
@@ -611,7 +646,7 @@ def _recorded_harvest(monkeypatch, algebra):
 
     monkeypatch.setattr(matrix, "universal_abelian_group", recording)
     try:
-        group, projection = harvest_universal_group(algebra)
+        group, projection = harvest_universal_group(_unshared(algebra))
     finally:
         monkeypatch.undo()
     (labels, relations), = seen
@@ -706,29 +741,45 @@ def test_harvest_hands_over_at_most_the_prefix_relations(monkeypatch):
 
 
 def test_warm_classify_builds_few_group_elements(monkeypatch):
-    """A warm pass builds no image of the harvest projection, which no row
-    reads, embeds no support position one at a time, and harvests with no
-    support generator: at most 94 GroupElements for M4C and 86 for the six
-    smaller algebras, against 363 and 200 with an eager projection and an
-    embed per position, and 111 and 100 with the generators."""
+    """A warm pass builds no M_k(D) and harvests none: it reads those kept
+    on the catalog entries.  It builds no image of the harvest projection,
+    which no row reads, embeds no support position one at a time, and
+    harvests with no support generator: at most 16 GroupElements for M4C
+    and 10 for the six smaller algebras, against 94 and 86 with an M_k(D)
+    built and harvested per call, 363 and 200 with an eager projection and
+    an embed per position as well, and 111 and 100 with the generators.
+    Its rows are those of the cold pass."""
+    import gradecat.matrix as matrix
+    import gradecat.structconst as structconst
     from gradecat.abelian import GroupElement
     from gradecat.classify import classify
 
-    init, built = GroupElement.__init__, []
+    built, algebras, harvests = [], [], []
 
-    def counting(self, group, coords):
-        built.append(1)
-        init(self, group, coords)
+    def counting(init, tally):
+        def wrapped(self, *args):
+            tally.append(1)
+            init(self, *args)
+        return wrapped
 
-    for names, bound in ((["M4C"], 94), (["M1R", "M2R", "H", "M1C", "M2C", "M3C"], 86)):
-        for name in names:
-            classify(name)
+    def harvesting(labels, relations):
+        harvests.append(1)
+        return universal_abelian_group(labels, relations)
+
+    universal_abelian_group = matrix.universal_abelian_group
+    for names, bound in ((["M4C"], 16), (["M1R", "M2R", "H", "M1C", "M2C", "M3C"], 10)):
+        cold = [[row.to_json() for row in classify(name)] for name in names]
         built.clear()
-        monkeypatch.setattr(GroupElement, "__init__", counting)
-        for name in names:
-            classify(name)
+        monkeypatch.setattr(GroupElement, "__init__", counting(GroupElement.__init__, built))
+        monkeypatch.setattr(GradedMatrixAlgebra, "__init__",
+                            counting(GradedMatrixAlgebra.__init__, algebras))
+        for module in (matrix, structconst):
+            monkeypatch.setattr(module, "universal_abelian_group", harvesting)
+        warm = [[row.to_json() for row in classify(name)] for name in names]
         monkeypatch.undo()
         assert len(built) <= bound, names
+        assert algebras == harvests == [], names
+        assert warm == cold, names
 
 
 def _embedded_columns(r):

@@ -1125,6 +1125,9 @@ def test_a_second_verify_pass_builds_and_solves_nothing(monkeypatch):
         first = run_suite("all", seed=seed)
         if seed == 1:  # the caches start empty
             assert (calls.count("solve_square"), calls.count("nullspace")) == (218, 65)
+            # from_division exports the M_1(D) kept on D, which the matrix
+            # suites read too: 22 builds, where a throwaway M_1(D) made 27
+            assert calls.count("GradedMatrixAlgebra") == 22
             assert {"StructureConstantAlgebra", "GradedDivisionAlgebra",
                     "GradedMatrixAlgebra"} <= set(calls)
         calls.clear()
@@ -1133,8 +1136,12 @@ def test_a_second_verify_pass_builds_and_solves_nothing(monkeypatch):
 
 
 def test_a_verify_run_changes_no_shared_fixture():
+    """Neither a verify run nor classify changes a shared algebra, the
+    M_k(D) kept on each catalog entry included: each matches a fresh build
+    once the caches are cleared."""
     import gradecat.verify as verify
-    from gradecat.matrix import to_structure_constants
+    from gradecat.classify import classify
+    from gradecat.matrix import harvest_universal_group, matrix_algebra, to_structure_constants
 
     def shared():
         exact = dict(graded_simple_fixtures(), HxH=quaternion_pair_algebra())
@@ -1143,6 +1150,12 @@ def test_a_verify_run_changes_no_shared_fixture():
         return exact, matrices
 
     assert verify.run_suite("all")["failed"] == 0
+    rows = [row for name in ("M1R", "M2R", "H", "M1C", "M2C", "M3C", "M4C")
+            for row in classify(name)]
+    entries = {id(d): d for d in [row.division for row in rows] + [
+        canonical(tag, support) for tag, support, _ in verify._FIXTURES.values() if tag]}
+    kept = [(d.type_tag, d.support, k, r) for d in entries.values() for k, r in d._matrices.items()]
+    assert len(kept) == 22 and {id(row.algebra) for row in rows} <= {id(r) for *_, r in kept}
     exact, matrices = shared()
     again = shared()
     assert all(again[0][label] is a for label, a in exact.items())
@@ -1158,6 +1171,13 @@ def test_a_verify_run_changes_no_shared_fixture():
         assert fresh_matrices[label] is not r
         assert to_structure_constants(r).to_json() \
             == to_structure_constants(fresh_matrices[label]).to_json(), label
+    for tag, support, k, r in kept:
+        fresh = matrix_algebra(canonical(tag, support), k=k)
+        assert fresh is not r
+        assert (fresh.gamma, fresh._columns, fresh.degree_labels()) \
+            == (r.gamma, r._columns, r.degree_labels()), (tag, k)
+        group, projection = harvest_universal_group(r)
+        assert (group, dict(projection)) == harvest_universal_group(fresh), (tag, k)
 
 
 def test_from_division_keeps_its_export_on_the_entry(monkeypatch):
