@@ -389,6 +389,7 @@ class WeylModel:
                 for w in w0:
                     images[tuple(c + moved[w[t]] for c, moved, t in moves)] = None
         self.elements = list(images)
+        self._name = None  # kept by identify
 
     def order(self) -> int:
         return len(self.elements)
@@ -397,7 +398,21 @@ class WeylModel:
         return compose(a, b)
 
     def identify(self) -> str:
-        return identify_group(self.elements, self.mul)
+        """The `identify_group` name of the elements, computed once: they
+        never change."""
+        if self._name is None:
+            self._name = identify_group(self.elements, self.mul)
+        return self._name
+
+
+def weyl_model(r: GradedMatrixAlgebra) -> WeylModel:
+    """The WeylModel of r, built on first request and kept on r, the way
+    `harvest_universal_group` keeps its harvest: W(Gamma) depends only on
+    (D, k), so every call returns the same model, to be read and not
+    changed."""
+    if r._weyl_model is None:
+        r._weyl_model = WeylModel(r)
+    return r._weyl_model
 
 
 # ---------------------------------------------------------------------------

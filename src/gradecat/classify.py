@@ -16,10 +16,10 @@ import re
 from .abelian import AbelianGroup, _factor
 from .autgroups import (
     IDENTIFY_BOUND,
-    WeylModel,
     diag_descriptor,
     stab_descriptor,
     weyl_descriptor,
+    weyl_model,
 )
 from .division import GradedDivisionAlgebra, canonical, underlying_algebra_name
 from .matrix import (
@@ -174,7 +174,7 @@ def _build_row(k: int, tag: str, support: AbelianGroup) -> ClassificationRow:
     order = weyl.finite_part_order()
     identified = None
     if order <= IDENTIFY_BOUND:
-        model = WeylModel(algebra)
+        model = weyl_model(algebra)
         if model.order() != order:
             raise AssertionError("explicit Weyl model disagrees with the descriptor")
         identified = model.identify()

@@ -80,6 +80,7 @@ class GradedMatrixAlgebra:
             raise GradingError("isotypic degrees must be distinct modulo T")
         self.gamma = tuple(g for g, m in zip(gamma, kappa) for _ in range(m))
         self._universal = None  # (group, projection), kept by harvest_universal_group
+        self._weyl_model = None  # kept by autgroups.weyl_model
 
     def _support_column(self, p: int, m: int) -> tuple:
         """Coordinate p of embed(t) over the support positions t, built one

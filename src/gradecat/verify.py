@@ -21,7 +21,6 @@ from .autgroups import (
     DirectProduct,
     FiniteAbelian,
     Torus,
-    WeylModel,
     descriptors_equal,
     diag_descriptor,
     identify_group,
@@ -29,6 +28,7 @@ from .autgroups import (
     stab_division,
     weyl_descriptor,
     weyl_division,
+    weyl_model,
 )
 from .division import canonical, commutation_bicharacter, quad_forms, quadratic_form, arf
 from .matrix import (
@@ -256,7 +256,7 @@ def suite_weyl():
         ("M2R-split", 2, "Z2"), ("M2C-k2-1c", 4, "Z2^2"), ("M3C-k3-1c", 24, "Sym(4)"),
     ]:
         r = fixture(label)
-        model = WeylModel(r)
+        model = weyl_model(r)
         descriptor_order = weyl_descriptor(r).finite_part_order()
         w0 = chain_elements(weyl_division(r.division)[0])
         recomputed = (r.division.support.order() ** (r.k - 1)) \

@@ -13,6 +13,7 @@ from gradecat.abelian import (
     abstract_type,
     automorphism_group,
     chain_elements,
+    character_group,
     compose,
 )
 from gradecat.autgroups import (
@@ -22,6 +23,7 @@ from gradecat.autgroups import (
     DirectProduct,
     DivisionAutomorphism,
     FiniteAbelian,
+    GroupDescriptor,
     NamedFinite,
     SemidirectProduct,
     Symmetric,
@@ -38,6 +40,7 @@ from gradecat.autgroups import (
     triple_product,
     weyl_descriptor,
     weyl_division,
+    weyl_model,
 )
 from gradecat.classify import classify
 from gradecat.division import (
@@ -47,7 +50,7 @@ from gradecat.division import (
     canonical,
     commutation_bicharacter,
 )
-from gradecat.matrix import GradedElement, matrix_algebra
+from gradecat.matrix import GradedElement, harvest_universal_group, matrix_algebra
 from gradecat.scalars import RationalQuaternion, zeta
 
 Z2 = AbelianGroup(0, (2,))
@@ -197,7 +200,7 @@ def _classify_groups():
             chain = weyl_division(row.division)[0]
             groups.append((f"W0 {label}", chain_elements(chain), compose, chain))
             if row.weyl_identified is not None:
-                model = WeylModel(row.algebra)
+                model = weyl_model(row.algebra)
                 groups.append((f"W {label}", list(model.elements), model.mul, None))
     groups.append(("Sym(4)", list(itertools.permutations(range(4))),
                    lambda p, q: tuple(p[q[i]] for i in range(4)), None))
@@ -613,6 +616,52 @@ def test_m3c_row1_weyl_is_sym4():
         stab_descriptor(r),
         DirectProduct((Torus("Rx"), Torus("Rx"), FiniteAbelian(Z2))),
     )
+
+
+def test_weyl_model_is_kept_on_its_algebra(monkeypatch):
+    """`weyl_model` builds the model of an M_k(D) once and keeps it on the
+    algebra, and the model names itself once; an M_k(D) built with an
+    explicit shape is not shared and has a model of its own."""
+    import gradecat.autgroups as autgroups
+
+    named = []
+
+    def naming(elements, mul):
+        named.append(1)
+        return identify_group(elements, mul)
+
+    monkeypatch.setattr(autgroups, "identify_group", naming)
+    r = matrix_algebra(canonical("1-c", "Z2"), k=3)
+    model = weyl_model(r)
+    assert weyl_model(matrix_algebra(canonical("1-c", "Z2"), k=3)) is model
+    assert [model.identify(), model.identify()] == ["Sym(4)"] * 2 and len(named) == 1
+    unshared = matrix_algebra(canonical("1-c", "Z2"), k=3, kappa=[1, 1, 1])
+    assert unshared is not r and weyl_model(unshared) is not model
+    assert weyl_model(unshared).elements == model.elements
+
+
+def _hom_into_real_units(u: AbelianGroup) -> GroupDescriptor:
+    """Hom(U, R^x) of U = Z^f x T: a free generator goes anywhere in R^x and
+    T into the roots of unity of R, {+-1}, so it is (R^x)^f x Hom(T, Z2)."""
+    return DirectProduct((*[Torus("Rx")] * u.free_rank,
+                          FiniteAbelian(character_group(AbelianGroup(0, u.torsion), 2))))
+
+
+def test_diag_is_the_real_character_group_of_the_harvested_universal_group():
+    """Diag(Gamma) = Hom(U(Gamma), R^x) (Elduque and Kochetov, ch. 1): read
+    off the harvested group of every classify row, it is what
+    `diag_descriptor` builds from T and k, and what the row prints.  The 6
+    rows with k >= 2 check the free part, which a formula in T alone
+    misses."""
+    with_free_part = 0
+    for name in ("M1R", "M2R", "H", "M1C", "M2C", "M3C", "M4C"):
+        for row in classify(name):
+            universal, _ = harvest_universal_group(row.algebra)
+            diag = diag_descriptor(row.algebra)
+            assert descriptors_equal(_hom_into_real_units(universal), diag), (name, row.k)
+            assert row.diagonal == diag
+            with_free_part += universal.free_rank > 0
+    assert with_free_part == 6
 
 
 def test_weyl_descriptor_finite_order_formula():

@@ -748,13 +748,19 @@ def test_warm_classify_builds_few_group_elements(monkeypatch):
     and 10 for the six smaller algebras, against 94 and 86 with an M_k(D)
     built and harvested per call, 363 and 200 with an eager projection and
     an embed per position as well, and 111 and 100 with the generators.
-    Its rows are those of the cold pass."""
+    It lists and names no Weyl group either: the cold pass builds a
+    WeylModel for each of the 10 rows of the six smaller algebras (none on
+    M4C, whose W(Gamma) are all larger than IDENTIFY_BOUND), and a warm
+    pass reads the model kept on each M_k(D), so it constructs none and
+    calls `identify_group` not at all.  Its rows are those of the cold
+    pass."""
+    import gradecat.autgroups as autgroups
     import gradecat.matrix as matrix
     import gradecat.structconst as structconst
     from gradecat.abelian import GroupElement
     from gradecat.classify import classify
 
-    built, algebras, harvests = [], [], []
+    built, algebras, harvests, models, named = [], [], [], [], []
 
     def counting(init, tally):
         def wrapped(self, *args):
@@ -766,10 +772,21 @@ def test_warm_classify_builds_few_group_elements(monkeypatch):
         harvests.append(1)
         return universal_abelian_group(labels, relations)
 
+    def naming(elements, mul):
+        named.append(1)
+        return identify_group(elements, mul)
+
     universal_abelian_group = matrix.universal_abelian_group
-    for names, bound in ((["M4C"], 16), (["M1R", "M2R", "H", "M1C", "M2C", "M3C"], 10)):
+    identify_group = autgroups.identify_group
+    for names, bound, cold_models in ((["M4C"], 16, 0),
+                                      (["M1R", "M2R", "H", "M1C", "M2C", "M3C"], 10, 10)):
+        monkeypatch.setattr(autgroups.WeylModel, "__init__",
+                            counting(autgroups.WeylModel.__init__, models))
         cold = [[row.to_json() for row in classify(name)] for name in names]
+        assert len(models) == cold_models, names
         built.clear()
+        models.clear()
+        monkeypatch.setattr(autgroups, "identify_group", naming)
         monkeypatch.setattr(GroupElement, "__init__", counting(GroupElement.__init__, built))
         monkeypatch.setattr(GradedMatrixAlgebra, "__init__",
                             counting(GradedMatrixAlgebra.__init__, algebras))
@@ -778,7 +795,7 @@ def test_warm_classify_builds_few_group_elements(monkeypatch):
         warm = [[row.to_json() for row in classify(name)] for name in names]
         monkeypatch.undo()
         assert len(built) <= bound, names
-        assert algebras == harvests == [], names
+        assert algebras == harvests == models == named == [], names
         assert warm == cold, names
 
 

@@ -1115,7 +1115,8 @@ def test_a_second_verify_pass_builds_and_solves_nothing(monkeypatch):
             calls.append(_name)
             return _fn(*args)
         monkeypatch.setattr(module, name, counting)
-    for cls in (GradedDivisionAlgebra, GradedMatrixAlgebra, StructureConstantAlgebra):
+    for cls in (GradedDivisionAlgebra, GradedMatrixAlgebra, StructureConstantAlgebra,
+                autgroups.WeylModel):
         def recording(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             calls.append(_name)
             _init(self, *args, **kwargs)
@@ -1128,6 +1129,8 @@ def test_a_second_verify_pass_builds_and_solves_nothing(monkeypatch):
             # from_division exports the M_1(D) kept on D, which the matrix
             # suites read too: 22 builds, where a throwaway M_1(D) made 27
             assert calls.count("GradedMatrixAlgebra") == 22
+            # one model per weyl/matrix check, kept on its M_k(D)
+            assert calls.count("WeylModel") == 3
             assert {"StructureConstantAlgebra", "GradedDivisionAlgebra",
                     "GradedMatrixAlgebra"} <= set(calls)
         calls.clear()
@@ -1138,8 +1141,11 @@ def test_a_second_verify_pass_builds_and_solves_nothing(monkeypatch):
 def test_a_verify_run_changes_no_shared_fixture():
     """Neither a verify run nor classify changes a shared algebra, the
     M_k(D) kept on each catalog entry included: each matches a fresh build
-    once the caches are cleared."""
+    once the caches are cleared, and so does each WeylModel kept on one.
+    The kept models go with the entries: a classify after the caches are
+    cleared builds its models anew."""
     import gradecat.verify as verify
+    from gradecat.autgroups import WeylModel
     from gradecat.classify import classify
     from gradecat.matrix import harvest_universal_group, matrix_algebra, to_structure_constants
 
@@ -1156,6 +1162,8 @@ def test_a_verify_run_changes_no_shared_fixture():
         canonical(tag, support) for tag, support, _ in verify._FIXTURES.values() if tag]}
     kept = [(d.type_tag, d.support, k, r) for d in entries.values() for k, r in d._matrices.items()]
     assert len(kept) == 22 and {id(row.algebra) for row in rows} <= {id(r) for *_, r in kept}
+    models = [r._weyl_model for *_, r in kept if r._weyl_model is not None]
+    assert len(models) == 10  # the small classify rows, whose M_k(D) verify's weyl/matrix share
     exact, matrices = shared()
     again = shared()
     assert all(again[0][label] is a for label, a in exact.items())
@@ -1178,6 +1186,17 @@ def test_a_verify_run_changes_no_shared_fixture():
             == (r.gamma, r._columns, r.degree_labels()), (tag, k)
         group, projection = harvest_universal_group(r)
         assert (group, dict(projection)) == harvest_universal_group(fresh), (tag, k)
+        if r._weyl_model is not None:
+            model, rebuilt = r._weyl_model, WeylModel(fresh)
+            assert (model.elements, model.order(), model.identify()) \
+                == (rebuilt.elements, rebuilt.order(), rebuilt.identify()), (tag, k)
+    reclassified = [row for name in ("M1R", "M2R", "H", "M1C", "M2C", "M3C", "M4C")
+                    for row in classify(name)]
+    assert [row.to_json() for row in reclassified] == [row.to_json() for row in rows]
+    renewed = [row.algebra._weyl_model for row in reclassified
+               if row.weyl_identified is not None]
+    assert len(renewed) == 10 and all(m is not None for m in renewed)
+    assert not {id(m) for m in renewed} & {id(m) for m in models}
 
 
 def test_from_division_keeps_its_export_on_the_entry(monkeypatch):
