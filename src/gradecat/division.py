@@ -314,14 +314,23 @@ class DivisionElement:
         return self + (-other)
 
     def __mul__(self, other):
+        """(c X_u)(d X_v) = c alpha_u(d) sigma(u, v) X_(u+v), read by support
+        position: u + v off `_add`, sigma off `_sigma_ids`, alpha_u off
+        `_conj`.  The terms of the product come in the order of their first
+        (u, v) pair, each summed in pair order."""
         if isinstance(other, DivisionElement):
             self._check(other)
             alg = self.algebra
+            index, add, sigma, conj = alg._index, alg._add, alg._sigma_ids, alg._conj
+            elements, roots, conjugate = alg._elements, alg.kind.roots, alg.kind.conjugate
+            right = [(index[v], d) for v, d in other.terms.items()]
             out: dict = {}
             for u, c in self.terms.items():
-                for v, d in other.terms.items():
-                    target = u + v
-                    val = c * alg.alpha(u, d) * alg.sigma(u, v)
+                i = index[u]
+                sums, sigmas, bar = add[i], sigma[i], conj[i]
+                for j, d in right:
+                    target = elements[sums[j]]
+                    val = c * (conjugate(d) if bar else d) * roots[sigmas[j]]
                     out[target] = out[target] + val if target in out else val
             return DivisionElement(alg, out)
         # scalar on the right: x * c = x * (c X_e), which twists c by the action

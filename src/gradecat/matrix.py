@@ -173,12 +173,15 @@ class GradedElement:
         return self + (-other)
 
     def __mul__(self, other):
+        """Entry (i, l) sums x_ij y_jl over the right factor's row j only,
+        the pairs in the order of the two entry dicts."""
         self._check(other)
+        rows: dict = {}
+        for (h, l), y in other.entries.items():
+            rows.setdefault(h, []).append((l, y))
         out: dict = {}
         for (i, j), x in self.entries.items():
-            for (h, l), y in other.entries.items():
-                if j != h:
-                    continue
+            for l, y in rows.get(j, ()):
                 prod = x * y
                 if (i, l) in out:
                     out[(i, l)] = out[(i, l)] + prod

@@ -21,7 +21,9 @@ rational multiples with it, since the inverse of the primitive integer
 vector of x is kept under that vector's coordinates; `_commutant` keeps
 the central elements of each degree and `_trace_form_rank` its rank.
 `is_graded_simple`, `center_basis`, `inner_stabilizer_quotient` and
-`hxh_counterexample` share them.  Each memo lives as long as its algebra.
+`hxh_counterexample` share them.  `inner_stabilizer_quotient` keeps its
+pair (quotient, generators) in `_inner_quotient`, the generators a tuple
+of (degree, unit).  Each memo lives as long as its algebra.
 """
 
 from __future__ import annotations
@@ -256,10 +258,12 @@ class StructureConstantAlgebra:
         self._validate()
         # what the operations below compute once per algebra, which is not
         # changed once built: `scaled_inverse` by primitive coordinates,
-        # `_commutant` by degree, and `_trace_form_rank`
+        # `_commutant` by degree, `_trace_form_rank` and
+        # `inner_stabilizer_quotient`
         self._inverses: dict = {}
         self._commutants: dict = {}
         self._trace_rank = None
+        self._inner_quotient = None
 
     @property
     def dim(self) -> int:
@@ -776,9 +780,15 @@ def _component_unit(a: StructureConstantAlgebra, indices, rng) -> AlgebraElement
 def inner_stabilizer_quotient(a: StructureConstantAlgebra):
     """Degree group of homogeneous units modulo degrees of central homogeneous units.
 
-    Returns (quotient AbelianGroup, coset generator list of (degree, unit)).
-    Requires a graded-simple algebra whose components carry units.
+    Returns (quotient AbelianGroup, coset generator tuple of (degree, unit)).
+    Requires a graded-simple algebra whose components carry units, and
+    raises ValueError on every call otherwise.  The pair is found once and
+    kept on the algebra: it reads nothing but the algebra, which is not
+    changed once built, and the random combinations it may try come from
+    its own `Random(0)`, so every call would find the same pair.
     """
+    if a._inner_quotient is not None:
+        return a._inner_quotient
     if not is_graded_simple(a):
         raise ValueError("the inner stabilizer description needs a graded-simple algebra")
     import random  # only the seeded sampling needs it; a CLI start does not
@@ -811,7 +821,8 @@ def inner_stabilizer_quotient(a: StructureConstantAlgebra):
         if d not in covered:
             generators.append((d, unit_degrees[d]))
             covered.update(d + c for c in central_degrees)
-    return abstract_type(degs, modulo=central_degrees), generators
+    a._inner_quotient = (abstract_type(degs, modulo=central_degrees), tuple(generators))
+    return a._inner_quotient
 
 
 # ---------------------------------------------------------------------------

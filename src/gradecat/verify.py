@@ -16,14 +16,13 @@ import functools
 import math
 from fractions import Fraction
 
-from .abelian import AbelianGroup, chain_elements, character_group, compose
+from .abelian import AbelianGroup, character_group
 from .autgroups import (
     DirectProduct,
     FiniteAbelian,
     Torus,
     descriptors_equal,
     diag_descriptor,
-    identify_group,
     stab_descriptor,
     stab_division,
     weyl_descriptor,
@@ -109,19 +108,28 @@ def _homogeneous_unit_pool(a):
 
 def _central_unit_pool(a, rng):
     """The unity, then every invertible one of 30 random integer combinations
-    of the centre basis, in the order drawn.  A combination that is a
-    rational multiple of one drawn before, a repeat included, is not solved
-    again: `scaled_inverse` keeps each inverse on the algebra under its
-    primitive coordinates, so a 1-dimensional centre costs at most one
-    solve."""
-    centre = center_basis(a)
+    of the centre basis, in the order drawn.  A combination is summed on
+    coordinates, a coordinate dropped as soon as it cancels, so it has the
+    coordinates, in the same order, of the sum of `AlgebraElement` multiples
+    that it replaces.  A combination that is a rational multiple of one
+    drawn before, a repeat included, is not solved again: `scaled_inverse`
+    keeps each inverse on the algebra under its primitive coordinates, so a
+    1-dimensional centre costs at most one solve."""
+    centre = [z.coords for z in center_basis(a)]
     pool = [a.one()]
     for _ in range(30):
-        z = a.element({})
+        coords: dict = {}
         for basis_el in centre:
-            z = z + rng.randint(-3, 3) * basis_el
-        if not z.is_zero() and scaled_inverse(z) is not None:
-            pool.append(z)
+            c = rng.randint(-3, 3)
+            for i, v in basis_el.items():
+                if x := coords.get(i, 0) + c * v:
+                    coords[i] = x
+                else:
+                    coords.pop(i, None)
+        if coords:
+            z = a.element(coords)
+            if scaled_inverse(z) is not None:
+                pool.append(z)
     return pool
 
 
@@ -246,21 +254,22 @@ def suite_weyl():
         ("2-f", "Z3^2", 48, "GL(2,3)"),
     ]
     for tag, support, order, name in division_cases:
-        elems = chain_elements(weyl_division(canonical(tag, support))[0])
-        got = identify_group(elems, compose)
+        # the order and the name of the census that `weyl_division` kept
+        w0 = weyl_division(canonical(tag, support))[1]
+        got_order, got = w0.finite_part_order(), w0.pretty()
         checks.append(CheckResult(
             f"weyl/division/{tag}:{support}",
-            len(elems) == order and got == name,
-            f"order {len(elems)}, identified {got}"))
+            got_order == order and got == name,
+            f"order {got_order}, identified {got}"))
     for label, order, name in [
         ("M2R-split", 2, "Z2"), ("M2C-k2-1c", 4, "Z2^2"), ("M3C-k3-1c", 24, "Sym(4)"),
     ]:
         r = fixture(label)
         model = weyl_model(r)
         descriptor_order = weyl_descriptor(r).finite_part_order()
-        w0 = chain_elements(weyl_division(r.division)[0])
+        w0_order = math.prod(map(len, weyl_division(r.division)[0]))
         recomputed = (r.division.support.order() ** (r.k - 1)) \
-            * math.factorial(r.k) * len(w0)
+            * math.factorial(r.k) * w0_order
         checks.append(CheckResult(
             f"weyl/matrix/{label}",
             model.order() == order == descriptor_order == recomputed

@@ -1505,3 +1505,65 @@ def test_bicharacter_value_raises_key_error_off_k_x_k():
             beta.value(*pair)
         assert err.value.args == (pair,)
     assert beta.value(u, u) == d.kind.one()
+
+
+# ---------------------------------------------------------------------------
+# the crossed-product product, by support position
+# ---------------------------------------------------------------------------
+
+def _reference_product(x, y):
+    """The product keyed by GroupElement: u + v, alpha and sigma looked up
+    per term, the terms in the order of their first (u, v) pair."""
+    alg = x.algebra
+    out: dict = {}
+    for u, c in x.terms.items():
+        for v, d in y.terms.items():
+            target = u + v
+            val = c * alg.alpha(u, d) * alg.sigma(u, v)
+            out[target] = out[target] + val if target in out else val
+    return {t: c for t, c in out.items() if c}
+
+
+# R (1-a, 1-d), C with an action (2-a, 2-e) and without one (2-f), and H
+# (3-b); every support has at most 16 elements
+PRODUCT_REFS = ("1-a:Z2xZ2", "1-a:Z2^4", "1-d:Z2xZ4", "2-a:Z2", "2-a:Z2^3", "2-e:Z4",
+                "2-e:Z2^2xZ4", "2-f:Z3^2", "2-f:Z4^2", "3-b:Z2xZ2")
+
+
+@st.composite
+def _division_elements(draw, d):
+    """A random element: a few terms, each a small rational combination of
+    the Q-basis of the coefficient ring."""
+    basis = d.kind.basis()
+    rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    degrees = draw(st.lists(st.sampled_from(d.elements()), max_size=5, unique=True))
+    terms = {}
+    for t in degrees:
+        c = d.kind.zero()
+        for b in basis:
+            c = c + d.kind.coerce(draw(rationals)) * b
+        terms[t] = c
+    return d.element(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PRODUCT_REFS), st.data())
+def test_the_position_product_is_the_group_element_product(ref, data):
+    d = _catalog(ref)
+    assert d.support.order() <= 16
+    x = data.draw(_division_elements(d), label="x")
+    y = data.draw(_division_elements(d), label="y")
+    for left, right in ((x, y), (y, x), (x, x)):
+        got = left * right
+        assert list(got.terms.items()) == list(_reference_product(left, right).items())
+
+
+def test_the_position_product_covers_every_pair_of_units():
+    # each X_u X_v of a conjugating C entry and of H, with a non-real
+    # coefficient on the right, where a product without alpha would differ
+    for ref in ("2-a:Z2^3", "2-e:Z4", "3-b:Z2xZ2"):
+        d = _catalog(ref)
+        c = d.kind.basis()[1]
+        for u, v in itertools.product(d.elements(), repeat=2):
+            x, y = d.unit(u), d.unit(v, c)
+            assert (x * y).terms == _reference_product(x, y), (ref, u, v)

@@ -203,6 +203,46 @@ def test_multiply_crossed_product_law():
     assert entry == d.unit(u) * d.unit(v)
 
 
+def _reference_matrix_product(x, y):
+    """Every pair of entries, (i, j)·(h, l) kept when j = h, summed in pair
+    order."""
+    out: dict = {}
+    for (i, j), a in x.entries.items():
+        for (h, l), b in y.entries.items():
+            if j != h:
+                continue
+            prod = a * b
+            out[(i, l)] = out[(i, l)] + prod if (i, l) in out else prod
+    return {pos: val for pos, val in out.items() if not val.is_zero()}
+
+
+@st.composite
+def _sparse_matrices(draw, r):
+    """A random sparse k x k matrix over D: a few entries, each of one to
+    three terms with small integer coefficients."""
+    d, k = r.division, r.k
+    positions = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                              max_size=k * k, unique=True))
+    entries = {}
+    for pos in positions:
+        degrees = draw(st.lists(st.sampled_from(d.elements()), min_size=1, max_size=3,
+                                unique=True))
+        entries[pos] = d.element({t: draw(st.integers(-2, 2)) for t in degrees})
+    return GradedElement(r, entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["1-a:Z2xZ2", "1-b:Z2xZ2", "2-e:Z4", "2-f:Z3^2"]),
+       st.integers(1, 4), st.data())
+def test_the_row_grouped_product_is_the_all_pairs_product(ref, k, data):
+    r = matrix_algebra(parse_catalog_ref(ref), k=k)
+    x = data.draw(_sparse_matrices(r), label="x")
+    y = data.draw(_sparse_matrices(r), label="y")
+    for left, right in ((x, y), (y, x), (x, x)):
+        got = left * right
+        assert list(got.entries.items()) == list(_reference_matrix_product(left, right).items())
+
+
 @pytest.mark.parametrize("ref,k", [("1-c:Z2", 3), ("1-d:Z2xZ4", 2), ("1-b:Z2xZ2", 2)])
 def test_homogeneity_of_products_exhaustive(ref, k):
     from gradecat.division import parse_catalog_ref

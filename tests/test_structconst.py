@@ -476,12 +476,32 @@ def test_inner_stabilizer_quotient_1d_is_t_mod_squares():
 def test_inner_stabilizer_quotient_trivial_grading():
     quotient, gens = inner_stabilizer_quotient(group_algebra(AbelianGroup.trivial()))
     assert quotient.is_trivial()
-    assert gens == []
+    assert gens == ()  # the kept pair is immutable: its generators are a tuple
 
 
 def test_inner_stabilizer_quotient_requires_graded_simple():
     with pytest.raises(ValueError):
         inner_stabilizer_quotient(quaternion_pair_algebra())
+
+
+def test_inner_stabilizer_quotient_is_kept_on_its_algebra():
+    a = from_division(canonical("2-f", "Z3^2"))
+    assert a._inner_quotient is None
+    pair = inner_stabilizer_quotient(a)
+    assert a._inner_quotient is pair and inner_stabilizer_quotient(a) is pair
+    quotient, generators = pair
+    assert type(pair) is tuple and type(generators) is tuple
+    assert quotient == AbelianGroup(0, (3, 3))
+    assert all(scaled_inverse(unit) is not None for _, unit in generators)
+
+
+def test_a_refused_inner_stabilizer_quotient_is_not_kept():
+    z2 = group_algebra(AbelianGroup(0, (2,)))
+    for a in (quaternion_pair_algebra(), direct_sum(z2, z2)):
+        for _ in range(2):  # raises on every call, and nothing is kept
+            with pytest.raises(ValueError, match="needs a graded-simple algebra"):
+                inner_stabilizer_quotient(a)
+            assert a._inner_quotient is None
 
 
 def test_direct_sum_grading():
@@ -1101,7 +1121,39 @@ def test_verify_builds_each_entry_and_export_once(monkeypatch):
     assert len(tables) == len(set(tables)) <= 18  # 27 builds of 17 tables
 
 
+def _reference_central_unit_pool(a, rng):
+    """The pool as a sum of `AlgebraElement` multiples of the centre basis."""
+    centre = center_basis(a)
+    pool = [a.one()]
+    for _ in range(30):
+        z = a.element({})
+        for basis_el in centre:
+            z = z + rng.randint(-3, 3) * basis_el
+        if not z.is_zero() and scaled_inverse(z) is not None:
+            pool.append(z)
+    return pool
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_the_central_unit_pool_sums_on_coordinates(seed):
+    from gradecat.verify import _central_unit_pool
+
+    for label, a in graded_simple_fixtures():
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        pool = _central_unit_pool(a, rng)
+        reference = _reference_central_unit_pool(a, reference_rng)
+        assert [list(z.coords.items()) for z in pool] \
+            == [list(z.coords.items()) for z in reference], label
+        assert rng.getstate() == reference_rng.getstate(), label  # the same draws
+
+
 def test_a_second_verify_pass_builds_and_solves_nothing(monkeypatch):
+    """A second pass builds no algebra, solves nothing, finds no unit, and
+    lists, names and types no group: the inner stabilizer quotients stay
+    on their algebras and the weyl checks read the kept W0 descriptors."""
+    import sys
+
+    import gradecat.abelian as abelian
     import gradecat.autgroups as autgroups
     import gradecat.structconst as structconst
     from gradecat.division import GradedDivisionAlgebra
@@ -1115,6 +1167,18 @@ def test_a_second_verify_pass_builds_and_solves_nothing(monkeypatch):
             calls.append(_name)
             return _fn(*args)
         monkeypatch.setattr(module, name, counting)
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "gradecat"]
+    for module, name in ((abelian, "abstract_type"), (structconst, "_component_unit"),
+                         (autgroups, "identify_group"), (abelian, "chain_elements")):
+        original = getattr(module, name)
+
+        def counting(*args, _fn=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        for importer in modules:  # every module that imported the name calls it by it
+            for key, value in list(vars(importer).items()):
+                if value is original:
+                    monkeypatch.setattr(importer, key, counting)
     for cls in (GradedDivisionAlgebra, GradedMatrixAlgebra, StructureConstantAlgebra,
                 autgroups.WeylModel):
         def recording(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
@@ -1131,6 +1195,11 @@ def test_a_second_verify_pass_builds_and_solves_nothing(monkeypatch):
             assert calls.count("GradedMatrixAlgebra") == 22
             # one model per weyl/matrix check, kept on its M_k(D)
             assert calls.count("WeylModel") == 3
+            # five inner stabilizer quotients find their units; each W0
+            # is listed and named once, by its census and by its model
+            assert [calls.count(name) for name in (
+                "abstract_type", "_component_unit", "identify_group", "chain_elements")] \
+                == [11, 45, 6, 10]
             assert {"StructureConstantAlgebra", "GradedDivisionAlgebra",
                     "GradedMatrixAlgebra"} <= set(calls)
         calls.clear()
@@ -1160,6 +1229,11 @@ def test_a_verify_run_changes_no_shared_fixture():
             for row in classify(name)]
     entries = {id(d): d for d in [row.division for row in rows] + [
         canonical(tag, support) for tag, support, _ in verify._FIXTURES.values() if tag]}
+    # the exports of the five stab/inner-witness entries keep their quotient
+    quotients = [(tag, support, canonical(tag, support)._export._inner_quotient)
+                 for tag, support in (("1-d", "Z2xZ4"), ("2-d", "Z2^2xZ4"), ("2-e", "Z4"),
+                                      ("3-d", "Z2xZ4"), ("2-f", "Z3^2"))]
+    assert all(pair is not None for *_, pair in quotients)
     kept = [(d.type_tag, d.support, k, r) for d in entries.values() for k, r in d._matrices.items()]
     assert len(kept) == 22 and {id(row.algebra) for row in rows} <= {id(r) for *_, r in kept}
     models = [r._weyl_model for *_, r in kept if r._weyl_model is not None]
@@ -1190,6 +1264,12 @@ def test_a_verify_run_changes_no_shared_fixture():
             model, rebuilt = r._weyl_model, WeylModel(fresh)
             assert (model.elements, model.order(), model.identify()) \
                 == (rebuilt.elements, rebuilt.order(), rebuilt.identify()), (tag, k)
+    for tag, support, (quotient, generators) in quotients:
+        fresh_quotient, fresh_generators = inner_stabilizer_quotient(
+            from_division(canonical(tag, support)))
+        # a unit belongs to its algebra: compare the generators by coordinates
+        assert (quotient, [(d, u.coords) for d, u in generators]) \
+            == (fresh_quotient, [(d, u.coords) for d, u in fresh_generators]), (tag, support)
     reclassified = [row for name in ("M1R", "M2R", "H", "M1C", "M2C", "M3C", "M4C")
                     for row in classify(name)]
     assert [row.to_json() for row in reclassified] == [row.to_json() for row in rows]
