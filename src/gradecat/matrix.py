@@ -81,6 +81,8 @@ class GradedMatrixAlgebra:
         self.gamma = tuple(g for g, m in zip(gamma, kappa) for _ in range(m))
         self._universal = None  # (group, projection), kept by harvest_universal_group
         self._weyl_model = None  # kept by autgroups.weyl_model
+        self._idempotents = None  # (found, primitive), kept by homogeneous_idempotents
+        self._squares = None  # the profile kept by squares_profile
 
     def _support_column(self, p: int, m: int) -> tuple:
         """Coordinate p of embed(t) over the support positions t, built one
@@ -312,7 +314,13 @@ def homogeneous_idempotents(r: GradedMatrixAlgebra):
     eps = delta + mu is an orthogonal decomposition.  Conversely, such a
     decomposition gives eps delta = (delta + mu) delta = delta, and
     delta eps = delta likewise.
+
+    The result is kept on r: every call returns the same pair of tuples,
+    to be read and not changed.  A grading that fails the fine condition
+    raises on every call and keeps nothing.
     """
+    if r._idempotents is not None:
+        return r._idempotents
     if not fine_condition(r):
         raise GradingError("idempotent counting assumes the fine condition")
     k = r.k
@@ -323,14 +331,14 @@ def homogeneous_idempotents(r: GradedMatrixAlgebra):
         candidate = GradedElement(r, entries)
         if candidate * candidate == candidate:
             found.append(candidate)
-    primitive = [
+    primitive = tuple(
         eps for eps in found
         if not eps.is_zero() and not any(
             not delta.is_zero() and delta is not eps  # the members of found are distinct
             and eps * delta == delta == delta * eps
-            for delta in found)
-    ]
-    return found, primitive
+            for delta in found))
+    r._idempotents = tuple(found), primitive
+    return r._idempotents
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +352,11 @@ ZERO_SQUARES = "ZERO_SQUARES"
 def squares_profile(r: GradedMatrixAlgebra) -> dict:
     """Classify each support class g + T by whether nonzero elements of R_g square
     to zero; the outcome must match membership of the class in the diagonal
-    classes (i = j), and a mismatch raises."""
+    classes (i = j), and a mismatch raises.  The profile is kept on r, and
+    each call returns a copy of it; a grading that fails the fine condition
+    or the dichotomy raises on every call and keeps nothing."""
+    if r._squares is not None:
+        return dict(r._squares)
     if not fine_condition(r):
         raise GradingError("the squares dichotomy assumes the fine condition")
     coeff_samples = [1]
@@ -375,7 +387,8 @@ def squares_profile(r: GradedMatrixAlgebra) -> dict:
                 if previous is not None and previous != verdict:
                     raise GradingError(f"class {key} received both verdicts")
                 profile[key] = verdict
-    return profile
+    r._squares = profile
+    return dict(profile)
 
 
 # ---------------------------------------------------------------------------

@@ -579,7 +579,10 @@ def scaled_inverse(x: AlgebraElement):
     test and conjugation of the module uses (y, D) directly.
     """
     a = x.algebra
-    xs, den = _integral(x.coords)
+    xs = x.coords  # nonzero already; read, not changed
+    den = 1
+    if not all(type(c) is int for c in xs.values()):
+        xs, den = _integral(xs)
     key = tuple(sorted(xs.items()))
     q = math.gcd(*xs.values()) or 1
     if key and key[0][1] < 0:

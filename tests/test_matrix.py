@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gradecat import cli, division
+from gradecat import cli, division, verify
 from gradecat.abelian import AbelianGroup, GroupHomomorphism, support_table
 from gradecat.classify import _abelian_groups_of_order
 from gradecat.division import (
@@ -924,3 +924,50 @@ def test_idempotents_match_the_list_scan(tag, support, k):
     ref_found, ref_primitive = _reference_homogeneous_idempotents(r)
     assert [x.entries for x in found] == [x.entries for x in ref_found]
     assert [x.entries for x in primitive] == [x.entries for x in ref_primitive]
+
+
+def _idempotent_terms(pair):
+    """(found, primitive) as the terms of each entry, comparable across
+    algebras."""
+    return [[{pos: val.terms for pos, val in x.entries.items()} for x in xs] for xs in pair]
+
+
+@pytest.mark.parametrize("label", [label for label, (tag, _, _) in verify._FIXTURES.items()
+                                   if tag is not None])
+def test_kept_idempotents_and_squares_match_an_unshared_copy(label):
+    r = verify.fixture(label)
+    pair, profile = homogeneous_idempotents(r), squares_profile(r)
+    assert type(pair) is tuple and all(type(xs) is tuple for xs in pair)
+    assert homogeneous_idempotents(r) is pair is r._idempotents
+    assert squares_profile(r) == profile == r._squares and profile is not r._squares
+    copy = _unshared(r)  # keeps answers of its own, found anew
+    assert copy._idempotents is None and copy._squares is None
+    assert _idempotent_terms(homogeneous_idempotents(copy)) == _idempotent_terms(pair)
+    assert squares_profile(copy) == profile
+    assert copy._idempotents is not pair and copy._squares is not r._squares
+
+
+def test_a_refused_grading_keeps_no_idempotents_or_squares(monkeypatch):
+    r = matrix_algebra(canonical("1-c", "Z2"), kappa=[2])
+    assert not fine_condition(r)
+    for _ in range(2):
+        with pytest.raises(GradingError, match="idempotent counting assumes the fine condition"):
+            homogeneous_idempotents(r)
+        with pytest.raises(GradingError, match="squares dichotomy assumes the fine condition"):
+            squares_profile(r)
+    assert r._idempotents is None and r._squares is None
+    # a squares dichotomy that fails is refused on every call too: with every
+    # square read as nonzero, the off-diagonal classes break it
+    r = _unshared(matrix_algebra(canonical("1-c", "Z2"), k=2))
+    monkeypatch.setattr(GradedElement, "is_zero", lambda self: False)
+    for _ in range(2):
+        with pytest.raises(GradingError, match="squares dichotomy violated"):
+            squares_profile(r)
+    assert r._squares is None
+    monkeypatch.undo()
+    for _ in range(2):  # the call that keeps the profile and one that reads it
+        profile = squares_profile(r)
+        assert profile == r._squares and profile is not r._squares
+        profile.clear()
+    assert len(r._squares) == 3
+    assert set(r._squares.values()) == {NONZERO_SQUARES, ZERO_SQUARES}

@@ -647,6 +647,38 @@ def test_scaled_inverse_agrees_with_sympy(data):
     assert a.mul_vectors(x.coords, y) == scaled_unity == a.mul_vectors(y, x.coords)
 
 
+def _reference_inverse_key(coords):
+    """The memo key of `scaled_inverse` derived as the filtered copy did:
+    the entries times the lcm of their denominators, sorted, divided by
+    their gcd and made positive at the least index."""
+    den = math.lcm(*(Fraction(c).denominator for c in coords.values()))
+    xs = {i: int(c * den) for i, c in coords.items() if c}
+    key = tuple(sorted(xs.items()))
+    q = math.gcd(*xs.values()) or 1
+    if key and key[0][1] < 0:
+        q = -q
+    return tuple((i, c // q) for i, c in key)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_scaled_inverse_keys_int_and_fraction_multiples_alike(data):
+    label, shared = data.draw(st.sampled_from(_verify_fixtures()))
+    indices = data.draw(st.lists(st.integers(0, shared.dim - 1), max_size=5, unique=True))
+    entries = st.one_of(_small_ints, _small_rationals)
+    scale = data.draw(st.sampled_from([1, 2, -1, -3, Fraction(1, 2), Fraction(-3, 2)]))
+    a = _fresh(shared)
+    x = scale * a.element({i: data.draw(entries) for i in indices})
+    found = scaled_inverse(x)
+    assert list(a._inverses) == [_reference_inverse_key(x.coords)], (label, x.coords)
+    if found is None:
+        return
+    y, d = found  # unique: the inverse in lowest terms over a positive denominator
+    assert type(d) is int and d > 0 and math.gcd(d, *y.values()) == 1
+    scaled_unity = {i: d * c for i, c in a.unity.items()}
+    assert a.mul_vectors(x.coords, y) == scaled_unity == a.mul_vectors(y, x.coords)
+
+
 def test_inverses_and_centre_solve_one_component_at_a_time(monkeypatch):
     widths = []  # the largest column + 1 of each vector handed to the kernel
     add = _Rref.add
@@ -1148,16 +1180,18 @@ def test_the_central_unit_pool_sums_on_coordinates(seed):
 
 
 def test_a_second_verify_pass_builds_and_solves_nothing(monkeypatch):
-    """A second pass builds no algebra, solves nothing, finds no unit, and
-    lists, names and types no group: the inner stabilizer quotients stay
-    on their algebras and the weyl checks read the kept W0 descriptors."""
+    """A second pass builds no algebra, solves nothing, finds no unit,
+    lists, names and types no group, and multiplies no M_k(D) or D
+    element: the inner stabilizer quotients stay on their algebras, the
+    weyl checks read the kept W0 descriptors, and the idempotents and
+    squares suites read the answers kept on each M_k(D)."""
     import sys
 
     import gradecat.abelian as abelian
     import gradecat.autgroups as autgroups
     import gradecat.structconst as structconst
-    from gradecat.division import GradedDivisionAlgebra
-    from gradecat.matrix import GradedMatrixAlgebra
+    from gradecat.division import DivisionElement, GradedDivisionAlgebra
+    from gradecat.matrix import GradedElement, GradedMatrixAlgebra
     from gradecat.verify import run_suite
 
     calls = []
@@ -1185,6 +1219,11 @@ def test_a_second_verify_pass_builds_and_solves_nothing(monkeypatch):
             calls.append(_name)
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", recording)
+    for cls in (GradedElement, DivisionElement):
+        def multiplying(self, other, _mul=cls.__mul__, _name=f"{cls.__name__}.__mul__"):
+            calls.append(_name)
+            return _mul(self, other)
+        monkeypatch.setattr(cls, "__mul__", multiplying)
     for seed in (1, 0, 7):
         calls.clear()
         first = run_suite("all", seed=seed)
@@ -1200,6 +1239,9 @@ def test_a_second_verify_pass_builds_and_solves_nothing(monkeypatch):
             assert [calls.count(name) for name in (
                 "abstract_type", "_component_unit", "identify_group", "chain_elements")] \
                 == [11, 45, 6, 10]
+            # the idempotent search and the squares profile, once per M_k(D)
+            assert (calls.count("GradedElement.__mul__"),
+                    calls.count("DivisionElement.__mul__")) == (532, 417)
             assert {"StructureConstantAlgebra", "GradedDivisionAlgebra",
                     "GradedMatrixAlgebra"} <= set(calls)
         calls.clear()
@@ -1210,13 +1252,23 @@ def test_a_second_verify_pass_builds_and_solves_nothing(monkeypatch):
 def test_a_verify_run_changes_no_shared_fixture():
     """Neither a verify run nor classify changes a shared algebra, the
     M_k(D) kept on each catalog entry included: each matches a fresh build
-    once the caches are cleared, and so does each WeylModel kept on one.
-    The kept models go with the entries: a classify after the caches are
-    cleared builds its models anew."""
+    once the caches are cleared, and so does each WeylModel, idempotent
+    pair and squares profile kept on one.  The kept models go with the
+    entries: a classify after the caches are cleared builds its models
+    anew."""
     import gradecat.verify as verify
     from gradecat.autgroups import WeylModel
     from gradecat.classify import classify
-    from gradecat.matrix import harvest_universal_group, matrix_algebra, to_structure_constants
+    from gradecat.matrix import (
+        harvest_universal_group,
+        homogeneous_idempotents,
+        matrix_algebra,
+        squares_profile,
+        to_structure_constants,
+    )
+
+    def terms(pair):  # elements of different algebras, compared by their entries' terms
+        return [[{pos: val.terms for pos, val in x.entries.items()} for x in xs] for xs in pair]
 
     def shared():
         exact = dict(graded_simple_fixtures(), HxH=quaternion_pair_algebra())
@@ -1238,6 +1290,9 @@ def test_a_verify_run_changes_no_shared_fixture():
     assert len(kept) == 22 and {id(row.algebra) for row in rows} <= {id(r) for *_, r in kept}
     models = [r._weyl_model for *_, r in kept if r._weyl_model is not None]
     assert len(models) == 10  # the small classify rows, whose M_k(D) verify's weyl/matrix share
+    # M1R-split ... M5R-split and M4C-k2-2f-coarse, and the eight matrix_fixtures
+    assert sum(r._idempotents is not None for *_, r in kept) == 6
+    assert sum(r._squares is not None for *_, r in kept) == 8
     exact, matrices = shared()
     again = shared()
     assert all(again[0][label] is a for label, a in exact.items())
@@ -1256,10 +1311,15 @@ def test_a_verify_run_changes_no_shared_fixture():
     for tag, support, k, r in kept:
         fresh = matrix_algebra(canonical(tag, support), k=k)
         assert fresh is not r
+        assert fresh._idempotents is None and fresh._squares is None  # dropped with the entry
         assert (fresh.gamma, fresh._columns, fresh.degree_labels()) \
             == (r.gamma, r._columns, r.degree_labels()), (tag, k)
         group, projection = harvest_universal_group(r)
         assert (group, dict(projection)) == harvest_universal_group(fresh), (tag, k)
+        if r._idempotents is not None:
+            assert terms(r._idempotents) == terms(homogeneous_idempotents(fresh)), (tag, k)
+        if r._squares is not None:
+            assert r._squares == squares_profile(fresh), (tag, k)
         if r._weyl_model is not None:
             model, rebuilt = r._weyl_model, WeylModel(fresh)
             assert (model.elements, model.order(), model.identify()) \
